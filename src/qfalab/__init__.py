@@ -55,7 +55,6 @@ from .cutpoint import (
 )
 from .languages import LanguageOracle, dfa_oracle, free_reduce, oracle
 from .numeric import (
-    EPSILON,
     FLOAT,
     RATIONAL,
     ColVec,

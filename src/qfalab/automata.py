@@ -17,13 +17,20 @@ Quantum machines use the column convention (``U @ |u>``, so ``U[j][i]`` is
 the amplitude from state ``i+1`` to state ``j+1``); probabilistic machines
 use the row convention.  State indices in the public API are 1-based and the
 start state is always state 1.
+
+Each kind's semantics is written down once, in ``stepper``: a start state,
+one step per input symbol and a final read-out.  The acceptance values,
+``kwqfa_run`` and the shortest-first ``enumerate_values`` are folds over it,
+and so is every bounded check elsewhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from functools import reduce
+from itertools import accumulate
+from typing import Iterator, Mapping, Sequence, Union
 
 from .numeric import (
     RATIONAL,
@@ -33,7 +40,9 @@ from .numeric import (
     Scalar,
     is_stochastic,
     is_unitary_within,
+    one,
     same_kind,
+    zero,
     zero_tolerance,
 )
 
@@ -268,93 +277,133 @@ class RunTrace:
                 raise ValueError("state vector norm exceeds 1")
 
 
+def stepper(machine: Machine):
+    """The machine's semantics as a prefix-incremental evaluator
+    ``(init, advance, value)``.
+
+    ``init`` is the state after the left end-marker (if the model has one),
+    ``advance(state, sym)`` reads one input symbol, and ``value(state)``
+    finishes the run (applying the right end-marker where the model has one)
+    without disturbing the state.  Every evaluation in the package is a fold
+    over these three.
+
+    A measure-every-step state is ``(vector, accept, reject)``: after each
+    unitary step the accepting and rejecting coordinates are measured, their
+    squared amplitudes accumulate into the two probabilities, and the
+    coordinates are zeroed.  Each step checks both ``RunTrace`` bounds.
+    """
+    if not isinstance(machine, (Pfa, Gpfa, Kwqfa, Mcqfa)):
+        raise TypeError(f"not a machine: {machine!r}")
+    trans = machine.trans
+    if isinstance(machine, Gpfa):
+        def advance(v, sym):
+            return v @ trans[sym]
+
+        def value(v):
+            return v @ machine.f
+
+        return machine.v0, advance, value
+
+    kind = RATIONAL if isinstance(machine, Pfa) else machine.kind
+    start = [one(kind)] + [zero(kind)] * (machine.n - 1)
+
+    if isinstance(machine, Pfa):
+        def advance(v, sym):
+            return v @ trans[sym]
+
+        def value(v):
+            final = advance(v, DOLLAR)
+            return sum((final[q - 1] for q in machine.accepting), zero(kind))
+
+        return advance(RowVec(start, kind), CENT), advance, value
+
+    if isinstance(machine, Mcqfa):
+        def advance(v, sym):
+            return trans[sym] @ v
+
+        def value(v):
+            final = advance(v, DOLLAR)
+            return sum((final[q - 1] * final[q - 1] for q in machine.accepting), zero(kind))
+
+        return advance(ColVec(start, kind), CENT), advance, value
+
+    # Kwqfa: measure after every symbol.
+    slack = 1 + zero_tolerance()
+    acc, rej = machine.q_acc, machine.q_rej
+    halting = acc | rej
+    nil = zero(kind)
+
+    def advance(state, sym):
+        vec, accept, reject = state
+        out = list((trans[sym] @ vec).entries)
+        accept += sum((out[q - 1] * out[q - 1] for q in acc), nil)
+        reject += sum((out[q - 1] * out[q - 1] for q in rej), nil)
+        for q in halting:
+            out[q - 1] = nil
+        vec = ColVec(out, kind)
+        if accept + reject > slack:
+            raise ValueError("halting probabilities exceed 1")
+        if vec.norm_sq() > slack:
+            raise ValueError("state vector norm exceeds 1")
+        return vec, accept, reject
+
+    def value(state):
+        return advance(state, DOLLAR)[1]
+
+    init = (ColVec(start, kind), nil, nil)
+    return advance(init, CENT), advance, value
+
+
+def _fold(machine: Machine, w: WordLike) -> Scalar:
+    init, advance, value = stepper(machine)
+    return value(reduce(advance, _check_word(machine.sigma, w), init))
+
+
 def pfa_accept_prob(p: Pfa, w: WordLike) -> Fraction:
     """Exact acceptance probability of ``w``: mass on accepting states after
     processing ``CENT w DOLLAR`` from the start state."""
-    word = _check_word(p.sigma, w)
-    v = RowVec(
-        [Fraction(1)] + [Fraction(0)] * (p.n - 1), RATIONAL
-    )
-    for sym in (CENT, *word, DOLLAR):
-        v = v @ p.trans[sym]
-    return sum((v[q - 1] for q in p.accepting), Fraction(0))
+    return _fold(p, w)
 
 
 def gpfa_value(g: Gpfa, w: WordLike) -> Scalar:
     """Value of ``w``; the empty word gives ``v0 @ f`` directly."""
-    word = _check_word(g.sigma, w)
-    v = g.v0
-    for sym in word:
-        v = v @ g.trans[sym]
-    return v @ g.f
-
-
-def _unit_column(n: int, kind: str) -> ColVec:
-    one = Fraction(1) if kind == RATIONAL else 1.0
-    zero = Fraction(0) if kind == RATIONAL else 0.0
-    return ColVec([one] + [zero] * (n - 1), kind)
-
-
-def _measure(
-    v: ColVec, acc: frozenset[int], rej: frozenset[int]
-) -> tuple[ColVec, Scalar, Scalar]:
-    """Project out halting coordinates, returning the surviving vector and
-    the measured accept/reject probability mass."""
-    zero = Fraction(0) if v.kind == RATIONAL else 0.0
-    gained_acc = zero
-    gained_rej = zero
-    out = list(v.entries)
-    for q in acc:
-        gained_acc += out[q - 1] * out[q - 1]
-        out[q - 1] = zero
-    for q in rej:
-        gained_rej += out[q - 1] * out[q - 1]
-        out[q - 1] = zero
-    return ColVec(out, v.kind), gained_acc, gained_rej
-
-
-def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
-    """Run the measure-every-step semantics on ``CENT w DOLLAR``.
-
-    After each unitary step the accepting and rejecting coordinates are
-    measured: their squared amplitudes accumulate into the respective
-    probabilities and the coordinates are zeroed before the next symbol.
-    """
-    word = _check_word(m.sigma, w)
-    kind = m.kind
-    zero = Fraction(0) if kind == RATIONAL else 0.0
-    v = _unit_column(m.n, kind)
-    accept = zero
-    reject = zero
-    history = []
-    for sym in (CENT, *word, DOLLAR):
-        v = m.trans[sym] @ v
-        v, acc_gain, rej_gain = _measure(v, m.q_acc, m.q_rej)
-        accept += acc_gain
-        reject += rej_gain
-        history.append(v)
-    return RunTrace(accept, reject, tuple(history))
+    return _fold(g, w)
 
 
 def mcqfa_accept_prob(m: Mcqfa, w: WordLike) -> Scalar:
     """Apply the full unitary product to the start state, then observe once:
     the result is the squared amplitude mass on accepting coordinates."""
-    word = _check_word(m.sigma, w)
-    v = _unit_column(m.n, m.kind)
-    for sym in (CENT, *word, DOLLAR):
-        v = m.trans[sym] @ v
-    zero = Fraction(0) if m.kind == RATIONAL else 0.0
-    return sum((v[q - 1] * v[q - 1] for q in m.accepting), zero)
+    return _fold(m, w)
 
 
 def acceptance_value(machine: Machine, w: WordLike) -> Scalar:
     """Uniform acceptance value used by cutpoint classification."""
-    if isinstance(machine, Pfa):
-        return pfa_accept_prob(machine, w)
-    if isinstance(machine, Gpfa):
-        return gpfa_value(machine, w)
-    if isinstance(machine, Mcqfa):
-        return mcqfa_accept_prob(machine, w)
-    if isinstance(machine, Kwqfa):
-        return kwqfa_run(machine, w).accept_prob
-    raise TypeError(f"not a machine: {machine!r}")
+    return _fold(machine, w)
+
+
+def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
+    """Run the measure-every-step semantics on ``CENT w DOLLAR`` and keep
+    the surviving vector after every tape symbol."""
+    init, advance, _ = stepper(m)
+    tape = (*_check_word(m.sigma, w), DOLLAR)
+    states = list(accumulate(tape, advance, initial=init))
+    _, accept, reject = states[-1]
+    return RunTrace(accept, reject, tuple(vec for vec, _, _ in states))
+
+
+def enumerate_values(machine: Machine, maxlen: int) -> Iterator[tuple[Word, Scalar]]:
+    """Yield (word, acceptance value) for every word up to ``maxlen``,
+    shortest first and lexicographic within one length with respect to the
+    machine's declared symbol order, sharing prefix work across words."""
+    init, advance, value = stepper(machine)
+    level: list[tuple[Word, object]] = [((), init)]
+    for length in range(maxlen + 1):
+        for word, state in level:
+            yield word, value(state)
+        if length == maxlen:
+            break
+        level = [
+            (word + (sym,), advance(state, sym))
+            for word, state in level
+            for sym in machine.sigma
+        ]

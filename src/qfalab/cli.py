@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -94,6 +95,8 @@ def _decode_scalar(raw, kind: str, where: str) -> Scalar:
             raise DocumentError(f"{where}: {exc}") from exc
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise DocumentError(f"{where}: float documents need numeric entries")
+    if not math.isfinite(raw):
+        raise DocumentError(f"{where}: float entries must be finite, got {raw!r}")
     return float(raw)
 
 
@@ -211,11 +214,18 @@ def machine_from_doc(doc: Mapping) -> Machine:
             f"{kind_name} documents use the {_CONVENTIONS[kind_name]} convention, not {conv!r}"
         )
     try:
-        alphabet = tuple(doc["alphabet"])
-        n = int(doc["n"])
+        alphabet = doc["alphabet"]
+        n = doc["n"]
         raw_matrices = doc["matrices"]
     except KeyError as exc:
         raise DocumentError(f"missing field {exc.args[0]!r}") from exc
+    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+        raise DocumentError(f"alphabet must be a list of strings, got {alphabet!r}")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DocumentError(f"n must be an integer, got {n!r}")
+    if not isinstance(raw_matrices, Mapping):
+        raise DocumentError("matrices must be an object keyed by symbol")
+    alphabet = tuple(alphabet)
     trans = {
         _key_symbol(key): _matrix_from_doc(raw, scalar, f"matrix {key!r}")
         for key, raw in raw_matrices.items()
@@ -602,10 +612,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     env_eps = os.environ.get("QFA_EPSILON")
     if env_eps is not None:
         try:
-            numeric.EPSILON = float(env_eps)
+            eps = float(env_eps)
         except ValueError:
-            print(f"error: QFA_EPSILON={env_eps!r} is not a float", file=sys.stderr)
+            eps = math.nan
+        if not (math.isfinite(eps) and eps > 0):
+            print(f"error: QFA_EPSILON={env_eps!r} is not a finite float > 0", file=sys.stderr)
             return 2
+        numeric.EPSILON = eps
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Optional, Sequence
 
 from .automata import (
@@ -33,6 +34,8 @@ from .automata import (
     Word,
     WordLike,
     as_word,
+    enumerate_values,
+    stepper,
 )
 from .languages import generator_alphabet
 from .numeric import (
@@ -48,8 +51,9 @@ from .numeric import (
     kron,
     mat_add,
     mat_mul,
-    mat_pow,
+    one,
     same_kind,
+    zero,
 )
 
 
@@ -139,21 +143,6 @@ class ExtendedMachine:
         return RowVec(
             [Fraction(1)] + [Fraction(0)] * (self.n_plus_3 - 1), RATIONAL
         )
-
-    def final_vector(self, w: WordLike) -> RowVec:
-        word = as_word(w)
-        v = self.v0
-        for sym in (CENT, *word, DOLLAR):
-            v = v @ self.trans[sym]
-        return v
-
-    def state_vector(self, prefix: WordLike) -> RowVec:
-        """Row vector after the left end-marker and the given prefix."""
-        word = as_word(prefix)
-        v = self.v0
-        for sym in (CENT, *word):
-            v = v @ self.trans[sym]
-        return v
 
 
 def extend_pfa(p: Pfa) -> ExtendedMachine:
@@ -468,14 +457,6 @@ def _require_same_alphabet(g1: Gpfa, g2: Gpfa) -> None:
         raise ValueError(f"alphabet mismatch: {g1.sigma} vs {g2.sigma}")
 
 
-def _zero(kind: str):
-    return Fraction(0) if kind == RATIONAL else 0.0
-
-
-def _one(kind: str):
-    return Fraction(1) if kind == RATIONAL else 1.0
-
-
 def _outer(col: ColVec, row: RowVec) -> Matrix:
     same_kind(col.kind, row.kind)
     return Matrix([[c * r for r in row.entries] for c in col.entries], col.kind)
@@ -498,7 +479,7 @@ def gpfa_concat(g1: Gpfa, g2: Gpfa) -> Gpfa:
     n1, n2 = g1.n, g2.n
     eps1 = g1.v0 @ g1.f
     v0 = RowVec(list(g1.v0.entries) + [eps1 * x for x in g2.v0.entries], kind)
-    f = ColVec([_zero(kind)] * n1 + list(g2.f.entries), kind)
+    f = ColVec([zero(kind)] * n1 + list(g2.f.entries), kind)
     trans: dict[str, Matrix] = {}
     for sym in g1.sigma:
         reach = g1.trans[sym] @ g1.f
@@ -508,7 +489,7 @@ def gpfa_concat(g1: Gpfa, g2: Gpfa) -> Gpfa:
             for i in range(n1)
         ]
         bottom = [
-            [_zero(kind)] * n1 + list(g2.trans[sym].entries[i]) for i in range(n2)
+            [zero(kind)] * n1 + list(g2.trans[sym].entries[i]) for i in range(n2)
         ]
         trans[sym] = Matrix(top + bottom, kind)
     return Gpfa(n1 + n2, g1.sigma, trans, v0, f)
@@ -522,7 +503,7 @@ def add_epsilon(g: Gpfa, delta: Scalar) -> Gpfa:
     trans = {
         sym: direct_sum(m, Matrix.zeros(1, 1, kind)) for sym, m in g.trans.items()
     }
-    v0 = RowVec(list(g.v0.entries) + [_one(kind)], kind)
+    v0 = RowVec(list(g.v0.entries) + [one(kind)], kind)
     f = ColVec(list(g.f.entries) + [delta], kind)
     return Gpfa(g.n + 1, g.sigma, trans, v0, f)
 
@@ -543,13 +524,13 @@ def gpfa_star(g: Gpfa) -> Gpfa:
     eps_value = g.v0 @ g.f
     if eps_value == -1:
         raise ValueError("iteration undefined for machines valuing the empty word at -1")
-    scale = _one(kind) / (_one(kind) + eps_value)
+    scale = one(kind) / (one(kind) + eps_value)
     trans: dict[str, Matrix] = {}
     for sym in g.sigma:
         restart = _outer(g.trans[sym] @ g.f, g.v0)
         top = mat_add(g.trans[sym], restart)
         trans[sym] = direct_sum(top, Matrix.zeros(1, 1, kind))
-    v0 = RowVec(list(g.v0.entries) + [_one(kind)], kind)
+    v0 = RowVec(list(g.v0.entries) + [one(kind)], kind)
     f = ColVec(
         [scale * x for x in g.f.entries] + [eps_value * eps_value * scale], kind
     )
@@ -562,16 +543,17 @@ def gpfa_erasing_hom(g: Gpfa, kappa: str, n_L: int) -> Gpfa:
     at most ``n_L - 1`` copies of ``kappa``.
 
     The padding matrix ``I + A + ... + A^(n_L-1)`` (powers of the erased
-    symbol's matrix) is folded into the initial vector and after every
-    remaining symbol.
+    symbol's matrix, summed by Horner's rule ``pad = I + A @ pad``) is
+    folded into the initial vector and after every remaining symbol.
     """
     if kappa not in g.sigma:
         raise ValueError(f"symbol {kappa!r} not in the machine's alphabet")
     if n_L < 1:
         raise ValueError("padding bound must be at least 1")
-    pad = Matrix.identity(g.n, g.kind)
-    for j in range(1, n_L):
-        pad = mat_add(pad, mat_pow(g.trans[kappa], j))
+    eye = Matrix.identity(g.n, g.kind)
+    pad = eye
+    for _ in range(n_L - 1):
+        pad = mat_add(eye, mat_mul(g.trans[kappa], pad))
     remaining = tuple(s for s in g.sigma if s != kappa)
     if not remaining:
         raise ValueError("erasing the only symbol would leave an empty alphabet")
@@ -595,24 +577,10 @@ def suggest_padding_bound(
         raise ValueError(f"symbol {kappa!r} not in the machine's alphabet")
     if bound_cap < 1:
         raise ValueError("bound cap must be at least 1")
-    remaining = tuple(s for s in g.sigma if s != kappa)
 
     def positives(bound: int) -> set:
         machine = gpfa_erasing_hom(g, kappa, bound)
-        found = set()
-        frontier = [((), machine.v0)]
-        for length in range(maxlen + 1):
-            for word, vec in frontier:
-                if (vec @ machine.f) > 0:
-                    found.add(word)
-            if length == maxlen:
-                break
-            frontier = [
-                (word + (sym,), vec @ machine.trans[sym])
-                for word, vec in frontier
-                for sym in remaining
-            ]
-        return found
+        return {word for word, value in enumerate_values(machine, maxlen) if value > 0}
 
     reference = positives(bound_cap)
     if bound_cap > 1 and positives(bound_cap - 1) != reference:
@@ -653,7 +621,7 @@ def gpfa_nonerasing_hom(g: Gpfa, h: Homomorphism) -> Gpfa:
     total = cursor
 
     def blank():
-        return [[_zero(kind)] * total for _ in range(total)]
+        return [[zero(kind)] * total for _ in range(total)]
 
     def write_block(grid, r0: int, c0: int, block: Matrix) -> None:
         for i, row in enumerate(block.entries):
@@ -680,12 +648,12 @@ def gpfa_nonerasing_hom(g: Gpfa, h: Homomorphism) -> Gpfa:
                         )
         trans[gamma] = Matrix(grid, kind)
 
-    v0_entries = [_zero(kind)] * total
+    v0_entries = [zero(kind)] * total
     for sym in g.sigma:
         base = offsets[(sym, 0)]
         for i, v in enumerate(g.v0.entries):
             v0_entries[base + i] = v
-    f_entries = [_zero(kind)] * total
+    f_entries = [zero(kind)] * total
     read_base = offsets[(g.sigma[0], 0)]
     for i, v in enumerate(g.f.entries):
         f_entries[read_base + i] = v
@@ -747,10 +715,8 @@ def gpfa_quotient(g: Gpfa, w: WordLike, side: str) -> Gpfa:
         if sym not in g.sigma:
             raise ValueError(f"symbol {sym!r} not in the machine's alphabet")
     if side == "left":
-        v = g.v0
-        for sym in word:
-            v = v @ g.trans[sym]
-        return Gpfa(g.n, g.sigma, dict(g.trans), v, g.f)
+        init, advance, _ = stepper(g)
+        return Gpfa(g.n, g.sigma, dict(g.trans), reduce(advance, word, init), g.f)
     if side == "right":
         acc = Matrix.identity(g.n, g.kind)
         for sym in word:

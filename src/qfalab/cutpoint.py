@@ -7,11 +7,19 @@ within the zero tolerance of the threshold as equal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Gpfa, Kwqfa, Machine, Mcqfa, Pfa, Word, acceptance_value
+from .automata import (
+    Gpfa,
+    Kwqfa,
+    Machine,
+    Mcqfa,
+    Pfa,
+    Word,
+    acceptance_value,
+    enumerate_values,
+)
 from .numeric import (
     RATIONAL,
     KindMismatchError,
@@ -97,18 +105,9 @@ def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:
     """
     if g.kind != RATIONAL:
         raise KindMismatchError("one-sided audit requires a rational machine")
-    frontier = [((), g.v0)]
-    for length in range(maxlen + 1):
-        for word, v in frontier:
-            if (v @ g.f) < 0:
-                return word
-        if length == maxlen:
-            break
-        frontier = [
-            (word + (sym,), v @ g.trans[sym])
-            for word, v in frontier
-            for sym in g.sigma
-        ]
+    for word, value in enumerate_values(g, maxlen):
+        if value < 0:
+            return word
     return None
 
 
@@ -130,10 +129,11 @@ def equivalent_under_separation_bounded(
         raise ValueError("machines must share one input alphabet")
     check_cutpoint_range(a1, lam1)
     check_cutpoint_range(a2, lam2)
-    for length in range(maxlen + 1):
-        for word in itertools.product(a1.sigma, repeat=length):
-            cell1 = compare_to_cut(acceptance_value(a1, word), lam1, eps)
-            cell2 = compare_to_cut(acceptance_value(a2, word), lam2, eps)
-            if cell1 != cell2:
-                return word
+    # One shared alphabet tuple makes both streams list the same words in
+    # the same order, so the first differing word is still order-minimal.
+    for (word, v1), (_, v2) in zip(
+        enumerate_values(a1, maxlen), enumerate_values(a2, maxlen)
+    ):
+        if compare_to_cut(v1, lam1, eps) != compare_to_cut(v2, lam2, eps):
+            return word
     return None

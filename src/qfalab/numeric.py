@@ -15,17 +15,16 @@ An operation that receives one rational and one float operand raises
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 RATIONAL = "rational"
 FLOAT = "float"
 
-#: Default zero tolerance for float scalars.  The environment variable
-#: QFA_EPSILON overrides it at import time; callers may also pass an explicit
-#: tolerance to any predicate that consults it.
-EPSILON = float(os.environ.get("QFA_EPSILON", "1e-9"))
+#: Default zero tolerance for float scalars.  Callers may pass an explicit
+#: tolerance to any predicate that consults it; the command line sets this
+#: default from the environment variable QFA_EPSILON.
+EPSILON = 1e-9
 
 Scalar = Union[Fraction, float]
 
@@ -48,6 +47,14 @@ def same_kind(*kinds: str) -> str:
         if k != first:
             raise KindMismatchError(f"mixed scalar kinds: {first} vs {k}")
     return first
+
+
+def zero(kind: str) -> Scalar:
+    return Fraction(0) if kind == RATIONAL else 0.0
+
+
+def one(kind: str) -> Scalar:
+    return Fraction(1) if kind == RATIONAL else 1.0
 
 
 def zero_tolerance(eps: float | None = None) -> float:
@@ -105,7 +112,10 @@ def _coerce(value, kind: str):
                 f"rational entry {value!r} in a float container; convert explicitly"
             )
         if isinstance(value, (int, float)):
-            return float(value)
+            x = float(value)
+            if not math.isfinite(x):
+                raise ValueError(f"non-finite float entry {x!r}")
+            return x
         raise TypeError(f"cannot use {value!r} as a float entry")
     raise ValueError(f"unknown scalar kind {kind!r}")
 
@@ -120,8 +130,8 @@ def _infer_kind(values) -> str:
     return RATIONAL
 
 
-class RowVec:
-    """Immutable 1 x n vector of one scalar kind."""
+class _Vec:
+    """Immutable vector of one scalar kind; see ``RowVec`` and ``ColVec``."""
 
     __slots__ = ("entries", "kind")
 
@@ -134,7 +144,7 @@ class RowVec:
         object.__setattr__(self, "kind", k)
 
     def __setattr__(self, name, value):
-        raise AttributeError("RowVec is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
         return len(self.entries)
@@ -147,7 +157,7 @@ class RowVec:
 
     def __eq__(self, other):
         return (
-            isinstance(other, RowVec)
+            type(other) is type(self)
             and self.kind == other.kind
             and self.entries == other.entries
         )
@@ -156,10 +166,17 @@ class RowVec:
         return hash((self.kind, self.entries))
 
     def __repr__(self):
-        return f"RowVec([{', '.join(format_scalar(v) for v in self.entries)}])"
+        body = ", ".join(format_scalar(v) for v in self.entries)
+        return f"{type(self).__name__}([{body}])"
 
-    def to_float(self) -> "RowVec":
-        return RowVec([float(v) for v in self.entries], FLOAT)
+    def to_float(self):
+        return type(self)([float(v) for v in self.entries], FLOAT)
+
+
+class RowVec(_Vec):
+    """Immutable 1 x n vector of one scalar kind."""
+
+    __slots__ = ()
 
     def transpose(self) -> "ColVec":
         return ColVec(self.entries, self.kind)
@@ -172,46 +189,10 @@ class RowVec:
         return NotImplemented
 
 
-class ColVec:
+class ColVec(_Vec):
     """Immutable n x 1 vector of one scalar kind."""
 
-    __slots__ = ("entries", "kind")
-
-    def __init__(self, entries: Iterable, kind: str | None = None):
-        raw = tuple(entries)
-        if not raw:
-            raise ValueError("vectors must be nonempty")
-        k = kind if kind is not None else _infer_kind(raw)
-        object.__setattr__(self, "entries", tuple(_coerce(v, k) for v in raw))
-        object.__setattr__(self, "kind", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColVec is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ColVec)
-            and self.kind == other.kind
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.entries))
-
-    def __repr__(self):
-        return f"ColVec([{', '.join(format_scalar(v) for v in self.entries)}])"
-
-    def to_float(self) -> "ColVec":
-        return ColVec([float(v) for v in self.entries], FLOAT)
+    __slots__ = ()
 
     def transpose(self) -> "RowVec":
         return RowVec(self.entries, self.kind)
@@ -252,16 +233,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, kind: str = RATIONAL) -> "Matrix":
-        one = Fraction(1) if kind == RATIONAL else 1.0
-        zero = Fraction(0) if kind == RATIONAL else 0.0
         return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], kind
+            [[one(kind) if i == j else zero(kind) for j in range(n)] for i in range(n)],
+            kind,
         )
 
     @classmethod
     def zeros(cls, rows: int, cols: int, kind: str = RATIONAL) -> "Matrix":
-        zero = Fraction(0) if kind == RATIONAL else 0.0
-        return cls([[zero] * cols for _ in range(rows)], kind)
+        return cls([[zero(kind)] * cols for _ in range(rows)], kind)
 
     def __eq__(self, other):
         return (
@@ -333,17 +312,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    if not m.is_square():
-        raise ValueError("matrix power needs a square matrix")
-    if k < 0:
-        raise ValueError("negative matrix power")
-    acc = Matrix.identity(m.rows, m.kind)
-    for _ in range(k):
-        acc = mat_mul(acc, m)
-    return acc
-
-
 def row_times_mat(v: RowVec, m: Matrix) -> RowVec:
     if len(v) != m.rows:
         raise ValueError(f"dimension mismatch: 1x{len(v)} @ {m.rows}x{m.cols}")
@@ -382,9 +350,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     same_kind(a.kind, b.kind)
-    zero = Fraction(0) if a.kind == RATIONAL else 0.0
-    out = [list(row) + [zero] * b.cols for row in a.entries]
-    out += [[zero] * a.cols + list(row) for row in b.entries]
+    pad = zero(a.kind)
+    out = [list(row) + [pad] * b.cols for row in a.entries]
+    out += [[pad] * a.cols + list(row) for row in b.entries]
     return Matrix(out, a.kind)
 
 
@@ -417,7 +385,7 @@ def is_unitary_within(m: Matrix, tol: float) -> bool:
     for i, row in enumerate(gram.entries):
         for j, v in enumerate(row):
             target = 1 if i == j else 0
-            if abs(v - target) > tol:
+            if not (abs(v - target) <= tol):  # False for NaN too
                 return False
     return True
 

@@ -2,29 +2,25 @@
 
 Words are enumerated shortest first and lexicographically within one length
 (with respect to the machine's declared symbol order), so every reported
-counterexample is order-minimal and reproducible.  Machine values along the
-enumeration are computed incrementally from shared prefixes, which keeps
-exhaustive sweeps over ~10^5 words in the seconds range.
+counterexample is order-minimal and reproducible.  Machine values come from
+``enumerate_values`` (defined with the machines' single stepper in
+``automata`` and re-exported here), which shares prefix work across words
+and keeps exhaustive sweeps over ~10^5 words in the seconds range.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .automata import (
-    CENT,
-    DOLLAR,
     Gpfa,
-    Kwqfa,
     Machine,
-    Mcqfa,
-    Pfa,
     Word,
     WordLike,
     as_word,
+    enumerate_values,
 )
 from .cutpoint import CutpointSpec, check_cutpoint_range, classify_value
 from .languages import LanguageOracle
@@ -49,90 +45,6 @@ def words_up_to(alphabet, maxlen: int) -> Iterator[Word]:
     a length with respect to the alphabet's declared order."""
     for length in range(maxlen + 1):
         yield from itertools.product(tuple(alphabet), repeat=length)
-
-
-def _stepper(machine: Machine):
-    """Prefix-incremental evaluator: (initial state, advance, value).
-
-    The state captures everything the machine remembers about a prefix;
-    ``value`` finishes the run (applying the right end-marker where the
-    model has one) without disturbing the state.
-    """
-    if isinstance(machine, Pfa):
-        from .numeric import RowVec
-
-        init = RowVec([Fraction(1)] + [Fraction(0)] * (machine.n - 1), RATIONAL)
-        init = init @ machine.trans[CENT]
-
-        def advance(v, sym):
-            return v @ machine.trans[sym]
-
-        def value(v):
-            final = v @ machine.trans[DOLLAR]
-            return sum((final[q - 1] for q in machine.accepting), Fraction(0))
-
-        return init, advance, value
-
-    if isinstance(machine, Gpfa):
-        def advance(v, sym):
-            return v @ machine.trans[sym]
-
-        def value(v):
-            return v @ machine.f
-
-        return machine.v0, advance, value
-
-    if isinstance(machine, Mcqfa):
-        from .automata import _unit_column
-
-        init = machine.trans[CENT] @ _unit_column(machine.n, machine.kind)
-        zero = Fraction(0) if machine.kind == RATIONAL else 0.0
-
-        def advance(v, sym):
-            return machine.trans[sym] @ v
-
-        def value(v):
-            final = machine.trans[DOLLAR] @ v
-            return sum((final[q - 1] * final[q - 1] for q in machine.accepting), zero)
-
-        return init, advance, value
-
-    if isinstance(machine, Kwqfa):
-        from .automata import _measure, _unit_column
-
-        def _step(state, sym):
-            vec, acc = state
-            vec = machine.trans[sym] @ vec
-            vec, gained, _ = _measure(vec, machine.q_acc, machine.q_rej)
-            return vec, acc + gained
-
-        zero = Fraction(0) if machine.kind == RATIONAL else 0.0
-        init = _step((_unit_column(machine.n, machine.kind), zero), CENT)
-
-        def value(state):
-            _, acc = _step(state, DOLLAR)
-            return acc
-
-        return init, _step, value
-
-    raise TypeError(f"not a machine: {machine!r}")
-
-
-def enumerate_values(machine: Machine, maxlen: int) -> Iterator[tuple[Word, Scalar]]:
-    """Yield (word, acceptance value) for every word up to ``maxlen`` in
-    canonical enumeration order, sharing prefix work across words."""
-    init, advance, value = _stepper(machine)
-    level: list[tuple[Word, object]] = [((), init)]
-    for length in range(maxlen + 1):
-        for word, state in level:
-            yield word, value(state)
-        if length == maxlen:
-            break
-        level = [
-            (word + (sym,), advance(state, sym))
-            for word, state in level
-            for sym in machine.sigma
-        ]
 
 
 def enumerate_agreement(

@@ -456,3 +456,82 @@ def test_epsilon_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QFA_EPSILON", "zebra")
     assert main(["demo", "--outdir", str(tmp_path / "e")]) == 2
     numeric.EPSILON = old
+
+
+FLOAT_MCQFA_TEXT = """{
+  "kind": "mcqfa", "scalar": "float", "alphabet": ["a"], "n": 2,
+  "matrices": {"a": [[1.0, 0.0], [0.0, %s]]}, "accepting": [2]
+}"""
+
+FLOAT_GPFA_TEXT = """{
+  "kind": "gpfa", "scalar": "float", "alphabet": ["a"], "n": 1,
+  "matrices": {"a": [[1.0]]}, "v0": [1.0], "f": [%s]
+}"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [FLOAT_MCQFA_TEXT % "NaN", FLOAT_GPFA_TEXT % "Infinity", FLOAT_GPFA_TEXT % "-Infinity"],
+    ids=["mcqfa-nan", "gpfa-inf", "gpfa-minus-inf"],
+)
+def test_non_finite_float_documents_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(DocumentError, match="finite"):
+        parse_document(text)
+    assert main(["simulate", "--machine", str(path), "--word", "a"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("matrices", [1, 2], "matrices must be an object"),
+        ("alphabet", "a", "alphabet must be a list of strings"),
+        ("alphabet", ["a", 1], "alphabet must be a list of strings"),
+        ("n", True, "n must be an integer"),
+    ],
+)
+def test_malformed_document_fields_exit_two(tmp_path, capsys, field, value, message):
+    doc = {**MINIMAL_PFA, field: value}
+    with pytest.raises(DocumentError, match=message):
+        machine_from_doc(doc)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--machine", str(path), "--word", ""]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "0", "-1"])
+def test_invalid_epsilon_env_exits_two(tmp_path, monkeypatch, capsys, raw):
+    import qfalab.numeric as numeric
+
+    old = numeric.EPSILON
+    monkeypatch.setattr(numeric, "EPSILON", old)  # restored even on failure
+    monkeypatch.setenv("QFA_EPSILON", raw)
+    assert main(["demo", "--outdir", str(tmp_path / "d")]) == 2
+    assert numeric.EPSILON == old
+    assert "QFA_EPSILON" in capsys.readouterr().err
+
+
+def test_import_ignores_invalid_epsilon_env():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qfalab
+
+    src = str(Path(qfalab.__file__).resolve().parents[1])
+    env = {**os.environ, "QFA_EPSILON": "abc", "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", "import qfalab.numeric as n; print(n.EPSILON)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1e-09"

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 import pytest
@@ -69,9 +70,13 @@ def test_shift_output_is_a_valid_pfa():
 def test_extension_final_vector_formula_on_coin():
     e = extend_pfa(coin_pfa())
     quarter = Fraction(1, 4)
-    assert e.final_vector("").entries == (0, 0, -quarter, 3 * quarter, 0)
-    assert e.final_vector("a").entries == (0, 0, 0, HALF, 0)
-    assert e.final_vector("aa").entries == (0, 0, Fraction(1, 8), Fraction(3, 8), 0)
+    final = {
+        w: reduce(lambda v, sym: v @ e.trans[sym], (CENT, *w, DOLLAR), e.v0)
+        for w in ("", "a", "aa")
+    }
+    assert final[""].entries == (0, 0, -quarter, 3 * quarter, 0)
+    assert final["a"].entries == (0, 0, 0, HALF, 0)
+    assert final["aa"].entries == (0, 0, Fraction(1, 8), Fraction(3, 8), 0)
 
 
 def test_extension_flags_exactly_value_half():
@@ -81,7 +86,7 @@ def test_extension_flags_exactly_value_half():
         e = extend_pfa(p)
         for w in words_up_to(p.sigma, 5):
             f = pfa_accept_prob(p, w)
-            final = e.final_vector(w)
+            final = reduce(lambda v, sym: v @ e.trans[sym], (CENT, *w, DOLLAR), e.v0)
             assert final[p.n] == (2 * f - 1) / 4
             assert final[p.n + 1] == (3 - 2 * f) / 4
             assert (final[p.n] == 0) == (f == HALF)
@@ -219,7 +224,7 @@ def test_pipeline_amplitude_tracking():
             scale = comp.scale[CENT]
             for sym in prefix:
                 scale *= comp.scale[sym]
-            exact = e.state_vector(prefix)
+            exact = reduce(lambda v, sym: v @ e.trans[sym], (CENT, *prefix), e.v0)
             observed = trace.vectors[k]
             for j in range(dim):
                 assert abs(observed[j] - scale * float(exact[j])) < 1e-9

@@ -145,3 +145,16 @@ def test_vector_matrix_shapes():
 def test_vectors_are_nonempty():
     with pytest.raises(ValueError):
         RowVec([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_containers_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        RowVec([0.0, bad], FLOAT)
+    with pytest.raises(ValueError, match="non-finite"):
+        Matrix.floats([[1.0, 0.0], [0.0, bad]])
+
+
+def test_nan_tolerance_never_passes_orthogonality():
+    assert is_unitary_within(Matrix.identity(2, FLOAT), 1e-9)
+    assert not is_unitary_within(Matrix.identity(2, FLOAT), math.nan)

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import convolution_value, random_nonneg_gpfa
-from qfalab.automata import Gpfa, gpfa_value
+from qfalab import numeric
+from qfalab.automata import DOLLAR, Gpfa, Kwqfa, acceptance_value, gpfa_value, kwqfa_run
 from qfalab.constructions import (
     coin_pfa,
     gpfa_concat,
     gpfa_reverse,
     gpfa_union,
+    pfa_to_nqfa,
     rotation_mcqfa,
     word_problem_gpfa,
 )
@@ -52,6 +54,57 @@ def test_enumerate_values_matches_direct_evaluation():
 
     for word, value in enumerate_values(m, 5):
         assert abs(value - mcqfa_accept_prob(m, word)) < 1e-12
+
+    wp = word_problem_gpfa(2)
+    wp_float = Gpfa(
+        wp.n,
+        wp.sigma,
+        {sym: mat.to_float() for sym, mat in wp.trans.items()},
+        wp.v0.to_float(),
+        wp.f.to_float(),
+    )
+    exact_cases = [(p, 5), (wp, 3), (_rational_kwqfa(), 5)]
+    float_cases = [(m, 5), (wp_float, 3), (pfa_to_nqfa(coin_pfa()), 5)]
+    for machine, maxlen in exact_cases:
+        for word, value in enumerate_values(machine, maxlen):
+            assert value == acceptance_value(machine, word)
+            if isinstance(machine, Gpfa):
+                assert value == gpfa_value(machine, word)
+            if isinstance(machine, Kwqfa):
+                assert value == kwqfa_run(machine, word).accept_prob
+    for machine, maxlen in float_cases:
+        for word, value in enumerate_values(machine, maxlen):
+            assert abs(value - acceptance_value(machine, word)) < 1e-12
+            if isinstance(machine, Gpfa):
+                assert abs(value - gpfa_value(machine, word)) < 1e-12
+            if isinstance(machine, Kwqfa):
+                assert abs(value - kwqfa_run(machine, word).accept_prob) < 1e-12
+
+
+def _rational_kwqfa() -> Kwqfa:
+    """Three states over {a, b}: rotations with cosine 3/5 between the start
+    state and the accepting state 2 (on a) or the rejecting state 3 (on b)."""
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    a = Matrix.rational([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    b = Matrix.rational([[c, 0, -s], [0, 1, 0], [s, 0, c]])
+    return Kwqfa(3, ("a", "b"), {"a": a, "b": b, DOLLAR: a}, {2}, {3})
+
+
+def test_every_kwqfa_path_enforces_the_run_bounds(monkeypatch):
+    """A non-unitary matrix passes the orthogonality check at a loose
+    tolerance; its state norm grows past 1 + EPSILON on "aa", and every
+    evaluation path must refuse that word the same way."""
+    monkeypatch.setattr(numeric, "EPSILON", 0.2)
+    grow = Matrix.rational([[Fraction(21, 20), 0], [0, 1]])
+    m = Kwqfa(2, ("a",), {"a": grow}, {2}, set())
+    assert acceptance_value(m, "a") == 0
+    message = "state vector norm exceeds 1"
+    with pytest.raises(ValueError, match=message):
+        acceptance_value(m, "aa")
+    with pytest.raises(ValueError, match=message):
+        kwqfa_run(m, "aa")
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_values(m, 3))
 
 
 def test_enumerate_agreement_rotation_vs_mod():
