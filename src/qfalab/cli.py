@@ -95,7 +95,7 @@ def _decode_scalar(raw, kind: str, where: str) -> Scalar:
             raise DocumentError(f"{where}: {exc}") from exc
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise DocumentError(f"{where}: float documents need numeric entries")
-    if not math.isfinite(raw):
+    if not abs(raw) <= sys.float_info.max:  # NaN, infinities, integers past the float range
         raise DocumentError(f"{where}: float entries must be finite, got {raw!r}")
     return float(raw)
 
@@ -153,6 +153,34 @@ def _vector_from_doc(raw, kind: str, where: str) -> list:
     return [_decode_scalar(v, kind, f"{where}[{i + 1}]") for i, v in enumerate(raw)]
 
 
+def _object(raw, what: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise DocumentError(f"{what} must be an object")
+    return raw
+
+
+def _strings(raw, what: str) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        raise DocumentError(f"{what} must be a list of strings, got {raw!r}")
+    return tuple(raw)
+
+
+def _machine_fields(doc: Mapping, count: str, scalar: str) -> tuple[tuple[str, ...], int, dict]:
+    """Alphabet, state count and matrices, shared by machine and extended documents."""
+    try:
+        alphabet, n, raw_matrices = doc["alphabet"], doc[count], doc["matrices"]
+    except KeyError as exc:
+        raise DocumentError(f"missing field {exc.args[0]!r}") from exc
+    alphabet = _strings(alphabet, "alphabet")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DocumentError(f"{count} must be an integer, got {n!r}")
+    trans = {
+        _key_symbol(key): _matrix_from_doc(raw, scalar, f"matrix {key!r}")
+        for key, raw in _object(raw_matrices, "matrices").items()
+    }
+    return alphabet, n, trans
+
+
 def _symbol_key(sym: str) -> str:
     return MARKER_NAMES.get(sym, sym)
 
@@ -200,9 +228,7 @@ _CONVENTIONS = {"pfa": "row", "gpfa": "row", "kwqfa": "column", "mcqfa": "column
 
 
 def machine_from_doc(doc: Mapping) -> Machine:
-    if not isinstance(doc, Mapping):
-        raise DocumentError("document must be a JSON object")
-    kind_name = doc.get("kind")
+    kind_name = _object(doc, "document").get("kind")
     if kind_name not in ("pfa", "gpfa", "kwqfa", "mcqfa"):
         raise DocumentError(f"unknown machine kind {kind_name!r}")
     scalar = doc.get("scalar", RATIONAL)
@@ -213,23 +239,7 @@ def machine_from_doc(doc: Mapping) -> Machine:
         raise DocumentError(
             f"{kind_name} documents use the {_CONVENTIONS[kind_name]} convention, not {conv!r}"
         )
-    try:
-        alphabet = doc["alphabet"]
-        n = doc["n"]
-        raw_matrices = doc["matrices"]
-    except KeyError as exc:
-        raise DocumentError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
-        raise DocumentError(f"alphabet must be a list of strings, got {alphabet!r}")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DocumentError(f"n must be an integer, got {n!r}")
-    if not isinstance(raw_matrices, Mapping):
-        raise DocumentError("matrices must be an object keyed by symbol")
-    alphabet = tuple(alphabet)
-    trans = {
-        _key_symbol(key): _matrix_from_doc(raw, scalar, f"matrix {key!r}")
-        for key, raw in raw_matrices.items()
-    }
+    alphabet, n, trans = _machine_fields(doc, "n", scalar)
     try:
         if kind_name == "pfa":
             return Pfa(n, alphabet, trans, frozenset(doc.get("accepting", ())))
@@ -283,14 +293,9 @@ def extended_to_doc(e: ExtendedMachine) -> dict:
 
 
 def extended_from_doc(doc: Mapping) -> ExtendedMachine:
-    if doc.get("kind") != "extended":
+    if _object(doc, "document").get("kind") != "extended":
         raise DocumentError("expected an extended-machine document")
-    base_n = int(doc["base_n"])
-    alphabet = tuple(doc["alphabet"])
-    trans = {
-        _key_symbol(key): _matrix_from_doc(raw, RATIONAL, f"matrix {key!r}")
-        for key, raw in doc["matrices"].items()
-    }
+    alphabet, base_n, trans = _machine_fields(doc, "base_n", RATIONAL)
     try:
         return ExtendedMachine(base_n, alphabet, trans)
     except (ValueError, KeyError) as exc:
@@ -311,9 +316,9 @@ def completion_to_doc(c: CompletionResult) -> dict:
 
 def hom_from_doc(doc: Mapping) -> Homomorphism:
     try:
-        source = tuple(doc["source"])
-        target = tuple(doc["target"])
-        raw_images = doc["images"]
+        source = _strings(_object(doc, "homomorphism document")["source"], "source")
+        target = _strings(doc["target"], "target")
+        raw_images = _object(doc["images"], "images")
     except KeyError as exc:
         raise DocumentError(f"homomorphism document missing {exc.args[0]!r}") from exc
     images = {}
@@ -349,8 +354,10 @@ def _machine_cut(machine: Machine, text: str) -> Scalar:
 
 def _resolve_oracle(spec: str, complement_flag: bool) -> LanguageOracle:
     if spec.startswith("dfa:"):
-        path = spec[len("dfa:"):]
-        base = dfa_oracle(json.loads(Path(path).read_text()))
+        doc = _object(json.loads(Path(spec[len("dfa:"):]).read_text()), "dfa document")
+        for row in _object(doc.get("transitions"), "transitions").values():
+            _object(row, "each transitions row")
+        base = dfa_oracle(doc)
     else:
         base = oracle(spec)
     return complement(base) if complement_flag else base
@@ -488,7 +495,7 @@ def _cmd_build(args) -> int:
         extended = extended_from_doc(json.loads(Path(infile).read_text()))
         completed = unitary_complete(extended)
         Path(args.out).write_text(json.dumps(completion_to_doc(completed), indent=2) + "\n")
-        _emit({"written": args.out, "dimension": 3 * completed.block_dim}, args.json)
+        _emit({"written": args.out, "dimension": completed.unitaries[CENT].rows}, args.json)
         return 0
     machine = _build_machine(args)
     save_machine(args.out, machine)

@@ -4,9 +4,9 @@ Three groups live here:
 
 * the probabilistic-to-nondeterministic-quantum pipeline: cutpoint shifting,
   the three-state extension whose final vector isolates "value equals 1/2"
-  in a single coordinate, the unitary completion of the extended matrices,
-  and their assembly into a measure-every-step machine recognizing the
-  not-equal-a-half language with cutpoint 0;
+  in a single coordinate, the completion of each extended matrix to an
+  orthogonal one of double size (Halmos dilation), and their assembly into
+  a measure-every-step machine whose cutpoint-0 language is "value != 1/2";
 * small quantum and rational demo machines: rotation automata over a unary
   or binary alphabet and the free-rotation word-problem recognizer;
 * closure constructions on generalized automata (concatenation, iteration,
@@ -46,7 +46,6 @@ from .numeric import (
     Scalar,
     coerce_scalar,
     direct_sum,
-    float_norm,
     is_unitary_within,
     kron,
     mat_add,
@@ -154,9 +153,9 @@ def extend_pfa(p: Pfa) -> ExtendedMachine:
     (original matrix plus a 3x3 identity); the right marker is followed by a
     collection step that writes ``(2p-1)/4`` and ``(3-2p)/4`` into the first
     two new coordinates.  Rows of the left-marker matrix other than the
-    first are unreachable and are left zero: filler rows that duplicate each
-    other would blow up the row lengths met during unitary completion and
-    shrink the usable amplitudes for no semantic gain.
+    first are unreachable and are left zero: filler rows can only raise
+    the spectral norm ||A||_2 that unitary completion divides by, shrinking
+    the usable amplitudes for no semantic gain.
     """
     n = p.n
     dim = n + 3
@@ -196,10 +195,10 @@ def extend_pfa(p: Pfa) -> ExtendedMachine:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Orthogonal matrices embedding scaled copies of the extended machine.
+    """Double-size orthogonal matrices embedding the scaled extended machine.
 
     For each symbol, the transpose of the produced matrix carries
-    ``scale * A`` in its top-left block; the remaining entries only serve to
+    ``scale * A`` in its top-left block; the remaining blocks only serve to
     make the whole matrix orthogonal.
     """
 
@@ -209,68 +208,72 @@ class CompletionResult:
 
     def __post_init__(self):
         for sym, u in self.unitaries.items():
-            if u.rows != 3 * self.block_dim or u.cols != 3 * self.block_dim:
+            if u.rows != 2 * self.block_dim or u.cols != 2 * self.block_dim:
                 raise ValueError(f"completed matrix for {sym!r} has wrong size")
             if not (0 < self.scale[sym] <= 1):
                 raise ValueError(f"scale for {sym!r} outside (0,1]")
 
 
-def _complete_one(block: Matrix) -> tuple[Matrix, float]:
-    """Embed one square rational matrix into an orthogonal matrix of triple
-    size whose transpose holds ``scale * block`` top-left.
+def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvector columns ``v`` of a symmetric float matrix,
+    ``a = v diag(values) v^T``, by cyclic Jacobi rotations that overwrite ``a``."""
+    size = len(a)
+    v = [[float(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(100):
+        off = sum(a[i][j] * a[i][j] for i in range(size) for j in range(i + 1, size))
+        if off <= 1e-32 * sum(a[i][i] * a[i][i] for i in range(size)):
+            break
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                if a[p][q] == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * c
+                for row in a + v:  # columns p, q of a and v: X <- X J
+                    row[p], row[q] = c * row[p] - sn * row[q], sn * row[p] + c * row[q]
+                a[p], a[q] = (  # rows p, q of a: a <- J^T a
+                    [c * x - sn * y for x, y in zip(a[p], a[q])],
+                    [sn * x + c * y for x, y in zip(a[p], a[q])],
+                )
+    return [a[i][i] for i in range(size)], v
 
-    Working row-wise on ``(A | B | C)``: a unit-diagonal lower-triangular B
-    is solved column by column so the rows of ``(A | B)`` become pairwise
-    orthogonal (the unit pivot makes each equation solvable), a diagonal C
-    pads every row to the maximal row length, and scaling by its reciprocal
-    yields orthonormal rows.  The remaining rows are completed from standard
-    basis vectors by modified Gram-Schmidt in index order, skipping
-    candidates whose residual is negligible.
+
+def _weighted_gram(rows: Sequence[Sequence[float]], weights: Sequence[float]) -> list[list[float]]:
+    """``R diag(weights) R^T`` for the float matrix ``R`` with the given rows."""
+    return [[sum(x * w * y for x, w, y in zip(r, weights, s)) for s in rows] for r in rows]
+
+
+def _complete_one(block: Matrix) -> tuple[Matrix, float]:
+    """Embed a square rational matrix A into an orthogonal matrix of double
+    size whose transpose is Halmos's dilation ``[[T, X], [Y, -T^T]]`` of
+    ``T = scale * A``, ``scale = 1 / max(1, ||A||_2)``.
+
+    Both roots come from one eigensystem ``A^T A = V diag(lam) V^T``:
+    ``Y = (I - T^T T)^(1/2) = V diag(c) V^T`` and, exactly,
+    ``X = (I - T T^T)^(1/2) = I - T V diag(1/(1+c)) V^T T^T``; so ``T Y = X T``
+    holds to rounding, which a second eigensystem for X would miss by sqrt(eps).
     """
     size = block.rows
-    wide = 3 * size
     a = [[float(v) for v in row] for row in block.entries]
-    b = [[0.0] * size for _ in range(size)]
-    for i in range(size - 1):
-        b[i][i] = 1.0
-        for j in range(i + 1, size):
-            overlap = sum(x * y for x, y in zip(a[i], a[j]))
-            overlap += sum(b[i][k] * b[j][k] for k in range(i))
-            b[j][i] = -overlap
-    lengths = [float_norm(a[i] + b[i]) for i in range(size)]
-    l_max = max(lengths)
-    c_diag = [math.sqrt(max(l_max * l_max - li * li, 0.0)) for li in lengths]
-    scale = 1.0 / l_max
-
-    rows = []
-    for i in range(size):
-        padded = a[i] + b[i] + [c_diag[i] if j == i else 0.0 for j in range(size)]
-        rows.append([scale * v for v in padded])
-
-    for k in range(wide):
-        if len(rows) == wide:
-            break
-        cand = [1.0 if j == k else 0.0 for j in range(wide)]
-        for _ in range(2):  # re-orthogonalize once for stability
-            for row in rows:
-                coeff = sum(x * y for x, y in zip(row, cand))
-                cand = [x - coeff * y for x, y in zip(cand, row)]
-        residual = float_norm(cand)
-        if residual < 1e-9:
-            continue
-        rows.append([v / residual for v in cand])
-    if len(rows) != wide:
-        raise RuntimeError("internal defect: basis completion came up short")
-
-    transposed = Matrix.floats(rows)
-    unitary = transposed.transpose()
+    lam, v = _symmetric_eigen(_weighted_gram(list(zip(*a)), [1.0] * size))
+    scale = 1.0 / math.sqrt(max(1.0, max(lam)))
+    c = [math.sqrt(max(0.0, 1.0 - scale * scale * x)) for x in lam]
+    t = [[scale * x for x in row] for row in a]
+    tv = [[sum(x * y for x, y in zip(row, col)) for col in zip(*v)] for row in t]
+    x_root = _weighted_gram(tv, [1.0 / (1.0 + ck) for ck in c])
+    y_root = _weighted_gram(v, c)
+    rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] for i in range(size)]
+    rows += [y_root[i] + [-t[j][i] for j in range(size)] for i in range(size)]
+    unitary = Matrix.floats(rows).transpose()
     if not is_unitary_within(unitary, 1e-9):
         raise RuntimeError("internal defect: completed matrix misses unitarity")
     return unitary, scale
 
 
 def unitary_complete(e: ExtendedMachine) -> CompletionResult:
-    """Complete every extended matrix to an orthogonal one of triple size."""
+    """Complete every extended matrix to an orthogonal one of double size."""
     unitaries: dict[str, Matrix] = {}
     scales: dict[str, float] = {}
     for sym in e.sigma + MARKERS:
@@ -290,7 +293,7 @@ def pfa_to_nqfa(p: Pfa) -> Kwqfa:
     extended = extend_pfa(p)
     completed = unitary_complete(extended)
     n3 = completed.block_dim
-    total = 3 * n3
+    total = 2 * n3
     rejecting = {p.n + 2} | set(range(n3 + 1, total + 1))
     return Kwqfa(
         total,

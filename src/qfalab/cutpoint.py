@@ -7,6 +7,7 @@ within the zero tolerance of the threshold as equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +22,7 @@ from .automata import (
     enumerate_values,
 )
 from .numeric import (
+    FLOAT,
     RATIONAL,
     KindMismatchError,
     Scalar,
@@ -43,7 +45,8 @@ class CutpointSpec:
     relation: str
 
     def __post_init__(self):
-        scalar_kind(self.lam)
+        if scalar_kind(self.lam) == FLOAT and not math.isfinite(self.lam):
+            raise ValueError(f"cutpoint must be finite, got {self.lam!r}")
         if self.relation not in RELATIONS:
             raise ValueError(
                 f"unknown relation {self.relation!r}; expected one of {RELATIONS}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -388,17 +388,3 @@ def is_unitary_within(m: Matrix, tol: float) -> bool:
             if not (abs(v - target) <= tol):  # False for NaN too
                 return False
     return True
-
-
-def max_abs_diff(a: Matrix, b: Matrix) -> float:
-    """Largest entrywise |a - b| as a float; operands must share kind."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("dimension mismatch")
-    same_kind(a.kind, b.kind)
-    return max(
-        float(abs(x - y)) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
-    )
-
-
-def float_norm(values: Sequence[float]) -> float:
-    return math.sqrt(sum(v * v for v in values))

@@ -8,6 +8,7 @@ import pytest
 from qfalab.automata import Kwqfa, Mcqfa, Pfa
 from qfalab.cli import (
     DocumentError,
+    extended_to_doc,
     load_machine,
     machine_from_doc,
     main,
@@ -17,6 +18,7 @@ from qfalab.cli import (
 )
 from qfalab.constructions import (
     coin_pfa,
+    extend_pfa,
     neq_mcqfa,
     pfa_to_nqfa,
     rotation_mcqfa,
@@ -257,7 +259,7 @@ def test_build_pipeline_and_quotient(demo_dir, tmp_path):
         ["build", "pfa2nqfa", "--in", str(demo_dir / "coin_pfa.json"), "--out", str(out)]
     )
     assert code == 0
-    assert load_machine(str(out)).n == 15
+    assert load_machine(str(out)).n == 10
 
     ext = tmp_path / "ext.json"
     assert main(["build", "extend", "--in", str(demo_dir / "coin_pfa.json"), "--out", str(ext)]) == 0
@@ -471,8 +473,13 @@ FLOAT_GPFA_TEXT = """{
 
 @pytest.mark.parametrize(
     "text",
-    [FLOAT_MCQFA_TEXT % "NaN", FLOAT_GPFA_TEXT % "Infinity", FLOAT_GPFA_TEXT % "-Infinity"],
-    ids=["mcqfa-nan", "gpfa-inf", "gpfa-minus-inf"],
+    [
+        FLOAT_MCQFA_TEXT % "NaN",
+        FLOAT_GPFA_TEXT % "Infinity",
+        FLOAT_GPFA_TEXT % "-Infinity",
+        FLOAT_GPFA_TEXT % ("1" + "0" * 330),
+    ],
+    ids=["mcqfa-nan", "gpfa-inf", "gpfa-minus-inf", "gpfa-huge-int"],
 )
 def test_non_finite_float_documents_exit_two(tmp_path, capsys, text):
     path = tmp_path / "m.json"
@@ -502,6 +509,50 @@ def test_malformed_document_fields_exit_two(tmp_path, capsys, field, value, mess
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--machine", str(path), "--word", ""]) == 2
     assert message in capsys.readouterr().err
+
+
+SIDE_DOCUMENTS = {
+    "extended": extended_to_doc(extend_pfa(coin_pfa())),
+    "hom": {"source": ["x"], "target": ["g1"], "images": {"x": ["g1"]}},
+    "dfa": {"alphabet": ["a"], "n": 1, "accepting": [1], "transitions": {"1": {"a": 1}}},
+}
+
+
+@pytest.mark.parametrize(
+    "side, change, message",
+    [
+        ("extended", None, "document must be an object"),
+        ("extended", {"matrices": [1, 2]}, "matrices must be an object"),
+        ("extended", {"base_n": True}, "base_n must be an integer"),
+        ("extended", {"alphabet": "a"}, "alphabet must be a list of strings"),
+        ("hom", {"images": [["g1"]]}, "images must be an object"),
+        ("hom", {"source": "x"}, "source must be a list of strings"),
+        ("dfa", {"transitions": [{"a": 1}]}, "transitions must be an object"),
+        ("dfa", {"transitions": {"1": [1]}}, "transitions row must be an object"),
+    ],
+)
+def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, change, message):
+    doc = [SIDE_DOCUMENTS[side]] if change is None else {**SIDE_DOCUMENTS[side], **change}
+    path = tmp_path / "side.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.json")
+    argv = {
+        "extended": ["build", "complete", "--in", str(path), "--out", out],
+        "hom": ["build", "inv-hom", "--in", str(demo_dir / "wp_gpfa_2.json"),
+                "--map", str(path), "--out", out],
+        "dfa": ["verify", "--machine", str(demo_dir / "coin_pfa.json"), "--cutpoint", "1/2",
+                "--relation", "greater", "--oracle", f"dfa:{path}"],
+    }[side]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", ["nan", "inf", "-inf"])
+def test_classify_non_finite_cutpoint_exits_two(demo_dir, capsys, cut):
+    argv = ["classify", "--machine", str(demo_dir / "rot_mcqfa_3.json"), "--word", "a",
+            f"--cutpoint={cut}", "--relation", "greater"]
+    assert main(argv) == 2
+    assert "cutpoint must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "0", "-1"])

@@ -121,31 +121,28 @@ def _identity_extended(n):
     return ExtendedMachine(n, ("a",), {CENT: eye, "a": eye, DOLLAR: eye})
 
 
+def _larger_pfas():
+    """Random PFAs (denominator 3) with 6, 9, 12 and 16 states, larger than
+    the machines the other pipeline tests use."""
+    return [random_pfa(Random(n), n, den=3) for n in (6, 9, 12, 16)]
+
+
 def test_completion_of_identity_block():
+    # the dilation of I: scale 1, top-left I, both defect roots vanish, and
+    # the bottom-right block is -I
     comp = unitary_complete(_identity_extended(2))
-    # rows of (A|B) have length sqrt(2) except the last (length 1), so the
-    # scale is 1/sqrt(2) and the pad column only fires on the last row
-    assert abs(comp.scale["a"] - 1 / math.sqrt(2)) < 1e-12
+    assert abs(comp.scale["a"] - 1) < 1e-12
     u_t = comp.unitaries["a"].transpose()
     dim = comp.block_dim
-    c = comp.scale["a"]
-    for i in range(dim):
-        for j in range(dim):
-            expected = c if i == j else 0.0
+    for i in range(2 * dim):
+        for j in range(2 * dim):
+            expected = (1.0 if i < dim else -1.0) if i == j else 0.0
             assert abs(u_t[(i, j)] - expected) < 1e-12
-        # the lower-triangular block is the identity except its empty last row
-        expected_b = c if i < dim - 1 else 0.0
-        assert abs(u_t[(i, dim + i)] - expected_b) < 1e-12
-    # pad entries vanish except on the last row, whose squared length must
-    # climb from 1 to l_max^2 = 2, so the pad entry is 1 before scaling
-    for i in range(dim - 1):
-        assert abs(u_t[(i, 2 * dim + i)]) < 1e-12
-    assert abs(u_t[(dim - 1, 2 * dim + dim - 1)] - c) < 1e-12
 
 
 def test_completion_is_unitary_and_embeds_scaled_block():
     rng = Random(31)
-    machines = [coin_pfa()] + [random_pfa(rng, n) for n in (2, 3)]
+    machines = [coin_pfa()] + [random_pfa(rng, n) for n in (2, 3)] + _larger_pfas()
     for p in machines:
         e = extend_pfa(p)
         comp = unitary_complete(e)
@@ -154,6 +151,7 @@ def test_completion_is_unitary_and_embeds_scaled_block():
             u = comp.unitaries[sym]
             assert is_unitary_within(u, 1e-9)
             assert 0 < comp.scale[sym] <= 1
+            assert comp.scale[sym] >= 0.2
             u_t = u.transpose()
             block = e.trans[sym].to_float()
             c = comp.scale[sym]
@@ -177,10 +175,10 @@ def test_completion_is_deterministic():
 def test_pipeline_state_count_and_measurement_sets():
     p = coin_pfa()
     q = pfa_to_nqfa(p)
-    assert q.n == 3 * (p.n + 3)
+    assert q.n == 2 * (p.n + 3)
     assert q.q_acc == frozenset({p.n + 1})
     assert q.q_rej == frozenset({p.n + 2}) | frozenset(
-        range(p.n + 4, 3 * (p.n + 3) + 1)
+        range(p.n + 4, 2 * (p.n + 3) + 1)
     )
 
 
@@ -189,6 +187,26 @@ def test_pipeline_on_coin_machine():
     assert kwqfa_run(q, "a").accept_prob <= 1e-12  # value exactly one half
     assert kwqfa_run(q, "").accept_prob > 1e-9
     assert kwqfa_run(q, "aa").accept_prob > 1e-9
+
+
+def test_pipeline_accept_probability_closed_form():
+    """Completion states are measured out after every step, so only the
+    scaled extended vector survives: the accept probability is
+    ``(product of scales)^2 * ((2p-1)/4)^2`` over the marked word."""
+    for p in [coin_pfa()] + _larger_pfas():
+        comp = unitary_complete(extend_pfa(p))
+        q = pfa_to_nqfa(p)
+        for u in q.trans.values():
+            assert is_unitary_within(u, 1e-12)
+        for w in words_up_to(p.sigma, 5):
+            f = pfa_accept_prob(p, w)
+            scale = math.prod(comp.scale[sym] for sym in (CENT, *w, DOLLAR))
+            expected = scale * scale * float((2 * f - 1) / 4) ** 2
+            accept = kwqfa_run(q, w).accept_prob
+            if f == HALF:
+                assert accept <= 1e-12
+            else:
+                assert abs(accept - expected) <= 1e-9 * expected, (p.n, w)
 
 
 def test_pipeline_sign_fidelity_small_sweep():

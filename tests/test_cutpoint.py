@@ -1,5 +1,6 @@
 """Cutpoint classification and bounded equivalence tests."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -55,6 +56,12 @@ def test_mixed_kind_comparison_is_an_error():
 def test_rejects_unknown_relation():
     with pytest.raises(ValueError):
         CutpointSpec(Fraction(0), "above")
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_float_cutpoint(lam):
+    with pytest.raises(ValueError, match="finite"):
+        CutpointSpec(lam, GREATER)
 
 
 @given(rationals, rationals)
