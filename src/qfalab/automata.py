@@ -21,7 +21,11 @@ start state is always state 1.
 Each kind's semantics is written down once, in ``stepper``: a start state,
 one step per input symbol and a final read-out.  The acceptance values,
 ``kwqfa_run`` and the shortest-first ``enumerate_values`` are folds over it,
-and so is every bounded check elsewhere in the package.
+and so is every bounded check elsewhere in the package.  Stepper states are
+plain Python scalars, not ``numeric`` vectors: integer numerators over one
+common denominator for rational machines, tuples of floats for float ones
+(``state_vector`` converts back).  Values are the same scalars the
+``numeric`` vector products give.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
+from math import gcd, isfinite, lcm
+from operator import mul
 from typing import Iterator, Mapping, Sequence, Union
 
 from .numeric import (
@@ -40,7 +46,6 @@ from .numeric import (
     Scalar,
     is_stochastic,
     is_unitary_within,
-    one,
     same_kind,
     zero,
     zero_tolerance,
@@ -156,6 +161,10 @@ class Pfa:
             self, "accepting", _check_states("accepting", self.accepting, self.n)
         )
 
+    @property
+    def kind(self) -> str:
+        return RATIONAL
+
 
 @dataclass(frozen=True)
 class Gpfa:
@@ -253,7 +262,7 @@ class Mcqfa:
         return next(iter(self.trans.values())).kind
 
 
-Machine = Union[Pfa, Gpfa, Kwqfa, Mcqfa]
+Machine = Pfa | Gpfa | Kwqfa | Mcqfa
 
 
 @dataclass(frozen=True)
@@ -277,6 +286,94 @@ class RunTrace:
                 raise ValueError("state vector norm exceeds 1")
 
 
+class _Exact:
+    """Exact steps on plain integers.  A vector is ``(numerators,
+    denominator)`` in lowest terms with a positive denominator; a lowered
+    matrix is its integer lines over one common denominator."""
+
+    @staticmethod
+    def lower(lines):
+        grid = [tuple(line) for line in lines]
+        den = lcm(*(x.denominator for line in grid for x in line))
+        scaled = (tuple(x.numerator * (den // x.denominator) for x in line) for line in grid)
+        return tuple(scaled), den
+
+    @staticmethod
+    def vector(entries):
+        (nums,), den = _Exact.lower([entries])
+        return _Exact.reduced(nums, den)
+
+    @staticmethod
+    def reduced(nums, den):
+        g = gcd(*nums, den)
+        if g == 1:
+            return tuple(nums), den
+        return tuple(x // g for x in nums), den // g
+
+    @staticmethod
+    def apply(table, vec):
+        lines, d = table
+        nums, den = vec
+        return _Exact.reduced([sum(map(mul, nums, line)) for line in lines], den * d)
+
+    @staticmethod
+    def dot(vec, table):
+        ((line,), d), (nums, den) = table, vec
+        return Fraction(sum(map(mul, nums, line)), den * d)
+
+    @staticmethod
+    def sq(vec, lo, hi):
+        nums, den = vec
+        return Fraction(sum(x * x for x in nums[lo:hi]), den * den)
+
+    @staticmethod
+    def cut(vec, hi):
+        nums, den = vec
+        return _Exact.reduced(nums[:hi], den)
+
+    @staticmethod
+    def entries(vec):
+        nums, den = vec
+        return [Fraction(x, den) for x in nums]
+
+
+class _Float:
+    """Float steps on tuples of floats; a lowered matrix is a tuple of its
+    lines.  Every step checks that its entries stay finite."""
+
+    @staticmethod
+    def lower(lines):
+        return tuple(tuple(line) for line in lines)
+
+    vector = entries = staticmethod(tuple)
+
+    @staticmethod
+    def apply(lines, vec):
+        out = tuple(sum(map(mul, vec, line)) for line in lines)
+        if not all(map(isfinite, out)):
+            bad = next(x for x in out if not isfinite(x))
+            raise ValueError(f"non-finite float entry {bad!r}")
+        return out
+
+    @staticmethod
+    def dot(vec, lines):
+        return sum(map(mul, vec, lines[0]))
+
+    @staticmethod
+    def sq(vec, lo, hi):
+        return sum((x * x for x in vec[lo:hi]), 0.0)
+
+    @staticmethod
+    def cut(vec, hi):
+        return vec[:hi]
+
+
+def _live_states(m: Kwqfa) -> list[int]:
+    """0-based indices of the states a measurement never zeroes."""
+    halting = m.q_acc | m.q_rej
+    return [i for i in range(m.n) if i + 1 not in halting]
+
+
 def stepper(machine: Machine):
     """The machine's semantics as a prefix-incremental evaluator
     ``(init, advance, value)``.
@@ -287,71 +384,106 @@ def stepper(machine: Machine):
     without disturbing the state.  Every evaluation in the package is a fold
     over these three.
 
+    States are plain Python scalars, and every matrix is lowered once per
+    call.  A rational vector is ``(numerators, denominator)``: integers in
+    lowest terms, and each step multiplies by a matrix's integer lines and
+    common denominator, then divides out the gcd.  A float vector is a tuple
+    of floats, checked finite after every step.  ``value`` returns the same
+    scalar as ``numeric``'s ``RowVec``/``ColVec`` products would, a
+    normalised ``Fraction`` or a float; ``state_vector`` turns a state back
+    into a vector.
+
     A measure-every-step state is ``(vector, accept, reject)``: after each
     unitary step the accepting and rejecting coordinates are measured, their
     squared amplitudes accumulate into the two probabilities, and the
-    coordinates are zeroed.  Each step checks both ``RunTrace`` bounds.
+    coordinates are zeroed.  The vector therefore keeps only the live
+    (non-halting) coordinates, and a step multiplies only the live columns.
+    Each step checks both ``RunTrace`` bounds; NaN fails them.
     """
     if not isinstance(machine, (Pfa, Gpfa, Kwqfa, Mcqfa)):
         raise TypeError(f"not a machine: {machine!r}")
+    ops = _Exact if machine.kind == RATIONAL else _Float
+    lower, vector, apply, sq = ops.lower, ops.vector, ops.apply, ops.sq
     trans = machine.trans
-    if isinstance(machine, Gpfa):
-        def advance(v, sym):
-            return v @ trans[sym]
 
-        def value(v):
-            return v @ machine.f
+    if isinstance(machine, Kwqfa):
+        # Measure after every symbol.  Rows run live, accepting, rejecting,
+        # so each measurement splits the output at two points.
+        live = _live_states(machine)
+        order = live + [q - 1 for q in machine.q_acc] + [q - 1 for q in machine.q_rej]
+        a, r, n = len(live), len(live) + len(machine.q_acc), machine.n
+        table = {
+            sym: lower([m.entries[j][i] for i in live] for j in order)
+            for sym, m in trans.items()
+        }
+        slack = 1 + zero_tolerance()
+        cut = ops.cut
 
-        return machine.v0, advance, value
+        def measure(out, accept, reject):
+            accept += sq(out, a, r)
+            reject += sq(out, r, n)
+            vec = cut(out, a)
+            if not accept + reject <= slack:
+                raise ValueError("halting probabilities exceed 1")
+            if not sq(vec, 0, a) <= slack:
+                raise ValueError("state vector norm exceeds 1")
+            return vec, accept, reject
 
-    kind = RATIONAL if isinstance(machine, Pfa) else machine.kind
-    start = [one(kind)] + [zero(kind)] * (machine.n - 1)
+        def advance(state, sym):
+            vec, accept, reject = state
+            return measure(apply(table[sym], vec), accept, reject)
 
-    if isinstance(machine, Pfa):
-        def advance(v, sym):
-            return v @ trans[sym]
+        def value(state):
+            return advance(state, DOLLAR)[1]
 
-        def value(v):
-            final = advance(v, DOLLAR)
-            return sum((final[q - 1] for q in machine.accepting), zero(kind))
-
-        return advance(RowVec(start, kind), CENT), advance, value
+        nil = zero(machine.kind)
+        first = trans[CENT].entries
+        return measure(vector(first[j][0] for j in order), nil, nil), advance, value
 
     if isinstance(machine, Mcqfa):
-        def advance(v, sym):
-            return trans[sym] @ v
+        # Column convention: entry j of U @ v is U's row j times v, and the
+        # start state 1 makes the first step U_CENT's column 1.
+        table = {sym: lower(m.entries) for sym, m in trans.items()}
+        start = [row[0] for row in trans[CENT].entries]
+        final = lower(trans[DOLLAR].entries[q - 1] for q in machine.accepting)
+        width = len(machine.accepting)
 
         def value(v):
-            final = advance(v, DOLLAR)
-            return sum((final[q - 1] * final[q - 1] for q in machine.accepting), zero(kind))
+            return sq(apply(final, v), 0, width)
+    else:
+        # Row convention: entry j of v @ A is v times A's column j.
+        table = {sym: lower(zip(*m.entries)) for sym, m in trans.items()}
+        if isinstance(machine, Gpfa):
+            start, final = machine.v0.entries, lower([machine.f.entries])
+        else:
+            # The right end-marker and the accepting mass fold into one column.
+            start = trans[CENT].entries[0]
+            final = lower([[sum((row[q - 1] for q in machine.accepting), Fraction(0))
+                            for row in trans[DOLLAR].entries]])
 
-        return advance(ColVec(start, kind), CENT), advance, value
+        def value(v):
+            return ops.dot(v, final)
 
-    # Kwqfa: measure after every symbol.
-    slack = 1 + zero_tolerance()
-    acc, rej = machine.q_acc, machine.q_rej
-    halting = acc | rej
-    nil = zero(kind)
+    def advance(v, sym):
+        return apply(table[sym], v)
 
-    def advance(state, sym):
-        vec, accept, reject = state
-        out = list((trans[sym] @ vec).entries)
-        accept += sum((out[q - 1] * out[q - 1] for q in acc), nil)
-        reject += sum((out[q - 1] * out[q - 1] for q in rej), nil)
-        for q in halting:
-            out[q - 1] = nil
-        vec = ColVec(out, kind)
-        if accept + reject > slack:
-            raise ValueError("halting probabilities exceed 1")
-        if vec.norm_sq() > slack:
-            raise ValueError("state vector norm exceeds 1")
-        return vec, accept, reject
+    return vector(start), advance, value
 
-    def value(state):
-        return advance(state, DOLLAR)[1]
 
-    init = (ColVec(start, kind), nil, nil)
-    return advance(init, CENT), advance, value
+def state_vector(machine: Machine, state) -> RowVec | ColVec:
+    """The vector a ``stepper`` state stands for: a row vector for the
+    probabilistic kinds, a column vector for the quantum ones, with a
+    measure-every-step machine's halting coordinates restored as zeros."""
+    kind = machine.kind
+    entries = (_Exact if kind == RATIONAL else _Float).entries
+    if isinstance(machine, (Pfa, Gpfa)):
+        return RowVec(entries(state), kind)
+    if isinstance(machine, Mcqfa):
+        return ColVec(entries(state), kind)
+    full = [zero(kind)] * machine.n
+    for i, x in zip(_live_states(machine), entries(state[0])):
+        full[i] = x
+    return ColVec(full, kind)
 
 
 def _fold(machine: Machine, w: WordLike) -> Scalar:
@@ -388,7 +520,7 @@ def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
     tape = (*_check_word(m.sigma, w), DOLLAR)
     states = list(accumulate(tape, advance, initial=init))
     _, accept, reject = states[-1]
-    return RunTrace(accept, reject, tuple(vec for vec, _, _ in states))
+    return RunTrace(accept, reject, tuple(state_vector(m, state) for state in states))
 
 
 def enumerate_values(machine: Machine, maxlen: int) -> Iterator[tuple[Word, Scalar]]:

@@ -165,15 +165,19 @@ def _strings(raw, what: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _integer(raw, what: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise DocumentError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
 def _machine_fields(doc: Mapping, count: str, scalar: str) -> tuple[tuple[str, ...], int, dict]:
     """Alphabet, state count and matrices, shared by machine and extended documents."""
     try:
         alphabet, n, raw_matrices = doc["alphabet"], doc[count], doc["matrices"]
     except KeyError as exc:
         raise DocumentError(f"missing field {exc.args[0]!r}") from exc
-    alphabet = _strings(alphabet, "alphabet")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DocumentError(f"{count} must be an integer, got {n!r}")
+    alphabet, n = _strings(alphabet, "alphabet"), _integer(n, count)
     trans = {
         _key_symbol(key): _matrix_from_doc(raw, scalar, f"matrix {key!r}")
         for key, raw in _object(raw_matrices, "matrices").items()
@@ -346,8 +350,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _machine_cut(machine: Machine, text: str) -> Scalar:
-    kind = RATIONAL if isinstance(machine, Pfa) else machine.kind
-    if kind == RATIONAL:
+    if machine.kind == RATIONAL:
         return parse_rational(text)
     return float(parse_rational(text)) if "/" in text else float(text)
 
@@ -355,8 +358,14 @@ def _machine_cut(machine: Machine, text: str) -> Scalar:
 def _resolve_oracle(spec: str, complement_flag: bool) -> LanguageOracle:
     if spec.startswith("dfa:"):
         doc = _object(json.loads(Path(spec[len("dfa:"):]).read_text()), "dfa document")
+        _strings(doc.get("alphabet"), "alphabet")
+        _integer(doc.get("n"), "n")
+        _integer(doc.get("start", 1), "start")
+        for q in doc.get("accepting", ()):
+            _integer(q, "each accepting state")
         for row in _object(doc.get("transitions"), "transitions").values():
-            _object(row, "each transitions row")
+            for target in _object(row, "each transitions row").values():
+                _integer(target, "each transition target")
         base = dfa_oracle(doc)
     else:
         base = oracle(spec)

@@ -35,6 +35,7 @@ from .automata import (
     WordLike,
     as_word,
     enumerate_values,
+    state_vector,
     stepper,
 )
 from .languages import generator_alphabet
@@ -719,7 +720,8 @@ def gpfa_quotient(g: Gpfa, w: WordLike, side: str) -> Gpfa:
             raise ValueError(f"symbol {sym!r} not in the machine's alphabet")
     if side == "left":
         init, advance, _ = stepper(g)
-        return Gpfa(g.n, g.sigma, dict(g.trans), reduce(advance, word, init), g.f)
+        v0 = state_vector(g, reduce(advance, word, init))
+        return Gpfa(g.n, g.sigma, dict(g.trans), v0, g.f)
     if side == "right":
         acc = Matrix.identity(g.n, g.kind)
         for sym in word:

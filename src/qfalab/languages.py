@@ -61,9 +61,8 @@ def free_reduce(w: WordLike) -> Word:
     word = as_word(w)
     stack: list[str] = []
     for sym in word:
-        if not _GENERATOR_RE.match(sym):
-            raise ValueError(f"malformed generator symbol {sym!r}")
-        if stack and stack[-1] == inverse_generator(sym):
+        inverse = inverse_generator(sym)  # also rejects a malformed symbol
+        if stack and stack[-1] == inverse:
             stack.pop()
         else:
             stack.append(sym)

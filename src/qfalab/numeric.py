@@ -112,7 +112,10 @@ def _coerce(value, kind: str):
                 f"rational entry {value!r} in a float container; convert explicitly"
             )
         if isinstance(value, (int, float)):
-            x = float(value)
+            try:
+                x = float(value)
+            except OverflowError:  # an integer past the float range
+                x = math.inf if value > 0 else -math.inf
             if not math.isfinite(x):
                 raise ValueError(f"non-finite float entry {x!r}")
             return x

@@ -205,3 +205,34 @@ def test_float_mirror_agrees_with_rational_to_length_8():
         mirrored = dict(enumerate_values(approx, 8))
         for word, value in enumerate_values(exact, 8):
             assert abs(float(value) - mirrored[word]) <= 1e-6
+
+
+def test_reimport_releases_the_old_module_graph():
+    """Re-importing qfalab must not keep the old modules' classes alive (a
+    ``typing.Union`` over them would, through typing's subscription cache)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qfalab
+
+    script = "\n".join([
+        "import gc, importlib, sys, weakref",
+        "ref = weakref.ref(importlib.import_module('qfalab.automata').Pfa)",
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'qfalab']:",
+        "    del sys.modules[name]",
+        "importlib.import_module('qfalab')",
+        "gc.collect()",
+        "print(ref() is None)",
+    ])
+    src = str(Path(qfalab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"

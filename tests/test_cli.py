@@ -547,6 +547,29 @@ def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, cha
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"alphabet": "ab"}, "alphabet must be a list of strings"),
+        ({"alphabet": ["a", 1]}, "alphabet must be a list of strings"),
+        ({"n": 1.7}, "n must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"start": 1.0}, "start must be an integer"),
+        ({"accepting": [1.5]}, "each accepting state must be an integer"),
+        ({"transitions": {"1": {"a": 1.0}}}, "each transition target must be an integer"),
+    ],
+)
+def test_dfa_oracle_fields_are_type_checked(demo_dir, tmp_path, capsys, change, message):
+    """A string alphabet would read as its characters and a float state
+    index would be truncated; each must be refused instead."""
+    path = tmp_path / "dfa.json"
+    path.write_text(json.dumps({**SIDE_DOCUMENTS["dfa"], **change}))
+    argv = ["verify", "--machine", str(demo_dir / "rot_mcqfa_3.json"), "--cutpoint", "0",
+            "--relation", "greater", "--oracle", f"dfa:{path}", "--maxlen", "2"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cut", ["nan", "inf", "-inf"])
 def test_classify_non_finite_cutpoint_exits_two(demo_dir, capsys, cut):
     argv = ["classify", "--machine", str(demo_dir / "rot_mcqfa_3.json"), "--word", "a",

@@ -155,6 +155,14 @@ def test_float_containers_reject_non_finite_entries(bad):
         Matrix.floats([[1.0, 0.0], [0.0, bad]])
 
 
+@pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_float_containers_reject_integers_past_the_float_range(big):
+    with pytest.raises(ValueError, match="non-finite float entry"):
+        Matrix.floats([[big]])
+    with pytest.raises(ValueError, match="non-finite float entry"):
+        RowVec([0.0, big], FLOAT)
+
+
 def test_nan_tolerance_never_passes_orthogonality():
     assert is_unitary_within(Matrix.identity(2, FLOAT), 1e-9)
     assert not is_unitary_within(Matrix.identity(2, FLOAT), math.nan)
