@@ -13,6 +13,15 @@ Four automaton families share this module:
 * ``Mcqfa``  -- measure-once quantum automaton: unitary evolution over the
   marked input with a single observation at the end.
 
+All four are frozen dataclasses over one base, ``_Machine``, which holds the
+fields ``n``, ``sigma`` and ``trans``, checks them once for every kind (a
+positive state count, a valid alphabet, one n x n matrix per symbol) and
+gives every machine the scalar ``kind`` of its matrices.  Each kind's own
+``__post_init__`` adds only its rules: stochastic rational rows for ``Pfa``,
+the initial and final vectors for ``Gpfa``, orthogonal matrices of one
+scalar kind (a check the two quantum kinds share) and the accepting and
+rejecting sets.
+
 Quantum machines use the column convention (``U @ |u>``, so ``U[j][i]`` is
 the amplitude from state ``i+1`` to state ``j+1``); probabilistic machines
 use the row convention.  State indices in the public API are 1-based and the
@@ -44,7 +53,7 @@ from .numeric import (
     Matrix,
     RowVec,
     Scalar,
-    is_stochastic,
+    is_stochastic_row,
     is_unitary_within,
     same_kind,
     zero,
@@ -100,15 +109,14 @@ def _check_states(label: str, states, n: int) -> frozenset[int]:
 
 
 def _check_trans(
-    trans: Mapping[str, Matrix], symbols: Sequence[str], n: int, fill_markers: bool
+    trans: Mapping[str, Matrix], sigma: tuple[str, ...], markers: tuple[str, ...], n: int
 ) -> dict[str, Matrix]:
     table = dict(trans)
-    if fill_markers:
-        # Constructions that do not care about the end-markers may omit them.
-        kind = next(iter(table.values())).kind if table else RATIONAL
-        for marker in MARKERS:
-            table.setdefault(marker, Matrix.identity(n, kind))
-    expected = set(symbols)
+    # Constructions that do not care about the end-markers may omit them.
+    kind = next(iter(table.values())).kind if table else RATIONAL
+    for marker in markers:
+        table.setdefault(marker, Matrix.identity(n, kind))
+    expected = set(sigma + markers)
     got = set(table)
     if got != expected:
         missing = sorted(expected - got)
@@ -130,136 +138,115 @@ def _check_trans(
 
 
 @dataclass(frozen=True)
-class Pfa:
-    """Probabilistic automaton over the marked input ``CENT w DOLLAR``."""
+class _Machine:
+    """Fields and checks every machine kind shares: ``n`` states, the input
+    alphabet ``sigma`` and one square matrix per symbol in ``trans``.
+
+    Each kind's ``__post_init__`` calls ``_check_fields`` first and then
+    checks only its own rules.
+    """
 
     n: int
     sigma: tuple[str, ...]
     trans: Mapping[str, Matrix]
+
+    def _check_fields(self, markers: tuple[str, ...]) -> dict[str, Matrix]:
+        """Check the state count, alphabet and table; a kind with end-markers
+        gets identity matrices for the markers it omits."""
+        if self.n < 1:
+            raise ValueError("state count must be positive")
+        object.__setattr__(self, "sigma", _check_alphabet(self.sigma))
+        table = _check_trans(self.trans, self.sigma, markers, self.n)
+        object.__setattr__(self, "trans", table)
+        return table
+
+    def _check_orthogonal(self) -> None:
+        """One scalar kind, and every matrix orthogonal within the tolerance."""
+        same_kind(*(m.kind for m in self.trans.values()))
+        tol = zero_tolerance()
+        for sym, m in self.trans.items():
+            if not is_unitary_within(m, tol):
+                raise ValueError(
+                    f"matrix for {sym!r} fails the orthogonality tolerance {tol}"
+                )
+
+    @property
+    def kind(self) -> str:
+        return next(iter(self.trans.values())).kind
+
+
+@dataclass(frozen=True)
+class Pfa(_Machine):
+    """Probabilistic automaton over the marked input ``CENT w DOLLAR``."""
+
     accepting: frozenset[int]
 
     start: int = field(default=1, init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("state count must be positive")
-        object.__setattr__(self, "sigma", _check_alphabet(self.sigma))
-        table = _check_trans(self.trans, self.sigma + MARKERS, self.n, True)
-        for sym, m in table.items():
+        for sym, m in self._check_fields(MARKERS).items():
             if m.kind != RATIONAL:
                 raise ValueError(f"pfa matrices must be rational; {sym!r} is {m.kind}")
-            if not is_stochastic(m):
-                bad = next(
-                    i for i, row in enumerate(m.entries)
-                    if sum(row) != 1 or any(v < 0 or v > 1 for v in row)
-                )
-                raise ValueError(
-                    f"matrix for {sym!r} is not stochastic (row {bad + 1})"
-                )
-        object.__setattr__(self, "trans", table)
+            bad = next(
+                (k for k, row in enumerate(m.entries, 1) if not is_stochastic_row(row)),
+                None,
+            )
+            if bad is not None:
+                raise ValueError(f"matrix for {sym!r} is not stochastic (row {bad})")
         object.__setattr__(
             self, "accepting", _check_states("accepting", self.accepting, self.n)
         )
 
-    @property
-    def kind(self) -> str:
-        return RATIONAL
-
 
 @dataclass(frozen=True)
-class Gpfa:
+class Gpfa(_Machine):
     """Generalized automaton: value is ``v0 @ A_{w_1} @ ... @ A_{w_k} @ f``."""
 
-    n: int
-    sigma: tuple[str, ...]
-    trans: Mapping[str, Matrix]
     v0: RowVec
     f: ColVec
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("state count must be positive")
-        object.__setattr__(self, "sigma", _check_alphabet(self.sigma))
-        table = _check_trans(self.trans, self.sigma, self.n, False)
+        table = self._check_fields(())
         kinds = [m.kind for m in table.values()] + [self.v0.kind, self.f.kind]
         same_kind(*kinds)
         if len(self.v0) != self.n or len(self.f) != self.n:
             raise ValueError("v0 and f must have length n")
-        object.__setattr__(self, "trans", table)
-
-    @property
-    def kind(self) -> str:
-        return self.v0.kind
 
 
 @dataclass(frozen=True)
-class Kwqfa:
+class Kwqfa(_Machine):
     """Measure-every-step quantum automaton with accept/reject partitions."""
 
-    n: int
-    sigma: tuple[str, ...]
-    trans: Mapping[str, Matrix]
     q_acc: frozenset[int]
     q_rej: frozenset[int]
 
     start: int = field(default=1, init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("state count must be positive")
-        object.__setattr__(self, "sigma", _check_alphabet(self.sigma))
-        table = _check_trans(self.trans, self.sigma + MARKERS, self.n, True)
-        same_kind(*(m.kind for m in table.values()))
-        tol = zero_tolerance()
-        for sym, m in table.items():
-            if not is_unitary_within(m, tol):
-                raise ValueError(
-                    f"matrix for {sym!r} fails the orthogonality tolerance {tol}"
-                )
+        self._check_fields(MARKERS)
+        self._check_orthogonal()
         acc = _check_states("q_acc", self.q_acc, self.n)
         rej = _check_states("q_rej", self.q_rej, self.n)
         if acc & rej:
             raise ValueError("q_acc and q_rej must be disjoint")
-        object.__setattr__(self, "trans", table)
         object.__setattr__(self, "q_acc", acc)
         object.__setattr__(self, "q_rej", rej)
 
-    @property
-    def kind(self) -> str:
-        return next(iter(self.trans.values())).kind
-
 
 @dataclass(frozen=True)
-class Mcqfa:
+class Mcqfa(_Machine):
     """Measure-once quantum automaton; observation happens after DOLLAR."""
 
-    n: int
-    sigma: tuple[str, ...]
-    trans: Mapping[str, Matrix]
     accepting: frozenset[int]
 
     start: int = field(default=1, init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("state count must be positive")
-        object.__setattr__(self, "sigma", _check_alphabet(self.sigma))
-        table = _check_trans(self.trans, self.sigma + MARKERS, self.n, True)
-        same_kind(*(m.kind for m in table.values()))
-        tol = zero_tolerance()
-        for sym, m in table.items():
-            if not is_unitary_within(m, tol):
-                raise ValueError(
-                    f"matrix for {sym!r} fails the orthogonality tolerance {tol}"
-                )
-        object.__setattr__(self, "trans", table)
+        self._check_fields(MARKERS)
+        self._check_orthogonal()
         object.__setattr__(
             self, "accepting", _check_states("accepting", self.accepting, self.n)
         )
-
-    @property
-    def kind(self) -> str:
-        return next(iter(self.trans.values())).kind
 
 
 Machine = Pfa | Gpfa | Kwqfa | Mcqfa
@@ -400,7 +387,7 @@ def stepper(machine: Machine):
     (non-halting) coordinates, and a step multiplies only the live columns.
     Each step checks both ``RunTrace`` bounds; NaN fails them.
     """
-    if not isinstance(machine, (Pfa, Gpfa, Kwqfa, Mcqfa)):
+    if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
     ops = _Exact if machine.kind == RATIONAL else _Float
     lower, vector, apply, sq = ops.lower, ops.vector, ops.apply, ops.sq

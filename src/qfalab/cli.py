@@ -194,19 +194,12 @@ def _key_symbol(key: str) -> str:
 
 
 def machine_to_doc(machine: Machine) -> dict:
-    if isinstance(machine, Pfa):
-        kind, doc_kind = RATIONAL, "pfa"
-    elif isinstance(machine, Gpfa):
-        kind, doc_kind = machine.kind, "gpfa"
-    elif isinstance(machine, Kwqfa):
-        kind, doc_kind = machine.kind, "kwqfa"
-    elif isinstance(machine, Mcqfa):
-        kind, doc_kind = machine.kind, "mcqfa"
-    else:
+    doc_kind = type(machine).__name__.lower()
+    if doc_kind not in _CONVENTIONS:
         raise TypeError(f"not a machine: {machine!r}")
     doc = {
         "kind": doc_kind,
-        "scalar": kind,
+        "scalar": machine.kind,
         "alphabet": list(machine.sigma),
         "n": machine.n,
         "matrices": {
@@ -357,16 +350,7 @@ def _machine_cut(machine: Machine, text: str) -> Scalar:
 
 def _resolve_oracle(spec: str, complement_flag: bool) -> LanguageOracle:
     if spec.startswith("dfa:"):
-        doc = _object(json.loads(Path(spec[len("dfa:"):]).read_text()), "dfa document")
-        _strings(doc.get("alphabet"), "alphabet")
-        _integer(doc.get("n"), "n")
-        _integer(doc.get("start", 1), "start")
-        for q in doc.get("accepting", ()):
-            _integer(q, "each accepting state")
-        for row in _object(doc.get("transitions"), "transitions").values():
-            for target in _object(row, "each transitions row").values():
-                _integer(target, "each transition target")
-        base = dfa_oracle(doc)
+        base = dfa_oracle(json.loads(Path(spec[len("dfa:"):]).read_text()))
     else:
         base = oracle(spec)
     return complement(base) if complement_flag else base

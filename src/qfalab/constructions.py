@@ -267,7 +267,7 @@ def _complete_one(block: Matrix) -> tuple[Matrix, float]:
     y_root = _weighted_gram(v, c)
     rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] for i in range(size)]
     rows += [y_root[i] + [-t[j][i] for j in range(size)] for i in range(size)]
-    unitary = Matrix.floats(rows).transpose()
+    unitary = Matrix.floats(zip(*rows))
     if not is_unitary_within(unitary, 1e-9):
         raise RuntimeError("internal defect: completed matrix misses unitarity")
     return unitary, scale
@@ -427,9 +427,6 @@ class Homomorphism:
 
     def erased_symbols(self) -> tuple[str, ...]:
         return tuple(s for s in self.source if not self.images[s])
-
-    def is_nonerasing(self) -> bool:
-        return not self.erased_symbols()
 
     def is_identity(self) -> bool:
         return set(self.source) == set(self.target) and all(

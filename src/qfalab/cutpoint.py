@@ -13,10 +13,7 @@ from typing import Optional
 
 from .automata import (
     Gpfa,
-    Kwqfa,
     Machine,
-    Mcqfa,
-    Pfa,
     Word,
     acceptance_value,
     enumerate_values,
@@ -83,7 +80,7 @@ def classify_value(v: Scalar, spec: CutpointSpec, eps: float | None = None) -> b
 def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
     """Probability-valued machines only make sense with thresholds in [0,1];
     generalized machines may use any real threshold."""
-    if isinstance(machine, (Pfa, Kwqfa, Mcqfa)) and not (0 <= lam <= 1):
+    if not isinstance(machine, Gpfa) and not (0 <= lam <= 1):
         raise ValueError(f"cutpoint {lam!r} outside [0,1] for a probability machine")
 
 

@@ -11,7 +11,7 @@ for their inverses, so every symbol is a single token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from .automata import Word, WordLike, as_word
@@ -24,13 +24,16 @@ class LanguageOracle:
     name: str
     alphabet: tuple[str, ...]
     member: Callable[[Word], bool]
+    _symbols: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_symbols", frozenset(self.alphabet))
 
     def __call__(self, w: WordLike) -> bool:
         word = as_word(w)
-        allowed = set(self.alphabet)
-        for s in word:
-            if s not in allowed:
-                raise ValueError(f"symbol {s!r} not in alphabet of {self.name}")
+        if not self._symbols.issuperset(word):
+            bad = next(s for s in word if s not in self._symbols)
+            raise ValueError(f"symbol {bad!r} not in alphabet of {self.name}")
         return self.member(word)
 
 
@@ -147,27 +150,42 @@ def complement(base: LanguageOracle) -> LanguageOracle:
     )
 
 
+def _integer(raw, what: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValueError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
+def _object(raw, what: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{what} must be an object")
+    return raw
+
+
 def dfa_oracle(doc: Mapping) -> LanguageOracle:
     """Oracle from a deterministic automaton description.
 
-    ``doc`` carries ``alphabet``, state count ``n``, ``start``, ``accepting``
-    and a total ``transitions`` table mapping each state (as a string key)
-    to a symbol -> state map.  1-based state indices throughout.
+    ``doc`` carries an ``alphabet`` (a list of strings), state count ``n``,
+    ``start``, ``accepting`` and a total ``transitions`` table mapping each
+    state (as a string key) to a symbol -> state map.  1-based state indices
+    throughout, each a plain integer.
     """
-    alphabet = tuple(doc["alphabet"])
-    n = int(doc["n"])
-    start = int(doc.get("start", 1))
-    accepting = frozenset(int(q) for q in doc["accepting"])
+    alphabet = _object(doc, "dfa document").get("alphabet")
+    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+        raise ValueError(f"alphabet must be a list of strings, got {alphabet!r}")
+    alphabet = tuple(alphabet)
+    n = _integer(doc.get("n"), "n")
+    start = _integer(doc.get("start", 1), "start")
+    accepting = frozenset(_integer(q, "each accepting state") for q in doc["accepting"])
     if not (1 <= start <= n):
         raise ValueError(f"start state {start} out of range")
     if not all(1 <= q <= n for q in accepting):
         raise ValueError("accepting state out of range")
     table: dict[tuple[int, str], int] = {}
-    raw = doc["transitions"]
-    for state_key, row in raw.items():
+    for state_key, row in _object(doc.get("transitions"), "transitions").items():
         q = int(state_key)
-        for sym, target in row.items():
-            table[(q, sym)] = int(target)
+        for sym, target in _object(row, "each transitions row").items():
+            table[(q, sym)] = _integer(target, "each transition target")
     for q in range(1, n + 1):
         for sym in alphabet:
             if (q, sym) not in table:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 RATIONAL = "rational"
@@ -265,12 +266,6 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> RowVec:
-        return RowVec(self.entries[i], self.kind)
-
-    def col(self, j: int) -> ColVec:
-        return ColVec([row[j] for row in self.entries], self.kind)
-
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries), self.kind)
 
@@ -359,6 +354,11 @@ def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out, a.kind)
 
 
+def is_stochastic_row(row) -> bool:
+    """True iff every entry of ``row`` is in [0,1] and the entries sum to 1."""
+    return all(0 <= v <= 1 for v in row) and sum(row) == 1
+
+
 def is_stochastic(m: Matrix) -> bool:
     """True iff ``m`` is square, rational, entrywise in [0,1], rows sum to 1.
 
@@ -368,26 +368,22 @@ def is_stochastic(m: Matrix) -> bool:
         raise KindMismatchError("stochasticity is checked exactly; rational kind required")
     if not m.is_square():
         raise ValueError("stochasticity is defined for square matrices")
-    for row in m.entries:
-        if any(v < 0 or v > 1 for v in row):
-            return False
-        if sum(row) != 1:
-            return False
-    return True
+    return all(map(is_stochastic_row, m.entries))
 
 
 def is_unitary_within(m: Matrix, tol: float) -> bool:
     """Real-orthogonality test: max-norm of (m @ m^T - I) <= tol.
 
-    Works for both kinds; a rational matrix is tested with exact products
-    against the given tolerance.
+    Each entry of m @ m^T is the dot product of two rows; the product is
+    symmetric to the bit, so only its upper triangle is checked.  Works for
+    both kinds; a rational matrix is tested with exact products against the
+    given tolerance.
     """
     if not m.is_square():
         return False
-    gram = mat_mul(m, m.transpose())
-    for i, row in enumerate(gram.entries):
-        for j, v in enumerate(row):
-            target = 1 if i == j else 0
-            if not (abs(v - target) <= tol):  # False for NaN too
-                return False
-    return True
+    rows = m.entries
+    return all(
+        abs(sum(map(mul, r, rows[j])) - (i == j)) <= tol  # False for NaN too
+        for i, r in enumerate(rows)
+        for j in range(i, m.rows)
+    )

@@ -46,6 +46,10 @@ def test_document_with_bad_row_sum_names_the_row():
     doc["matrices"]["a"] = [["3/4"]]
     with pytest.raises(DocumentError, match="not stochastic"):
         machine_from_doc(doc)
+    # Row 2 sums to 1 but has entries outside [0, 1].
+    wide = {**MINIMAL_PFA, "n": 2, "matrices": {"a": [[1, 0], ["3/2", "-1/2"]]}}
+    with pytest.raises(DocumentError, match=r"not stochastic \(row 2\)"):
+        machine_from_doc(wide)
 
 
 def test_kwqfa_document_with_shear_fails_unitarity():

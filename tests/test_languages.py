@@ -175,3 +175,34 @@ def test_dfa_oracle_requires_total_table():
     }
     with pytest.raises(ValueError, match="incomplete"):
         dfa_oracle(doc)
+
+
+DFA_DOC = {
+    "alphabet": ["a", "b"],
+    "n": 1,
+    "accepting": [1],
+    "transitions": {"1": {"a": 1, "b": 1}},
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"alphabet": "ab"}, "alphabet must be a list of strings"),
+        ({"n": 1.7}, "n must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"start": 1.0}, "start must be an integer"),
+        ({"accepting": [1.5]}, "each accepting state must be an integer"),
+        ({"transitions": {"1": {"a": 1.0, "b": 1}}}, "each transition target must be an integer"),
+        ({"transitions": {"1": {"a": 1, "b": True}}}, "each transition target must be an integer"),
+        ({"transitions": [{"a": 1}]}, "transitions must be an object"),
+        ({"transitions": {"1": [1]}}, "each transitions row must be an object"),
+        (None, "dfa document must be an object"),
+    ],
+)
+def test_dfa_oracle_checks_its_document(change, message):
+    """Called from the library, a string alphabet or a float state index is
+    refused, not read as characters or truncated."""
+    doc = [DFA_DOC] if change is None else {**DFA_DOC, **change}
+    with pytest.raises(ValueError, match=message):
+        dfa_oracle(doc)

@@ -94,6 +94,18 @@ def test_is_unitary_within():
     )
     assert is_unitary_within(rot, 1e-9)
     assert not is_unitary_within(Matrix.rational([[1, 1], [0, 1]]), 1e-9)
+    assert not is_unitary_within(Matrix.floats([[1.0, 0.0]]), 1e-9)
+    # Rotating row 2 alone by an angle d makes the Gram entry (1, 2) sin(d).
+    tol = 1e-6
+    c, s = math.cos(theta), math.sin(theta)
+    for d, expected in [(2 * tol, False), (tol / 2, True)]:
+        tilted = Matrix.floats([[c, -s], [math.sin(theta + d), math.cos(theta + d)]])
+        assert is_unitary_within(tilted, tol) is expected
+    assert not is_unitary_within(Matrix.floats([[1.0 + tol, 0.0], [0.0, 1.0]]), tol)
+    pythagorean = Matrix.rational(
+        [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    )
+    assert is_unitary_within(pythagorean, 0)
 
 
 def test_zero_test_uses_tolerance_for_floats():
