@@ -19,7 +19,8 @@ positive state count, a valid alphabet, one n x n matrix per symbol) and
 gives every machine the scalar ``kind`` of its matrices.  Each kind's own
 ``__post_init__`` adds only its rules: stochastic rational rows for ``Pfa``,
 the initial and final vectors for ``Gpfa``, orthogonal matrices of one
-scalar kind (a check the two quantum kinds share) and the accepting and
+scalar kind, exactly orthogonal if rational and within the zero tolerance
+if float (a check the two quantum kinds share), and the accepting and
 rejecting sets.
 
 Quantum machines use the column convention (``U @ |u>``, so ``U[j][i]`` is
@@ -33,15 +34,19 @@ one step per input symbol and a final read-out.  The acceptance values,
 and so is every bounded check elsewhere in the package.  Stepper states are
 plain Python scalars, not ``numeric`` vectors: integer numerators over one
 common denominator for rational machines, tuples of floats for float ones
-(``state_vector`` converts back).  Values are the same scalars the
-``numeric`` vector products give.
+(``state_vector`` converts back).  Each machine's matrices are lowered once,
+on its first evaluation, and kept on the machine: rational ones to integer
+lines, float ones to one generated function per matrix that sums only the
+nonzero entries of each line.  Values are the same scalars the ``numeric``
+vector products give (for floats bit for bit on CPython 3.11 and earlier,
+to rounding from 3.12, whose ``sum`` compensates rounding).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from math import gcd, isfinite, lcm
 from operator import mul
@@ -161,9 +166,10 @@ class _Machine:
         return table
 
     def _check_orthogonal(self) -> None:
-        """One scalar kind, and every matrix orthogonal within the tolerance."""
-        same_kind(*(m.kind for m in self.trans.values()))
-        tol = zero_tolerance()
+        """One scalar kind, and every matrix orthogonal: exactly for rational
+        matrices, within the zero tolerance for float ones."""
+        kind = same_kind(*(m.kind for m in self.trans.values()))
+        tol = 0 if kind == RATIONAL else zero_tolerance()
         for sym, m in self.trans.items():
             if not is_unitary_within(m, tol):
                 raise ValueError(
@@ -173,6 +179,13 @@ class _Machine:
     @property
     def kind(self) -> str:
         return next(iter(self.trans.values())).kind
+
+    @cached_property
+    def _lowered(self):
+        """``stepper``'s tables for this machine, built on first use and kept
+        in the instance ``__dict__``; not a field, so equality, hashing and
+        ``repr`` do not see it."""
+        return _lower(self)
 
 
 @dataclass(frozen=True)
@@ -324,31 +337,72 @@ class _Exact:
         return [Fraction(x, den) for x in nums]
 
 
+# Terms per generated statement: one long ``a + b + ...`` chain overflows the
+# compiler's recursion limit at a few thousand terms.
+_CHUNK = 200
+
+
 class _Float:
-    """Float steps on tuples of floats; a lowered matrix is a tuple of its
-    lines.  Every step checks that its entries stay finite."""
+    """Float steps on tuples of floats.  A lowered matrix is one function
+    generated for it, ``kernel(vec)``, which returns the tuple of its line
+    products.  Every step checks that its entries stay finite."""
 
     @staticmethod
     def lower(lines):
-        return tuple(tuple(line) for line in lines)
+        """Generate the kernel: each line's product is a straight-line sum of
+        its nonzero entries, added left to right (``v3 * c[17] + ...``), and
+        an all-zero line gives ``0.0``.  The source holds only indices and
+        names; the entries come in as the tuple ``c``."""
+        consts, body, rows, used = [], [], [], set()
+        lines = [tuple(line) for line in lines]
+        for i, line in enumerate(lines):
+            terms = []
+            for j, x in enumerate(line):
+                if x:
+                    terms.append(f"v{j} * c[{len(consts)}]")
+                    consts.append(x)
+                    used.add(j)
+            expr = "0.0"
+            for k in range(0, len(terms), _CHUNK):
+                part = " + ".join(terms[k:k + _CHUNK])
+                if k:
+                    body.append(f"    r{i} = {expr}\n")
+                    part = f"r{i} + {part}"
+                expr = part
+            rows.append(expr)
+        width = len(lines[0]) if lines else 0
+        names = "".join(f"v{j}, " if j in used else "_, " for j in range(width))
+        source = (f"def kernel(v, c=c):\n    {names or '_'} = v\n{''.join(body)}"
+                  f"    return ({''.join(row + ', ' for row in rows)})\n")
+        namespace = {"c": tuple(consts)}
+        exec(source, namespace)
+        return namespace["kernel"]
 
-    vector = entries = staticmethod(tuple)
+    vector = staticmethod(tuple)
 
     @staticmethod
-    def apply(lines, vec):
-        out = tuple(sum(map(mul, vec, line)) for line in lines)
+    def apply(kernel, vec):
+        out = kernel(vec)
         if not all(map(isfinite, out)):
             bad = next(x for x in out if not isfinite(x))
             raise ValueError(f"non-finite float entry {bad!r}")
         return out
 
+    # Where ``sum`` gives 0.0, a generated sum may give -0.0 (it has no 0.0
+    # to start from); the read-outs add 0.0, so what a caller sees is the
+    # same bits as the ``numeric`` products.
     @staticmethod
-    def dot(vec, lines):
-        return sum(map(mul, vec, lines[0]))
+    def dot(vec, kernel):
+        return kernel(vec)[0] + 0.0
+
+    @staticmethod
+    def entries(vec):
+        return tuple(x + 0.0 for x in vec)
 
     @staticmethod
     def sq(vec, lo, hi):
-        return sum((x * x for x in vec[lo:hi]), 0.0)
+        part = vec[lo:hi]
+        return sum(map(mul, part, part), 0.0)
 
     @staticmethod
     def cut(vec, hi):
@@ -359,6 +413,46 @@ def _live_states(m: Kwqfa) -> list[int]:
     """0-based indices of the states a measurement never zeroes."""
     halting = m.q_acc | m.q_rej
     return [i for i in range(m.n) if i + 1 not in halting]
+
+
+def _lower(machine: Machine):
+    """The tables ``stepper`` steps with, as ``(table, start, final)``: each
+    symbol's matrix lowered for the machine's kind, the start vector, and the
+    lowered read-out (``None`` for a measure-every-step machine, whose value
+    is its accepted mass).  ``_Machine._lowered`` keeps them on the machine."""
+    ops = _Exact if machine.kind == RATIONAL else _Float
+    lower, trans = ops.lower, machine.trans
+
+    if isinstance(machine, Kwqfa):
+        # Rows run live, accepting, rejecting, so each measurement splits
+        # the output at two points; columns are the live states only.
+        live = _live_states(machine)
+        order = live + [q - 1 for q in machine.q_acc] + [q - 1 for q in machine.q_rej]
+        table = {
+            sym: lower([m.entries[j][i] for i in live] for j in order)
+            for sym, m in trans.items()
+        }
+        first = trans[CENT].entries
+        return table, ops.vector(first[j][0] for j in order), None
+
+    if isinstance(machine, Mcqfa):
+        # Column convention: entry j of U @ v is U's row j times v, and the
+        # start state 1 makes the first step U_CENT's column 1.
+        table = {sym: lower(m.entries) for sym, m in trans.items()}
+        start = [row[0] for row in trans[CENT].entries]
+        final = lower(trans[DOLLAR].entries[q - 1] for q in machine.accepting)
+        return table, ops.vector(start), final
+
+    # Row convention: entry j of v @ A is v times A's column j.
+    table = {sym: lower(zip(*m.entries)) for sym, m in trans.items()}
+    if isinstance(machine, Gpfa):
+        start, final = machine.v0.entries, lower([machine.f.entries])
+    else:
+        # The right end-marker and the accepting mass fold into one column.
+        start = trans[CENT].entries[0]
+        final = lower([[sum((row[q - 1] for q in machine.accepting), Fraction(0))
+                        for row in trans[DOLLAR].entries]])
+    return table, ops.vector(start), final
 
 
 def stepper(machine: Machine):
@@ -372,13 +466,18 @@ def stepper(machine: Machine):
     over these three.
 
     States are plain Python scalars, and every matrix is lowered once per
-    call.  A rational vector is ``(numerators, denominator)``: integers in
-    lowest terms, and each step multiplies by a matrix's integer lines and
-    common denominator, then divides out the gcd.  A float vector is a tuple
-    of floats, checked finite after every step.  ``value`` returns the same
-    scalar as ``numeric``'s ``RowVec``/``ColVec`` products would, a
-    normalised ``Fraction`` or a float; ``state_vector`` turns a state back
-    into a vector.
+    machine, on its first evaluation; the lowered tables stay on the machine
+    (``_Machine._lowered``), so a later call reuses them.  A rational vector
+    is ``(numerators, denominator)``: integers in lowest terms, and each step
+    multiplies by a matrix's integer lines and common denominator, then
+    divides out the gcd.  A float vector is a tuple of floats, and each float
+    matrix becomes one generated function that sums only the nonzero entries
+    of each line; every step checks its output finite.  ``value`` returns the
+    same scalar as ``numeric``'s ``RowVec``/``ColVec`` products would, a
+    normalised ``Fraction`` or a float (bit for bit on CPython 3.11 and
+    earlier; from 3.12 ``sum`` compensates float rounding and the generated
+    sums add plainly, so values agree to rounding); ``state_vector`` turns a
+    state back into a vector.
 
     A measure-every-step state is ``(vector, accept, reject)``: after each
     unitary step the accepting and rejecting coordinates are measured, their
@@ -390,19 +489,14 @@ def stepper(machine: Machine):
     if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
     ops = _Exact if machine.kind == RATIONAL else _Float
-    lower, vector, apply, sq = ops.lower, ops.vector, ops.apply, ops.sq
-    trans = machine.trans
+    apply, sq = ops.apply, ops.sq
+    table, start, final = machine._lowered
 
     if isinstance(machine, Kwqfa):
-        # Measure after every symbol.  Rows run live, accepting, rejecting,
-        # so each measurement splits the output at two points.
-        live = _live_states(machine)
-        order = live + [q - 1 for q in machine.q_acc] + [q - 1 for q in machine.q_rej]
-        a, r, n = len(live), len(live) + len(machine.q_acc), machine.n
-        table = {
-            sym: lower([m.entries[j][i] for i in live] for j in order)
-            for sym, m in trans.items()
-        }
+        # Measure after every symbol.
+        n = machine.n
+        r = n - len(machine.q_rej)
+        a = r - len(machine.q_acc)
         slack = 1 + zero_tolerance()
         cut = ops.cut
 
@@ -424,37 +518,21 @@ def stepper(machine: Machine):
             return advance(state, DOLLAR)[1]
 
         nil = zero(machine.kind)
-        first = trans[CENT].entries
-        return measure(vector(first[j][0] for j in order), nil, nil), advance, value
+        return measure(start, nil, nil), advance, value
 
     if isinstance(machine, Mcqfa):
-        # Column convention: entry j of U @ v is U's row j times v, and the
-        # start state 1 makes the first step U_CENT's column 1.
-        table = {sym: lower(m.entries) for sym, m in trans.items()}
-        start = [row[0] for row in trans[CENT].entries]
-        final = lower(trans[DOLLAR].entries[q - 1] for q in machine.accepting)
         width = len(machine.accepting)
 
         def value(v):
             return sq(apply(final, v), 0, width)
     else:
-        # Row convention: entry j of v @ A is v times A's column j.
-        table = {sym: lower(zip(*m.entries)) for sym, m in trans.items()}
-        if isinstance(machine, Gpfa):
-            start, final = machine.v0.entries, lower([machine.f.entries])
-        else:
-            # The right end-marker and the accepting mass fold into one column.
-            start = trans[CENT].entries[0]
-            final = lower([[sum((row[q - 1] for q in machine.accepting), Fraction(0))
-                            for row in trans[DOLLAR].entries]])
-
         def value(v):
             return ops.dot(v, final)
 
     def advance(v, sym):
         return apply(table[sym], v)
 
-    return vector(start), advance, value
+    return start, advance, value
 
 
 def state_vector(machine: Machine, state) -> RowVec | ColVec:

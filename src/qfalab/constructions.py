@@ -173,20 +173,17 @@ def extend_pfa(p: Pfa) -> ExtendedMachine:
     for sym in p.sigma:
         table[sym] = direct_sum(p.trans[sym], Matrix.identity(3, RATIONAL))
 
-    collect = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        if (i + 1) in p.accepting:
-            collect[i][n] = Fraction(1)
-        else:
-            collect[i][n + 1] = Fraction(1)
-    collect[n][n] = Fraction(1)
-    collect[n + 1][n + 1] = Fraction(1)
-    collect[n + 2][n] = -half
-    collect[n + 2][n + 1] = half
-    table[DOLLAR] = mat_mul(
-        direct_sum(p.trans[DOLLAR], Matrix.identity(3, RATIONAL)),
-        Matrix.rational(collect),
-    )
+    # (P_$ + I_3) times the collection step, row by row: original state i
+    # moves its accepting mass to state n+1 and the rest (rows are
+    # stochastic) to state n+2.
+    dollar = []
+    for row in p.trans[DOLLAR].entries:
+        acc = sum((row[q - 1] for q in p.accepting), zero)
+        dollar.append([zero] * n + [acc, 1 - acc, zero])
+    dollar.append([zero] * n + [Fraction(1), zero, zero])
+    dollar.append([zero] * n + [zero, Fraction(1), zero])
+    dollar.append([zero] * n + [-half, half, zero])
+    table[DOLLAR] = Matrix.rational(dollar)
     return ExtendedMachine(n, p.sigma, table)
 
 

@@ -168,7 +168,8 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
     ``doc`` carries an ``alphabet`` (a list of strings), state count ``n``,
     ``start``, ``accepting`` and a total ``transitions`` table mapping each
     state (as a string key) to a symbol -> state map.  1-based state indices
-    throughout, each a plain integer.
+    throughout, each a plain integer; a row for a state outside 1..n or an
+    entry for a symbol outside the alphabet is an error.
     """
     alphabet = _object(doc, "dfa document").get("alphabet")
     if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
@@ -176,6 +177,8 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
     alphabet = tuple(alphabet)
     n = _integer(doc.get("n"), "n")
     start = _integer(doc.get("start", 1), "start")
+    if "accepting" not in doc:
+        raise ValueError("missing field 'accepting'")
     accepting = frozenset(_integer(q, "each accepting state") for q in doc["accepting"])
     if not (1 <= start <= n):
         raise ValueError(f"start state {start} out of range")
@@ -184,7 +187,11 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
     table: dict[tuple[int, str], int] = {}
     for state_key, row in _object(doc.get("transitions"), "transitions").items():
         q = int(state_key)
+        if not (1 <= q <= n):
+            raise ValueError(f"transitions row for state {q} out of range")
         for sym, target in _object(row, "each transitions row").items():
+            if sym not in alphabet:
+                raise ValueError(f"transition on {sym!r} at state {q}: not in the alphabet")
             table[(q, sym)] = _integer(target, "each transition target")
     for q in range(1, n + 1):
         for sym in alphabet:

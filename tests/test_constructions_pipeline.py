@@ -81,8 +81,7 @@ def test_extension_final_vector_formula_on_coin():
 
 def test_extension_flags_exactly_value_half():
     rng = Random(23)
-    for _ in range(6):
-        p = random_pfa(rng, 2)
+    for p in [random_pfa(rng, 2) for _ in range(6)] + _larger_pfas()[:2]:
         e = extend_pfa(p)
         for w in words_up_to(p.sigma, 5):
             f = pfa_accept_prob(p, w)

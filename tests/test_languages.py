@@ -177,6 +177,7 @@ def test_dfa_oracle_requires_total_table():
         dfa_oracle(doc)
 
 
+DROP = object()  # a change that removes the field
 DFA_DOC = {
     "alphabet": ["a", "b"],
     "n": 1,
@@ -198,11 +199,21 @@ DFA_DOC = {
         ({"transitions": [{"a": 1}]}, "transitions must be an object"),
         ({"transitions": {"1": [1]}}, "each transitions row must be an object"),
         (None, "dfa document must be an object"),
+        ({"accepting": DROP}, "missing field 'accepting'"),
+        ({"transitions": {"1": {"a": 1, "b": 1}, "9": {"a": 1}}}, "state 9 out of range"),
+        ({"transitions": {"1": {"a": 1, "b": 1}, "0": {"a": 1, "b": 1}}}, "state 0 out of range"),
+        ({"transitions": {"1": {"a": 1, "b": 1, "c": 1}}}, "'c' at state 1: not in the alphabet"),
+        ({"alphabet": ["a"], "transitions": {"1": {"a": 1, "c": 5}, "9": {"a": 1}}},
+         "'c' at state 1: not in the alphabet"),
     ],
 )
 def test_dfa_oracle_checks_its_document(change, message):
     """Called from the library, a string alphabet or a float state index is
-    refused, not read as characters or truncated."""
-    doc = [DFA_DOC] if change is None else {**DFA_DOC, **change}
+    refused, not read as characters or truncated; a missing accepting set,
+    a row for a state outside 1..n and an entry for a symbol outside the
+    alphabet are refused, not ignored."""
+    doc = [DFA_DOC] if change is None else {
+        key: value for key, value in {**DFA_DOC, **change}.items() if value is not DROP
+    }
     with pytest.raises(ValueError, match=message):
         dfa_oracle(doc)

@@ -3,17 +3,20 @@
 Each machine is evaluated twice: through ``automata`` (``enumerate_values``,
 ``acceptance_value``, ``kwqfa_run``, ``state_vector``) and through a fold
 written here with ``numeric``'s ``RowVec @ Matrix`` and ``Matrix @ ColVec``
-products.  Rational results must be equal, float results within 1e-12.
+products.  Rational results must be equal, float results within 1e-12, and
+exactly equal where every entry is dyadic, so the fold rounds nothing.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from operator import add, mul
 from random import Random
 
 import pytest
 
 from helpers import random_gpfa, random_pfa
-from qfalab import numeric
+from qfalab import automata, numeric
 from qfalab.automata import (
     CENT,
     DOLLAR,
@@ -76,7 +79,28 @@ def machines():
             acc = random_states(rng, n)
             rej = random_states(rng, n) - acc
             out.append(Kwqfa(n, SIGMA, trans, acc, rej))
-    return out
+    return out + zero_line_machines()
+
+
+def zero_line_machines():
+    """Float machines whose lowered matrices have all-zero lines and
+    columns and negative zeros, all with dyadic entries."""
+    z = -0.0
+    swap = Matrix.floats([[0.0, -1.0, z], [1.0, z, 0.0], [z, 0.0, 1.0]])
+    flip = Matrix.floats([[z, 1.0, 0.0], [-1.0, 0.0, z], [0.0, z, -1.0]])
+    sparse = Matrix.floats([[0.5, z, 0.0], [0.0, 0.0, 0.0], [-2.0, z, 0.25]])
+    nothing = Matrix.floats([[z, 0.0], [0.0, z]])
+    return [
+        Gpfa(3, SIGMA, {"a": sparse, "b": swap}, RowVec([1.0, z, z], FLOAT),
+             ColVec([z, 0.0, 1.0], FLOAT)),
+        # A zero final vector lowers to one all-zero line.
+        Gpfa(2, SIGMA, {"a": nothing, "b": Matrix.identity(2, FLOAT)},
+             RowVec([1.0, z], FLOAT), ColVec([0.0, z], FLOAT)),
+        # State 3 accepts, and swap never reaches it from the live states,
+        # so its lowered line for "a" is all zero.
+        Kwqfa(3, SIGMA, {"a": swap, "b": flip}, {3}, set()),
+        Mcqfa(3, SIGMA, {"a": swap, "b": flip}, {2}),
+    ]
 
 
 def reference_run(m, word):
@@ -142,6 +166,55 @@ def test_kernels_match_an_independent_vector_fold(m):
                     assert_close(x, y, m.kind)
 
 
+@pytest.mark.parametrize("m", zero_line_machines(),
+                         ids=lambda m: f"{type(m).__name__}-{m.n}")
+def test_zero_lines_give_the_fold_value_exactly(m):
+    """Dyadic entries make the vector fold exact, so skipping zero entries
+    must give the same values and vectors, and an all-zero line a float
+    0.0; ``repr`` tells 0.0 from -0.0, which a product never gives."""
+    init, advance, _ = stepper(m)
+    for word, value in enumerate_values(m, 3):
+        want, vectors, _ = reference_run(m, word)
+        assert type(value) is float and value == want and repr(value) == repr(want)
+        if word or not isinstance(m, Gpfa):  # a Gpfa's first vector is v0, no product
+            got = state_vector(m, reduce(advance, word, init))
+            assert repr(got) == repr(vectors[len(word)])
+
+
+def test_a_long_line_lowers_to_a_left_to_right_sum():
+    """5,000 terms: more than one generated statement can add."""
+    rng = Random(5000)
+    line = [rng.uniform(0.5, 1.0) * rng.choice((1, -1)) for _ in range(5000)]
+    vec = tuple(rng.uniform(-1.0, 1.0) for _ in range(5000))
+    (got,) = automata._Float.lower([line])(vec)
+    assert got == reduce(add, map(mul, vec, line))
+    assert abs(got - sum(map(mul, vec, line))) <= 1e-9
+
+
+def _hash_or_error(m):
+    try:
+        return hash(m)
+    except TypeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("m", [random_pfa(Random(1), 3)] + zero_line_machines(),
+                         ids=lambda m: f"{type(m).__name__}-{m.kind}-{m.n}")
+def test_lowered_tables_stay_on_the_machine(monkeypatch, m):
+    """The first evaluation lowers the matrices once; later steppers reuse
+    them, and the machine still equals, hashes and prints like a fresh copy."""
+    calls = []
+    lower = automata._lower
+    monkeypatch.setattr(automata, "_lower", lambda machine: calls.append(1) or lower(machine))
+    fresh = replace(m)
+    for word in ("", "a", "ab", "ba"):
+        acceptance_value(fresh, word)
+    list(enumerate_values(fresh, 2))
+    assert len(calls) == 1
+    assert fresh == m and repr(fresh) == repr(m)
+    assert _hash_or_error(fresh) == _hash_or_error(m)
+
+
 def test_float_gpfa_overflow_raises():
     big = Matrix.floats([[1e200]])
     g = Gpfa(1, ("a",), {"a": big}, RowVec([1e200], FLOAT), ColVec([1.0], FLOAT))
@@ -150,17 +223,29 @@ def test_float_gpfa_overflow_raises():
         acceptance_value(g, "a")
     with pytest.raises(ValueError, match="non-finite float entry"):
         list(enumerate_values(g, 1))
+    # The overflow in a later line of a matrix with an all-zero line.
+    big = Matrix.floats([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e200, 0.0, 1e200]])
+    g = Gpfa(3, ("a",), {"a": big}, RowVec([1.0, 0.0, 1e200], FLOAT),
+             ColVec([1.0, 1.0, 1.0], FLOAT))
+    assert acceptance_value(g, "") == 1.0 + 1e200
+    with pytest.raises(ValueError, match="non-finite float entry inf"):
+        acceptance_value(g, "a")
 
 
 @pytest.mark.parametrize("kind", [RATIONAL, FLOAT])
 def test_kwqfa_halting_bound_holds_on_every_path(monkeypatch, kind):
-    """A scaled rotation passes the orthogonality check at tolerance 0.2; the
-    live norm shrinks every step while the accepted mass passes 1.2 on "aaa"."""
+    """A scaled rotation passes the float orthogonality check at tolerance
+    0.2; the live norm shrinks every step while the accepted mass passes 1.2
+    on "aaa".  A rational machine must be orthogonal exactly, so the rational
+    rotation is refused at construction."""
     monkeypatch.setattr(numeric, "EPSILON", 0.2)
     k = Fraction(109, 100)
     grow = Matrix.rational([[k * 3 / 5, -k * 4 / 5], [k * 4 / 5, k * 3 / 5]])
-    grow = grow if kind == RATIONAL else grow.to_float()
-    m = Kwqfa(2, ("a",), {"a": grow}, {2}, set())
+    if kind == RATIONAL:
+        with pytest.raises(ValueError, match="orthogonality tolerance 0"):
+            Kwqfa(2, ("a",), {"a": grow}, {2}, set())
+        return
+    m = Kwqfa(2, ("a",), {"a": grow.to_float()}, {2}, set())
     assert acceptance_value(m, "aa") > 1
     message = "halting probabilities exceed 1"
     with pytest.raises(ValueError, match=message):

@@ -91,12 +91,16 @@ def _rational_kwqfa() -> Kwqfa:
 
 
 def test_every_kwqfa_path_enforces_the_run_bounds(monkeypatch):
-    """A non-unitary matrix passes the orthogonality check at a loose
+    """A non-unitary float matrix passes the orthogonality check at a loose
     tolerance; its state norm grows past 1 + EPSILON on "aa", and every
-    evaluation path must refuse that word the same way."""
+    evaluation path must refuse that word the same way.  The same matrix in
+    rationals is refused at construction: rational machines must be
+    orthogonal exactly."""
     monkeypatch.setattr(numeric, "EPSILON", 0.2)
     grow = Matrix.rational([[Fraction(21, 20), 0], [0, 1]])
-    m = Kwqfa(2, ("a",), {"a": grow}, {2}, set())
+    with pytest.raises(ValueError, match="orthogonality tolerance 0"):
+        Kwqfa(2, ("a",), {"a": grow}, {2}, set())
+    m = Kwqfa(2, ("a",), {"a": grow.to_float()}, {2}, set())
     assert acceptance_value(m, "a") == 0
     message = "state vector norm exceeds 1"
     with pytest.raises(ValueError, match=message):
