@@ -120,7 +120,8 @@ def _check_trans(
     # Constructions that do not care about the end-markers may omit them.
     kind = next(iter(table.values())).kind if table else RATIONAL
     for marker in markers:
-        table.setdefault(marker, Matrix.identity(n, kind))
+        if marker not in table:
+            table[marker] = Matrix.identity(n, kind)
     expected = set(sigma + markers)
     got = set(table)
     if got != expected:
@@ -153,7 +154,8 @@ class _Machine:
 
     n: int
     sigma: tuple[str, ...]
-    trans: Mapping[str, Matrix]
+    # Compared, but left out of the hash: the checked table is a plain dict.
+    trans: Mapping[str, Matrix] = field(hash=False)
 
     def _check_fields(self, markers: tuple[str, ...]) -> dict[str, Matrix]:
         """Check the state count, alphabet and table; a kind with end-markers
@@ -376,7 +378,9 @@ class _Float:
                   f"    return ({''.join(row + ', ' for row in rows)})\n")
         namespace = {"c": tuple(consts)}
         exec(source, namespace)
-        return namespace["kernel"]
+        # Popped: left in its own globals, the kernel would be in a cycle
+        # and outlive its machine until the cycle collector ran.
+        return namespace.pop("kernel")
 
     vector = staticmethod(tuple)
 

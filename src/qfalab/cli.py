@@ -11,6 +11,7 @@ counterexample, 2 for usage and validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -85,19 +86,33 @@ def _encode_scalar(x: Scalar):
     return x
 
 
-def _decode_scalar(raw, kind: str, where: str) -> Scalar:
+def _decode_scalar(raw, kind: str) -> Scalar:
     if kind == RATIONAL:
         if isinstance(raw, bool) or isinstance(raw, float):
-            raise DocumentError(f"{where}: rational documents need integer or p/q entries")
+            raise DocumentError("rational documents need integer or p/q entries")
         try:
             return parse_rational(raw)
         except ValueError as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
+            raise DocumentError(str(exc)) from exc
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise DocumentError(f"{where}: float documents need numeric entries")
+        raise DocumentError("float documents need numeric entries")
     if not abs(raw) <= sys.float_info.max:  # NaN, infinities, integers past the float range
-        raise DocumentError(f"{where}: float entries must be finite, got {raw!r}")
+        raise DocumentError(f"float entries must be finite, got {raw!r}")
     return float(raw)
+
+
+def _decode_entries(raw: list, kind: str, where: str) -> list:
+    """Decode one matrix row or vector; an entry's position is spelled out
+    only when it fails."""
+    if kind == FLOAT and set(map(type, raw)) == {float} and all(map(math.isfinite, raw)):
+        return raw  # finite JSON floats need no conversion
+    out = []
+    for j, v in enumerate(raw, 1):
+        try:
+            out.append(_decode_scalar(v, kind))
+        except DocumentError as exc:
+            raise DocumentError(f"{where}[{j}]: {exc}") from exc
+    return out
 
 
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
@@ -131,16 +146,15 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
 
 
 def _matrix_to_doc(m: Matrix):
-    return [[_encode_scalar(v) for v in row] for row in m.entries]
+    if m.kind == FLOAT:
+        return [list(row) for row in m.entries]
+    return [[format_scalar(v) for v in row] for row in m.entries]
 
 
 def _matrix_from_doc(raw, kind: str, where: str) -> Matrix:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise DocumentError(f"{where}: matrix must be a nonempty list of rows")
-    rows = [
-        [_decode_scalar(v, kind, f"{where}[{i + 1}][{j + 1}]") for j, v in enumerate(row)]
-        for i, row in enumerate(raw)
-    ]
+    rows = [_decode_entries(row, kind, f"{where}[{i}]") for i, row in enumerate(raw, 1)]
     try:
         return Matrix(rows, kind)
     except ValueError as exc:
@@ -150,7 +164,7 @@ def _matrix_from_doc(raw, kind: str, where: str) -> Matrix:
 def _vector_from_doc(raw, kind: str, where: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise DocumentError(f"{where}: vector must be a nonempty list")
-    return [_decode_scalar(v, kind, f"{where}[{i + 1}]") for i, v in enumerate(raw)]
+    return _decode_entries(raw, kind, where)
 
 
 def _object(raw, what: str) -> Mapping:
@@ -217,8 +231,23 @@ def machine_to_doc(machine: Machine) -> dict:
     return doc
 
 
+def _write_document(doc: Mapping) -> str:
+    """Document text with one top-level field per line, except that an object
+    field (the matrices) gets one line per entry; every piece is written by
+    ``json.dumps`` at its default settings."""
+    def field(key, value) -> str:
+        if isinstance(value, Mapping):
+            entries = ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in value.items())
+            value_text = "{\n" + entries + "\n  }"
+        else:
+            value_text = json.dumps(value)
+        return f"  {json.dumps(key)}: {value_text}"
+
+    return "{\n" + ",\n".join(field(k, v) for k, v in doc.items()) + "\n}\n"
+
+
 def serialize_machine(machine: Machine) -> str:
-    return json.dumps(machine_to_doc(machine), indent=2) + "\n"
+    return _write_document(machine_to_doc(machine))
 
 
 _CONVENTIONS = {"pfa": "row", "gpfa": "row", "kwqfa": "column", "mcqfa": "column"}
@@ -480,14 +509,14 @@ def _cmd_build(args) -> int:
     if args.operation == "extend":
         infile = _require(args.infile, "--in", "extend")
         extended = extend_pfa(_expect(load_machine(infile), Pfa, "extend"))
-        Path(args.out).write_text(json.dumps(extended_to_doc(extended), indent=2) + "\n")
+        Path(args.out).write_text(_write_document(extended_to_doc(extended)))
         _emit({"written": args.out, "states": extended.n_plus_3}, args.json)
         return 0
     if args.operation == "complete":
         infile = _require(args.infile, "--in", "complete")
         extended = extended_from_doc(json.loads(Path(infile).read_text()))
         completed = unitary_complete(extended)
-        Path(args.out).write_text(json.dumps(completion_to_doc(completed), indent=2) + "\n")
+        Path(args.out).write_text(_write_document(completion_to_doc(completed)))
         _emit({"written": args.out, "dimension": completed.unitaries[CENT].rows}, args.json)
         return 0
     machine = _build_machine(args)
@@ -532,7 +561,9 @@ def _cmd_demo(args) -> int:
 # Argument parsing
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process from constants."""
     parser = argparse.ArgumentParser(
         prog="qfalab",
         description="Stochastic/quantum finite automata workbench",

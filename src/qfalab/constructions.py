@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .automata import (
@@ -239,8 +240,10 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
 
 
 def _weighted_gram(rows: Sequence[Sequence[float]], weights: Sequence[float]) -> list[list[float]]:
-    """``R diag(weights) R^T`` for the float matrix ``R`` with the given rows."""
-    return [[sum(x * w * y for x, w, y in zip(r, weights, s)) for s in rows] for r in rows]
+    """``R diag(weights) R^T`` for the float matrix ``R`` with the given rows;
+    each entry sums ``(x * w) * y`` left to right."""
+    weighted = [list(map(mul, r, weights)) for r in rows]
+    return [[sum(map(mul, rw, s)) for s in rows] for rw in weighted]
 
 
 def _complete_one(block: Matrix) -> tuple[Matrix, float]:
@@ -259,7 +262,8 @@ def _complete_one(block: Matrix) -> tuple[Matrix, float]:
     scale = 1.0 / math.sqrt(max(1.0, max(lam)))
     c = [math.sqrt(max(0.0, 1.0 - scale * scale * x)) for x in lam]
     t = [[scale * x for x in row] for row in a]
-    tv = [[sum(x * y for x, y in zip(row, col)) for col in zip(*v)] for row in t]
+    v_cols = list(zip(*v))
+    tv = [[sum(map(mul, row, col)) for col in v_cols] for row in t]
     x_root = _weighted_gram(tv, [1.0 / (1.0 + ck) for ck in c])
     y_root = _weighted_gram(v, c)
     rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] for i in range(size)]

@@ -162,14 +162,27 @@ def _object(raw, what: str) -> Mapping:
     return raw
 
 
+def _state_key(key) -> int:
+    """A transitions key: a state number in canonical decimal, such as ``"3"``
+    (not ``" 3"``, ``"+3"`` or ``"03"``)."""
+    try:
+        q = int(key)
+    except (TypeError, ValueError):
+        q = None
+    if q is None or str(q) != key:
+        raise ValueError(f"transitions key {key!r} must be a state number in decimal")
+    return q
+
+
 def dfa_oracle(doc: Mapping) -> LanguageOracle:
     """Oracle from a deterministic automaton description.
 
     ``doc`` carries an ``alphabet`` (a list of strings), state count ``n``,
-    ``start``, ``accepting`` and a total ``transitions`` table mapping each
-    state (as a string key) to a symbol -> state map.  1-based state indices
-    throughout, each a plain integer; a row for a state outside 1..n or an
-    entry for a symbol outside the alphabet is an error.
+    ``start``, ``accepting`` (a list) and a total ``transitions`` table
+    mapping each state, keyed by its number in canonical decimal, to a
+    symbol -> state map.  1-based state indices throughout, each a plain
+    integer; a row for a state outside 1..n or an entry for a symbol outside
+    the alphabet is an error.
     """
     alphabet = _object(doc, "dfa document").get("alphabet")
     if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
@@ -179,6 +192,8 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
     start = _integer(doc.get("start", 1), "start")
     if "accepting" not in doc:
         raise ValueError("missing field 'accepting'")
+    if not isinstance(doc["accepting"], list):
+        raise ValueError(f"accepting must be a list of integers, got {doc['accepting']!r}")
     accepting = frozenset(_integer(q, "each accepting state") for q in doc["accepting"])
     if not (1 <= start <= n):
         raise ValueError(f"start state {start} out of range")
@@ -186,7 +201,7 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
         raise ValueError("accepting state out of range")
     table: dict[tuple[int, str], int] = {}
     for state_key, row in _object(doc.get("transitions"), "transitions").items():
-        q = int(state_key)
+        q = _state_key(state_key)
         if not (1 <= q <= n):
             raise ValueError(f"transitions row for state {q} out of range")
         for sym, target in _object(row, "each transitions row").items():

@@ -35,6 +35,10 @@ class KindMismatchError(TypeError):
 
 
 def scalar_kind(x: Scalar) -> str:
+    # A plain float first: ``Fraction`` is a ``numbers.Rational``, so
+    # ``isinstance(x, Fraction)`` goes through ``ABCMeta`` for a float.
+    if type(x) is float:
+        return FLOAT
     if isinstance(x, Fraction):
         return RATIONAL
     if isinstance(x, float):
@@ -99,6 +103,14 @@ def coerce_scalar(value, kind: str) -> Scalar:
 
 
 def _coerce(value, kind: str):
+    # The common cases by exact type first (see ``scalar_kind``); anything
+    # else, subclasses and non-finite floats included, takes the general
+    # checks below.
+    t = type(value)
+    if t is float and kind == FLOAT and math.isfinite(value):
+        return value
+    if t is Fraction and kind == RATIONAL:
+        return value
     if kind == RATIONAL:
         if isinstance(value, float):
             raise KindMismatchError(

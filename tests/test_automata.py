@@ -16,13 +16,14 @@ from qfalab.automata import (
     Kwqfa,
     Mcqfa,
     Pfa,
+    enumerate_values,
     gpfa_value,
     kwqfa_run,
     mcqfa_accept_prob,
     pfa_accept_prob,
 )
-from qfalab.constructions import coin_pfa, pfa_to_nqfa, rotation_mcqfa
-from qfalab.numeric import ColVec, Matrix, RowVec
+from qfalab.constructions import coin_pfa, pfa_to_nqfa, rotation_mcqfa, word_problem_gpfa
+from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec
 
 
 def test_pfa_always_accepting_single_state():
@@ -130,6 +131,41 @@ def test_marker_matrices_default_to_identity():
     p = Pfa(1, ("a",), {"a": Matrix.identity(1)}, frozenset({1}))
     assert p.trans[CENT] == Matrix.identity(1)
     assert p.trans[DOLLAR] == Matrix.identity(1)
+
+
+def test_identities_are_built_only_for_omitted_markers(monkeypatch):
+    nqfa, coin = pfa_to_nqfa(coin_pfa()), coin_pfa()
+    calls = []
+    identity = Matrix.identity.__func__
+
+    def counted(cls, n, kind=RATIONAL):
+        calls.append(n)
+        return identity(cls, n, kind)
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(counted))
+    Kwqfa(nqfa.n, nqfa.sigma, nqfa.trans, nqfa.q_acc, nqfa.q_rej)
+    Pfa(2, ("a",), coin.trans, frozenset({2}))
+    assert calls == []
+    p = Pfa(2, ("a",), {"a": coin.trans["a"]}, frozenset({2}))
+    assert calls == [2, 2]
+    assert p.trans[CENT] == p.trans[DOLLAR] == identity(Matrix, 2, RATIONAL)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [coin_pfa, lambda: word_problem_gpfa(2), lambda: pfa_to_nqfa(coin_pfa()),
+     lambda: rotation_mcqfa(3)],
+    ids=["pfa", "gpfa", "kwqfa", "mcqfa"],
+)
+def test_machines_are_hashable(make):
+    machine, twin = make(), make()
+    assert machine == twin and hash(machine) == hash(twin)
+    list(enumerate_values(machine, 2))  # keeps the lowered tables on the machine
+    assert hash(machine) == hash(twin)
+    assert {machine, twin} == {twin}
+    assert {machine: "first"}[twin] == "first"
+    other = Pfa(2, ("a",), coin_pfa().trans, frozenset({1}))
+    assert other != coin_pfa() and len({other, coin_pfa()}) == 2
 
 
 def test_pfa_probabilities_stay_in_unit_interval():

@@ -2,15 +2,18 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qfalab.automata import Kwqfa, Mcqfa, Pfa
+from qfalab.automata import Gpfa, Kwqfa, Mcqfa, Pfa
 from qfalab.cli import (
     DocumentError,
+    _make_parser,
     extended_to_doc,
     load_machine,
     machine_from_doc,
+    machine_to_doc,
     main,
     parse_document,
     parse_word,
@@ -24,6 +27,7 @@ from qfalab.constructions import (
     rotation_mcqfa,
     word_problem_gpfa,
 )
+from qfalab.numeric import FLOAT, ColVec, Matrix, RowVec
 
 MINIMAL_PFA = {
     "kind": "pfa",
@@ -93,6 +97,29 @@ def test_convention_field_is_checked():
         machine_from_doc(doc)
 
 
+def _rational_rotation(n: int) -> Matrix:
+    """The 3-4-5 rotation on states 1 and 2, the identity on the rest."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows[0][:2] = [Fraction(3, 5), Fraction(-4, 5)]
+    rows[1][:2] = [Fraction(4, 5), Fraction(3, 5)]
+    return Matrix.rational(rows)
+
+
+def _assert_document_layout(text: str, doc: dict) -> None:
+    """One line per top-level field, one per matrix, plus the braces."""
+    maps = [value for value in doc.values() if isinstance(value, dict)]
+    lines = text.splitlines()
+    assert len(lines) == 2 + len(doc) + sum(len(m) + 1 for m in maps)
+    bodies = {line.rstrip(",") for line in lines}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            assert f"  {json.dumps(key)}: {{" in bodies
+            for name, matrix in value.items():
+                assert f"    {json.dumps(name)}: {json.dumps(matrix)}" in bodies
+        else:
+            assert f"  {json.dumps(key)}: {json.dumps(value)}" in bodies
+
+
 @pytest.mark.parametrize(
     "machine",
     [
@@ -101,14 +128,49 @@ def test_convention_field_is_checked():
         neq_mcqfa(),
         word_problem_gpfa(2),
         pfa_to_nqfa(coin_pfa()),
+        Gpfa(
+            2, ("a", "b"),
+            {"a": Matrix.floats([[0.5, -0.0], [0.1, 1.0]]),
+             "b": Matrix.floats([[0.0, 2.5], [1e-300, 3.0]])},
+            RowVec([1.0, 0.0], FLOAT), ColVec([0.25, 1.0], FLOAT),
+        ),
+        Kwqfa(3, ("a",), {"a": _rational_rotation(3)}, frozenset({2}), frozenset({3})),
+        Mcqfa(2, ("a",), {"a": _rational_rotation(2)}, frozenset({2})),
     ],
-    ids=["pfa", "rot", "neq", "wp", "nqfa"],
+    ids=["pfa", "rot", "neq", "wp", "nqfa", "gpfa-float", "kwqfa-rational", "mcqfa-rational"],
 )
 def test_round_trip_identity(machine):
     text = serialize_machine(machine)
     again = parse_document(text)
     assert again == machine
     assert serialize_machine(again) == text
+    doc = machine_to_doc(machine)
+    assert json.loads(text) == doc
+    _assert_document_layout(text, doc)
+
+
+def test_pipeline_stage_documents_use_the_same_layout(tmp_path):
+    pfa, extended, completed = (tmp_path / f"{n}.json" for n in ("pfa", "ext", "done"))
+    pfa.write_text(serialize_machine(coin_pfa()))
+    assert main(["build", "extend", "--in", str(pfa), "--out", str(extended)]) == 0
+    assert main(["build", "complete", "--in", str(extended), "--out", str(completed)]) == 0
+    ext_text = extended.read_text()
+    assert json.loads(ext_text) == extended_to_doc(extend_pfa(coin_pfa()))
+    _assert_document_layout(ext_text, json.loads(ext_text))
+    done_text = completed.read_text()
+    assert json.loads(done_text)["kind"] == "completion"
+    _assert_document_layout(done_text, json.loads(done_text))
+
+
+def test_readme_example_is_what_save_machine_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Machine documents", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert example == serialize_machine(coin_pfa())
+
+
+def test_argument_parser_is_built_once():
+    assert _make_parser() is _make_parser()
 
 
 def test_parse_word_forms():
@@ -561,6 +623,7 @@ def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, cha
         ({"start": 1.0}, "start must be an integer"),
         ({"accepting": [1.5]}, "each accepting state must be an integer"),
         ({"transitions": {"1": {"a": 1.0}}}, "each transition target must be an integer"),
+        ({"transitions": {"01": {"a": 1}}}, "transitions key '01' must be a state number"),
     ],
 )
 def test_dfa_oracle_fields_are_type_checked(demo_dir, tmp_path, capsys, change, message):

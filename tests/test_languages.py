@@ -205,6 +205,10 @@ DFA_DOC = {
         ({"transitions": {"1": {"a": 1, "b": 1, "c": 1}}}, "'c' at state 1: not in the alphabet"),
         ({"alphabet": ["a"], "transitions": {"1": {"a": 1, "c": 5}, "9": {"a": 1}}},
          "'c' at state 1: not in the alphabet"),
+        ({"accepting": 1}, "accepting must be a list of integers"),
+        ({"transitions": {"x": {"a": 1, "b": 1}}}, "transitions key 'x' must be a state number"),
+        ({"transitions": {" +1 ": {"a": 1, "b": 1}}},
+         "transitions key ' \\+1 ' must be a state number"),
     ],
 )
 def test_dfa_oracle_checks_its_document(change, message):

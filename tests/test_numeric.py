@@ -22,6 +22,7 @@ from qfalab.numeric import (
     mat_add,
     mat_mul,
     parse_rational,
+    scalar_kind,
 )
 
 rationals = st.fractions(
@@ -178,3 +179,31 @@ def test_float_containers_reject_integers_past_the_float_range(big):
 def test_nan_tolerance_never_passes_orthogonality():
     assert is_unitary_within(Matrix.identity(2, FLOAT), 1e-9)
     assert not is_unitary_within(Matrix.identity(2, FLOAT), math.nan)
+
+
+def test_exact_type_coercion_keeps_the_general_rules():
+    """Plain floats and Fractions take a shortcut by exact type; cross-kind
+    refusals, -0.0, bools and subclasses behave as the general checks say
+    (non-finite floats: see ``test_float_containers_reject_non_finite_entries``)."""
+    with pytest.raises(KindMismatchError):
+        Matrix.floats([[0.5, Fraction(1, 2)]])
+    with pytest.raises(KindMismatchError):
+        Matrix.rational([[Fraction(1, 2), 0.5]])
+    negative_zero = Matrix.floats([[-0.0]])[0, 0]
+    assert negative_zero == 0 and math.copysign(1.0, negative_zero) == -1.0
+    assert [type(v) for v in Matrix.floats([[True, 0]]).entries[0]] == [float, float]
+    assert Matrix.floats([[True, 0]]).entries == ((1.0, 0.0),)
+    assert Matrix.rational([[True, False]]).entries == ((Fraction(1), Fraction(0)),)
+
+    class Half(Fraction):
+        pass
+
+    class Wide(float):
+        pass
+
+    assert type(Matrix.rational([[Half(1, 2)]])[0, 0]) is Fraction
+    assert type(Matrix.floats([[Wide(0.5)]])[0, 0]) is float
+    assert scalar_kind(Half(1, 2)) == RATIONAL and scalar_kind(Wide(0.5)) == FLOAT
+    assert scalar_kind(Fraction(1, 2)) == RATIONAL and scalar_kind(0.5) == FLOAT
+    with pytest.raises(TypeError):
+        scalar_kind(1)
