@@ -79,8 +79,6 @@ def as_word(w: WordLike) -> Word:
     A plain ``str`` is split into characters, so multi-character symbols
     (e.g. free-group generators ``g1``) must be passed as a sequence.
     """
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
 
 
@@ -419,11 +417,28 @@ def _live_states(m: Kwqfa) -> list[int]:
     return [i for i in range(m.n) if i + 1 not in halting]
 
 
+class _Tables(dict):
+    """Symbol -> lowered matrix, each lowered when a step first reads its
+    symbol; after that a step is one dict lookup.  ``lower_one`` must not
+    reference the machine, or the tables would hold it in a cycle."""
+
+    __slots__ = ("_lower_one",)
+
+    def __init__(self, lower_one):
+        super().__init__()
+        self._lower_one = lower_one
+
+    def __missing__(self, sym):
+        table = self[sym] = self._lower_one(sym)
+        return table
+
+
 def _lower(machine: Machine):
     """The tables ``stepper`` steps with, as ``(table, start, final)``: each
-    symbol's matrix lowered for the machine's kind, the start vector, and the
-    lowered read-out (``None`` for a measure-every-step machine, whose value
-    is its accepted mass).  ``_Machine._lowered`` keeps them on the machine."""
+    symbol's matrix lowered for the machine's kind (on first use, see
+    ``_Tables``), the start vector, and the lowered read-out (``None`` for a
+    measure-every-step machine, whose value is its accepted mass).
+    ``_Machine._lowered`` keeps them on the machine."""
     ops = _Exact if machine.kind == RATIONAL else _Float
     lower, trans = ops.lower, machine.trans
 
@@ -432,23 +447,25 @@ def _lower(machine: Machine):
         # the output at two points; columns are the live states only.
         live = _live_states(machine)
         order = live + [q - 1 for q in machine.q_acc] + [q - 1 for q in machine.q_rej]
-        table = {
-            sym: lower([m.entries[j][i] for i in live] for j in order)
-            for sym, m in trans.items()
-        }
+
+        def lower_one(sym):
+            rows = trans[sym].entries
+            return lower([rows[j][i] for i in live] for j in order)
+
+        table = _Tables(lower_one)
         first = trans[CENT].entries
         return table, ops.vector(first[j][0] for j in order), None
 
     if isinstance(machine, Mcqfa):
         # Column convention: entry j of U @ v is U's row j times v, and the
         # start state 1 makes the first step U_CENT's column 1.
-        table = {sym: lower(m.entries) for sym, m in trans.items()}
+        table = _Tables(lambda sym: lower(trans[sym].entries))
         start = [row[0] for row in trans[CENT].entries]
         final = lower(trans[DOLLAR].entries[q - 1] for q in machine.accepting)
         return table, ops.vector(start), final
 
     # Row convention: entry j of v @ A is v times A's column j.
-    table = {sym: lower(zip(*m.entries)) for sym, m in trans.items()}
+    table = _Tables(lambda sym: lower(zip(*trans[sym].entries)))
     if isinstance(machine, Gpfa):
         start, final = machine.v0.entries, lower([machine.f.entries])
     else:
@@ -470,7 +487,8 @@ def stepper(machine: Machine):
     over these three.
 
     States are plain Python scalars, and every matrix is lowered once per
-    machine, on its first evaluation; the lowered tables stay on the machine
+    machine, when a step first reads its symbol (the read-out on the
+    machine's first evaluation); the lowered tables stay on the machine
     (``_Machine._lowered``), so a later call reuses them.  A rational vector
     is ``(numerators, denominator)``: integers in lowest terms, and each step
     multiplies by a matrix's integer lines and common denominator, then

@@ -101,17 +101,23 @@ def _decode_scalar(raw, kind: str) -> Scalar:
     return float(raw)
 
 
-def _decode_entries(raw: list, kind: str, where: str) -> list:
+def _decode_entries(raw: list, kind: str, where: str, literals: dict) -> list:
     """Decode one matrix row or vector; an entry's position is spelled out
-    only when it fails."""
+    only when it fails.  ``literals`` holds the strings one document has
+    decoded so far, so each distinct ``p/q`` is parsed once per document."""
     if kind == FLOAT and set(map(type, raw)) == {float} and all(map(math.isfinite, raw)):
         return raw  # finite JSON floats need no conversion
     out = []
     for j, v in enumerate(raw, 1):
-        try:
-            out.append(_decode_scalar(v, kind))
-        except DocumentError as exc:
-            raise DocumentError(f"{where}[{j}]: {exc}") from exc
+        x = literals.get(v) if type(v) is str else None
+        if x is None:
+            try:
+                x = _decode_scalar(v, kind)
+            except DocumentError as exc:
+                raise DocumentError(f"{where}[{j}]: {exc}") from exc
+            if type(v) is str:
+                literals[v] = x
+        out.append(x)
     return out
 
 
@@ -151,20 +157,20 @@ def _matrix_to_doc(m: Matrix):
     return [[format_scalar(v) for v in row] for row in m.entries]
 
 
-def _matrix_from_doc(raw, kind: str, where: str) -> Matrix:
+def _matrix_from_doc(raw, kind: str, where: str, literals: dict) -> Matrix:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise DocumentError(f"{where}: matrix must be a nonempty list of rows")
-    rows = [_decode_entries(row, kind, f"{where}[{i}]") for i, row in enumerate(raw, 1)]
+    rows = [_decode_entries(row, kind, f"{where}[{i}]", literals) for i, row in enumerate(raw, 1)]
     try:
         return Matrix(rows, kind)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def _vector_from_doc(raw, kind: str, where: str) -> list:
+def _vector_from_doc(raw, kind: str, where: str, literals: dict) -> list:
     if not isinstance(raw, list) or not raw:
         raise DocumentError(f"{where}: vector must be a nonempty list")
-    return _decode_entries(raw, kind, where)
+    return _decode_entries(raw, kind, where, literals)
 
 
 def _object(raw, what: str) -> Mapping:
@@ -185,7 +191,9 @@ def _integer(raw, what: str) -> int:
     return raw
 
 
-def _machine_fields(doc: Mapping, count: str, scalar: str) -> tuple[tuple[str, ...], int, dict]:
+def _machine_fields(
+    doc: Mapping, count: str, scalar: str, literals: dict
+) -> tuple[tuple[str, ...], int, dict]:
     """Alphabet, state count and matrices, shared by machine and extended documents."""
     try:
         alphabet, n, raw_matrices = doc["alphabet"], doc[count], doc["matrices"]
@@ -193,7 +201,7 @@ def _machine_fields(doc: Mapping, count: str, scalar: str) -> tuple[tuple[str, .
         raise DocumentError(f"missing field {exc.args[0]!r}") from exc
     alphabet, n = _strings(alphabet, "alphabet"), _integer(n, count)
     trans = {
-        _key_symbol(key): _matrix_from_doc(raw, scalar, f"matrix {key!r}")
+        _key_symbol(key): _matrix_from_doc(raw, scalar, f"matrix {key!r}", literals)
         for key, raw in _object(raw_matrices, "matrices").items()
     }
     return alphabet, n, trans
@@ -265,7 +273,8 @@ def machine_from_doc(doc: Mapping) -> Machine:
         raise DocumentError(
             f"{kind_name} documents use the {_CONVENTIONS[kind_name]} convention, not {conv!r}"
         )
-    alphabet, n, trans = _machine_fields(doc, "n", scalar)
+    literals: dict = {}
+    alphabet, n, trans = _machine_fields(doc, "n", scalar, literals)
     try:
         if kind_name == "pfa":
             return Pfa(n, alphabet, trans, frozenset(doc.get("accepting", ())))
@@ -279,8 +288,8 @@ def machine_from_doc(doc: Mapping) -> Machine:
                 frozenset(doc.get("accepting", ())),
                 frozenset(doc.get("rejecting", ())),
             )
-        v0 = RowVec(_vector_from_doc(doc["v0"], scalar, "v0"), scalar)
-        f = ColVec(_vector_from_doc(doc["f"], scalar, "f"), scalar)
+        v0 = RowVec(_vector_from_doc(doc["v0"], scalar, "v0", literals), scalar)
+        f = ColVec(_vector_from_doc(doc["f"], scalar, "f", literals), scalar)
         return Gpfa(n, alphabet, trans, v0, f)
     except (ValueError, TypeError, KeyError) as exc:
         raise DocumentError(str(exc)) from exc
@@ -321,7 +330,7 @@ def extended_to_doc(e: ExtendedMachine) -> dict:
 def extended_from_doc(doc: Mapping) -> ExtendedMachine:
     if _object(doc, "document").get("kind") != "extended":
         raise DocumentError("expected an extended-machine document")
-    alphabet, base_n, trans = _machine_fields(doc, "base_n", RATIONAL)
+    alphabet, base_n, trans = _machine_fields(doc, "base_n", RATIONAL, {})
     try:
         return ExtendedMachine(base_n, alphabet, trans)
     except (ValueError, KeyError) as exc:

@@ -1,15 +1,20 @@
 """Cutpoint classification and bounded recognition checks.
 
 A cutpoint splits the word set into three cells (below, at, above the
-threshold).  Rational comparisons are exact; float comparisons treat values
-within the zero tolerance of the threshold as equal.
+threshold).  Rational comparisons are exact, by integer cross-multiplication;
+float comparisons treat values within the zero tolerance of the threshold as
+equal.  A sweep binds its comparison once with ``cell_test``, which checks
+the machine's kind against the cutpoint's and fixes the tolerance, and then
+costs one call per word; ``compare_to_cut`` checks both kinds on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from functools import partial
+from typing import Callable, Optional
 
 from .automata import (
     Gpfa,
@@ -33,6 +38,14 @@ GREATER = "greater"
 NOT_EQUAL = "not-equal"
 RELATIONS = (LESS, EQUAL, GREATER, NOT_EQUAL)
 
+#: The cells whose values stand in each relation to the threshold.
+RELATION_CELLS = {
+    LESS: frozenset({LESS}),
+    EQUAL: frozenset({EQUAL}),
+    GREATER: frozenset({GREATER}),
+    NOT_EQUAL: frozenset({LESS, GREATER}),
+}
+
 
 @dataclass(frozen=True)
 class CutpointSpec:
@@ -50,31 +63,52 @@ class CutpointSpec:
             )
 
 
+def _rational_cell(num: int, den: int, v: Fraction) -> str:
+    # Denominators are positive, so cross-multiplying keeps the order.
+    x, y = v.numerator * den, num * v.denominator
+    if x == y:
+        return EQUAL
+    return LESS if x < y else GREATER
+
+
+def _float_cell(lam: float, tol: float, v: float) -> str:
+    # NaN is never within the tolerance nor below, so it lands above.
+    if abs(v - lam) <= tol:
+        return EQUAL
+    return LESS if v < lam else GREATER
+
+
+def _kinds_match(kv: str, kl: str) -> None:
+    if kv != kl:
+        raise KindMismatchError(f"comparing {kv} value against {kl} cutpoint")
+
+
 def compare_to_cut(v: Scalar, lam: Scalar, eps: float | None = None) -> str:
     """Three-way comparison cell of ``v`` against ``lam``.
 
     Both values must be of the same scalar kind.  Floats within ``eps`` of
     the threshold land in the ``equal`` cell.
     """
-    kv, kl = scalar_kind(v), scalar_kind(lam)
-    if kv != kl:
-        raise KindMismatchError(f"comparing {kv} value against {kl} cutpoint")
+    kv = scalar_kind(v)
+    _kinds_match(kv, scalar_kind(lam))
     if kv == RATIONAL:
-        if v == lam:
-            return EQUAL
-        return LESS if v < lam else GREATER
-    tol = zero_tolerance(eps)
-    if abs(v - lam) <= tol:
-        return EQUAL
-    return LESS if v < lam else GREATER
+        return _rational_cell(lam.numerator, lam.denominator, v)
+    return _float_cell(lam, zero_tolerance(eps), v)
+
+
+def cell_test(kind: str, lam: Scalar, eps: float | None = None) -> Callable[[Scalar], str]:
+    """``compare_to_cut`` bound once for a sweep over values of ``kind``:
+    the kinds are checked and the tolerance fixed here, and the returned
+    ``v -> cell`` applies the same rule without checking ``v``."""
+    _kinds_match(kind, scalar_kind(lam))
+    if kind == RATIONAL:
+        return partial(_rational_cell, lam.numerator, lam.denominator)
+    return partial(_float_cell, lam, zero_tolerance(eps))
 
 
 def classify_value(v: Scalar, spec: CutpointSpec, eps: float | None = None) -> bool:
     """True iff ``v`` stands in the spec's relation to the threshold."""
-    cell = compare_to_cut(v, spec.lam, eps)
-    if spec.relation == NOT_EQUAL:
-        return cell != EQUAL
-    return cell == spec.relation
+    return compare_to_cut(v, spec.lam, eps) in RELATION_CELLS[spec.relation]
 
 
 def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
@@ -129,11 +163,12 @@ def equivalent_under_separation_bounded(
         raise ValueError("machines must share one input alphabet")
     check_cutpoint_range(a1, lam1)
     check_cutpoint_range(a2, lam2)
+    cell1, cell2 = cell_test(a1.kind, lam1, eps), cell_test(a2.kind, lam2, eps)
     # One shared alphabet tuple makes both streams list the same words in
     # the same order, so the first differing word is still order-minimal.
     for (word, v1), (_, v2) in zip(
         enumerate_values(a1, maxlen), enumerate_values(a2, maxlen)
     ):
-        if compare_to_cut(v1, lam1, eps) != compare_to_cut(v2, lam2, eps):
+        if cell1(v1) != cell2(v2):
             return word
     return None

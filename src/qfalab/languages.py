@@ -55,6 +55,17 @@ def inverse_generator(sym: str) -> str:
     return ("G" if sym[0] == "g" else "g") + sym[1:]
 
 
+def _reduce(word: Word, inverse: Mapping[str, str]) -> list[str]:
+    """The stack scan: a symbol meeting its own inverse on top cancels it."""
+    stack: list[str] = []
+    for sym in word:
+        if stack and stack[-1] == inverse[sym]:
+            stack.pop()
+        else:
+            stack.append(sym)
+    return stack
+
+
 def free_reduce(w: WordLike) -> Word:
     """Cancel adjacent inverse pairs until no more remain.
 
@@ -62,14 +73,9 @@ def free_reduce(w: WordLike) -> Word:
     soon as a symbol meets its own inverse on top.
     """
     word = as_word(w)
-    stack: list[str] = []
-    for sym in word:
-        inverse = inverse_generator(sym)  # also rejects a malformed symbol
-        if stack and stack[-1] == inverse:
-            stack.pop()
-        else:
-            stack.append(sym)
-    return tuple(stack)
+    # In order of first appearance, so the first malformed symbol is reported.
+    inverse = {sym: inverse_generator(sym) for sym in dict.fromkeys(word)}
+    return tuple(_reduce(word, inverse))
 
 
 def _count(word: Word, sym: str) -> int:
@@ -137,10 +143,11 @@ def oracle(name: str, m: Optional[int] = None, k: Optional[int] = None) -> Langu
     if base == "wp-k":
         if k is None or k < 1:
             raise ValueError("wp-k oracle needs a positive rank k")
-        kk = k
-        return LanguageOracle(
-            f"wp-{kk}", generator_alphabet(kk), lambda w: free_reduce(w) == ()
-        )
+        alphabet = generator_alphabet(k)
+        # ``LanguageOracle`` refuses symbols outside the alphabet, so one
+        # table of the alphabet's inverses serves every word.
+        inverse = {sym: inverse_generator(sym) for sym in alphabet}
+        return LanguageOracle(f"wp-{k}", alphabet, lambda w: not _reduce(w, inverse))
     raise ValueError(f"unknown language id {name!r}")
 
 

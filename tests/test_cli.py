@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from qfalab.automata import Gpfa, Kwqfa, Mcqfa, Pfa
+from qfalab import cli
 from qfalab.cli import (
     DocumentError,
     _make_parser,
@@ -86,6 +87,39 @@ def test_rational_document_refuses_float_entries():
     doc["matrices"]["a"] = [[0.5]]
     with pytest.raises(DocumentError, match="rational documents"):
         machine_from_doc(doc)
+
+
+TWO_STATE_PFA = {"kind": "pfa", "scalar": "rational", "alphabet": ["a", "b"], "n": 2,
+                 "accepting": [2]}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("x/2", "matrix 'b'[2][2]: not a rational literal: 'x/2'"),
+        ("1/0", "matrix 'b'[2][2]: not a rational literal: '1/0'"),
+        (True, "matrix 'b'[2][2]: rational documents need integer or p/q entries"),
+        (0.5, "matrix 'b'[2][2]: rational documents need integer or p/q entries"),
+    ],
+)
+def test_a_bad_entry_among_repeated_literals_is_named_by_position(bad, message):
+    matrices = {"a": [["1/2", "1/2"], ["1/2", "1/2"]], "b": [["1/2", "1/2"], ["1", bad]]}
+    with pytest.raises(DocumentError) as info:
+        machine_from_doc({**TWO_STATE_PFA, "matrices": matrices})
+    assert str(info.value) == message
+
+
+def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
+    calls = []
+    parse = cli.parse_rational
+    monkeypatch.setattr(cli, "parse_rational", lambda text: calls.append(text) or parse(text))
+    doc = {**TWO_STATE_PFA, "matrices": {"a": [["1/2", "1/2"], ["0", "1"]],
+                                         "b": [["1/2", "1/2"], ["1/2", "1/2"]]}}
+    first = machine_from_doc(doc)
+    assert sorted(calls) == ["0", "1", "1/2"]
+    assert machine_from_doc(doc) == first
+    assert len(calls) == 6
+    assert first.trans["b"].entries == ((Fraction(1, 2),) * 2,) * 2
 
 
 def test_convention_field_is_checked():
@@ -463,6 +497,23 @@ def test_build_star_concat_add_eps(tmp_path):
     starred = tmp_path / "starred.json"
     assert main(["build", "star", "--in", str(wp), "--out", str(starred)]) == 0
     assert load_machine(str(starred)).n == 4
+
+
+@pytest.mark.parametrize(
+    "cutpoint, relation, tested, first",
+    [("1", "equal", 1, ""), ("1", "not-equal", 1365, None), ("1", "greater", 2, "g1")],
+)
+def test_verify_word_problem_complement_report(tmp_path, capsys, cutpoint, relation, tested, first):
+    """The wp-2 machine against the complement of its own language."""
+    path = str(tmp_path / "wp2.json")
+    assert main(["build", "wp-gpfa", "--k", "2", "--out", path]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--machine", path, "--cutpoint", cutpoint, "--relation", relation,
+            "--oracle", "wp-2", "--complement", "--maxlen", "5", "--json"]
+    assert main(argv) == (0 if first is None else 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"oracle": "co-wp-2", "tested": tested, "max_len": 5,
+                       "agreed": first is None, "first_disagreement": first}
 
 
 def test_verify_against_dfa_oracle_file(tmp_path, capsys):

@@ -24,14 +24,18 @@ from qfalab.cutpoint import (
     LESS,
     NOT_EQUAL,
     RELATIONS,
+    RELATION_CELLS,
     CutpointSpec,
+    cell_test,
     classify_value,
     compare_to_cut,
     equivalent_under_separation_bounded,
     member_at_cutpoint,
     one_sided_zero_check,
 )
-from qfalab.numeric import ColVec, KindMismatchError, Matrix, RowVec
+from qfalab.languages import oracle
+from qfalab.numeric import FLOAT, RATIONAL, ColVec, KindMismatchError, Matrix, RowVec
+from qfalab.verify import enumerate_agreement
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=9)
 
@@ -162,3 +166,66 @@ def test_equivalence_detects_constructed_violation():
 
 def test_relations_cover_spec_names():
     assert RELATIONS == ("less", "equal", "greater", "not-equal")
+
+
+# Floats near the cutpoints below, the tolerance's edges and the signed
+# zeros included; NaN is never a cutpoint (``CutpointSpec`` refuses it).
+float_cuts = st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.25])
+tolerances = st.sampled_from([None, 0.0, 1e-9, 0.25, 1.0])
+offsets = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 0.25, -0.25, 1.0, -1.0, 1e-12, 3.5])
+
+
+def _assert_single_value_path_agrees(v, lam, kind, eps):
+    cell = cell_test(kind, lam, eps)(v)
+    assert cell == compare_to_cut(v, lam, eps)
+    for rel in RELATIONS:
+        assert (cell in RELATION_CELLS[rel]) == classify_value(v, CutpointSpec(lam, rel), eps)
+
+
+@given(rationals, rationals, tolerances)
+def test_bound_rational_cell_test_agrees_with_compare_to_cut(v, lam, eps):
+    _assert_single_value_path_agrees(v, lam, RATIONAL, eps)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, width=64), float_cuts, tolerances)
+def test_bound_float_cell_test_agrees_with_compare_to_cut(v, lam, eps):
+    _assert_single_value_path_agrees(v, lam, FLOAT, eps)
+
+
+@given(float_cuts, offsets, tolerances)
+def test_bound_float_cell_test_agrees_at_the_tolerance_edge(lam, offset, eps):
+    """Values at exactly ``|v - lam| == tol``, one ulp either side, ``-0.0``
+    and NaN land in the same cell on both paths."""
+    tol = 1e-9 if eps is None else eps
+    edges = [lam + tol, lam - tol, math.nextafter(lam + tol, math.inf),
+             math.nextafter(lam - tol, -math.inf), lam + offset, -0.0, math.nan]
+    for v in edges:
+        _assert_single_value_path_agrees(v, lam, FLOAT, eps)
+
+
+def test_bound_cell_test_edge_cells():
+    assert cell_test(FLOAT, 0.0)(-0.0) == EQUAL
+    assert cell_test(FLOAT, 0.5, 0.25)(0.75) == EQUAL
+    assert cell_test(FLOAT, 0.5, 0.25)(math.nextafter(0.75, 1.0)) == GREATER
+    assert cell_test(FLOAT, 0.5)(math.nan) == GREATER
+    assert cell_test(RATIONAL, Fraction(-1, 3))(Fraction(-2, 6)) == EQUAL
+    assert cell_test(RATIONAL, Fraction(-1, 3))(Fraction(-1, 2)) == LESS
+
+
+@pytest.mark.parametrize("kind, lam", [(RATIONAL, 0.5), (FLOAT, Fraction(1, 2))])
+def test_bound_cell_test_refuses_a_kind_mismatch(kind, lam):
+    other = FLOAT if kind == RATIONAL else RATIONAL
+    with pytest.raises(KindMismatchError, match=f"^comparing {kind} value against {other} cutpoint$"):
+        cell_test(kind, lam)
+
+
+def test_sweeps_still_refuse_a_kind_mismatch():
+    rational, floating = coin_pfa(), rotation_mcqfa(3)
+    with pytest.raises(KindMismatchError, match="^comparing rational value against float cutpoint$"):
+        enumerate_agreement(rational, CutpointSpec(0.5, EQUAL), oracle("mod-2"), 3)
+    with pytest.raises(KindMismatchError, match="^comparing float value against rational cutpoint$"):
+        enumerate_agreement(floating, CutpointSpec(Fraction(0), GREATER), oracle("mod-3"), 3)
+    with pytest.raises(KindMismatchError, match="^comparing rational value against float cutpoint$"):
+        equivalent_under_separation_bounded(rational, 0.5, rational, Fraction(1, 2), 3)
+    with pytest.raises(KindMismatchError, match="^comparing float value against rational cutpoint$"):
+        equivalent_under_separation_bounded(rational, Fraction(1, 2), floating, Fraction(0), 3)

@@ -100,6 +100,22 @@ def test_wp_oracle():
     assert not wp(["g1", "g2", "G1", "G2"])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wp_oracle_matches_free_reduce(k):
+    wp = oracle(f"wp-{k}")
+    for w in words_up_to(generator_alphabet(k), 6):
+        assert wp(w) == (free_reduce(w) == ())
+
+
+def test_wp_oracle_refuses_symbols_outside_its_alphabet():
+    with pytest.raises(ValueError, match="^symbol 'g3' not in alphabet of wp-2$"):
+        oracle("wp-2")(["g1", "g3"])
+    with pytest.raises(ValueError, match="^symbol 'g0' not in alphabet of co-wp-1$"):
+        complement(oracle("wp-1"))(["g0"])
+    with pytest.raises(ValueError, match="^malformed generator symbol 'g0'$"):
+        free_reduce(["g1", "g0", "x1"])
+
+
 def test_neq_complements_eq_exhaustively():
     eq, neq = oracle("eq"), oracle("neq")
     for w in words_up_to(("a", "b"), 7):

@@ -210,6 +210,24 @@ def test_lowered_tables_stay_on_the_machine(monkeypatch, m):
     assert hash(fresh) == hash(m)
 
 
+@pytest.mark.parametrize("m", zero_line_machines(),
+                         ids=lambda m: f"{type(m).__name__}-{m.kind}-{m.n}")
+def test_a_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
+    """A one-symbol word on a fresh two-symbol machine generates two kernels:
+    the symbol's and the read-out (for a Kwqfa, the right end-marker's)."""
+    calls = []
+    lower = automata._Float.lower
+    monkeypatch.setattr(automata._Float, "lower",
+                        staticmethod(lambda lines: calls.append(1) or lower(lines)))
+    fresh = replace(m)
+    acceptance_value(fresh, "a")
+    assert len(calls) == 2
+    assert "a" in fresh._lowered[0] and "b" not in fresh._lowered[0]
+    for word in ("ab", "ba", "a"):
+        acceptance_value(fresh, word)
+    assert len(calls) == 3
+
+
 def test_a_dropped_float_machine_frees_its_kernels_at_once():
     """A generated kernel is in no reference cycle, so it goes with its
     machine, without waiting for the cycle collector."""
