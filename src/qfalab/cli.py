@@ -649,6 +649,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  ``QFA_EPSILON``, when set, is the float zero
+    tolerance for this command only: ``numeric.EPSILON`` is restored on
+    every way out."""
+    saved = numeric.EPSILON
     env_eps = os.environ.get("QFA_EPSILON")
     if env_eps is not None:
         try:
@@ -659,16 +663,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: QFA_EPSILON={env_eps!r} is not a finite float > 0", file=sys.stderr)
             return 2
         numeric.EPSILON = eps
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _make_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit on --help or bad arguments
+        return int(exc.code or 0)
     except (DocumentError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        numeric.EPSILON = saved
 
 
 if __name__ == "__main__":

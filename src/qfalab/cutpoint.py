@@ -4,8 +4,8 @@ A cutpoint splits the word set into three cells (below, at, above the
 threshold).  Rational comparisons are exact, by integer cross-multiplication;
 float comparisons treat values within the zero tolerance of the threshold as
 equal.  A sweep binds its comparison once with ``cell_test``, which checks
-the machine's kind against the cutpoint's and fixes the tolerance, and then
-costs one call per word; ``compare_to_cut`` checks both kinds on every call.
+the machine's kind against the cutpoint's and reads the tolerance, and then
+costs one call per word; ``classify_value`` checks both kinds on every call.
 """
 
 from __future__ import annotations
@@ -83,32 +83,30 @@ def _kinds_match(kv: str, kl: str) -> None:
         raise KindMismatchError(f"comparing {kv} value against {kl} cutpoint")
 
 
-def compare_to_cut(v: Scalar, lam: Scalar, eps: float | None = None) -> str:
-    """Three-way comparison cell of ``v`` against ``lam``.
-
-    Both values must be of the same scalar kind.  Floats within ``eps`` of
-    the threshold land in the ``equal`` cell.
-    """
-    kv = scalar_kind(v)
-    _kinds_match(kv, scalar_kind(lam))
-    if kv == RATIONAL:
-        return _rational_cell(lam.numerator, lam.denominator, v)
-    return _float_cell(lam, zero_tolerance(eps), v)
-
-
-def cell_test(kind: str, lam: Scalar, eps: float | None = None) -> Callable[[Scalar], str]:
-    """``compare_to_cut`` bound once for a sweep over values of ``kind``:
-    the kinds are checked and the tolerance fixed here, and the returned
-    ``v -> cell`` applies the same rule without checking ``v``."""
+def cell_test(kind: str, lam: Scalar) -> Callable[[Scalar], str]:
+    """The three-way comparison against ``lam``, bound once for a sweep over
+    values of ``kind``: the kinds are checked and the tolerance read here,
+    and the returned ``v -> cell`` applies ``classify_value``'s rule without
+    checking ``v``."""
     _kinds_match(kind, scalar_kind(lam))
     if kind == RATIONAL:
         return partial(_rational_cell, lam.numerator, lam.denominator)
-    return partial(_float_cell, lam, zero_tolerance(eps))
+    return partial(_float_cell, lam, zero_tolerance())
 
 
-def classify_value(v: Scalar, spec: CutpointSpec, eps: float | None = None) -> bool:
-    """True iff ``v`` stands in the spec's relation to the threshold."""
-    return compare_to_cut(v, spec.lam, eps) in RELATION_CELLS[spec.relation]
+def classify_value(v: Scalar, spec: CutpointSpec) -> bool:
+    """True iff ``v`` stands in the spec's relation to the threshold.
+
+    Both values must be of the same scalar kind.  Floats within the zero
+    tolerance of the threshold land in the ``equal`` cell.
+    """
+    kind, lam = scalar_kind(v), spec.lam
+    _kinds_match(kind, scalar_kind(lam))
+    if kind == RATIONAL:
+        cell = _rational_cell(lam.numerator, lam.denominator, v)
+    else:
+        cell = _float_cell(lam, zero_tolerance(), v)
+    return cell in RELATION_CELLS[spec.relation]
 
 
 def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
@@ -118,16 +116,14 @@ def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
         raise ValueError(f"cutpoint {lam!r} outside [0,1] for a probability machine")
 
 
-def member_at_cutpoint(
-    machine: Machine, spec: CutpointSpec, w, eps: float | None = None
-) -> bool:
+def member_at_cutpoint(machine: Machine, spec: CutpointSpec, w) -> bool:
     """Evaluate the machine on ``w`` and classify the value.
 
     Measure-every-step machines are classified by their accumulated
     acceptance probability.
     """
     check_cutpoint_range(machine, spec.lam)
-    return classify_value(acceptance_value(machine, w), spec, eps)
+    return classify_value(acceptance_value(machine, w), spec)
 
 
 def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:
@@ -151,7 +147,6 @@ def equivalent_under_separation_bounded(
     a2: Machine,
     lam2: Scalar,
     maxlen: int = 8,
-    eps: float | None = None,
 ) -> Optional[Word]:
     """Check that both machine/threshold pairs induce the same three-way
     split on every word up to ``maxlen``.
@@ -163,7 +158,7 @@ def equivalent_under_separation_bounded(
         raise ValueError("machines must share one input alphabet")
     check_cutpoint_range(a1, lam1)
     check_cutpoint_range(a2, lam2)
-    cell1, cell2 = cell_test(a1.kind, lam1, eps), cell_test(a2.kind, lam2, eps)
+    cell1, cell2 = cell_test(a1.kind, lam1), cell_test(a2.kind, lam2)
     # One shared alphabet tuple makes both streams list the same words in
     # the same order, so the first differing word is still order-minimal.
     for (word, v1), (_, v2) in zip(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from .automata import Word, WordLike, as_word
 
@@ -103,51 +103,40 @@ def _eq_dot_b_member(word: Word) -> bool:
     return not _lt_member(prefix)
 
 
-def oracle(name: str, m: Optional[int] = None, k: Optional[int] = None) -> LanguageOracle:
+def oracle(name: str) -> LanguageOracle:
     """Build the named witness-language oracle.
 
-    Parametrized ids may carry their parameter inline (``mod-3``, ``wp-2``)
-    or through the keyword arguments ``m`` and ``k``.
+    Parametrized ids carry their parameter inline, as a positive integer:
+    ``mod-<m>`` (such as ``mod-3``) and ``wp-<k>`` (such as ``wp-2``).
     """
-    base = name
     if name.startswith("mod-") and name != "mod-m":
-        if m is not None:
-            raise ValueError("parameter m given twice")
         m = int(name[len("mod-"):])
-        base = "mod-m"
-    if name.startswith("wp-") and name != "wp-k":
-        if k is not None:
-            raise ValueError("parameter k given twice")
-        k = int(name[len("wp-"):])
-        base = "wp-k"
-
-    if base == "eq":
-        return LanguageOracle("eq", ("a", "b"), _eq_member)
-    if base == "neq":
-        return LanguageOracle("neq", ("a", "b"), lambda w: not _eq_member(w))
-    if base == "mod-m":
-        if m is None or m < 1:
+        if m < 1:
             raise ValueError("mod-m oracle needs a positive m")
-        mm = m
-        return LanguageOracle(f"mod-{mm}", ("a",), lambda w: len(w) % mm != 0)
-    if base == "pal":
-        return LanguageOracle("pal", ("a", "b"), lambda w: w == w[::-1])
-    if base == "lt":
-        return LanguageOracle("lt", ("a", "b"), _lt_member)
-    if base == "eq-dot-b":
-        return LanguageOracle("eq-dot-b", ("a", "b"), _eq_dot_b_member)
-    if base == "eq-prime":
-        return LanguageOracle(
-            "eq-prime", ("a", "b"), lambda w: _count(w, "a") + 1 == _count(w, "b")
-        )
-    if base == "wp-k":
-        if k is None or k < 1:
+        return LanguageOracle(f"mod-{m}", ("a",), lambda w: len(w) % m != 0)
+    if name.startswith("wp-") and name != "wp-k":
+        k = int(name[len("wp-"):])
+        if k < 1:
             raise ValueError("wp-k oracle needs a positive rank k")
         alphabet = generator_alphabet(k)
         # ``LanguageOracle`` refuses symbols outside the alphabet, so one
         # table of the alphabet's inverses serves every word.
         inverse = {sym: inverse_generator(sym) for sym in alphabet}
         return LanguageOracle(f"wp-{k}", alphabet, lambda w: not _reduce(w, inverse))
+    if name == "eq":
+        return LanguageOracle("eq", ("a", "b"), _eq_member)
+    if name == "neq":
+        return LanguageOracle("neq", ("a", "b"), lambda w: not _eq_member(w))
+    if name == "pal":
+        return LanguageOracle("pal", ("a", "b"), lambda w: w == w[::-1])
+    if name == "lt":
+        return LanguageOracle("lt", ("a", "b"), _lt_member)
+    if name == "eq-dot-b":
+        return LanguageOracle("eq-dot-b", ("a", "b"), _eq_dot_b_member)
+    if name == "eq-prime":
+        return LanguageOracle(
+            "eq-prime", ("a", "b"), lambda w: _count(w, "a") + 1 == _count(w, "b")
+        )
     raise ValueError(f"unknown language id {name!r}")
 
 

@@ -4,8 +4,10 @@ Two scalar kinds are supported and never mixed silently:
 
 * ``rational``  -- arbitrary-precision ``fractions.Fraction`` values; all
   arithmetic is exact and equality tests are true equalities.
-* ``float``     -- machine floats paired with a global zero tolerance
+* ``float``     -- machine floats paired with one zero tolerance,
   ``EPSILON``; a float ``x`` counts as zero iff ``abs(x) <= EPSILON``.
+  Code reads it only through ``zero_tolerance()``, so assigning
+  ``numeric.EPSILON`` changes every float verdict and check at once.
 
 An operation that receives one rational and one float operand raises
 ``KindMismatchError`` instead of promoting.  Conversions are explicit
@@ -22,9 +24,8 @@ from typing import Iterable, Union
 RATIONAL = "rational"
 FLOAT = "float"
 
-#: Default zero tolerance for float scalars.  Callers may pass an explicit
-#: tolerance to any predicate that consults it; the command line sets this
-#: default from the environment variable QFA_EPSILON.
+#: Zero tolerance for float scalars.  The command line sets it from the
+#: environment variable QFA_EPSILON for the length of one command.
 EPSILON = 1e-9
 
 Scalar = Union[Fraction, float]
@@ -62,15 +63,9 @@ def one(kind: str) -> Scalar:
     return Fraction(1) if kind == RATIONAL else 1.0
 
 
-def zero_tolerance(eps: float | None = None) -> float:
-    return EPSILON if eps is None else eps
-
-
-def is_zero(x: Scalar, eps: float | None = None) -> bool:
-    """Exact zero test for rationals, tolerance test for floats."""
-    if isinstance(x, Fraction):
-        return x == 0
-    return abs(x) <= zero_tolerance(eps)
+def zero_tolerance() -> float:
+    """The float zero tolerance in force, ``EPSILON``, read at call time."""
+    return EPSILON
 
 
 def format_scalar(x: Scalar) -> str:
@@ -212,9 +207,6 @@ class ColVec(_Vec):
 
     def transpose(self) -> "RowVec":
         return RowVec(self.entries, self.kind)
-
-    def norm_sq(self) -> Scalar:
-        return sum(v * v for v in self.entries)
 
 
 class Matrix:

@@ -5,11 +5,11 @@ Words are enumerated shortest first and lexicographically within one length
 counterexample is order-minimal and reproducible.  Machine values come from
 ``enumerate_values`` (defined with the machines' single stepper in
 ``automata`` and re-exported here), which shares prefix work across words.
-A sweep binds its cutpoint comparison once (``cutpoint.cell_test``), so per
-word it does one step from the state of the word's parent prefix, one
-read-out, one cross-multiplication or tolerance test and one oracle call; on
-a 2-core host that is about 10^5 words per second on the free-group word
-problem.
+A sweep binds its cutpoint comparison once (``cutpoint.cell_test``, with the
+zero tolerance in force when the sweep starts), so per word it does one
+step from the state of the word's parent prefix, one read-out, one
+cross-multiplication or tolerance test and one oracle call; on a 2-core
+host that is about 10^5 words per second on the free-group word problem.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ def enumerate_agreement(
     spec: CutpointSpec,
     oracle: LanguageOracle,
     maxlen: int,
-    eps: float | None = None,
 ) -> AgreementReport:
     """Compare cutpoint membership against the oracle on all words up to
     ``maxlen``; stops at the first (order-minimal) disagreement."""
@@ -65,7 +64,7 @@ def enumerate_agreement(
             f"alphabet mismatch: machine {machine.sigma} vs oracle {oracle.alphabet}"
         )
     check_cutpoint_range(machine, spec.lam)
-    cell, members = cell_test(machine.kind, spec.lam, eps), RELATION_CELLS[spec.relation]
+    cell, members = cell_test(machine.kind, spec.lam), RELATION_CELLS[spec.relation]
     tested = 0
     for word, val in enumerate_values(machine, maxlen):
         tested += 1

@@ -516,6 +516,15 @@ def test_verify_word_problem_complement_report(tmp_path, capsys, cutpoint, relat
                        "agreed": first is None, "first_disagreement": first}
 
 
+@pytest.mark.parametrize("name", ["mod-m", "wp-k", "wp-0"])
+def test_verify_refuses_oracle_ids_without_a_positive_parameter(demo_dir, capsys, name):
+    capsys.readouterr()
+    argv = ["verify", "--machine", str(demo_dir / "wp_gpfa_2.json"), "--cutpoint", "1",
+            "--relation", "equal", "--oracle", name]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_against_dfa_oracle_file(tmp_path, capsys):
     # single-letter machine accepting everything vs an accepting-sink DFA
     doc = {
@@ -560,21 +569,55 @@ def test_verify_against_dfa_oracle_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_epsilon_env_override(tmp_path, monkeypatch, capsys):
+def _classify_ab_at_tenth(demo_dir):
+    """``neq_mcqfa`` values ``ab`` at 0.0, 0.1 from the cutpoint: a member
+    of the ``equal`` relation iff the tolerance in force is at least 0.1."""
+    return ["classify", "--machine", str(demo_dir / "neq_mcqfa.json"), "--word", "ab",
+            "--cutpoint", "0.1", "--relation", "equal"]
+
+
+def test_epsilon_env_override(demo_dir, tmp_path, monkeypatch, capsys):
+    """QFA_EPSILON holds during the command, and the tolerance before it is
+    back afterwards on exit 0, exit 2 and an exception alike."""
     import qfalab.numeric as numeric
 
-    monkeypatch.setenv("QFA_EPSILON", "0.2")
     old = numeric.EPSILON
-    try:
-        outdir = tmp_path / "d"
-        main(["demo", "--outdir", str(outdir)])
-        assert numeric.EPSILON == 0.2
-    finally:
-        numeric.EPSILON = old
+    monkeypatch.setattr(numeric, "EPSILON", old)  # restored even on failure
+    monkeypatch.setenv("QFA_EPSILON", "0.2")
     capsys.readouterr()
+    assert main(_classify_ab_at_tenth(demo_dir)) == 0
+    assert "member: True" in capsys.readouterr().out
+    assert numeric.EPSILON == old
+    assert main(["classify", "--machine", str(tmp_path / "missing.json"), "--word", "a",
+                 "--cutpoint", "0", "--relation", "greater"]) == 2
+    assert numeric.EPSILON == old
+
+    def boom(path):
+        assert numeric.EPSILON == 0.2
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_machine", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(_classify_ab_at_tenth(demo_dir))
+    assert numeric.EPSILON == old
     monkeypatch.setenv("QFA_EPSILON", "zebra")
     assert main(["demo", "--outdir", str(tmp_path / "e")]) == 2
-    numeric.EPSILON = old
+    assert numeric.EPSILON == old
+
+
+def test_epsilon_env_does_not_outlive_its_command(demo_dir, monkeypatch, capsys):
+    """A command run with QFA_EPSILON=0.2 leaves no trace on the next one in
+    the same process: without the variable, 0.0 is not equal to 0.1."""
+    import qfalab.numeric as numeric
+
+    monkeypatch.setattr(numeric, "EPSILON", numeric.EPSILON)  # restored even on failure
+    monkeypatch.setenv("QFA_EPSILON", "0.2")
+    assert main(_classify_ab_at_tenth(demo_dir)) == 0
+    monkeypatch.delenv("QFA_EPSILON")
+    capsys.readouterr()
+    assert main(_classify_ab_at_tenth(demo_dir)) == 0
+    out = capsys.readouterr().out
+    assert "value: 0.0" in out and "member: False" in out
 
 
 FLOAT_MCQFA_TEXT = """{

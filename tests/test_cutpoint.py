@@ -24,15 +24,14 @@ from qfalab.cutpoint import (
     LESS,
     NOT_EQUAL,
     RELATIONS,
-    RELATION_CELLS,
     CutpointSpec,
     cell_test,
     classify_value,
-    compare_to_cut,
     equivalent_under_separation_bounded,
     member_at_cutpoint,
     one_sided_zero_check,
 )
+from qfalab import numeric
 from qfalab.languages import oracle
 from qfalab.numeric import FLOAT, RATIONAL, ColVec, KindMismatchError, Matrix, RowVec
 from qfalab.verify import enumerate_agreement
@@ -70,12 +69,11 @@ def test_rejects_non_finite_float_cutpoint(lam):
 
 @given(rationals, rationals)
 def test_three_way_partition_is_exhaustive_and_exclusive(v, lam):
-    cell = compare_to_cut(v, lam)
     matches = [
         rel for rel in (LESS, EQUAL, GREATER)
         if classify_value(v, CutpointSpec(lam, rel))
     ]
-    assert matches == [cell]
+    assert len(matches) == 1
 
 
 @given(rationals, rationals)
@@ -168,46 +166,70 @@ def test_relations_cover_spec_names():
     assert RELATIONS == ("less", "equal", "greater", "not-equal")
 
 
-# Floats near the cutpoints below, the tolerance's edges and the signed
-# zeros included; NaN is never a cutpoint (``CutpointSpec`` refuses it).
+# The tolerances each example runs under: the default (None), none at all,
+# and two wide ones.  Floats near the cutpoints below, the tolerance's edges,
+# the signed zeros and the infinities included; NaN is never a cutpoint
+# (``CutpointSpec`` refuses it).
+tolerances = st.sampled_from([None, 0.0, 0.25, 1.0])
 float_cuts = st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.25])
-tolerances = st.sampled_from([None, 0.0, 1e-9, 0.25, 1.0])
 offsets = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 0.25, -0.25, 1.0, -1.0, 1e-12, 3.5])
 
+# Which cells each relation accepts, written out independently of the module.
+MEMBER_CELLS = {
+    LESS: {LESS}, EQUAL: {EQUAL}, GREATER: {GREATER}, NOT_EQUAL: {LESS, GREATER},
+}
 
-def _assert_single_value_path_agrees(v, lam, kind, eps):
-    cell = cell_test(kind, lam, eps)(v)
-    assert cell == compare_to_cut(v, lam, eps)
-    for rel in RELATIONS:
-        assert (cell in RELATION_CELLS[rel]) == classify_value(v, CutpointSpec(lam, rel), eps)
+
+def _reference_cell(v, lam, tol):
+    """The cell of ``v`` by plain comparison: exact order for rationals; for
+    floats, within ``tol`` of ``lam`` is equal, and NaN is above."""
+    if isinstance(lam, Fraction):
+        return LESS if v < lam else EQUAL if v == lam else GREATER
+    if abs(v - lam) <= tol:
+        return EQUAL
+    return LESS if v < lam else GREATER
+
+
+def _assert_cells_match_the_reference(v, lam, kind, tol):
+    """``cell_test`` and ``classify_value`` under ``numeric.EPSILON = tol``
+    (the default 1e-9 for ``None``) agree with ``_reference_cell``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if tol is not None:
+            mp.setattr(numeric, "EPSILON", tol)
+        want = _reference_cell(v, lam, 1e-9 if tol is None else tol)
+        assert cell_test(kind, lam)(v) == want
+        for rel in RELATIONS:
+            assert classify_value(v, CutpointSpec(lam, rel)) == (want in MEMBER_CELLS[rel])
 
 
 @given(rationals, rationals, tolerances)
-def test_bound_rational_cell_test_agrees_with_compare_to_cut(v, lam, eps):
-    _assert_single_value_path_agrees(v, lam, RATIONAL, eps)
+def test_rational_cells_are_the_exact_order(v, lam, tol):
+    _assert_cells_match_the_reference(v, lam, RATIONAL, tol)
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True, width=64), float_cuts, tolerances)
-def test_bound_float_cell_test_agrees_with_compare_to_cut(v, lam, eps):
-    _assert_single_value_path_agrees(v, lam, FLOAT, eps)
+def test_float_cells_follow_the_tolerance_rule(v, lam, tol):
+    _assert_cells_match_the_reference(v, lam, FLOAT, tol)
 
 
 @given(float_cuts, offsets, tolerances)
-def test_bound_float_cell_test_agrees_at_the_tolerance_edge(lam, offset, eps):
-    """Values at exactly ``|v - lam| == tol``, one ulp either side, ``-0.0``
-    and NaN land in the same cell on both paths."""
-    tol = 1e-9 if eps is None else eps
-    edges = [lam + tol, lam - tol, math.nextafter(lam + tol, math.inf),
-             math.nextafter(lam - tol, -math.inf), lam + offset, -0.0, math.nan]
+def test_bound_float_cell_test_agrees_at_the_tolerance_edge(lam, offset, tol):
+    """Values at exactly ``|v - lam| == tol``, one ulp either side of both
+    edges, ``-0.0``, NaN and the infinities land in the reference's cell."""
+    t = 1e-9 if tol is None else tol
+    edges = [lam + t, lam - t, lam + offset, -0.0, math.nan, math.inf, -math.inf]
+    edges += [math.nextafter(lam + t, d) for d in (math.inf, -math.inf)]
+    edges += [math.nextafter(lam - t, d) for d in (math.inf, -math.inf)]
     for v in edges:
-        _assert_single_value_path_agrees(v, lam, FLOAT, eps)
+        _assert_cells_match_the_reference(v, lam, FLOAT, tol)
 
 
-def test_bound_cell_test_edge_cells():
+def test_bound_cell_test_edge_cells(monkeypatch):
     assert cell_test(FLOAT, 0.0)(-0.0) == EQUAL
-    assert cell_test(FLOAT, 0.5, 0.25)(0.75) == EQUAL
-    assert cell_test(FLOAT, 0.5, 0.25)(math.nextafter(0.75, 1.0)) == GREATER
     assert cell_test(FLOAT, 0.5)(math.nan) == GREATER
+    monkeypatch.setattr(numeric, "EPSILON", 0.25)
+    assert cell_test(FLOAT, 0.5)(0.75) == EQUAL
+    assert cell_test(FLOAT, 0.5)(math.nextafter(0.75, 1.0)) == GREATER
     assert cell_test(RATIONAL, Fraction(-1, 3))(Fraction(-2, 6)) == EQUAL
     assert cell_test(RATIONAL, Fraction(-1, 3))(Fraction(-1, 2)) == LESS
 

@@ -58,6 +58,21 @@ def test_unknown_oracle_id():
         oracle("parity")
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("mod-m", "unknown language id 'mod-m'"),
+        ("wp-k", "unknown language id 'wp-k'"),
+        ("mod-0", "mod-m oracle needs a positive m"),
+        ("wp-0", "wp-k oracle needs a positive rank k"),
+        ("mod-x", "invalid literal for int"),
+    ],
+)
+def test_parametrized_ids_carry_their_parameter_inline(name, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(name)
+
+
 def test_oracle_checks_alphabet():
     with pytest.raises(ValueError):
         oracle("eq")("abc")

@@ -17,7 +17,6 @@ from qfalab.numeric import (
     format_scalar,
     is_stochastic,
     is_unitary_within,
-    is_zero,
     kron,
     mat_add,
     mat_mul,
@@ -107,13 +106,6 @@ def test_is_unitary_within():
         [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
     )
     assert is_unitary_within(pythagorean, 0)
-
-
-def test_zero_test_uses_tolerance_for_floats():
-    assert is_zero(Fraction(0))
-    assert not is_zero(Fraction(1, 10**12))
-    assert is_zero(5e-10)
-    assert not is_zero(5e-10, eps=1e-10)
 
 
 def test_scalar_round_trip():
