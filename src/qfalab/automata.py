@@ -37,16 +37,19 @@ common denominator for rational machines, tuples of floats for float ones
 (``state_vector`` converts back).  Each machine's matrices are lowered once,
 on its first evaluation, and kept on the machine: rational ones to integer
 lines, float ones to one generated function per matrix that sums only the
-nonzero entries of each line.  Values are the same scalars the ``numeric``
+nonzero entries of each line (for a measure-every-step machine it also
+returns the squared masses a measurement reads).  Values are the same
+scalars the ``numeric``
 vector products give (for floats bit for bit on CPython 3.11 and earlier,
 to rounding from 3.12, whose ``sum`` compensates rounding).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import accumulate
 from math import gcd, isfinite, lcm
 from operator import mul
@@ -322,6 +325,10 @@ class _Exact:
         nums, den = vec
         return [Fraction(x, den) for x in nums]
 
+    @staticmethod
+    def check_finite(vec):
+        """Exact entries are always finite."""
+
 
 # Terms per generated statement: one long ``a + b + ...`` chain overflows the
 # compiler's recursion limit at a few thousand terms.
@@ -331,14 +338,21 @@ _CHUNK = 200
 class _Float:
     """Float steps on tuples of floats.  A lowered matrix is one function
     generated for it, ``kernel(vec)``, which returns the tuple of its line
-    products.  Every step checks that its entries stay finite."""
+    products.  A step checks that its entries stay finite: ``apply`` scans
+    every output, and a measure-every-step kernel's bounds catch a
+    non-finite entry (see ``stepper``)."""
 
     @staticmethod
-    def lower(lines):
+    def lower(lines, split=None):
         """Generate the kernel: each line's product is a straight-line sum of
         its nonzero entries, added left to right (``v3 * c[17] + ...``), and
         an all-zero line gives ``0.0``.  The source holds only indices and
-        names; the entries come in as the tuple ``c``."""
+        names; the entries come in as the tuple ``c``.
+
+        With ``split = (a, r)`` the lines run live, accepting, rejecting, and
+        the kernel also measures: it returns ``(out, accepted, rejected,
+        live)``, the line products and the squared masses of ``out[a:r]``,
+        ``out[r:]`` and ``out[:a]``, each added like ``_Float.sq``."""
         consts, body, rows, used = [], [], [], set()
         lines = [tuple(line) for line in lines]
         for i, line in enumerate(lines):
@@ -358,8 +372,19 @@ class _Float:
             rows.append(expr)
         width = len(lines[0]) if lines else 0
         names = "".join(f"v{j}, " if j in used else "_, " for j in range(width))
+        masses = ""
+        if split is not None:
+            # Each nonzero line gets a name its square reuses; an all-zero
+            # line adds exactly nothing to a mass, so it is left out.
+            named = [i for i, row in enumerate(rows) if row != "0.0"]
+            body += [f"    r{i} = {rows[i]}\n" for i in named]
+            rows = [f"r{i}" if row != "0.0" else row for i, row in enumerate(rows)]
+            a, r = split
+            for lo, hi in ((a, r), (r, len(rows)), (0, a)):
+                terms = "".join(f"r{i} * r{i}, " for i in named if lo <= i < hi)
+                masses += f", sum(({terms}), 0.0)"
         source = (f"def kernel(v, c=c):\n    {names or '_'} = v\n{''.join(body)}"
-                  f"    return ({''.join(row + ', ' for row in rows)})\n")
+                  f"    return ({''.join(row + ', ' for row in rows)}){masses}\n")
         namespace = {"c": tuple(consts)}
         exec(source, namespace)
         # Popped: left in its own globals, the kernel would be in a cycle
@@ -372,9 +397,15 @@ class _Float:
     def apply(kernel, vec):
         out = kernel(vec)
         if not all(map(isfinite, out)):
-            bad = next(x for x in out if not isfinite(x))
-            raise ValueError(f"non-finite float entry {bad!r}")
+            _Float.check_finite(out)
         return out
+
+    @staticmethod
+    def check_finite(vec):
+        """Raise ``non-finite float entry`` for the first one in ``vec``."""
+        bad = next((x for x in vec if not isfinite(x)), None)
+        if bad is not None:
+            raise ValueError(f"non-finite float entry {bad!r}")
 
     # Where ``sum`` gives 0.0, a generated sum may give -0.0 (it has no 0.0
     # to start from); the read-outs add 0.0, so what a caller sees is the
@@ -430,9 +461,12 @@ def _lower(machine: Machine):
 
     if isinstance(machine, Kwqfa):
         # Rows run live, accepting, rejecting, so each measurement splits
-        # the output at two points; columns are the live states only.
+        # the output at two points; columns are the live states only.  A
+        # float kernel also measures (see ``_Float.lower``).
         live = _live_states(machine)
         order = live + [q - 1 for q in machine.q_acc] + [q - 1 for q in machine.q_rej]
+        if ops is _Float:
+            lower = partial(lower, split=(len(live), len(live) + len(machine.q_acc)))
 
         def lower_one(sym):
             rows = trans[sym].entries
@@ -492,8 +526,12 @@ def stepper(machine: Machine):
     squared amplitudes accumulate into the two probabilities, and the
     coordinates are zeroed.  The vector therefore keeps only the live
     (non-halting) coordinates, and a step multiplies only the live columns.
-    Each step checks that the halting probabilities and the live norm stay
-    within ``1 + EPSILON``; NaN fails both.
+    A float kernel returns the step's three squared masses with its output
+    (see ``_Float.lower``); ``measure`` is the one place that adds them up
+    and checks that the halting probabilities and the live norm stay within
+    ``1 + EPSILON`` (NaN fails both).  A non-finite entry gives a non-finite
+    mass, so a float step scans its output for one only when a mass is past
+    a bound or not finite, and then names it before the bound.
     """
     if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
@@ -507,27 +545,40 @@ def stepper(machine: Machine):
         r = n - len(machine.q_rej)
         a = r - len(machine.q_acc)
         slack = 1 + zero_tolerance()
+        # ``slack`` capped to a finite float: a non-finite entry makes a mass
+        # non-finite (squares cannot cancel), so it fails ``bound`` even at an
+        # infinite tolerance.
+        bound = min(slack, sys.float_info.max)
         cut = ops.cut
 
-        def measure(out, accept, reject):
-            accept += sq(out, a, r)
-            reject += sq(out, r, n)
-            vec = cut(out, a)
-            if not accept + reject <= slack:
-                raise ValueError("halting probabilities exceed 1")
-            if not sq(vec, 0, a) <= slack:
-                raise ValueError("state vector norm exceeds 1")
-            return vec, accept, reject
+        def masses(out):
+            return out, sq(out, a, r), sq(out, r, n), sq(out, 0, a)
 
-        def advance(state, sym):
-            vec, accept, reject = state
-            return measure(apply(table[sym], vec), accept, reject)
+        def measure(out, accepted, rejected, live, accept, reject):
+            accept += accepted
+            reject += rejected
+            if not (accept + reject <= bound and live <= bound):
+                ops.check_finite(out)
+                if not accept + reject <= slack:
+                    raise ValueError("halting probabilities exceed 1")
+                if not live <= slack:
+                    raise ValueError("state vector norm exceeds 1")
+            return cut(out, a), accept, reject
+
+        if ops is _Float:
+            def advance(state, sym):
+                vec, accept, reject = state
+                return measure(*table[sym](vec), accept, reject)
+        else:
+            def advance(state, sym):
+                vec, accept, reject = state
+                return measure(*masses(apply(table[sym], vec)), accept, reject)
 
         def value(state):
             return advance(state, DOLLAR)[1]
 
         nil = zero(machine.kind)
-        return measure(start, nil, nil), advance, value
+        return measure(*masses(start), nil, nil), advance, value
 
     if isinstance(machine, Mcqfa):
         width = len(machine.accepting)

@@ -105,7 +105,7 @@ def _decode_entries(raw: list, kind: str, where: str, literals: dict) -> list:
     """Decode one matrix row or vector; an entry's position is spelled out
     only when it fails.  ``literals`` holds the strings one document has
     decoded so far, so each distinct ``p/q`` is parsed once per document."""
-    if kind == FLOAT and set(map(type, raw)) == {float} and all(map(math.isfinite, raw)):
+    if numeric.has_exact_type(raw, kind):
         return raw  # finite JSON floats need no conversion
     out = []
     for j, v in enumerate(raw, 1):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Union
 
 RATIONAL = "rational"
@@ -131,6 +131,22 @@ def _coerce(value, kind: str):
     raise ValueError(f"unknown scalar kind {kind!r}")
 
 
+def has_exact_type(row, kind: str) -> bool:
+    """True when every entry of ``row`` already has the kind's exact type, a
+    finite plain ``float`` or a ``Fraction``: two C-level scans."""
+    types = set(map(type, row))
+    if kind == FLOAT:
+        return types == {float} and all(map(math.isfinite, row))
+    return kind == RATIONAL and types == {Fraction}
+
+
+def _coerce_row(row: tuple, kind: str) -> tuple:
+    """``row`` as it is if ``has_exact_type``; any other row goes through
+    ``_coerce`` entry by entry, so a refusal names the first offending
+    entry."""
+    return row if has_exact_type(row, kind) else tuple(_coerce(v, kind) for v in row)
+
+
 def _infer_kind(values) -> str:
     for v in values:
         if isinstance(v, Fraction):
@@ -151,7 +167,7 @@ class _Vec:
         if not raw:
             raise ValueError("vectors must be nonempty")
         k = kind if kind is not None else _infer_kind(raw)
-        object.__setattr__(self, "entries", tuple(_coerce(v, k) for v in raw))
+        object.__setattr__(self, "entries", _coerce_row(raw, k))
         object.__setattr__(self, "kind", k)
 
     def __setattr__(self, name, value):
@@ -210,9 +226,14 @@ class ColVec(_Vec):
 
 
 class Matrix:
-    """Immutable dense rows x cols matrix of one scalar kind."""
+    """Immutable dense rows x cols matrix of one scalar kind.
 
-    __slots__ = ("entries", "rows", "cols", "kind")
+    A square matrix keeps its orthogonality deviation once
+    ``is_unitary_within`` has computed it (the ``_deviation`` slot), so every
+    later check at any tolerance reuses one Gram.
+    """
+
+    __slots__ = ("entries", "rows", "cols", "kind", "_deviation")
 
     def __init__(self, entries: Iterable[Iterable], kind: str | None = None):
         grid = tuple(tuple(row) for row in entries)
@@ -222,7 +243,7 @@ class Matrix:
         if any(len(row) != width for row in grid):
             raise ValueError("ragged matrix rows")
         k = kind if kind is not None else _infer_kind(v for row in grid for v in row)
-        coerced = tuple(tuple(_coerce(v, k) for v in row) for row in grid)
+        coerced = tuple(_coerce_row(row, k) for row in grid)
         object.__setattr__(self, "entries", coerced)
         object.__setattr__(self, "rows", len(coerced))
         object.__setattr__(self, "cols", width)
@@ -359,8 +380,15 @@ def direct_sum(a: Matrix, b: Matrix) -> Matrix:
 
 
 def is_stochastic_row(row) -> bool:
-    """True iff every entry of ``row`` is in [0,1] and the entries sum to 1."""
-    return all(0 <= v <= 1 for v in row) and sum(row) == 1
+    """True iff every entry of the rational ``row`` is in [0,1] and the
+    entries sum to 1.
+
+    Checked on integers: over the row's lcm denominator ``d`` every
+    numerator lies in [0, d] and the numerators sum to ``d``.
+    """
+    den = math.lcm(*(x.denominator for x in row))
+    nums = [x.numerator * (den // x.denominator) for x in row]
+    return min(nums) >= 0 and max(nums) <= den and sum(nums) == den
 
 
 def is_stochastic(m: Matrix) -> bool:
@@ -376,18 +404,51 @@ def is_stochastic(m: Matrix) -> bool:
 
 
 def is_unitary_within(m: Matrix, tol: float) -> bool:
-    """Real-orthogonality test: max-norm of (m @ m^T - I) <= tol.
+    """Real-orthogonality test: max-norm of (m @ m^T - I) <= tol, False for
+    a non-square matrix.
 
-    Each entry of m @ m^T is the dot product of two rows; the product is
-    symmetric to the bit, so only its upper triangle is checked.  Works for
-    both kinds; a rational matrix is tested with exact products against the
-    given tolerance.
+    The max-norm is computed once per matrix (``_gram_deviation``) and kept
+    on it, so checks of one matrix at several tolerances share one Gram.
+    Works for both kinds; a rational matrix is tested with exact products
+    against the given tolerance.  A NaN deviation or tolerance fails.
     """
     if not m.is_square():
         return False
-    rows = m.entries
-    return all(
-        abs(sum(map(mul, r, rows[j])) - (i == j)) <= tol  # False for NaN too
-        for i, r in enumerate(rows)
-        for j in range(i, m.rows)
-    )
+    try:
+        deviation = m._deviation
+    except AttributeError:
+        deviation = _gram_deviation(m.entries)
+        object.__setattr__(m, "_deviation", deviation)
+    return deviation <= tol  # False for NaN too
+
+
+def _gram_deviation(rows) -> Scalar:
+    """The largest ``|(m @ m^T - I)[i][j]|``, NaN if any entry is NaN.
+
+    The Gram is symmetric to the bit, so only its upper triangle is read,
+    and each entry is row i's dot product with row j over row i's nonzero
+    entries, added left to right like the dense ``sum``.  The skipped terms
+    are exact zeros, and so is every entry of two rows without a nonzero
+    column in common, which is skipped too: the deviation is the dense one.
+    """
+    support = [[k for k, x in enumerate(r) if x] for r in rows]
+    sharing = [set() for _ in rows]  # column k -> the rows nonzero there
+    for i, cols in enumerate(support):
+        for k in cols:
+            sharing[k].add(i)
+    worst = 0
+    for i, (r, cols) in enumerate(zip(rows, support)):
+        vals = [r[k] for k in cols]
+        # ``itemgetter`` of one index returns the entry, not a tuple, so the
+        # first index is repeated (``map`` stops at the end of ``vals``); a
+        # zero row has no partners to pick from.
+        pick = itemgetter(*cols, *cols[:1]) if cols else None
+        partners = set().union(*(sharing[k] for k in cols))
+        devs = [sum(map(mul, vals, vals)) - 1]
+        devs += [sum(map(mul, vals, pick(rows[j]))) for j in partners if j > i]
+        for d in map(abs, devs):
+            if not d <= worst:  # larger, or NaN
+                if d != d:
+                    return d
+                worst = d
+    return worst

@@ -11,8 +11,9 @@ from random import Random
 import pytest
 
 from helpers import random_pfa, words_up_to
+from qfalab import numeric
 from qfalab.automata import CENT, DOLLAR, kwqfa_run, pfa_accept_prob
-from qfalab.cli import machine_to_doc
+from qfalab.cli import machine_to_doc, parse_document, serialize_machine
 from qfalab.constructions import (
     ExtendedMachine,
     coin_pfa,
@@ -196,6 +197,21 @@ def test_pipeline_state_count_and_measurement_sets():
     assert q.q_rej == frozenset({p.n + 2}) | frozenset(
         range(p.n + 4, 2 * (p.n + 3) + 1)
     )
+
+
+def test_pipeline_computes_one_gram_per_matrix(monkeypatch):
+    """The completion's 1e-9 check and the machine's EPSILON check share one
+    orthogonality deviation per completed matrix; a loaded document's
+    matrices are new objects and compute their own."""
+    calls = []
+    deviation = numeric._gram_deviation
+    monkeypatch.setattr(numeric, "_gram_deviation", lambda rows: calls.append(1) or deviation(rows))
+    p = random_pfa(Random(8), 4)
+    q = pfa_to_nqfa(p)
+    symbols = len(p.sigma) + 2
+    assert len(calls) == symbols
+    assert parse_document(serialize_machine(q)) == q
+    assert len(calls) == 2 * symbols
 
 
 def test_pipeline_on_coin_machine():

@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qfalab import numeric
 from qfalab.numeric import (
     FLOAT,
     RATIONAL,
@@ -14,8 +16,10 @@ from qfalab.numeric import (
     KindMismatchError,
     Matrix,
     RowVec,
+    coerce_scalar,
     format_scalar,
     is_stochastic,
+    is_stochastic_row,
     is_unitary_within,
     kron,
     mat_add,
@@ -199,3 +203,171 @@ def test_exact_type_coercion_keeps_the_general_rules():
     assert scalar_kind(Fraction(1, 2)) == RATIONAL and scalar_kind(0.5) == FLOAT
     with pytest.raises(TypeError):
         scalar_kind(1)
+
+
+# -- one orthogonality deviation per matrix ----------------------------------
+
+
+def dense_verdict(rows, tol) -> bool:
+    """The dense check, entry by entry over the upper triangle of m @ m^T."""
+    n = len(rows)
+    return all(
+        abs(sum(map(mul, rows[i], rows[j])) - (i == j)) <= tol
+        for i in range(n)
+        for j in range(i, n)
+    )
+
+
+def dense_deviation(rows):
+    """The largest |(m @ m^T - I)[i][j]|, or None if one is NaN."""
+    n = len(rows)
+    devs = [abs(sum(map(mul, rows[i], rows[j])) - (i == j)) for i in range(n) for j in range(i, n)]
+    return None if any(d != d for d in devs) else max(devs)
+
+
+# Overflowing products make infinite and NaN Gram entries from finite ones.
+float_entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, -0.8, 0.8, 0.5, 1e200, -1e200]) | (
+    st.floats(min_value=-2.0, max_value=2.0)
+)
+rational_entries = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 5), Fraction(-4, 5)]
+) | rationals
+
+
+@st.composite
+def sparse_square_rows(draw):
+    """Mostly-zero rows, sometimes a signed permutation (orthogonal), with
+    all-zero rows among them."""
+    kind = draw(st.sampled_from([FLOAT, RATIONAL]))
+    n = draw(st.integers(1, 6))
+    entries = float_entries if kind == FLOAT else rational_entries
+    zero_entry = 0.0 if kind == FLOAT else Fraction(0)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        rows = [[zero_entry] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            rows[i][j] = draw(st.sampled_from([1, -1])) * (1.0 if kind == FLOAT else Fraction(1))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(entries)
+    else:
+        rows = [[draw(entries) if draw(st.integers(0, 3)) == 0 else zero_entry for _ in range(n)]
+                for _ in range(n)]
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            rows[i] = [zero_entry] * n
+    return kind, rows
+
+
+@given(sparse_square_rows())
+@example((FLOAT, [[1e200, 1e200], [1e200, -1e200]]))  # a NaN Gram entry
+@example((FLOAT, [[1e200, 0.0], [0.0, 1.0]]))  # an infinite one
+@example((RATIONAL, [[Fraction(0)] * 2] * 2))
+def test_one_deviation_per_matrix_gives_the_dense_verdicts(drawn):
+    """Every tolerance, asked of one matrix in turn, gets the verdict of the
+    dense entry-by-entry check: 0, 1e-9, NaN, infinity and the exact
+    deviation with one ulp either side."""
+    kind, rows = drawn
+    m = Matrix(rows, kind)
+    worst = dense_deviation(m.entries)
+    tols = [0, 1e-9, math.nan, math.inf]
+    if worst is not None:
+        edge = float(worst)
+        tols += [worst, edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    for tol in tols + tols[::-1]:
+        assert is_unitary_within(m, tol) is dense_verdict(m.entries, tol), tol
+
+
+def test_a_matrix_computes_its_deviation_once(monkeypatch):
+    calls = []
+    deviation = numeric._gram_deviation
+    monkeypatch.setattr(numeric, "_gram_deviation", lambda rows: calls.append(1) or deviation(rows))
+    c, s = math.cos(1.0), math.sin(1.0)
+    rot = Matrix.floats([[c, -s], [s, c]])
+    for tol in (1e-9, 0, 1e-12, math.nan, 1.0):
+        is_unitary_within(rot, tol)
+    assert len(calls) == 1
+    # The kept deviation is no field: the matrix equals, hashes and prints
+    # like a fresh copy.
+    fresh = Matrix.floats([[c, -s], [s, c]])
+    assert rot == fresh and hash(rot) == hash(fresh) and repr(rot) == repr(fresh)
+    assert not is_unitary_within(Matrix.floats([[1.0, 0.0]]), 1.0)
+    assert len(calls) == 1
+
+
+# -- stochastic rows on integer numerators ------------------------------------
+
+
+def fraction_rule(row) -> bool:
+    return all(0 <= v <= 1 for v in row) and sum(row) == 1
+
+
+@st.composite
+def near_stochastic_rows(draw):
+    """Rows over mixed denominators that sum to 1 by construction, then
+    perhaps nudged: entries below 0 and above 1 and sums other than 1."""
+    head = draw(st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12), max_size=5))
+    row = head + [1 - sum(head, Fraction(0))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(row) - 1))
+        row[i] += draw(st.fractions(min_value=-1, max_value=1, max_denominator=30))
+    return row
+
+
+@given(near_stochastic_rows() | st.lists(st.fractions(max_denominator=10), min_size=1, max_size=6))
+def test_stochastic_rows_on_integers_agree_with_the_fraction_rule(row):
+    assert is_stochastic_row(row) is fraction_rule(row)
+
+
+def test_stochastic_rows_at_the_edges():
+    F = Fraction
+    assert is_stochastic_row([F(1)]) and is_stochastic_row([F(0), F(1), F(0)])
+    assert is_stochastic_row([F(1, 3), F(1, 6), F(1, 2)])
+    assert not is_stochastic_row([F(-1, 2), F(3, 2)])
+    assert not is_stochastic_row([F(1, 3), F(1, 3)])
+    assert not is_stochastic_row([F(1, 2), F(1, 2), F(1, 1000)])
+
+
+# -- whole-row coercion ---------------------------------------------------------
+
+
+class Wide(float):
+    pass
+
+
+ODD_ENTRIES = [1, -3, True, False, Wide(0.5), math.nan, math.inf, -math.inf, 10**400,
+               -(10**400), Fraction(1, 2), 0.25, -0.0, "x", None]
+
+
+def outcome(build):
+    """The entries ``build`` gives, by type and repr, or its refusal."""
+    try:
+        rows = build()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return [[(type(v), repr(v)) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("kind", [FLOAT, RATIONAL])
+@given(st.data())
+def test_whole_row_coercion_keeps_every_entry_rule(kind, data):
+    """Rows of the kind's exact type are kept whole; a row with any other
+    entry is coerced or refused as the entries one by one say, with the same
+    message naming the same first offending entry."""
+    plain = st.floats(-1, 1) if kind == FLOAT else rationals
+    entry = plain | st.sampled_from(ODD_ENTRIES)
+    rows = data.draw(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=1, max_size=3))
+    one_by_one = outcome(lambda: [[coerce_scalar(v, kind) for v in row] for row in rows])
+    assert outcome(lambda: Matrix(rows, kind).entries) == one_by_one
+    first = outcome(lambda: [[coerce_scalar(v, kind) for v in rows[0]]])
+    assert outcome(lambda: [RowVec(rows[0], kind).entries]) == first
+
+
+def test_whole_row_coercion_names_the_first_offending_entry():
+    with pytest.raises(ValueError, match=r"^non-finite float entry inf$"):
+        Matrix.floats([[0.5, 0.25], [0.5, 10**400], [math.nan, 0.0]])
+    with pytest.raises(KindMismatchError, match=r"rational entry Fraction\(1, 2\) in a float"):
+        Matrix.floats([[0.5, 0.25], [Fraction(1, 2), math.inf]])
+    with pytest.raises(KindMismatchError, match=r"float entry 0.5 in a rational container"):
+        Matrix.rational([[Fraction(1, 2), Fraction(1, 2)], [1, 0.5]])
+    kept = (0.5, -0.0)
+    assert Matrix.floats([kept, kept]).entries[0] is kept
+    assert [type(v) for v in Matrix.floats([[Wide(0.5), 1, True]]).entries[0]] == [float] * 3

@@ -8,6 +8,8 @@ exactly equal where every entry is dyadic, so the fold rounds nothing.
 """
 
 import gc
+import math
+import re
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -17,7 +19,7 @@ from random import Random
 
 import pytest
 
-from helpers import random_gpfa, random_pfa
+from helpers import random_gpfa, random_pfa, words_up_to
 from qfalab import automata, numeric
 from qfalab.automata import (
     CENT,
@@ -26,12 +28,14 @@ from qfalab.automata import (
     Kwqfa,
     Mcqfa,
     Pfa,
+    RunTrace,
     acceptance_value,
     enumerate_values,
     kwqfa_run,
     state_vector,
     stepper,
 )
+from qfalab.constructions import pfa_to_nqfa
 from qfalab.numeric import FLOAT, RATIONAL, ColVec, Matrix, RowVec, mat_mul, one, zero
 
 SIGMA = ("a", "b")
@@ -217,8 +221,8 @@ def test_a_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
     the symbol's and the read-out (for a Kwqfa, the right end-marker's)."""
     calls = []
     lower = automata._Float.lower
-    monkeypatch.setattr(automata._Float, "lower",
-                        staticmethod(lambda lines: calls.append(1) or lower(lines)))
+    counted = staticmethod(lambda lines, **split: calls.append(1) or lower(lines, **split))
+    monkeypatch.setattr(automata._Float, "lower", counted)
     fresh = replace(m)
     acceptance_value(fresh, "a")
     assert len(calls) == 2
@@ -290,3 +294,90 @@ def test_float_kwqfa_norm_bound_holds(monkeypatch):
     assert acceptance_value(m, "a") == 0.0
     with pytest.raises(ValueError, match="state vector norm exceeds 1"):
         list(enumerate_values(m, 3))
+
+
+# -- a float Kwqfa kernel that also measures -------------------------------
+
+
+def measured_fold(m: Kwqfa, word):
+    """``kwqfa_run`` of a float Kwqfa by the stepper's arithmetic, written
+    out: each output line adds the products of its nonzero entries over the
+    live coordinates left to right, and each measurement adds squares to 0.0
+    with ``sum``, accepting then rejecting coordinates."""
+    halting = m.q_acc | m.q_rej
+    live = [i for i in range(m.n) if i + 1 not in halting]
+    acc, rej = sorted(q - 1 for q in m.q_acc), sorted(q - 1 for q in m.q_rej)
+    out = [row[0] for row in m.trans[CENT].entries]
+    accept = reject = 0.0
+    vectors = []
+    for sym in (*word, DOLLAR, None):
+        accept += sum((out[i] * out[i] for i in acc), 0.0)
+        reject += sum((out[i] * out[i] for i in rej), 0.0)
+        v = [out[i] for i in live]
+        full = [0.0] * m.n
+        for i, x in zip(live, v):
+            full[i] = x + 0.0
+        vectors.append(ColVec(full, FLOAT))
+        if sym is None:
+            return RunTrace(accept, reject, tuple(vectors))
+        rows = m.trans[sym].entries
+        out = []
+        for row in rows:
+            terms = [x * row[i] for i, x in zip(live, v) if row[i]]
+            out.append(reduce(add, terms) if terms else 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pipeline_machines_match_a_measured_fold(n):
+    m = pfa_to_nqfa(random_pfa(Random(n), n))
+    values = dict(enumerate_values(m, 4))
+    for word in words_up_to(SIGMA, 4):
+        want = measured_fold(m, word)
+        assert repr(kwqfa_run(m, word)) == repr(want)
+        assert repr(acceptance_value(m, word)) == repr(values[word]) == repr(want.accept_prob)
+
+
+def spiking_kwqfa(grow: tuple[float, float], send: dict[int, tuple[float, float]]) -> Kwqfa:
+    """States 1 and 2 live, 3 accepts, 4 rejects.  "a" sends state 1 to the
+    live states with the entries ``grow``; "b" has only the rows ``send``
+    names, each reading the two live states with the given entries."""
+    a = [[float(i == j) for j in range(4)] for i in range(4)]
+    a[0][0], a[1][0] = grow
+    b = [[0.0] * 4 for _ in range(4)]
+    for i, entries in send.items():
+        b[i][:2] = entries
+    return Kwqfa(4, SIGMA, {"a": Matrix.floats(a), "b": Matrix.floats(b)}, {3}, {4})
+
+
+@pytest.mark.parametrize("row", [1, 2, 3], ids=["live", "accepting", "rejecting"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+def test_a_non_finite_entry_in_any_row_is_named(monkeypatch, row, bad):
+    """At an infinite tolerance "a" passes: its masses overflow but its
+    entries stay finite.  "b" then lands ``bad`` in one row, as the product
+    1e200 * 1e200, its negative, or NaN from their sum."""
+    monkeypatch.setattr(numeric, "EPSILON", math.inf)
+    entries = {math.inf: (1e200, 0.0), -math.inf: (-1e200, 0.0)}.get(bad, (1e200, -1e200))
+    m = spiking_kwqfa((1e200, 1e200), {row: entries})
+    assert acceptance_value(m, "a") == 0.0
+    message = f"^non-finite float entry {re.escape(repr(bad))}$"
+    for run in (acceptance_value, kwqfa_run):
+        with pytest.raises(ValueError, match=message):
+            run(m, "ab")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((1,), "state vector norm exceeds 1"),
+    ((2,), "halting probabilities exceed 1"),
+    ((3,), "halting probabilities exceed 1"),
+    ((1, 2), "halting probabilities exceed 1"),  # halting is checked first
+])
+def test_finite_entries_whose_squares_overflow_fail_a_bound(monkeypatch, rows, message):
+    """Within a finite tolerance of 1e308, an entry of 1e154 passes the
+    orthogonality check and, applied twice, gives a finite 1e308 whose
+    square overflows: the step fails a bound, not the finiteness check."""
+    monkeypatch.setattr(numeric, "EPSILON", 1e308)
+    m = spiking_kwqfa((1e154, 0.0), {i: (1e154, 0.0) for i in rows})
+    assert acceptance_value(m, "a") == 0.0
+    for run in (acceptance_value, kwqfa_run):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(m, "ab")
