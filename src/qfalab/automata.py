@@ -118,16 +118,10 @@ def _check_trans(
     trans: Mapping[str, Matrix], sigma: tuple[str, ...], markers: tuple[str, ...], n: int
 ) -> dict[str, Matrix]:
     table = dict(trans)
-    # Constructions that do not care about the end-markers may omit them.
-    kind = next(iter(table.values())).kind if table else RATIONAL
-    for marker in markers:
-        if marker not in table:
-            table[marker] = Matrix.identity(n, kind)
-    expected = set(sigma + markers)
     got = set(table)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
+    missing = sorted(set(sigma) - got)
+    extra = sorted(got - set(sigma + markers))
+    if missing or extra:
         parts = []
         if missing:
             parts.append(f"missing matrices for {missing}")
@@ -141,6 +135,12 @@ def _check_trans(
             raise ValueError(
                 f"transition matrix for {sym!r} is {m.rows}x{m.cols}, expected {n}x{n}"
             )
+    # Constructions that do not care about the end-markers may omit them.
+    # Filled only now, so a claimed n is checked before n x n is built.
+    kind = next(iter(table.values())).kind
+    for marker in markers:
+        if marker not in table:
+            table[marker] = Matrix.identity(n, kind)
     return table
 
 
@@ -652,6 +652,8 @@ def enumerate_values(machine: Machine, maxlen: int) -> Iterator[tuple[Word, Scal
     """Yield (word, acceptance value) for every word up to ``maxlen``,
     shortest first and lexicographic within one length with respect to the
     machine's declared symbol order, sharing prefix work across words."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be nonnegative, got {maxlen}")
     init, advance, value = stepper(machine)
     level: list[tuple[Word, object]] = [((), init)]
     for length in range(maxlen + 1):

@@ -4,6 +4,10 @@ bounded verification runs.
 Machine documents are JSON with named fields.  Rational entries are written
 as ``"p/q"`` strings (plain integers allowed), float entries as numbers, and
 the end-markers appear under the reserved names ``cent`` and ``dollar``.
+Every document (machine, extended, homomorphism and ``dfa:`` oracle) is
+read by one JSON loader, ``_read_json``, and checked by the field readers
+of ``languages``; syntax errors and nesting too deep to parse are both
+reported as ``invalid JSON``.
 Exit codes: 0 for success or agreement, 1 for a disagreement or a found
 counterexample, 2 for usage and validation errors.
 """
@@ -54,8 +58,9 @@ from .constructions import (
     unitary_complete,
     word_problem_gpfa,
 )
-from .cutpoint import RELATIONS, CutpointSpec, classify_value
-from .languages import LanguageOracle, complement, dfa_oracle, oracle
+from .cutpoint import RELATIONS, CutpointSpec, member_at_cutpoint
+from .languages import DocumentError, LanguageOracle, complement, dfa_oracle, oracle
+from .languages import _field, _integer, _object, _states, _strings  # the document readers
 from .numeric import (
     FLOAT,
     RATIONAL,
@@ -70,10 +75,6 @@ from .verify import dieu_violation, enumerate_agreement
 
 MARKER_NAMES = {CENT: "cent", DOLLAR: "dollar"}
 NAMED_MARKERS = {v: k for k, v in MARKER_NAMES.items()}
-
-
-class DocumentError(ValueError):
-    """A machine document failed to parse or violated a machine invariant."""
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +152,13 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
 # Machine documents
 
 
-def _matrix_to_doc(m: Matrix):
-    if m.kind == FLOAT:
-        return [list(row) for row in m.entries]
-    return [[format_scalar(v) for v in row] for row in m.entries]
+def _matrices_to_doc(table: Mapping[str, Matrix]) -> dict:
+    """Each symbol's matrix as rows, keyed by the symbol's document name."""
+    return {
+        MARKER_NAMES.get(sym, sym): [list(row) for row in m.entries] if m.kind == FLOAT
+        else [[format_scalar(v) for v in row] for row in m.entries]
+        for sym, m in table.items()
+    }
 
 
 def _matrix_from_doc(raw, kind: str, where: str, literals: dict) -> Matrix:
@@ -173,46 +177,17 @@ def _vector_from_doc(raw, kind: str, where: str, literals: dict) -> list:
     return _decode_entries(raw, kind, where, literals)
 
 
-def _object(raw, what: str) -> Mapping:
-    if not isinstance(raw, Mapping):
-        raise DocumentError(f"{what} must be an object")
-    return raw
-
-
-def _strings(raw, what: str) -> tuple[str, ...]:
-    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-        raise DocumentError(f"{what} must be a list of strings, got {raw!r}")
-    return tuple(raw)
-
-
-def _integer(raw, what: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise DocumentError(f"{what} must be an integer, got {raw!r}")
-    return raw
-
-
 def _machine_fields(
     doc: Mapping, count: str, scalar: str, literals: dict
 ) -> tuple[tuple[str, ...], int, dict]:
     """Alphabet, state count and matrices, shared by machine and extended documents."""
-    try:
-        alphabet, n, raw_matrices = doc["alphabet"], doc[count], doc["matrices"]
-    except KeyError as exc:
-        raise DocumentError(f"missing field {exc.args[0]!r}") from exc
-    alphabet, n = _strings(alphabet, "alphabet"), _integer(n, count)
+    alphabet = _strings(_field(doc, "alphabet"), "alphabet")
+    n = _integer(_field(doc, count), count)
     trans = {
-        _key_symbol(key): _matrix_from_doc(raw, scalar, f"matrix {key!r}", literals)
-        for key, raw in _object(raw_matrices, "matrices").items()
+        NAMED_MARKERS.get(key, key): _matrix_from_doc(raw, scalar, f"matrix {key!r}", literals)
+        for key, raw in _object(_field(doc, "matrices"), "matrices").items()
     }
     return alphabet, n, trans
-
-
-def _symbol_key(sym: str) -> str:
-    return MARKER_NAMES.get(sym, sym)
-
-
-def _key_symbol(key: str) -> str:
-    return NAMED_MARKERS.get(key, key)
 
 
 def machine_to_doc(machine: Machine) -> dict:
@@ -224,9 +199,7 @@ def machine_to_doc(machine: Machine) -> dict:
         "scalar": machine.kind,
         "alphabet": list(machine.sigma),
         "n": machine.n,
-        "matrices": {
-            _symbol_key(sym): _matrix_to_doc(m) for sym, m in machine.trans.items()
-        },
+        "matrices": _matrices_to_doc(machine.trans),
     }
     if isinstance(machine, (Pfa, Mcqfa)):
         doc["accepting"] = sorted(machine.accepting)
@@ -263,7 +236,7 @@ _CONVENTIONS = {"pfa": "row", "gpfa": "row", "kwqfa": "column", "mcqfa": "column
 
 def machine_from_doc(doc: Mapping) -> Machine:
     kind_name = _object(doc, "document").get("kind")
-    if kind_name not in ("pfa", "gpfa", "kwqfa", "mcqfa"):
+    if type(kind_name) is not str or kind_name not in _CONVENTIONS:
         raise DocumentError(f"unknown machine kind {kind_name!r}")
     scalar = doc.get("scalar", RATIONAL)
     if scalar not in (RATIONAL, FLOAT):
@@ -275,32 +248,38 @@ def machine_from_doc(doc: Mapping) -> Machine:
         )
     literals: dict = {}
     alphabet, n, trans = _machine_fields(doc, "n", scalar, literals)
+
+    def states(key: str) -> frozenset[int]:
+        return _states(doc.get(key, []), key)
+
     try:
         if kind_name == "pfa":
-            return Pfa(n, alphabet, trans, frozenset(doc.get("accepting", ())))
+            return Pfa(n, alphabet, trans, states("accepting"))
         if kind_name == "mcqfa":
-            return Mcqfa(n, alphabet, trans, frozenset(doc.get("accepting", ())))
+            return Mcqfa(n, alphabet, trans, states("accepting"))
         if kind_name == "kwqfa":
-            return Kwqfa(
-                n,
-                alphabet,
-                trans,
-                frozenset(doc.get("accepting", ())),
-                frozenset(doc.get("rejecting", ())),
-            )
-        v0 = RowVec(_vector_from_doc(doc["v0"], scalar, "v0", literals), scalar)
-        f = ColVec(_vector_from_doc(doc["f"], scalar, "f", literals), scalar)
+            return Kwqfa(n, alphabet, trans, states("accepting"), states("rejecting"))
+        v0 = RowVec(_vector_from_doc(_field(doc, "v0"), scalar, "v0", literals), scalar)
+        f = ColVec(_vector_from_doc(_field(doc, "f"), scalar, "f", literals), scalar)
         return Gpfa(n, alphabet, trans, v0, f)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise DocumentError(str(exc)) from exc
 
 
-def parse_document(text: str) -> Machine:
+def _parse_json(text: str):
+    """The one JSON reader of every document kind."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
-    return machine_from_doc(doc)
+
+
+def _read_json(path: str):
+    return _parse_json(Path(path).read_text())
+
+
+def parse_document(text: str) -> Machine:
+    return machine_from_doc(_parse_json(text))
 
 
 def load_machine(path: str) -> Machine:
@@ -321,9 +300,7 @@ def extended_to_doc(e: ExtendedMachine) -> dict:
         "scalar": RATIONAL,
         "alphabet": list(e.sigma),
         "base_n": e.base_n,
-        "matrices": {
-            _symbol_key(sym): _matrix_to_doc(m) for sym, m in e.trans.items()
-        },
+        "matrices": _matrices_to_doc(e.trans),
     }
 
 
@@ -333,7 +310,7 @@ def extended_from_doc(doc: Mapping) -> ExtendedMachine:
     alphabet, base_n, trans = _machine_fields(doc, "base_n", RATIONAL, {})
     try:
         return ExtendedMachine(base_n, alphabet, trans)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
 
@@ -342,26 +319,19 @@ def completion_to_doc(c: CompletionResult) -> dict:
         "kind": "completion",
         "scalar": FLOAT,
         "block_dim": c.block_dim,
-        "unitaries": {
-            _symbol_key(sym): _matrix_to_doc(m) for sym, m in c.unitaries.items()
-        },
-        "scale": {_symbol_key(sym): v for sym, v in c.scale.items()},
+        "unitaries": _matrices_to_doc(c.unitaries),
+        "scale": {MARKER_NAMES.get(sym, sym): v for sym, v in c.scale.items()},
     }
 
 
 def hom_from_doc(doc: Mapping) -> Homomorphism:
-    try:
-        source = _strings(_object(doc, "homomorphism document")["source"], "source")
-        target = _strings(doc["target"], "target")
-        raw_images = _object(doc["images"], "images")
-    except KeyError as exc:
-        raise DocumentError(f"homomorphism document missing {exc.args[0]!r}") from exc
-    images = {}
-    for sym, image in raw_images.items():
-        if isinstance(image, str):
-            images[sym] = parse_word(image, target)
-        else:
-            images[sym] = tuple(image)
+    source = _strings(_field(_object(doc, "homomorphism document"), "source"), "source")
+    target = _strings(_field(doc, "target"), "target")
+    images = {
+        sym: parse_word(image, target) if isinstance(image, str)
+        else _strings(image, f"image of {sym!r}")
+        for sym, image in _object(_field(doc, "images"), "images").items()
+    }
     try:
         return Homomorphism(source, target, images)
     except ValueError as exc:
@@ -388,7 +358,7 @@ def _machine_cut(machine: Machine, text: str) -> Scalar:
 
 def _resolve_oracle(spec: str, complement_flag: bool) -> LanguageOracle:
     if spec.startswith("dfa:"):
-        base = dfa_oracle(json.loads(Path(spec[len("dfa:"):]).read_text()))
+        base = dfa_oracle(_read_json(spec[len("dfa:"):]))
     else:
         base = oracle(spec)
     return complement(base) if complement_flag else base
@@ -410,12 +380,11 @@ def _cmd_classify(args) -> int:
     machine = load_machine(args.machine)
     word = parse_word(args.word, machine.sigma)
     spec = CutpointSpec(_machine_cut(machine, args.cutpoint), args.relation)
-    value = acceptance_value(machine, word)
-    member = classify_value(value, spec)
+    member = member_at_cutpoint(machine, spec, word)
     _emit(
         {
             "word": "".join(word),
-            "value": _encode_scalar(value),
+            "value": _encode_scalar(acceptance_value(machine, word)),
             "cutpoint": args.cutpoint,
             "relation": args.relation,
             "member": member,
@@ -465,6 +434,9 @@ def _require(value, flag: str, op: str):
     return value
 
 
+_PAIR_OPERATIONS = {"concat": gpfa_concat, "union": gpfa_union, "intersect": gpfa_intersection}
+
+
 def _build_machine(args) -> Machine:
     op = args.operation
     if op == "rot-mcqfa":
@@ -478,15 +450,9 @@ def _build_machine(args) -> Machine:
         machine = _expect(load_machine(_require(args.infile, "--in", op)), Pfa, op)
         return shift_cutpoint(machine, parse_rational(_require(args.cutpoint, "--cutpoint", op)))
     one = _expect(load_machine(_require(args.infile, "--in", op)), Gpfa, op)
-    if op == "concat":
+    if op in _PAIR_OPERATIONS:
         other = load_machine(_require(args.infile2, "--in2", op))
-        return gpfa_concat(one, _expect(other, Gpfa, op))
-    if op == "union":
-        other = load_machine(_require(args.infile2, "--in2", op))
-        return gpfa_union(one, _expect(other, Gpfa, op))
-    if op == "intersect":
-        other = load_machine(_require(args.infile2, "--in2", op))
-        return gpfa_intersection(one, _expect(other, Gpfa, op))
+        return _PAIR_OPERATIONS[op](one, _expect(other, Gpfa, op))
     if op == "star":
         return gpfa_star(one)
     if op == "add-eps":
@@ -497,11 +463,11 @@ def _build_machine(args) -> Machine:
     if op == "quotient":
         return gpfa_quotient(one, parse_word(args.word, one.sigma), args.side)
     if op == "hom":
-        mapping = hom_from_doc(json.loads(Path(_require(args.map, "--map", op)).read_text()))
+        mapping = hom_from_doc(_read_json(_require(args.map, "--map", op)))
         bounds = [int(x) for x in args.nl.split(",")] if args.nl else []
         return gpfa_hom(one, mapping, bounds)
     if op == "inv-hom":
-        mapping = hom_from_doc(json.loads(Path(_require(args.map, "--map", op)).read_text()))
+        mapping = hom_from_doc(_read_json(_require(args.map, "--map", op)))
         return gpfa_inverse_hom(one, mapping)
     raise DocumentError(f"unknown build operation {op!r}")
 
@@ -523,7 +489,7 @@ def _cmd_build(args) -> int:
         return 0
     if args.operation == "complete":
         infile = _require(args.infile, "--in", "complete")
-        extended = extended_from_doc(json.loads(Path(infile).read_text()))
+        extended = extended_from_doc(_read_json(infile))
         completed = unitary_complete(extended)
         Path(args.out).write_text(_write_document(completion_to_doc(completed)))
         _emit({"written": args.out, "dimension": completed.unitaries[CENT].rows}, args.json)

@@ -131,8 +131,8 @@ class ExtendedMachine:
     def __post_init__(self):
         dim = self.n_plus_3
         for sym in self.sigma + MARKERS:
-            m = self.trans[sym]
-            if m.rows != dim or m.cols != dim or m.kind != RATIONAL:
+            m = self.trans.get(sym)
+            if m is None or m.rows != dim or m.cols != dim or m.kind != RATIONAL:
                 raise ValueError(f"extended matrix for {sym!r} must be rational {dim}x{dim}")
 
     @property

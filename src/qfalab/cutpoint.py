@@ -28,6 +28,7 @@ from .numeric import (
     RATIONAL,
     KindMismatchError,
     Scalar,
+    format_scalar,
     scalar_kind,
     zero_tolerance,
 )
@@ -113,7 +114,7 @@ def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
     """Probability-valued machines only make sense with thresholds in [0,1];
     generalized machines may use any real threshold."""
     if not isinstance(machine, Gpfa) and not (0 <= lam <= 1):
-        raise ValueError(f"cutpoint {lam!r} outside [0,1] for a probability machine")
+        raise ValueError(f"cutpoint {format_scalar(lam)} outside [0,1] for a probability machine")
 
 
 def member_at_cutpoint(machine: Machine, spec: CutpointSpec, w) -> bool:

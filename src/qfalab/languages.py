@@ -6,6 +6,9 @@ serve as the independent side of a brute-force comparison against a machine.
 
 Free-group generators are spelled ``g1 ... gk`` with uppercase ``G1 ... Gk``
 for their inverses, so every symbol is a single token.
+
+The document field readers live here, the lowest module that reads a
+document; ``cli`` reads machine, extended and homomorphism documents with them.
 """
 
 from __future__ import annotations
@@ -146,16 +149,39 @@ def complement(base: LanguageOracle) -> LanguageOracle:
     )
 
 
-def _integer(raw, what: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValueError(f"{what} must be an integer, got {raw!r}")
-    return raw
+class DocumentError(ValueError):
+    """A document failed to parse or violated a machine invariant."""
+
+
+def _field(doc: Mapping, key: str):
+    if key not in doc:
+        raise DocumentError(f"missing field {key!r}")
+    return doc[key]
 
 
 def _object(raw, what: str) -> Mapping:
     if not isinstance(raw, Mapping):
-        raise ValueError(f"{what} must be an object")
+        raise DocumentError(f"{what} must be an object")
     return raw
+
+
+def _strings(raw, what: str) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        raise DocumentError(f"{what} must be a list of strings, got {raw!r}")
+    return tuple(raw)
+
+
+def _integer(raw, what: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise DocumentError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
+def _states(raw, what: str) -> frozenset[int]:
+    """A list of state numbers, such as an ``accepting`` set."""
+    if not isinstance(raw, list):
+        raise DocumentError(f"{what} must be a list of integers, got {raw!r}")
+    return frozenset(_integer(q, f"each {what} state") for q in raw)
 
 
 def _state_key(key) -> int:
@@ -180,23 +206,16 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
     integer; a row for a state outside 1..n or an entry for a symbol outside
     the alphabet is an error.
     """
-    alphabet = _object(doc, "dfa document").get("alphabet")
-    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
-        raise ValueError(f"alphabet must be a list of strings, got {alphabet!r}")
-    alphabet = tuple(alphabet)
-    n = _integer(doc.get("n"), "n")
+    alphabet = _strings(_field(_object(doc, "dfa document"), "alphabet"), "alphabet")
+    n = _integer(_field(doc, "n"), "n")
     start = _integer(doc.get("start", 1), "start")
-    if "accepting" not in doc:
-        raise ValueError("missing field 'accepting'")
-    if not isinstance(doc["accepting"], list):
-        raise ValueError(f"accepting must be a list of integers, got {doc['accepting']!r}")
-    accepting = frozenset(_integer(q, "each accepting state") for q in doc["accepting"])
+    accepting = _states(_field(doc, "accepting"), "accepting")
     if not (1 <= start <= n):
         raise ValueError(f"start state {start} out of range")
     if not all(1 <= q <= n for q in accepting):
         raise ValueError("accepting state out of range")
     table: dict[tuple[int, str], int] = {}
-    for state_key, row in _object(doc.get("transitions"), "transitions").items():
+    for state_key, row in _object(_field(doc, "transitions"), "transitions").items():
         q = _state_key(state_key)
         if not (1 <= q <= n):
             raise ValueError(f"transitions row for state {q} out of range")

@@ -106,6 +106,8 @@ def dieu_violation(
     is returned; otherwise ``None``.  A returned ``m`` certifies that the
     pumping condition fails at parameter ``n``.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if m_max < n:
         raise ValueError("m_max must be at least n")
     uw, yw, vw = as_word(u), as_word(y), as_word(v)

@@ -32,6 +32,21 @@ def test_pfa_always_accepting_single_state():
         assert pfa_accept_prob(p, w) == 1
 
 
+@pytest.mark.parametrize("cls", [Pfa, Mcqfa])
+def test_shapes_are_checked_before_marker_identities_are_built(monkeypatch, cls):
+    """A claimed state count far past the given matrices is refused by their
+    shape; building the omitted markers' n x n identities first would cost
+    time and memory quadratic in the claim."""
+    given = {"a": Matrix.rational([[1, 0], [0, 1]])}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a marker identity was built before the shapes were checked")
+
+    monkeypatch.setattr(Matrix, "identity", refuse)
+    with pytest.raises(ValueError, match="is 2x2, expected 600x600"):
+        cls(600, ("a",), given, frozenset({1}))
+
+
 def test_coin_pfa_values():
     p = coin_pfa()
     assert pfa_accept_prob(p, "a") == Fraction(1, 2)

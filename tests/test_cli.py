@@ -689,6 +689,7 @@ SIDE_DOCUMENTS = {
         ("hom", {"source": "x"}, "source must be a list of strings"),
         ("dfa", {"transitions": [{"a": 1}]}, "transitions must be an object"),
         ("dfa", {"transitions": {"1": [1]}}, "transitions row must be an object"),
+        ("extended", {"matrices": {}}, "extended matrix for 'a' must be rational 5x5"),
     ],
 )
 def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, change, message):
@@ -729,6 +730,80 @@ def test_dfa_oracle_fields_are_type_checked(demo_dir, tmp_path, capsys, change, 
             "--relation", "greater", "--oracle", f"dfa:{path}", "--maxlen", "2"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def _changed(name: str, **change):
+    """A side document, or else the demo machine ``name``, as JSON text with
+    fields replaced, or removed where the change is None."""
+    def text(demo_dir) -> str:
+        doc = SIDE_DOCUMENTS.get(name) or json.loads((demo_dir / f"{name}.json").read_text())
+        return json.dumps({k: v for k, v in {**doc, **change}.items() if v is not None})
+    return text
+
+
+# case: (document text from the demo directory, command, message)
+MALFORMED_DOCUMENTS = {
+    "deep-nesting": (lambda demo_dir: "[" * 200000, "simulate", "invalid JSON"),
+    "accepting-string": (_changed("coin_pfa", accepting="2"), "simulate",
+                         "accepting must be a list of integers, got '2'"),
+    "accepting-int": (_changed("coin_pfa", accepting=2), "simulate",
+                      "accepting must be a list of integers, got 2"),
+    "accepting-nested": (_changed("coin_pfa", accepting=[[2]]), "simulate",
+                         "each accepting state must be an integer, got [2]"),
+    "rejecting-int": (_changed("coin_nqfa", rejecting=5), "simulate",
+                      "rejecting must be a list of integers, got 5"),
+    "gpfa-without-v0": (_changed("wp_gpfa_2", v0=None), "simulate", "missing field 'v0'"),
+    "gpfa-without-f": (_changed("wp_gpfa_2", f=None), "simulate", "missing field 'f'"),
+    "hom-image-int": (_changed("hom", images={"x": 5}), "hom",
+                      "image of 'x' must be a list of strings, got 5"),
+    "dfa-without-n": (_changed("dfa", n=None), "dfa", "missing field 'n'"),
+    "dfa-without-transitions": (_changed("dfa", transitions=None), "dfa",
+                                "missing field 'transitions'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+def test_malformed_documents_exit_two_with_one_named_error(demo_dir, tmp_path, capsys, case):
+    """Each malformed document ends in exit 2 and one ``error:`` line that
+    names the field: no traceback, no bare Python message."""
+    text, command, message = MALFORMED_DOCUMENTS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text(demo_dir))
+    out = str(tmp_path / "out.json")
+    argv = {
+        "simulate": ["simulate", "--machine", str(path), "--word", ""],
+        "hom": ["build", "hom", "--in", str(demo_dir / "wp_gpfa_2.json"),
+                "--map", str(path), "--out", out],
+        "dfa": ["verify", "--machine", str(demo_dir / "rot_mcqfa_3.json"), "--cutpoint", "0",
+                "--relation", "greater", "--oracle", f"dfa:{path}"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--machine", "coin_pfa", "--word", "a", "--cutpoint", "2",
+          "--relation", "less"], "cutpoint 2 outside [0,1] for a probability machine"),
+        (["verify", "--machine", "coin_pfa", "--cutpoint", "1/2", "--relation", "greater",
+          "--oracle", "mod-2", "--maxlen", "-1"], "maxlen must be nonnegative, got -1"),
+        (["dieu", "--n", "-1", "--m-max", "0", "--oracle", "eq", "--u", "a"],
+         "n must be nonnegative, got -1"),
+    ],
+    ids=["classify-cutpoint", "verify-maxlen", "dieu-n"],
+)
+def test_out_of_range_bounds_exit_two(demo_dir, capsys, argv, message):
+    """``classify`` applies the cutpoint range check that ``verify`` applies,
+    and a negative length bound or pumping parameter is refused."""
+    argv = [str(demo_dir / "coin_pfa.json") if a == "coin_pfa" else a for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("cut", ["nan", "inf", "-inf"])

@@ -165,6 +165,18 @@ def test_dieu_requires_m_max_at_least_n():
         dieu_violation(oracle("eq"), (), (), (), 3, 2)
 
 
+def test_negative_bounds_are_refused():
+    """A negative word-length bound or pumping parameter is an error, not an
+    empty sweep or a reported violation at -1."""
+    with pytest.raises(ValueError, match="maxlen must be nonnegative, got -1"):
+        list(enumerate_values(coin_pfa(), -1))
+    with pytest.raises(ValueError, match="maxlen must be nonnegative"):
+        enumerate_agreement(coin_pfa(), CutpointSpec(Fraction(1, 2), "greater"),
+                            oracle("mod-2"), -1)
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        dieu_violation(oracle("eq"), "a", "", "", -1, 0)
+
+
 def test_check_value_identity_reverse_twice():
     rng = Random(3)
     g = random_nonneg_gpfa(rng, 3, ("a", "b"))
