@@ -50,10 +50,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import accumulate
+from itertools import accumulate, compress, count, islice, product, starmap
 from math import gcd, isfinite, lcm
-from operator import mul
-from typing import Iterator, Mapping, Sequence, Union
+from operator import mul, ne
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .numeric import (
     RATIONAL,
@@ -278,7 +278,8 @@ class RunTrace:
 class _Exact:
     """Exact steps on plain integers.  A vector is ``(numerators,
     denominator)`` in lowest terms with a positive denominator; a lowered
-    matrix is its integer lines over one common denominator."""
+    matrix is its integer lines over one common denominator.  ``dot`` gives
+    a value's ``(numerator, denominator)``, not in lowest terms."""
 
     @staticmethod
     def lower(lines):
@@ -308,7 +309,7 @@ class _Exact:
     @staticmethod
     def dot(vec, table):
         ((line,), d), (nums, den) = table, vec
-        return Fraction(sum(map(mul, nums, line)), den * d)
+        return sum(map(mul, nums, line)), den * d
 
     @staticmethod
     def sq(vec, lo, hi):
@@ -498,13 +499,15 @@ def _lower(machine: Machine):
 
 def stepper(machine: Machine):
     """The machine's semantics as a prefix-incremental evaluator
-    ``(init, advance, value)``.
+    ``(init, advance, readout)``.
 
     ``init`` is the state after the left end-marker (if the model has one),
-    ``advance(state, sym)`` reads one input symbol, and ``value(state)``
+    ``advance(state, sym)`` reads one input symbol, and ``readout(state)``
     finishes the run (applying the right end-marker where the model has one)
     without disturbing the state.  Every evaluation in the package is a fold
-    over these three.
+    over these three.  A float read-out is the value; a rational one is
+    ``(num, den)``, integers with ``den > 0`` and value ``Fraction(num, den)``,
+    so a sweep compares it with a cutpoint without building the ``Fraction``.
 
     States are plain Python scalars, and every matrix is lowered once per
     machine, when a step first reads its symbol (the read-out on the
@@ -514,7 +517,7 @@ def stepper(machine: Machine):
     multiplies by a matrix's integer lines and common denominator, then
     divides out the gcd.  A float vector is a tuple of floats, and each float
     matrix becomes one generated function that sums only the nonzero entries
-    of each line; every step checks its output finite.  ``value`` returns the
+    of each line; every step checks its output finite.  A value is the
     same scalar as ``numeric``'s ``RowVec``/``ColVec`` products would, a
     normalised ``Fraction`` or a float (bit for bit on CPython 3.11 and
     earlier; from 3.12 ``sum`` compensates float rounding and the generated
@@ -574,25 +577,27 @@ def stepper(machine: Machine):
                 vec, accept, reject = state
                 return measure(*masses(apply(table[sym], vec)), accept, reject)
 
-        def value(state):
-            return advance(state, DOLLAR)[1]
+        def readout(state):
+            accept = advance(state, DOLLAR)[1]
+            return accept if ops is _Float else accept.as_integer_ratio()
 
         nil = zero(machine.kind)
-        return measure(*masses(start), nil, nil), advance, value
+        return measure(*masses(start), nil, nil), advance, readout
 
     if isinstance(machine, Mcqfa):
         width = len(machine.accepting)
 
-        def value(v):
-            return sq(apply(final, v), 0, width)
+        def readout(v):
+            mass = sq(apply(final, v), 0, width)
+            return mass if ops is _Float else mass.as_integer_ratio()
     else:
-        def value(v):
+        def readout(v):
             return ops.dot(v, final)
 
     def advance(v, sym):
         return apply(table[sym], v)
 
-    return start, advance, value
+    return start, advance, readout
 
 
 def state_vector(machine: Machine, state) -> RowVec | ColVec:
@@ -612,8 +617,9 @@ def state_vector(machine: Machine, state) -> RowVec | ColVec:
 
 
 def _fold(machine: Machine, w: WordLike) -> Scalar:
-    init, advance, value = stepper(machine)
-    return value(reduce(advance, _check_word(machine.sigma, w), init))
+    init, advance, readout = stepper(machine)
+    out = readout(reduce(advance, _check_word(machine.sigma, w), init))
+    return Fraction(*out) if machine.kind == RATIONAL else out
 
 
 def pfa_accept_prob(p: Pfa, w: WordLike) -> Fraction:
@@ -648,21 +654,34 @@ def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
     return RunTrace(accept, reject, tuple(state_vector(m, state) for state in states))
 
 
+def prefix_levels(sigma: Sequence[str], maxlen: int, *steppers) -> Iterator[tuple]:
+    """The words over ``sigma`` up to ``maxlen``, walked once with each
+    ``(init, advance, readout)`` of ``steppers``: per length, ``(words,
+    outs, ...)``, where ``words`` is the lazy ``itertools.product(sigma,
+    repeat=length)`` and each stepper's ``outs`` lazily reads out its states
+    after those words.  Only states are stored, each one step from its parent
+    prefix's."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be nonnegative, got {maxlen}")
+    levels = [[init] for init, _, _ in steppers]
+    for length in range(maxlen + 1):
+        yield (product(sigma, repeat=length),
+               *(map(readout, level) for level, (_, _, readout) in zip(levels, steppers)))
+        if length < maxlen:
+            levels = [[advance(state, sym) for state in level for sym in sigma]
+                      for level, (_, advance, _) in zip(levels, steppers)]
+
+
+def first_difference(words: Iterator[Word], xs, ys) -> Optional[tuple[int, Word]]:
+    """``(index, word)`` of the first position where ``xs`` and ``ys``
+    differ, or ``None``; items past it are never computed."""
+    index = next(compress(count(), map(ne, xs, ys)), None)
+    return None if index is None else (index, next(islice(words, index, None)))
+
+
 def enumerate_values(machine: Machine, maxlen: int) -> Iterator[tuple[Word, Scalar]]:
     """Yield (word, acceptance value) for every word up to ``maxlen``,
     shortest first and lexicographic within one length with respect to the
     machine's declared symbol order, sharing prefix work across words."""
-    if maxlen < 0:
-        raise ValueError(f"maxlen must be nonnegative, got {maxlen}")
-    init, advance, value = stepper(machine)
-    level: list[tuple[Word, object]] = [((), init)]
-    for length in range(maxlen + 1):
-        for word, state in level:
-            yield word, value(state)
-        if length == maxlen:
-            break
-        level = [
-            (word + (sym,), advance(state, sym))
-            for word, state in level
-            for sym in machine.sigma
-        ]
+    for words, outs in prefix_levels(machine.sigma, maxlen, stepper(machine)):
+        yield from zip(words, starmap(Fraction, outs) if machine.kind == RATIONAL else outs)

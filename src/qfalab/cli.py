@@ -58,7 +58,7 @@ from .constructions import (
     unitary_complete,
     word_problem_gpfa,
 )
-from .cutpoint import RELATIONS, CutpointSpec, member_at_cutpoint
+from .cutpoint import RELATIONS, CutpointSpec, check_cutpoint_range, classify_value
 from .languages import DocumentError, LanguageOracle, complement, dfa_oracle, oracle
 from .languages import _field, _integer, _object, _states, _strings  # the document readers
 from .numeric import (
@@ -380,14 +380,15 @@ def _cmd_classify(args) -> int:
     machine = load_machine(args.machine)
     word = parse_word(args.word, machine.sigma)
     spec = CutpointSpec(_machine_cut(machine, args.cutpoint), args.relation)
-    member = member_at_cutpoint(machine, spec, word)
+    check_cutpoint_range(machine, spec.lam)
+    value = acceptance_value(machine, word)
     _emit(
         {
             "word": "".join(word),
-            "value": _encode_scalar(acceptance_value(machine, word)),
+            "value": _encode_scalar(value),
             "cutpoint": args.cutpoint,
             "relation": args.relation,
-            "member": member,
+            "member": classify_value(value, spec),
         },
         args.json,
     )
@@ -464,7 +465,10 @@ def _build_machine(args) -> Machine:
         return gpfa_quotient(one, parse_word(args.word, one.sigma), args.side)
     if op == "hom":
         mapping = hom_from_doc(_read_json(_require(args.map, "--map", op)))
-        bounds = [int(x) for x in args.nl.split(",")] if args.nl else []
+        try:
+            bounds = [int(x) for x in args.nl.split(",")] if args.nl else []
+        except ValueError as exc:
+            raise DocumentError(f"--nl must be comma-separated integers: {args.nl!r}") from exc
         return gpfa_hom(one, mapping, bounds)
     if op == "inv-hom":
         mapping = hom_from_doc(_read_json(_require(args.map, "--map", op)))

@@ -1,11 +1,11 @@
 """Cutpoint classification and bounded recognition checks.
 
 A cutpoint splits the word set into three cells (below, at, above the
-threshold).  Rational comparisons are exact, by integer cross-multiplication;
-float comparisons treat values within the zero tolerance of the threshold as
-equal.  A sweep binds its comparison once with ``cell_test``, which checks
-the machine's kind against the cutpoint's and reads the tolerance, and then
-costs one call per word; ``classify_value`` checks both kinds on every call.
+threshold).  Rational comparisons are exact, on integers only; float
+comparisons treat values within the zero tolerance of the threshold as
+equal.  A sweep binds its comparison to the machine once with ``cell_test``
+and then costs one call per word's ``stepper`` read-out, building no
+``Fraction``; ``classify_value`` checks both kinds on every call.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .automata import (
     Word,
     acceptance_value,
     enumerate_values,
+    first_difference,
+    prefix_levels,
+    stepper,
 )
 from .numeric import (
     FLOAT,
@@ -64,9 +67,9 @@ class CutpointSpec:
             )
 
 
-def _rational_cell(num: int, den: int, v: Fraction) -> str:
-    # Denominators are positive, so cross-multiplying keeps the order.
-    x, y = v.numerator * den, num * v.denominator
+def _rational_cell(num: int, den: int, v: tuple[int, int]) -> str:
+    # ``v`` is a value's (num, den); positive denominators keep the order.
+    x, y = v[0] * den, num * v[1]
     if x == y:
         return EQUAL
     return LESS if x < y else GREATER
@@ -84,13 +87,14 @@ def _kinds_match(kv: str, kl: str) -> None:
         raise KindMismatchError(f"comparing {kv} value against {kl} cutpoint")
 
 
-def cell_test(kind: str, lam: Scalar) -> Callable[[Scalar], str]:
+def cell_test(machine: Machine, lam: Scalar) -> Callable[[object], str]:
     """The three-way comparison against ``lam``, bound once for a sweep over
-    values of ``kind``: the kinds are checked and the tolerance read here,
-    and the returned ``v -> cell`` applies ``classify_value``'s rule without
-    checking ``v``."""
-    _kinds_match(kind, scalar_kind(lam))
-    if kind == RATIONAL:
+    ``machine``: the kinds are checked and the tolerance read here, and the
+    returned ``readout -> cell`` applies ``classify_value``'s rule to a
+    ``stepper`` read-out (a float, or a rational value's integers
+    ``(num, den)`` with ``den > 0``) without checking it."""
+    _kinds_match(machine.kind, scalar_kind(lam))
+    if machine.kind == RATIONAL:
         return partial(_rational_cell, lam.numerator, lam.denominator)
     return partial(_float_cell, lam, zero_tolerance())
 
@@ -104,7 +108,7 @@ def classify_value(v: Scalar, spec: CutpointSpec) -> bool:
     kind, lam = scalar_kind(v), spec.lam
     _kinds_match(kind, scalar_kind(lam))
     if kind == RATIONAL:
-        cell = _rational_cell(lam.numerator, lam.denominator, v)
+        cell = _rational_cell(lam.numerator, lam.denominator, v.as_integer_ratio())
     else:
         cell = _float_cell(lam, zero_tolerance(), v)
     return cell in RELATION_CELLS[spec.relation]
@@ -159,12 +163,9 @@ def equivalent_under_separation_bounded(
         raise ValueError("machines must share one input alphabet")
     check_cutpoint_range(a1, lam1)
     check_cutpoint_range(a2, lam2)
-    cell1, cell2 = cell_test(a1.kind, lam1), cell_test(a2.kind, lam2)
-    # One shared alphabet tuple makes both streams list the same words in
-    # the same order, so the first differing word is still order-minimal.
-    for (word, v1), (_, v2) in zip(
-        enumerate_values(a1, maxlen), enumerate_values(a2, maxlen)
-    ):
-        if cell1(v1) != cell2(v2):
-            return word
+    cell1, cell2 = cell_test(a1, lam1), cell_test(a2, lam2)
+    for words, outs1, outs2 in prefix_levels(a1.sigma, maxlen, stepper(a1), stepper(a2)):
+        found = first_difference(words, map(cell1, outs1), map(cell2, outs2))
+        if found is not None:
+            return found[1]
     return None

@@ -1,8 +1,10 @@
 """Ground-truth membership oracles for the witness languages.
 
-Each oracle implements its set definition literally (symbol counting,
-palindrome check, decomposition properties, free-group reduction) so it can
-serve as the independent side of a brute-force comparison against a machine.
+Each oracle is a fold with the shape of ``automata.stepper`` over a small
+state (the reduced word for ``wp-k``, the count of a's minus b's, the DFA
+state), so a verify sweep pays one oracle step per word.  The tests check
+each fold against its literal set definition on every short word, so it
+serves as the independent side of a brute-force comparison against a machine.
 
 Free-group generators are spelled ``g1 ... gk`` with uppercase ``G1 ... Gk``
 for their inverses, so every symbol is a single token.
@@ -15,22 +17,40 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Mapping
 
 from .automata import Word, WordLike, as_word
 
 
+def _extend(word: Word, sym: str) -> Word:
+    return word + (sym,)
+
+
 @dataclass(frozen=True)
 class LanguageOracle:
-    """A named total membership predicate over an alphabet."""
+    """A named total membership predicate over an alphabet, as a fold:
+    ``advance(state, sym)`` reads one symbol from ``init``, the empty word's
+    state, and ``accepts(state)`` tells membership.  By default the state is
+    the word read so far, and ``accepts`` a predicate on words."""
 
     name: str
     alphabet: tuple[str, ...]
-    member: Callable[[Word], bool]
+    accepts: Callable[[object], bool]
+    init: object = ()
+    advance: Callable[[object, str], object] = _extend
     _symbols: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_symbols", frozenset(self.alphabet))
+
+    @property
+    def stepper(self) -> tuple:
+        """``(init, advance, accepts)``, for a sweep that checks symbols once."""
+        return self.init, self.advance, self.accepts
+
+    def member(self, word: Word) -> bool:
+        return self.accepts(reduce(self.advance, word, self.init))
 
     def __call__(self, w: WordLike) -> bool:
         word = as_word(w)
@@ -58,15 +78,15 @@ def inverse_generator(sym: str) -> str:
     return ("G" if sym[0] == "g" else "g") + sym[1:]
 
 
-def _reduce(word: Word, inverse: Mapping[str, str]) -> list[str]:
-    """The stack scan: a symbol meeting its own inverse on top cancels it."""
-    stack: list[str] = []
-    for sym in word:
-        if stack and stack[-1] == inverse[sym]:
-            stack.pop()
-        else:
-            stack.append(sym)
-    return stack
+def _cancel(inverse: Mapping[str, str]) -> Callable[[tuple, str], tuple]:
+    """The stack scan's step: a symbol meeting its own inverse on top cancels
+    it.  The stack is ``()`` or ``(rest, top)``, so a step costs the same at
+    any depth."""
+    def advance(stack: tuple, sym: str) -> tuple:
+        if stack and stack[1] == inverse[sym]:
+            return stack[0]
+        return stack, sym
+    return advance
 
 
 def free_reduce(w: WordLike) -> Word:
@@ -78,32 +98,23 @@ def free_reduce(w: WordLike) -> Word:
     word = as_word(w)
     # In order of first appearance, so the first malformed symbol is reported.
     inverse = {sym: inverse_generator(sym) for sym in dict.fromkeys(word)}
-    return tuple(_reduce(word, inverse))
+    stack, reduced = reduce(_cancel(inverse), word, ()), []
+    while stack:
+        stack, sym = stack
+        reduced.append(sym)
+    return tuple(reversed(reduced))
 
 
-def _count(word: Word, sym: str) -> int:
-    return sum(1 for s in word if s == sym)
+def _parameter(name: str, prefix: str, what: str) -> int:
+    try:
+        return int(name[len(prefix):])
+    except ValueError as exc:
+        raise ValueError(f"oracle id {name!r} needs an integer {what}: {exc}") from None
 
 
-def _eq_member(word: Word) -> bool:
-    return _count(word, "a") == _count(word, "b")
-
-
-def _lt_member(word: Word) -> bool:
-    return _count(word, "a") < _count(word, "b")
-
-
-def _eq_dot_b_member(word: Word) -> bool:
-    # Balanced prefix followed by a nonempty run of b's, characterized by:
-    # the word ends with b, has more b's than a's, and its longest prefix
-    # ending with a (empty for pure-b words) has at least as many a's as b's.
-    if not word or word[-1] != "b":
-        return False
-    if not _lt_member(word):
-        return False
-    last_a = max((i for i, s in enumerate(word) if s == "a"), default=-1)
-    prefix = word[: last_a + 1]
-    return not _lt_member(prefix)
+# The counting languages' state is the count of a's minus the count of b's.
+_COUNTS = {"eq": lambda d: d == 0, "neq": lambda d: d != 0, "lt": lambda d: d < 0,
+           "eq-prime": lambda d: d == -1}
 
 
 def oracle(name: str) -> LanguageOracle:
@@ -113,39 +124,35 @@ def oracle(name: str) -> LanguageOracle:
     ``mod-<m>`` (such as ``mod-3``) and ``wp-<k>`` (such as ``wp-2``).
     """
     if name.startswith("mod-") and name != "mod-m":
-        m = int(name[len("mod-"):])
+        m = _parameter(name, "mod-", "m")
         if m < 1:
             raise ValueError("mod-m oracle needs a positive m")
-        return LanguageOracle(f"mod-{m}", ("a",), lambda w: len(w) % m != 0)
+        return LanguageOracle(f"mod-{m}", ("a",), lambda r: r != 0, 0, lambda r, _: (r + 1) % m)
     if name.startswith("wp-") and name != "wp-k":
-        k = int(name[len("wp-"):])
+        k = _parameter(name, "wp-", "rank k")
         if k < 1:
             raise ValueError("wp-k oracle needs a positive rank k")
         alphabet = generator_alphabet(k)
-        # ``LanguageOracle`` refuses symbols outside the alphabet, so one
-        # table of the alphabet's inverses serves every word.
+        # A sweep or ``LanguageOracle`` refuses symbols outside the
+        # alphabet, so one table of the alphabet's inverses serves every word.
         inverse = {sym: inverse_generator(sym) for sym in alphabet}
-        return LanguageOracle(f"wp-{k}", alphabet, lambda w: not _reduce(w, inverse))
-    if name == "eq":
-        return LanguageOracle("eq", ("a", "b"), _eq_member)
-    if name == "neq":
-        return LanguageOracle("neq", ("a", "b"), lambda w: not _eq_member(w))
+        return LanguageOracle(f"wp-{k}", alphabet, lambda w: not w, (), _cancel(inverse))
+    if name in _COUNTS:
+        return LanguageOracle(name, ("a", "b"), _COUNTS[name], 0,
+                              lambda d, sym: d + 1 if sym == "a" else d - 1)
     if name == "pal":
         return LanguageOracle("pal", ("a", "b"), lambda w: w == w[::-1])
-    if name == "lt":
-        return LanguageOracle("lt", ("a", "b"), _lt_member)
     if name == "eq-dot-b":
-        return LanguageOracle("eq-dot-b", ("a", "b"), _eq_dot_b_member)
-    if name == "eq-prime":
-        return LanguageOracle(
-            "eq-prime", ("a", "b"), lambda w: _count(w, "a") + 1 == _count(w, "b")
-        )
+        # The state is (a's minus b's, the same at the last a): a balanced prefix
+        # then a nonempty run of b's iff the first is negative and the second not.
+        return LanguageOracle("eq-dot-b", ("a", "b"), lambda s: s[0] < 0 <= s[1], (0, 0),
+                              lambda s, c: (s[0] + 1, s[0] + 1) if c == "a" else (s[0] - 1, s[1]))
     raise ValueError(f"unknown language id {name!r}")
 
 
 def complement(base: LanguageOracle) -> LanguageOracle:
     return LanguageOracle(
-        f"co-{base.name}", base.alphabet, lambda w: not base.member(w)
+        f"co-{base.name}", base.alphabet, lambda s: not base.accepts(s), base.init, base.advance
     )
 
 
@@ -230,11 +237,5 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
             if not (1 <= table[(q, sym)] <= n):
                 raise ValueError(f"transition target out of range at state {q}, {sym!r}")
 
-    def run(word: Word) -> bool:
-        q = start
-        for sym in word:
-            q = table[(q, sym)]
-        return q in accepting
-
     name = str(doc.get("name", "dfa"))
-    return LanguageOracle(name, alphabet, run)
+    return LanguageOracle(name, alphabet, accepting.__contains__, start, lambda q, s: table[q, s])

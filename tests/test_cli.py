@@ -845,3 +845,48 @@ def test_import_ignores_invalid_epsilon_env():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1e-09"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "hom", "--in", "WP", "--map", "MAP", "--nl", "x", "--out", "OUT"],
+         "--nl must be comma-separated integers: 'x'"),
+        (["verify", "--machine", "ROT", "--cutpoint", "0", "--relation", "greater",
+          "--oracle", "mod-x"], "oracle id 'mod-x' needs an integer m: "),
+        (["verify", "--machine", "WP", "--cutpoint", "1", "--relation", "equal",
+          "--oracle", "wp-x"], "oracle id 'wp-x' needs an integer rank k: "),
+    ],
+    ids=["build-hom-nl", "verify-mod", "verify-wp"],
+)
+def test_integer_parameters_name_what_was_wrong(demo_dir, tmp_path, capsys, argv, message):
+    """A non-integer ``--nl`` bound or oracle parameter exits 2 with one
+    ``error:`` line naming the flag or the oracle id and the integer it
+    expects."""
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"source": ["x"], "target": ["g1"], "images": {"x": ["g1"]}}))
+    paths = {"WP": demo_dir / "wp_gpfa_2.json", "ROT": demo_dir / "rot_mcqfa_3.json",
+             "MAP": hom, "OUT": tmp_path / "out.json"}
+    capsys.readouterr()
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}"), captured.err
+
+
+def test_classify_evaluates_its_word_once(demo_dir, monkeypatch, capsys):
+    """One ``classify`` runs the machine once: the reported value is the one
+    classified, for every kind of machine among the demos."""
+    from qfalab import automata
+
+    calls = []
+    stepper = automata.stepper
+    monkeypatch.setattr(automata, "stepper", lambda m: calls.append(m) or stepper(m))
+    for name, cut in [("coin_pfa", "1/2"), ("wp_gpfa_2", "1"), ("neq_mcqfa", "0"),
+                      ("coin_nqfa", "0")]:
+        calls.clear()
+        argv = ["classify", "--machine", str(demo_dir / f"{name}.json"), "--word", "",
+                "--cutpoint", cut, "--relation", "equal", "--json"]
+        assert main(argv) == 0
+        assert len(calls) == 1, name
+        assert json.loads(capsys.readouterr().out)["member"] in (True, False)

@@ -190,6 +190,19 @@ def _reference_cell(v, lam, tol):
     return LESS if v < lam else GREATER
 
 
+# A machine of each scalar kind, for ``cell_test``, which reads its kind.
+MACHINES = {RATIONAL: coin_pfa(), FLOAT: rotation_mcqfa(2)}
+
+
+def _readouts(v):
+    """The read-outs a sweep may test for the value ``v``: a float itself; a
+    rational as integers ``(num, den)``, in lowest terms or not."""
+    if isinstance(v, float):
+        return [v]
+    num, den = v.as_integer_ratio()
+    return [(num, den), (3 * num, 3 * den)]
+
+
 def _assert_cells_match_the_reference(v, lam, kind, tol):
     """``cell_test`` and ``classify_value`` under ``numeric.EPSILON = tol``
     (the default 1e-9 for ``None``) agree with ``_reference_cell``."""
@@ -197,7 +210,8 @@ def _assert_cells_match_the_reference(v, lam, kind, tol):
         if tol is not None:
             mp.setattr(numeric, "EPSILON", tol)
         want = _reference_cell(v, lam, 1e-9 if tol is None else tol)
-        assert cell_test(kind, lam)(v) == want
+        for out in _readouts(v):
+            assert cell_test(MACHINES[kind], lam)(out) == want
         for rel in RELATIONS:
             assert classify_value(v, CutpointSpec(lam, rel)) == (want in MEMBER_CELLS[rel])
 
@@ -225,20 +239,21 @@ def test_bound_float_cell_test_agrees_at_the_tolerance_edge(lam, offset, tol):
 
 
 def test_bound_cell_test_edge_cells(monkeypatch):
-    assert cell_test(FLOAT, 0.0)(-0.0) == EQUAL
-    assert cell_test(FLOAT, 0.5)(math.nan) == GREATER
+    floating, rational = MACHINES[FLOAT], MACHINES[RATIONAL]
+    assert cell_test(floating, 0.0)(-0.0) == EQUAL
+    assert cell_test(floating, 0.5)(math.nan) == GREATER
     monkeypatch.setattr(numeric, "EPSILON", 0.25)
-    assert cell_test(FLOAT, 0.5)(0.75) == EQUAL
-    assert cell_test(FLOAT, 0.5)(math.nextafter(0.75, 1.0)) == GREATER
-    assert cell_test(RATIONAL, Fraction(-1, 3))(Fraction(-2, 6)) == EQUAL
-    assert cell_test(RATIONAL, Fraction(-1, 3))(Fraction(-1, 2)) == LESS
+    assert cell_test(floating, 0.5)(0.75) == EQUAL
+    assert cell_test(floating, 0.5)(math.nextafter(0.75, 1.0)) == GREATER
+    assert cell_test(rational, Fraction(-1, 3))((-2, 6)) == EQUAL
+    assert cell_test(rational, Fraction(-1, 3))((-1, 2)) == LESS
 
 
 @pytest.mark.parametrize("kind, lam", [(RATIONAL, 0.5), (FLOAT, Fraction(1, 2))])
 def test_bound_cell_test_refuses_a_kind_mismatch(kind, lam):
     other = FLOAT if kind == RATIONAL else RATIONAL
     with pytest.raises(KindMismatchError, match=f"^comparing {kind} value against {other} cutpoint$"):
-        cell_test(kind, lam)
+        cell_test(MACHINES[kind], lam)
 
 
 def test_sweeps_still_refuse_a_kind_mismatch():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import words_up_to
+from qfalab.automata import prefix_levels
 from qfalab.languages import (
     complement,
     dfa_oracle,
@@ -252,3 +253,69 @@ def test_dfa_oracle_checks_its_document(change, message):
     }
     with pytest.raises(ValueError, match=message):
         dfa_oracle(doc)
+
+
+# ---------------------------------------------------------------------------
+# The literal set definitions: the independent reference for the oracles,
+# which the library computes as folds over small states.
+
+
+def _count(w, sym):
+    return sum(1 for s in w if s == sym)
+
+
+def _freely_trivial(w):
+    """Delete a generator standing next to its own inverse (``g1 G1`` or
+    ``G1 g1``), anywhere, until no such pair is left; trivial iff empty."""
+    w = list(w)
+    while True:
+        pairs = [i for i in range(len(w) - 1)
+                 if w[i] != w[i + 1] and w[i].lower() == w[i + 1].lower()]
+        if not pairs:
+            return not w
+        del w[pairs[0]:pairs[0] + 2]
+
+
+def _eq_dot_b(w):
+    """A balanced prefix followed by a nonempty run of b's."""
+    return any(_count(w[:i], "a") == _count(w[:i], "b") and set(w[i:]) == {"b"}
+               for i in range(len(w)))
+
+
+ENDS_WITH_AB = {
+    "alphabet": ["a", "b"], "n": 3, "start": 3, "accepting": [2],
+    "transitions": {"1": {"a": 1, "b": 2}, "2": {"a": 1, "b": 3}, "3": {"a": 1, "b": 3}},
+}
+
+# Oracle id (or DFA document) -> (its definition, the word-length bound).
+DEFINITIONS = {
+    "mod-1": (lambda w: len(w) % 1 != 0, 8),
+    "mod-3": (lambda w: len(w) % 3 != 0, 8),
+    "wp-1": (_freely_trivial, 8),
+    "wp-2": (_freely_trivial, 8),
+    "wp-3": (_freely_trivial, 6),
+    "eq": (lambda w: _count(w, "a") == _count(w, "b"), 8),
+    "neq": (lambda w: _count(w, "a") != _count(w, "b"), 8),
+    "lt": (lambda w: _count(w, "a") < _count(w, "b"), 8),
+    "eq-prime": (lambda w: _count(w, "a") + 1 == _count(w, "b"), 8),
+    "eq-dot-b": (_eq_dot_b, 8),
+    "pal": (lambda w: w == w[::-1], 8),
+    "dfa": (lambda w: w[-2:] == ("a", "b"), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(DEFINITIONS))
+@pytest.mark.parametrize("negate", [False, True], ids=["oracle", "complement"])
+def test_each_oracle_fold_is_its_set_definition(name, negate):
+    """On every word up to the bound, the oracle and its complement decide
+    membership as the literal definition does: called on the word, and as a
+    sweep sees it, stepping each word's state from its parent prefix's."""
+    definition, maxlen = DEFINITIONS[name]
+    lang = dfa_oracle(ENDS_WITH_AB) if name == "dfa" else oracle(name)
+    if negate:
+        lang = complement(lang)
+    for words, marks in prefix_levels(lang.alphabet, maxlen, lang.stepper):
+        for word, mark in zip(words, marks):
+            want = definition(word) != negate
+            assert lang(word) == want, word
+            assert mark == want, word

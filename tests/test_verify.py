@@ -1,10 +1,11 @@
 """Brute-force verifier tests."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from helpers import convolution_value, random_nonneg_gpfa
+from helpers import convolution_value, random_gpfa, random_nonneg_gpfa, random_pfa
 from qfalab import numeric
 from qfalab.automata import DOLLAR, Gpfa, Kwqfa, acceptance_value, gpfa_value, kwqfa_run
 from qfalab.constructions import (
@@ -16,7 +17,7 @@ from qfalab.constructions import (
     rotation_mcqfa,
     word_problem_gpfa,
 )
-from qfalab.cutpoint import CutpointSpec
+from qfalab.cutpoint import RELATIONS, CutpointSpec, member_at_cutpoint
 from qfalab.languages import LanguageOracle, oracle
 from qfalab.numeric import ColVec, Matrix, RowVec
 from qfalab.verify import (
@@ -222,3 +223,80 @@ def test_word_problem_agreement_small():
         word_problem_gpfa(2), CutpointSpec(Fraction(1), "equal"), oracle("wp-2"), 5
     )
     assert report.agreed
+
+
+def _brute_force(machine, spec, lang, maxlen):
+    """``(tested, first_disagreement)`` of a loop that evaluates and
+    classifies every word from scratch and asks the oracle about the word."""
+    tested = 0
+    for word in words_up_to(machine.sigma, maxlen):
+        tested += 1
+        if member_at_cutpoint(machine, spec, word) != lang(word):
+            return tested, word
+    return tested, None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_agreement_sweep_matches_a_brute_force_loop(seed):
+    """Random rational machines, cutpoints they hit exactly (a negative one
+    for a Gpfa among them) and every relation: the sweep reports what the
+    brute-force loop finds.  Besides the witness oracles, an oracle that
+    copies the machine's verdicts except on one word puts the first
+    disagreement at any depth, or nowhere."""
+    rng = Random(seed)
+    maxlen = 5
+    words = list(words_up_to(("a", "b"), maxlen))
+    gpfa = random_gpfa(rng, rng.randint(1, 3), ("a", "b"))
+    while min(acceptance_value(gpfa, w) for w in words) >= 0:  # until a value is negative
+        gpfa = random_gpfa(rng, rng.randint(1, 3), ("a", "b"))
+    for machine in (gpfa, random_pfa(rng, rng.randint(1, 3))):
+        values = sorted({acceptance_value(machine, w) for w in words})
+        lams = {values[0], values[len(values) // 2], rng.choice(values)}
+        for lam in lams:
+            for relation in RELATIONS:
+                spec = CutpointSpec(lam, relation)
+                flipped = rng.choice(words + [None])
+                def copied(w, machine=machine, spec=spec, flipped=flipped):
+                    return member_at_cutpoint(machine, spec, w) != (w == flipped)
+
+                copy = LanguageOracle("copy", ("a", "b"), copied)
+                oracles = [oracle(name) for name in ("eq", "lt", "pal", "eq-dot-b")] + [copy]
+                for lang in oracles:
+                    report = enumerate_agreement(machine, spec, lang, maxlen)
+                    assert (report.tested, report.first_disagreement) == _brute_force(
+                        machine, spec, lang, maxlen), (lam, relation, lang.name)
+
+
+def test_every_demo_verify_report_matches_a_brute_force_loop(tmp_path, capsys):
+    """``qfalab verify --json`` on each demo machine, against every oracle
+    over its alphabet, under each relation at the machine's own cutpoint."""
+    from qfalab.cli import load_machine, main
+
+    assert main(["demo", "--outdir", str(tmp_path)]) == 0
+    cuts = {"rot_mcqfa_3": "0", "neq_mcqfa": "0", "wp_gpfa_2": "1", "coin_pfa": "1/2",
+            "coin_nqfa": "0"}
+    checked = 0
+    for name, cut in cuts.items():
+        path = str(tmp_path / f"{name}.json")
+        machine = load_machine(path)
+        lam = Fraction(cut) if machine.kind == numeric.RATIONAL else float(cut)
+        maxlen = 8 if len(machine.sigma) <= 2 else 6
+        for oracle_id in ("mod-2", "mod-3", "wp-2", "eq", "neq", "pal", "lt", "eq-dot-b",
+                          "eq-prime"):
+            lang = oracle(oracle_id)
+            if set(lang.alphabet) != set(machine.sigma):
+                continue
+            for relation in RELATIONS:
+                capsys.readouterr()
+                main(["verify", "--machine", path, "--cutpoint", cut, "--relation", relation,
+                      "--oracle", oracle_id, "--json"])
+                tested, first = _brute_force(machine, CutpointSpec(lam, relation), lang, maxlen)
+                assert json.loads(capsys.readouterr().out) == {
+                    "oracle": oracle_id, "tested": tested, "max_len": maxlen,
+                    "agreed": first is None,
+                    "first_disagreement": None if first is None else "".join(first),
+                }, (name, oracle_id, relation)
+                checked += 1
+    # Three one-letter machines with mod-2 and mod-3, neq_mcqfa with the six
+    # {a, b} oracles, and wp_gpfa_2 with wp-2, each under four relations.
+    assert checked == 4 * (3 * 2 + 6 + 1)
