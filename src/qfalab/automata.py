@@ -34,13 +34,13 @@ one step per input symbol and a final read-out.  The acceptance values,
 and so is every bounded check elsewhere in the package.  Stepper states are
 plain Python scalars, not ``numeric`` vectors: integer numerators over one
 common denominator for rational machines, tuples of floats for float ones
-(``state_vector`` converts back).  Each machine's matrices are lowered once,
-on its first evaluation, and kept on the machine: rational ones to integer
-lines, float ones to one generated function per matrix that sums only the
-nonzero entries of each line (for a measure-every-step machine it also
-returns the squared masses a measurement reads).  Values are the same
-scalars the ``numeric``
-vector products give (for floats bit for bit on CPython 3.11 and earlier,
+(``state_vector`` converts back).  Each matrix is lowered once, when a step
+first reads its symbol, and kept on the machine: to one generated function
+that sums only the nonzero entries of each line, over integers scaled to
+one common denominator for a rational matrix and over floats for a float one
+(for a float measure-every-step machine it also returns the squared masses
+a measurement reads).  Values are the same scalars the ``numeric`` vector
+products give (for floats bit for bit on CPython 3.11 and earlier,
 to rounding from 3.12, whose ``sum`` compensates rounding).
 """
 
@@ -275,22 +275,83 @@ class RunTrace:
     vectors: tuple[ColVec, ...]
 
 
+# Terms per generated statement: one long ``a + b + ...`` chain overflows the
+# compiler's recursion limit at a few thousand terms.
+_CHUNK = 200
+
+
+def _kernel(lines, nil, split=None):
+    """Generate ``kernel(vec)`` for a lowered matrix: it returns the tuple of
+    the line products, each a straight-line sum of the line's nonzero
+    entries, added left to right (``v3 * c[17] + ...``), and an all-zero
+    line gives the literal ``nil`` (``0`` on integer lines, ``0.0`` on float
+    ones).  The source holds only indices and names; the entries come in as
+    the tuple ``c``.
+
+    With ``split = (a, r)`` the lines run live, accepting, rejecting, and
+    the kernel also measures: it returns ``(out, accepted, rejected,
+    live)``, the line products and the squared masses of ``out[a:r]``,
+    ``out[r:]`` and ``out[:a]``, each added like ``_Float.sq``."""
+    consts, body, rows, used = [], [], [], set()
+    lines = [tuple(line) for line in lines]
+    for i, line in enumerate(lines):
+        terms = []
+        for j, x in enumerate(line):
+            if x:
+                terms.append(f"v{j} * c[{len(consts)}]")
+                consts.append(x)
+                used.add(j)
+        expr = nil
+        for k in range(0, len(terms), _CHUNK):
+            part = " + ".join(terms[k:k + _CHUNK])
+            if k:
+                body.append(f"    r{i} = {expr}\n")
+                part = f"r{i} + {part}"
+            expr = part
+        rows.append(expr)
+    width = len(lines[0]) if lines else 0
+    names = "".join(f"v{j}, " if j in used else "_, " for j in range(width))
+    masses = ""
+    if split is not None:
+        # Each nonzero line gets a name its square reuses; an all-zero
+        # line adds exactly nothing to a mass, so it is left out.
+        named = [i for i, row in enumerate(rows) if row != nil]
+        body += [f"    r{i} = {rows[i]}\n" for i in named]
+        rows = [f"r{i}" if row != nil else row for i, row in enumerate(rows)]
+        a, r = split
+        for lo, hi in ((a, r), (r, len(rows)), (0, a)):
+            terms = "".join(f"r{i} * r{i}, " for i in named if lo <= i < hi)
+            masses += f", sum(({terms}), {nil})"
+    source = (f"def kernel(v, c=c):\n    {names or '_'} = v\n{''.join(body)}"
+              f"    return ({''.join(row + ', ' for row in rows)}){masses}\n")
+    namespace = {"c": tuple(consts)}
+    exec(source, namespace)
+    # Popped: left in its own globals, the kernel would be in a cycle
+    # and outlive its machine until the cycle collector ran.
+    return namespace.pop("kernel")
+
+
 class _Exact:
     """Exact steps on plain integers.  A vector is ``(numerators,
     denominator)`` in lowest terms with a positive denominator; a lowered
-    matrix is its integer lines over one common denominator.  ``dot`` gives
-    a value's ``(numerator, denominator)``, not in lowest terms."""
+    matrix is ``(kernel, den)``: the ``_kernel`` of its lines scaled to
+    integers over one common denominator ``den``.  ``dot`` gives a value's
+    ``(numerator, denominator)``, not in lowest terms."""
+
+    @staticmethod
+    def scaled(lines):
+        grid = [tuple(line) for line in lines]
+        den = lcm(*(x.denominator for line in grid for x in line))
+        return [[x.numerator * (den // x.denominator) for x in line] for line in grid], den
 
     @staticmethod
     def lower(lines):
-        grid = [tuple(line) for line in lines]
-        den = lcm(*(x.denominator for line in grid for x in line))
-        scaled = (tuple(x.numerator * (den // x.denominator) for x in line) for line in grid)
-        return tuple(scaled), den
+        grid, den = _Exact.scaled(lines)
+        return _kernel(grid, "0"), den
 
     @staticmethod
     def vector(entries):
-        (nums,), den = _Exact.lower([entries])
+        (nums,), den = _Exact.scaled([entries])
         return _Exact.reduced(nums, den)
 
     @staticmethod
@@ -302,14 +363,14 @@ class _Exact:
 
     @staticmethod
     def apply(table, vec):
-        lines, d = table
+        kernel, d = table
         nums, den = vec
-        return _Exact.reduced([sum(map(mul, nums, line)) for line in lines], den * d)
+        return _Exact.reduced(kernel(nums), den * d)
 
     @staticmethod
     def dot(vec, table):
-        ((line,), d), (nums, den) = table, vec
-        return sum(map(mul, nums, line)), den * d
+        (kernel, d), (nums, den) = table, vec
+        return kernel(nums)[0], den * d
 
     @staticmethod
     def sq(vec, lo, hi):
@@ -331,67 +392,13 @@ class _Exact:
         """Exact entries are always finite."""
 
 
-# Terms per generated statement: one long ``a + b + ...`` chain overflows the
-# compiler's recursion limit at a few thousand terms.
-_CHUNK = 200
-
-
 class _Float:
-    """Float steps on tuples of floats.  A lowered matrix is one function
-    generated for it, ``kernel(vec)``, which returns the tuple of its line
-    products.  A step checks that its entries stay finite: ``apply`` scans
-    every output, and a measure-every-step kernel's bounds catch a
-    non-finite entry (see ``stepper``)."""
+    """Float steps on tuples of floats.  A lowered matrix is its ``_kernel``
+    with ``0.0`` for an all-zero line.  A step checks that its entries stay
+    finite: ``apply`` scans every output, and a measure-every-step kernel's
+    bounds catch a non-finite entry (see ``stepper``)."""
 
-    @staticmethod
-    def lower(lines, split=None):
-        """Generate the kernel: each line's product is a straight-line sum of
-        its nonzero entries, added left to right (``v3 * c[17] + ...``), and
-        an all-zero line gives ``0.0``.  The source holds only indices and
-        names; the entries come in as the tuple ``c``.
-
-        With ``split = (a, r)`` the lines run live, accepting, rejecting, and
-        the kernel also measures: it returns ``(out, accepted, rejected,
-        live)``, the line products and the squared masses of ``out[a:r]``,
-        ``out[r:]`` and ``out[:a]``, each added like ``_Float.sq``."""
-        consts, body, rows, used = [], [], [], set()
-        lines = [tuple(line) for line in lines]
-        for i, line in enumerate(lines):
-            terms = []
-            for j, x in enumerate(line):
-                if x:
-                    terms.append(f"v{j} * c[{len(consts)}]")
-                    consts.append(x)
-                    used.add(j)
-            expr = "0.0"
-            for k in range(0, len(terms), _CHUNK):
-                part = " + ".join(terms[k:k + _CHUNK])
-                if k:
-                    body.append(f"    r{i} = {expr}\n")
-                    part = f"r{i} + {part}"
-                expr = part
-            rows.append(expr)
-        width = len(lines[0]) if lines else 0
-        names = "".join(f"v{j}, " if j in used else "_, " for j in range(width))
-        masses = ""
-        if split is not None:
-            # Each nonzero line gets a name its square reuses; an all-zero
-            # line adds exactly nothing to a mass, so it is left out.
-            named = [i for i, row in enumerate(rows) if row != "0.0"]
-            body += [f"    r{i} = {rows[i]}\n" for i in named]
-            rows = [f"r{i}" if row != "0.0" else row for i, row in enumerate(rows)]
-            a, r = split
-            for lo, hi in ((a, r), (r, len(rows)), (0, a)):
-                terms = "".join(f"r{i} * r{i}, " for i in named if lo <= i < hi)
-                masses += f", sum(({terms}), 0.0)"
-        source = (f"def kernel(v, c=c):\n    {names or '_'} = v\n{''.join(body)}"
-                  f"    return ({''.join(row + ', ' for row in rows)}){masses}\n")
-        namespace = {"c": tuple(consts)}
-        exec(source, namespace)
-        # Popped: left in its own globals, the kernel would be in a cycle
-        # and outlive its machine until the cycle collector ran.
-        return namespace.pop("kernel")
-
+    lower = staticmethod(partial(_kernel, nil="0.0"))
     vector = staticmethod(tuple)
 
     @staticmethod
@@ -512,12 +519,13 @@ def stepper(machine: Machine):
     States are plain Python scalars, and every matrix is lowered once per
     machine, when a step first reads its symbol (the read-out on the
     machine's first evaluation); the lowered tables stay on the machine
-    (``_Machine._lowered``), so a later call reuses them.  A rational vector
-    is ``(numerators, denominator)``: integers in lowest terms, and each step
-    multiplies by a matrix's integer lines and common denominator, then
-    divides out the gcd.  A float vector is a tuple of floats, and each float
-    matrix becomes one generated function that sums only the nonzero entries
-    of each line; every step checks its output finite.  A value is the
+    (``_Machine._lowered``), so a later call reuses them.  Each matrix
+    becomes one generated function that sums only the nonzero entries of
+    each line (``_kernel``).  A rational vector is ``(numerators,
+    denominator)``: integers in lowest terms, and each step runs the kernel
+    of the matrix's integer lines, multiplies the denominator by the
+    matrix's common one, then divides out the gcd.  A float vector is a
+    tuple of floats, and every step checks its output finite.  A value is the
     same scalar as ``numeric``'s ``RowVec``/``ColVec`` products would, a
     normalised ``Fraction`` or a float (bit for bit on CPython 3.11 and
     earlier; from 3.12 ``sum`` compensates float rounding and the generated

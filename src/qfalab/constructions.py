@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import itemgetter, mul, pos
 from typing import Mapping, Optional, Sequence
 
 from .automata import (
@@ -35,7 +35,7 @@ from .automata import (
     Word,
     WordLike,
     as_word,
-    enumerate_values,
+    prefix_levels,
     state_vector,
     stepper,
 )
@@ -582,7 +582,9 @@ def suggest_padding_bound(
 
     def positives(bound: int) -> set:
         machine = gpfa_erasing_hom(g, kappa, bound)
-        return {word for word, value in enumerate_values(machine, maxlen) if value > 0}
+        sign = itemgetter(0) if machine.kind == RATIONAL else pos  # (num, den), den > 0
+        levels = prefix_levels(machine.sigma, maxlen, stepper(machine))
+        return {w for words, outs in levels for w, x in zip(words, map(sign, outs)) if x > 0}
 
     reference = positives(bound_cap)
     if bound_cap > 1 and positives(bound_cap - 1) != reference:

@@ -21,7 +21,6 @@ from .automata import (
     Machine,
     Word,
     acceptance_value,
-    enumerate_values,
     first_difference,
     prefix_levels,
     stepper,
@@ -140,9 +139,10 @@ def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:
     """
     if g.kind != RATIONAL:
         raise KindMismatchError("one-sided audit requires a rational machine")
-    for word, value in enumerate_values(g, maxlen):
-        if value < 0:
-            return word
+    for words, outs in prefix_levels(g.sigma, maxlen, stepper(g)):
+        for word, (num, _) in zip(words, outs):
+            if num < 0:
+                return word
     return None
 
 

@@ -219,6 +219,18 @@ def test_suggest_padding_bound_heuristic():
     assert suggest_padding_bound(still_growing, "c", maxlen=3, bound_cap=5) is None
 
 
+def test_suggest_padding_bound_reads_float_machines_too():
+    """A float machine's read-outs are values, a rational one's integer
+    pairs; both give the same suggestion."""
+    from qfalab.constructions import suggest_padding_bound
+
+    for word, want in ((("c", "a", "c"), 2), (("c",) * 4 + ("a",), None)):
+        g = unit_machine(word, sigma=("a", "c"))
+        floats = Gpfa(g.n, g.sigma, {s: m.to_float() for s, m in g.trans.items()},
+                      g.v0.to_float(), g.f.to_float())
+        assert suggest_padding_bound(floats, "c", maxlen=4, bound_cap=5) == want
+
+
 # -- non-erasing homomorphism ------------------------------------------------
 
 

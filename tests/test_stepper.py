@@ -381,3 +381,81 @@ def test_finite_entries_whose_squares_overflow_fail_a_bound(monkeypatch, rows, m
     for run in (acceptance_value, kwqfa_run):
         with pytest.raises(ValueError, match=f"^{message}$"):
             run(m, "ab")
+
+
+# -- exact kernels ----------------------------------------------------------
+
+
+def rational_twin(m):
+    """``m`` with every entry as its exact ``Fraction``; the dyadic entries
+    of ``zero_line_machines`` keep their zero lines, and -0.0 becomes 0."""
+    exact = lambda mat: Matrix.rational([[Fraction(x) for x in row] for row in mat.entries])
+    trans = {s: exact(mat) for s, mat in m.trans.items()}
+    if isinstance(m, Gpfa):
+        return Gpfa(m.n, m.sigma, trans, RowVec(map(Fraction, m.v0.entries), RATIONAL),
+                    ColVec(map(Fraction, m.f.entries), RATIONAL))
+    return replace(m, trans=trans)
+
+
+def test_a_long_rational_line_lowers_to_its_exact_sum():
+    """450 nonzero terms over mixed denominators: more than one generated
+    statement can add, and integer sums are exact in any order."""
+    rng = Random(450)
+    line = [Fraction(rng.randint(1, 99), rng.randint(1, 12)) * rng.choice((1, -1))
+            for _ in range(450)]
+    nums = tuple(rng.randint(-10**30, 10**30) for _ in range(450))
+    kernel, den = automata._Exact.lower([line])
+    (got,) = kernel(nums)
+    assert type(got) is int
+    assert got == sum(map(mul, nums, (x * den for x in line)))
+    assert Fraction(got, den) == sum(map(mul, nums, line))
+
+
+@pytest.mark.parametrize("m", [rational_twin(m) for m in zero_line_machines()],
+                         ids=lambda m: f"{type(m).__name__}-{m.n}")
+def test_zero_rational_lines_stay_integers(m):
+    """An all-zero integer line gives the int 0, so every state holds
+    integers, a read-out is a pair of ints and a value a ``Fraction``, equal
+    to the float twin's exact value."""
+    init, advance, readout = stepper(m)
+    floats = dict(enumerate_values(next(f for f in zero_line_machines()
+                                        if type(f) is type(m) and f.n == m.n), 3))
+    for word, value in enumerate_values(m, 3):
+        state = reduce(advance, word, init)
+        nums, den = state[0] if isinstance(m, Kwqfa) else state
+        assert all(type(x) is int for x in (*nums, den))
+        assert [type(x) for x in readout(state)] == [int, int]
+        assert type(value) is Fraction and value == floats[word]
+        assert acceptance_value(m, word) == value
+
+
+@pytest.mark.parametrize("m", [rational_twin(m) for m in zero_line_machines()],
+                         ids=lambda m: f"{type(m).__name__}-{m.n}")
+def test_a_rational_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
+    """As for float machines: a one-symbol word generates the symbol's
+    kernel and the read-out's, and the start vector generates none."""
+    calls = []
+    kernel = automata._kernel
+    monkeypatch.setattr(automata, "_kernel",
+                        lambda lines, nil, split=None: calls.append(nil) or kernel(lines, nil, split))
+    fresh = replace(m)
+    acceptance_value(fresh, "a")
+    assert calls == ["0", "0"]
+    assert "a" in fresh._lowered[0] and "b" not in fresh._lowered[0]
+    for word in ("ab", "ba", "a"):
+        acceptance_value(fresh, word)
+    assert len(calls) == 3
+
+
+def test_a_dropped_rational_machine_frees_its_kernels_at_once():
+    m = Mcqfa(2, ("a",), {"a": Matrix.rational([[Fraction(3, 5), Fraction(-4, 5)],
+                                                 [Fraction(4, 5), Fraction(3, 5)]])},
+              frozenset({2}))
+    acceptance_value(m, "a")
+    kernel = weakref.ref(m._lowered[0]["a"][0])
+    gc.disable()
+    try:
+        del m
+        assert kernel() is None
+    finally:
+        gc.enable()

@@ -19,7 +19,7 @@ from qfalab.constructions import (
 )
 from qfalab.cutpoint import RELATIONS, CutpointSpec, member_at_cutpoint
 from qfalab.languages import LanguageOracle, oracle
-from qfalab.numeric import ColVec, Matrix, RowVec
+from qfalab.numeric import ColVec, KindMismatchError, Matrix, RowVec
 from qfalab.verify import (
     check_value_identity,
     dieu_violation,
@@ -28,6 +28,8 @@ from qfalab.verify import (
     words_up_to,
 )
 from random import Random
+
+WP2 = word_problem_gpfa(2)
 
 
 def test_enumeration_order_is_length_then_lex():
@@ -216,6 +218,21 @@ def test_check_value_identity_reports_minimal_counterexample():
     # reference disagrees from length 2 onward
     reference = lambda w: gpfa_value(g, w) if len(w) < 2 else Fraction(0)
     assert check_value_identity(g, reference, 4) == ("a", "a")
+
+
+@pytest.mark.parametrize("reference", [
+    lambda w: float(gpfa_value(WP2, w)),
+    lambda w: None,
+    lambda w: "1",
+    lambda w: gpfa_value(WP2, w) == 1,
+], ids=["float", "None", "str", "bool"])
+def test_check_value_identity_refuses_a_reference_that_is_not_rational(reference):
+    """A reference value is compared exactly, so one that is not an int or a
+    Fraction is refused at the first word instead of reported as a
+    counterexample."""
+    with pytest.raises(KindMismatchError, match=r"reference value .* for word \(\) "):
+        check_value_identity(WP2, reference, 3)
+    assert check_value_identity(WP2, lambda w: int(gpfa_value(WP2, w)), 0) is None
 
 
 def test_word_problem_agreement_small():
