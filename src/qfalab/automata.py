@@ -332,11 +332,11 @@ def _kernel(lines, nil, split=None):
 
 
 class _Exact:
-    """Exact steps on plain integers.  A vector is ``(numerators,
+    """Exact vectors on plain integers.  A vector is ``(numerators,
     denominator)`` in lowest terms with a positive denominator; a lowered
     matrix is ``(kernel, den)``: the ``_kernel`` of its lines scaled to
-    integers over one common denominator ``den``.  ``dot`` gives a value's
-    ``(numerator, denominator)``, not in lowest terms."""
+    integers over one common denominator ``den``.  ``stepper`` runs the
+    kernels and divides out the gcd itself."""
 
     @staticmethod
     def scaled(lines):
@@ -362,17 +362,6 @@ class _Exact:
         return tuple(x // g for x in nums), den // g
 
     @staticmethod
-    def apply(table, vec):
-        kernel, d = table
-        nums, den = vec
-        return _Exact.reduced(kernel(nums), den * d)
-
-    @staticmethod
-    def dot(vec, table):
-        (kernel, d), (nums, den) = table, vec
-        return kernel(nums)[0], den * d
-
-    @staticmethod
     def sq(vec, lo, hi):
         nums, den = vec
         return Fraction(sum(x * x for x in nums[lo:hi]), den * den)
@@ -393,20 +382,12 @@ class _Exact:
 
 
 class _Float:
-    """Float steps on tuples of floats.  A lowered matrix is its ``_kernel``
-    with ``0.0`` for an all-zero line.  A step checks that its entries stay
-    finite: ``apply`` scans every output, and a measure-every-step kernel's
-    bounds catch a non-finite entry (see ``stepper``)."""
+    """Float vectors are tuples of floats.  A lowered matrix is its
+    ``_kernel`` with ``0.0`` for an all-zero line; ``stepper`` runs it and
+    checks that the entries stay finite."""
 
     lower = staticmethod(partial(_kernel, nil="0.0"))
     vector = staticmethod(tuple)
-
-    @staticmethod
-    def apply(kernel, vec):
-        out = kernel(vec)
-        if not all(map(isfinite, out)):
-            _Float.check_finite(out)
-        return out
 
     @staticmethod
     def check_finite(vec):
@@ -416,12 +397,8 @@ class _Float:
             raise ValueError(f"non-finite float entry {bad!r}")
 
     # Where ``sum`` gives 0.0, a generated sum may give -0.0 (it has no 0.0
-    # to start from); the read-outs add 0.0, so what a caller sees is the
-    # same bits as the ``numeric`` products.
-    @staticmethod
-    def dot(vec, kernel):
-        return kernel(vec)[0] + 0.0
-
+    # to start from); ``entries`` and the read-outs add 0.0, so what a caller
+    # sees is the same bits as the ``numeric`` products.
     @staticmethod
     def entries(vec):
         return tuple(x + 0.0 for x in vec)
@@ -470,7 +447,7 @@ def _lower(machine: Machine):
     if isinstance(machine, Kwqfa):
         # Rows run live, accepting, rejecting, so each measurement splits
         # the output at two points; columns are the live states only.  A
-        # float kernel also measures (see ``_Float.lower``).
+        # float kernel also measures (see ``_kernel``).
         live = _live_states(machine)
         order = live + [q - 1 for q in machine.q_acc] + [q - 1 for q in machine.q_rej]
         if ops is _Float:
@@ -513,41 +490,42 @@ def stepper(machine: Machine):
     finishes the run (applying the right end-marker where the model has one)
     without disturbing the state.  Every evaluation in the package is a fold
     over these three.  A float read-out is the value; a rational one is
-    ``(num, den)``, integers with ``den > 0`` and value ``Fraction(num, den)``,
-    so a sweep compares it with a cutpoint without building the ``Fraction``.
+    ``(num, den)``, integers with ``den > 0`` and value ``Fraction(num, den)``
+    but not always in lowest terms, so a sweep compares it with a cutpoint
+    without building the ``Fraction``.
 
     States are plain Python scalars, and every matrix is lowered once per
     machine, when a step first reads its symbol (the read-out on the
     machine's first evaluation); the lowered tables stay on the machine
     (``_Machine._lowered``), so a later call reuses them.  Each matrix
     becomes one generated function that sums only the nonzero entries of
-    each line (``_kernel``).  A rational vector is ``(numerators,
-    denominator)``: integers in lowest terms, and each step runs the kernel
-    of the matrix's integer lines, multiplies the denominator by the
-    matrix's common one, then divides out the gcd.  A float vector is a
-    tuple of floats, and every step checks its output finite.  A value is the
-    same scalar as ``numeric``'s ``RowVec``/``ColVec`` products would, a
-    normalised ``Fraction`` or a float (bit for bit on CPython 3.11 and
-    earlier; from 3.12 ``sum`` compensates float rounding and the generated
-    sums add plainly, so values agree to rounding); ``state_vector`` turns a
-    state back into a vector.
+    each line (``_kernel``), and a step is one function around one call of
+    it.  A rational vector is ``(numerators, denominator)`` in lowest terms:
+    a step runs the kernel of the matrix's integer lines, multiplies the
+    denominators, and divides by the gcd when it is not 1, so a zero vector
+    is ``((0, ...), 1)``.  A float vector is a tuple of floats, and every
+    step checks its output finite.  A value is the same scalar as
+    ``numeric``'s ``RowVec``/``ColVec`` products would, a ``Fraction`` or a
+    float (bit for bit on CPython 3.11 and earlier; from 3.12 ``sum``
+    compensates float rounding and the generated sums add plainly, so values
+    agree to rounding); ``state_vector`` turns a state back into a vector.
 
     A measure-every-step state is ``(vector, accept, reject)``: after each
     unitary step the accepting and rejecting coordinates are measured, their
     squared amplitudes accumulate into the two probabilities, and the
     coordinates are zeroed.  The vector therefore keeps only the live
     (non-halting) coordinates, and a step multiplies only the live columns.
-    A float kernel returns the step's three squared masses with its output
-    (see ``_Float.lower``); ``measure`` is the one place that adds them up
-    and checks that the halting probabilities and the live norm stay within
-    ``1 + EPSILON`` (NaN fails both).  A non-finite entry gives a non-finite
-    mass, so a float step scans its output for one only when a mass is past
-    a bound or not finite, and then names it before the bound.
+    A float kernel also returns the step's three squared masses, and the
+    step passes when the halting probabilities and the live norm stay within
+    ``1 + EPSILON`` (NaN fails both); otherwise ``measure`` checks the sums
+    it is given, naming a non-finite entry (which makes a mass non-finite,
+    since squares cannot cancel) before either bound.
     """
     if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
-    ops = _Exact if machine.kind == RATIONAL else _Float
-    apply, sq = ops.apply, ops.sq
+    exact = machine.kind == RATIONAL
+    ops = _Exact if exact else _Float
+    sq, check_finite = ops.sq, ops.check_finite
     table, start, final = machine._lowered
 
     if isinstance(machine, Kwqfa):
@@ -562,49 +540,72 @@ def stepper(machine: Machine):
         bound = min(slack, sys.float_info.max)
         cut = ops.cut
 
-        def masses(out):
-            return out, sq(out, a, r), sq(out, r, n), sq(out, 0, a)
-
-        def measure(out, accepted, rejected, live, accept, reject):
-            accept += accepted
-            reject += rejected
+        def measure(out, accept, reject, live):
             if not (accept + reject <= bound and live <= bound):
-                ops.check_finite(out)
+                check_finite(out)
                 if not accept + reject <= slack:
                     raise ValueError("halting probabilities exceed 1")
                 if not live <= slack:
                     raise ValueError("state vector norm exceeds 1")
             return cut(out, a), accept, reject
 
-        if ops is _Float:
+        if exact:
             def advance(state, sym):
-                vec, accept, reject = state
-                return measure(*table[sym](vec), accept, reject)
+                (nums, den), accept, reject = state
+                kernel, d = table[sym]
+                out = kernel(nums), den * d
+                return measure(out, accept + sq(out, a, r), reject + sq(out, r, n), sq(out, 0, a))
         else:
             def advance(state, sym):
                 vec, accept, reject = state
-                return measure(*masses(apply(table[sym], vec)), accept, reject)
+                out, accepted, rejected, live = table[sym](vec)
+                accept += accepted
+                reject += rejected
+                if accept + reject <= bound and live <= bound:
+                    return out[:a], accept, reject
+                return measure(out, accept, reject, live)
 
         def readout(state):
             accept = advance(state, DOLLAR)[1]
-            return accept if ops is _Float else accept.as_integer_ratio()
+            return accept.as_integer_ratio() if exact else accept
 
-        nil = zero(machine.kind)
-        return measure(*masses(start), nil, nil), advance, readout
+        return measure(start, sq(start, a, r), sq(start, r, n), sq(start, 0, a)), advance, readout
 
-    if isinstance(machine, Mcqfa):
-        width = len(machine.accepting)
+    if exact:
+        def advance(v, sym):
+            (kernel, d), (nums, den) = table[sym], v
+            out, den = kernel(nums), den * d
+            g = gcd(*out, den)
+            if g == 1:
+                return out, den
+            return tuple([x // g for x in out]), den // g
 
-        def readout(v):
-            mass = sq(apply(final, v), 0, width)
-            return mass if ops is _Float else mass.as_integer_ratio()
-    else:
-        def readout(v):
-            return ops.dot(v, final)
+        kernel, d = final
+        if isinstance(machine, Mcqfa):
+            def readout(v):
+                out = kernel(v[0])
+                return sum(map(mul, out, out)), (v[1] * d) ** 2
+        else:
+            def readout(v):
+                return kernel(v[0])[0], v[1] * d
+        return start, advance, readout
 
     def advance(v, sym):
-        return apply(table[sym], v)
+        out = table[sym](v)
+        if not all(map(isfinite, out)):
+            check_finite(out)
+        return out
 
+    if isinstance(machine, Mcqfa):
+        def readout(v):
+            out = final(v)
+            mass = sum(map(mul, out, out), 0.0)
+            if not isfinite(mass):
+                check_finite(out)
+            return mass
+    else:
+        def readout(v):
+            return final(v)[0] + 0.0
     return start, advance, readout
 
 

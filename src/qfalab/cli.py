@@ -58,7 +58,7 @@ from .constructions import (
     unitary_complete,
     word_problem_gpfa,
 )
-from .cutpoint import RELATIONS, CutpointSpec, check_cutpoint_range, classify_value
+from .cutpoint import RELATIONS, CutpointSpec, check_cutpoint_range, classify_machine_value
 from .languages import DocumentError, LanguageOracle, complement, dfa_oracle, oracle
 from .languages import _field, _integer, _object, _states, _strings  # the document readers
 from .numeric import (
@@ -388,7 +388,7 @@ def _cmd_classify(args) -> int:
             "value": _encode_scalar(value),
             "cutpoint": args.cutpoint,
             "relation": args.relation,
-            "member": classify_value(value, spec),
+            "member": classify_machine_value(machine, value, spec),
         },
         args.json,
     )
@@ -413,6 +413,10 @@ def _cmd_verify(args) -> int:
             "first_disagreement": None
             if report.first_disagreement is None
             else "".join(report.first_disagreement),
+            "undecided": report.undecided,
+            "first_undecided": None
+            if report.first_undecided is None
+            else "".join(report.first_undecided),
         },
         args.json,
     )

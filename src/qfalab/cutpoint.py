@@ -3,9 +3,14 @@
 A cutpoint splits the word set into three cells (below, at, above the
 threshold).  Rational comparisons are exact, on integers only; float
 comparisons treat values within the zero tolerance of the threshold as
-equal.  A sweep binds its comparison to the machine once with ``cell_test``
-and then costs one call per word's ``stepper`` read-out, building no
-``Fraction``; ``classify_value`` checks both kinds on every call.
+equal, and that band is where a float verdict cannot be trusted.  A float
+quantum machine's value is a sum of squared amplitudes, so at cutpoint 0 the
+tolerance applies to the amplitudes: the value lands in the ``equal`` cell
+iff it is at most EPSILON squared.  A sweep binds its comparison to the machine once with
+``cell_test`` and then costs one call per word's ``stepper`` read-out,
+building no ``Fraction``; ``member_at_cutpoint`` uses the same rule, and the
+bare ``classify_value``, which cannot see the machine, checks both kinds on
+every call.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from typing import Callable, Optional
 
 from .automata import (
     Gpfa,
+    Kwqfa,
     Machine,
+    Mcqfa,
     Word,
     acceptance_value,
     first_difference,
@@ -89,20 +96,32 @@ def _kinds_match(kv: str, kl: str) -> None:
 def cell_test(machine: Machine, lam: Scalar) -> Callable[[object], str]:
     """The three-way comparison against ``lam``, bound once for a sweep over
     ``machine``: the kinds are checked and the tolerance read here, and the
-    returned ``readout -> cell`` applies ``classify_value``'s rule to a
-    ``stepper`` read-out (a float, or a rational value's integers
-    ``(num, den)`` with ``den > 0``) without checking it."""
+    returned ``readout -> cell`` classifies a ``stepper`` read-out (a float,
+    or a rational value's integers ``(num, den)`` with ``den > 0``) without
+    checking it.
+
+    A float value lands in ``equal`` within the zero tolerance EPSILON of
+    ``lam``, except that a float ``Kwqfa`` or ``Mcqfa`` value at ``lam = 0``
+    does iff it is at most EPSILON squared: the value is a sum of squared
+    amplitudes, and that bound keeps every measured amplitude within
+    EPSILON of 0."""
     _kinds_match(machine.kind, scalar_kind(lam))
     if machine.kind == RATIONAL:
         return partial(_rational_cell, lam.numerator, lam.denominator)
-    return partial(_float_cell, lam, zero_tolerance())
+    tol = zero_tolerance()
+    if lam == 0 and isinstance(machine, (Kwqfa, Mcqfa)):
+        tol *= tol
+    return partial(_float_cell, lam, tol)
 
 
 def classify_value(v: Scalar, spec: CutpointSpec) -> bool:
     """True iff ``v`` stands in the spec's relation to the threshold.
 
     Both values must be of the same scalar kind.  Floats within the zero
-    tolerance of the threshold land in the ``equal`` cell.
+    tolerance of the threshold land in the ``equal`` cell.  Without the
+    machine this cannot apply ``cell_test``'s amplitude band at cutpoint 0,
+    so it keeps the plain tolerance for every float value; classify a
+    machine's value with ``classify_machine_value``.
     """
     kind, lam = scalar_kind(v), spec.lam
     _kinds_match(kind, scalar_kind(lam))
@@ -111,6 +130,15 @@ def classify_value(v: Scalar, spec: CutpointSpec) -> bool:
     else:
         cell = _float_cell(lam, zero_tolerance(), v)
     return cell in RELATION_CELLS[spec.relation]
+
+
+def classify_machine_value(machine: Machine, v: Scalar, spec: CutpointSpec) -> bool:
+    """True iff ``v``, a value of ``machine``, stands in the spec's relation
+    to the threshold, by ``cell_test``'s rule."""
+    cell = cell_test(machine, spec.lam)
+    _kinds_match(scalar_kind(v), machine.kind)
+    out = v.as_integer_ratio() if machine.kind == RATIONAL else v
+    return cell(out) in RELATION_CELLS[spec.relation]
 
 
 def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
@@ -124,10 +152,10 @@ def member_at_cutpoint(machine: Machine, spec: CutpointSpec, w) -> bool:
     """Evaluate the machine on ``w`` and classify the value.
 
     Measure-every-step machines are classified by their accumulated
-    acceptance probability.
+    acceptance probability, and every value by ``cell_test``'s rule.
     """
     check_cutpoint_range(machine, spec.lam)
-    return classify_value(acceptance_value(machine, w), spec)
+    return classify_machine_value(machine, acceptance_value(machine, w), spec)
 
 
 def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:

@@ -19,7 +19,7 @@ from helpers import (
     random_nonneg_gpfa,
     random_pfa,
 )
-from qfalab.automata import CENT, DOLLAR, gpfa_value, mcqfa_accept_prob
+from qfalab.automata import CENT, DOLLAR, gpfa_value, mcqfa_accept_prob, pfa_accept_prob
 from qfalab.cli import load_machine, main, parse_document, serialize_machine
 from qfalab.constructions import (
     Homomorphism,
@@ -41,9 +41,9 @@ from qfalab.constructions import (
     word_problem_gpfa,
 )
 from qfalab.cutpoint import CutpointSpec, member_at_cutpoint, one_sided_zero_check
-from qfalab.languages import complement, free_reduce, oracle
+from qfalab.languages import LanguageOracle, complement, free_reduce, oracle
 from qfalab.numeric import is_unitary_within
-from qfalab.verify import check_value_identity, enumerate_values
+from qfalab.verify import check_value_identity, enumerate_agreement, enumerate_values
 
 HALF = Fraction(1, 2)
 SIGMA = ("a", "b")
@@ -400,4 +400,32 @@ def test_criterion_8_cli_round_trip_and_exit_codes(tmp_path, capsys):
         not wrong,
         f"5 demo machines round-trip byte-identically, "
         f"{len(checks)} exit-code checks" + ("" if not wrong else f", wrong {wrong}"),
+    )
+
+
+def test_criterion_9_uncurated_pipeline_verdicts():
+    """Criterion 1 without the curation: den-2 PFAs with 2 to 10 states,
+    drawn once and never resampled, so values of their pipeline machines
+    come as close to 0 as the family allows.  At cutpoint 0 ``verify``
+    must accept exactly the words whose exact value differs from 1/2 up to
+    length 8, and report as undecided exactly the words at 1/2."""
+    started = time.time()
+    rng = Random(20261018)
+    machines = [random_pfa(rng, n, den=2) for n in range(2, 11) for _ in range(3)]
+    tested = halves = 0
+    failures = []
+    for p in machines:
+        neq_half = LanguageOracle("neq-half", p.sigma, lambda w, p=p: pfa_accept_prob(p, w) != HALF)
+        report = enumerate_agreement(pfa_to_nqfa(p), CutpointSpec(0.0, "greater"), neq_half, 8)
+        half = sum(f == HALF for _, f in enumerate_values(p, 8))
+        tested += report.tested
+        halves += half
+        if not report.agreed or report.undecided != half:
+            failures.append((p.n, report.first_disagreement, report.undecided, half))
+    elapsed = time.time() - started
+    _report(
+        9,
+        not failures and tested == len(machines) * 511,
+        f"{len(machines)} machines, {tested} words, {halves} exact-half words undecided, "
+        f"failures {failures}, {elapsed:.1f}s",
     )

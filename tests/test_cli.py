@@ -513,7 +513,8 @@ def test_verify_word_problem_complement_report(tmp_path, capsys, cutpoint, relat
     assert main(argv) == (0 if first is None else 1)
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"oracle": "co-wp-2", "tested": tested, "max_len": 5,
-                       "agreed": first is None, "first_disagreement": first}
+                       "agreed": first is None, "first_disagreement": first,
+                       "undecided": 0, "first_undecided": None}
 
 
 @pytest.mark.parametrize("name", ["mod-m", "wp-k", "wp-0"])
@@ -890,3 +891,21 @@ def test_classify_evaluates_its_word_once(demo_dir, monkeypatch, capsys):
         assert main(argv) == 0
         assert len(calls) == 1, name
         assert json.loads(capsys.readouterr().out)["member"] in (True, False)
+
+
+def test_classify_and_verify_decide_a_tiny_quantum_value_by_its_amplitudes(tmp_path, capsys):
+    """The value of "a" is 1e-12, inside EPSILON but with amplitude 1e-6:
+    above cutpoint 0.  The empty word's value 0 is in the band, undecided."""
+    s = 1e-6
+    c = (1 - s * s) ** 0.5
+    path = str(tmp_path / "turn.json")
+    cli.save_machine(path, Kwqfa(2, ("a",), {"a": Matrix.floats([[c, -s], [s, c]])}, {2}, set()))
+    argv = ["classify", "--machine", path, "--word", "a", "--cutpoint", "0",
+            "--relation", "greater", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
+    argv = ["verify", "--machine", path, "--cutpoint", "0", "--relation", "greater",
+            "--oracle", "mod-2", "--maxlen", "4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "agreed: False", "first_disagreement: aa", "undecided: 1", "first_undecided: "]

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_nonneg_gpfa
-from qfalab.automata import Gpfa
+from qfalab.automata import Gpfa, Kwqfa, acceptance_value
 from qfalab.constructions import (
     coin_pfa,
     gpfa_concat,
@@ -26,6 +26,7 @@ from qfalab.cutpoint import (
     RELATIONS,
     CutpointSpec,
     cell_test,
+    classify_machine_value,
     classify_value,
     equivalent_under_separation_bounded,
     member_at_cutpoint,
@@ -190,8 +191,14 @@ def _reference_cell(v, lam, tol):
     return LESS if v < lam else GREATER
 
 
-# A machine of each scalar kind, for ``cell_test``, which reads its kind.
-MACHINES = {RATIONAL: coin_pfa(), FLOAT: rotation_mcqfa(2)}
+# A machine of each scalar kind, for ``cell_test``, which reads its kind,
+# and a float quantum machine, whose values are sums of squared amplitudes.
+MACHINES = {
+    RATIONAL: coin_pfa(),
+    FLOAT: Gpfa(1, ("a",), {"a": Matrix.floats([[1.0]])}, RowVec([1.0], FLOAT),
+                ColVec([1.0], FLOAT)),
+}
+QUANTUM = rotation_mcqfa(2)
 
 
 def _readouts(v):
@@ -205,15 +212,20 @@ def _readouts(v):
 
 def _assert_cells_match_the_reference(v, lam, kind, tol):
     """``cell_test`` and ``classify_value`` under ``numeric.EPSILON = tol``
-    (the default 1e-9 for ``None``) agree with ``_reference_cell``."""
+    (the default 1e-9 for ``None``) agree with ``_reference_cell``; for the
+    float quantum machine at cutpoint 0 the tolerance is ``tol`` squared."""
+    t = 1e-9 if tol is None else tol
     with pytest.MonkeyPatch.context() as mp:
         if tol is not None:
             mp.setattr(numeric, "EPSILON", tol)
-        want = _reference_cell(v, lam, 1e-9 if tol is None else tol)
+        want = _reference_cell(v, lam, t)
         for out in _readouts(v):
             assert cell_test(MACHINES[kind], lam)(out) == want
         for rel in RELATIONS:
             assert classify_value(v, CutpointSpec(lam, rel)) == (want in MEMBER_CELLS[rel])
+        if kind == FLOAT:
+            band = _reference_cell(v, lam, t * t if lam == 0 else t)
+            assert cell_test(QUANTUM, lam)(v) == band
 
 
 @given(rationals, rationals, tolerances)
@@ -228,12 +240,13 @@ def test_float_cells_follow_the_tolerance_rule(v, lam, tol):
 
 @given(float_cuts, offsets, tolerances)
 def test_bound_float_cell_test_agrees_at_the_tolerance_edge(lam, offset, tol):
-    """Values at exactly ``|v - lam| == tol``, one ulp either side of both
-    edges, ``-0.0``, NaN and the infinities land in the reference's cell."""
+    """Values at exactly ``|v - lam| == tol`` and ``tol`` squared, one ulp
+    either side of each edge, ``-0.0``, NaN and the infinities land in the
+    reference's cell."""
     t = 1e-9 if tol is None else tol
-    edges = [lam + t, lam - t, lam + offset, -0.0, math.nan, math.inf, -math.inf]
-    edges += [math.nextafter(lam + t, d) for d in (math.inf, -math.inf)]
-    edges += [math.nextafter(lam - t, d) for d in (math.inf, -math.inf)]
+    edges = [lam + offset, -0.0, math.nan, math.inf, -math.inf]
+    for edge in (lam + t, lam - t, lam + t * t, lam - t * t):
+        edges += [edge] + [math.nextafter(edge, d) for d in (math.inf, -math.inf)]
     for v in edges:
         _assert_cells_match_the_reference(v, lam, FLOAT, tol)
 
@@ -266,3 +279,26 @@ def test_sweeps_still_refuse_a_kind_mismatch():
         equivalent_under_separation_bounded(rational, 0.5, rational, Fraction(1, 2), 3)
     with pytest.raises(KindMismatchError, match="^comparing float value against rational cutpoint$"):
         equivalent_under_separation_bounded(rational, Fraction(1, 2), floating, Fraction(0), 3)
+
+
+def tiny_turn_kwqfa(s: float = 1e-6) -> Kwqfa:
+    """One symbol that turns state 1 by sine ``s`` toward accepting state 2,
+    so "a" has the value s * s."""
+    c = math.sqrt(1 - s * s)
+    return Kwqfa(2, ("a",), {"a": Matrix.floats([[c, -s], [s, c]])}, {2}, set())
+
+
+def test_a_quantum_value_at_cutpoint_zero_is_decided_by_its_amplitudes():
+    """1e-12 lies within EPSILON of 0 but its amplitude 1e-6 does not, so a
+    quantum machine's value is above 0; the bare value keeps the plain band."""
+    m = tiny_turn_kwqfa()
+    value = acceptance_value(m, "a")
+    assert 1e-18 < value <= 1e-9
+    for rel, member in ((GREATER, True), (EQUAL, False), (NOT_EQUAL, True), (LESS, False)):
+        spec = CutpointSpec(0.0, rel)
+        assert member_at_cutpoint(m, spec, "a") is member
+        assert classify_machine_value(m, value, spec) is member
+        assert classify_value(value, spec) is (rel == EQUAL)
+    assert member_at_cutpoint(m, CutpointSpec(0.0, EQUAL), "")
+    with pytest.raises(KindMismatchError, match="^comparing rational value against float cutpoint$"):
+        classify_machine_value(m, Fraction(0), CutpointSpec(0.0, EQUAL))

@@ -10,10 +10,12 @@ exactly equal where every entry is dyadic, so the fold rounds nothing.
 import gc
 import math
 import re
+import sys
 import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import add, mul
 from random import Random
 
@@ -32,6 +34,7 @@ from qfalab.automata import (
     acceptance_value,
     enumerate_values,
     kwqfa_run,
+    prefix_levels,
     state_vector,
     stepper,
 )
@@ -459,3 +462,79 @@ def test_a_dropped_rational_machine_frees_its_kernels_at_once():
         assert kernel() is None
     finally:
         gc.enable()
+
+
+# -- fused steps --------------------------------------------------------------
+
+
+def exact_machines():
+    """Rational Pfa, Gpfa and Mcqfa: the seeded ones and the rational twins
+    of the zero-line machines, whose all-zero lines reach a zero vector."""
+    twins = [rational_twin(m) for m in zero_line_machines()]
+    return [m for m in machines() + twins
+            if m.kind == RATIONAL and not isinstance(m, Kwqfa)]
+
+
+def exact_sweep(m, maxlen):
+    """Every state of a ``prefix_levels`` sweep, and every read-out."""
+    init, advance, readout = stepper(m)
+    states, outs = [], []
+    for _, level, read in prefix_levels(m.sigma, maxlen, (init, advance, lambda s: s),
+                                        (init, advance, readout)):
+        states += level
+        outs += read
+    return states, outs
+
+
+@pytest.mark.parametrize("m", exact_machines(), ids=lambda m: f"{type(m).__name__}-{m.n}")
+def test_rational_states_stay_in_lowest_terms(m):
+    """A state's gcd is 1, so an all-zero vector is ``((0, ...), 1)``."""
+    states, outs = exact_sweep(m, 5)
+    for nums, den in states:
+        assert type(nums) is tuple and den > 0 and gcd(*nums, den) == 1
+    for num, den in outs:
+        assert type(num) is int and type(den) is int and den > 0
+
+
+def test_a_zero_rational_vector_has_denominator_one():
+    m = rational_twin(zero_line_machines()[1])  # "a" is the zero matrix
+    states, _ = exact_sweep(m, 2)
+    zeros = [state for state in states if not any(state[0])]
+    assert zeros and all(state == ((0, 0), 1) for state in zeros)
+
+
+@pytest.mark.parametrize("m", exact_machines(), ids=lambda m: f"{type(m).__name__}-{m.n}")
+def test_rational_sweeps_build_no_fraction_per_word(monkeypatch, m):
+    exact_sweep(m, 4)  # lowers every symbol and the read-out
+    calls = []
+    monkeypatch.setattr(automata, "Fraction",
+                        lambda *args: calls.append(args) or Fraction(*args))
+    exact_sweep(m, 4)
+    assert calls == []
+
+
+def numeric_kwqfa_run(m: Kwqfa, word) -> RunTrace:
+    """``kwqfa_run`` by ``numeric`` products over every state: each tape
+    symbol's ``Matrix @ ColVec``, then the squared accepting and rejecting
+    amplitudes added to 0.0 in state order, and the halting ones zeroed."""
+    halting = m.q_acc | m.q_rej
+    u = ColVec(_unit(m.n, FLOAT), FLOAT)
+    accept = reject = 0.0
+    vectors = []
+    for sym in (CENT, *word, DOLLAR):
+        out = (m.trans[sym] @ u).entries
+        accept += sum((out[q - 1] * out[q - 1] for q in sorted(m.q_acc)), 0.0)
+        reject += sum((out[q - 1] * out[q - 1] for q in sorted(m.q_rej)), 0.0)
+        u = ColVec([0.0 if i + 1 in halting else x + 0.0 for i, x in enumerate(out)], FLOAT)
+        vectors.append(u)
+    return RunTrace(accept, reject, tuple(vectors))
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from 3.12 numeric's sum compensates float rounding")
+@pytest.mark.parametrize("seed", range(6))
+def test_fused_float_kwqfa_steps_match_a_numeric_fold(seed):
+    rng = Random(f"fused:{seed}")
+    m = pfa_to_nqfa(random_pfa(rng, rng.randint(2, 8)))
+    for word in words_up_to(SIGMA, 4):
+        assert repr(kwqfa_run(m, word)) == repr(numeric_kwqfa_run(m, word))

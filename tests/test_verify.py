@@ -7,7 +7,7 @@ import pytest
 
 from helpers import convolution_value, random_gpfa, random_nonneg_gpfa, random_pfa
 from qfalab import numeric
-from qfalab.automata import DOLLAR, Gpfa, Kwqfa, acceptance_value, gpfa_value, kwqfa_run
+from qfalab.automata import DOLLAR, Gpfa, Kwqfa, Mcqfa, acceptance_value, gpfa_value, kwqfa_run
 from qfalab.constructions import (
     coin_pfa,
     gpfa_concat,
@@ -243,14 +243,24 @@ def test_word_problem_agreement_small():
 
 
 def _brute_force(machine, spec, lang, maxlen):
-    """``(tested, first_disagreement)`` of a loop that evaluates and
-    classifies every word from scratch and asks the oracle about the word."""
-    tested = 0
+    """``(tested, first_disagreement, undecided, first_undecided)`` of a loop
+    that evaluates and classifies every word from scratch and asks the oracle
+    about the word.  A float value within EPSILON of the cutpoint (EPSILON
+    squared for a quantum machine at 0) is undecided."""
+    tol = numeric.EPSILON
+    if isinstance(machine, (Kwqfa, Mcqfa)) and spec.lam == 0:
+        tol = tol ** 2
+    tested, undecided = 0, []
     for word in words_up_to(machine.sigma, maxlen):
         tested += 1
+        value = acceptance_value(machine, word)
+        if machine.kind == numeric.FLOAT and abs(value - spec.lam) <= tol:
+            undecided.append(word)
         if member_at_cutpoint(machine, spec, word) != lang(word):
-            return tested, word
-    return tested, None
+            break
+    else:
+        word = None
+    return tested, word, len(undecided), (undecided or [None])[0]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -280,7 +290,8 @@ def test_agreement_sweep_matches_a_brute_force_loop(seed):
                 oracles = [oracle(name) for name in ("eq", "lt", "pal", "eq-dot-b")] + [copy]
                 for lang in oracles:
                     report = enumerate_agreement(machine, spec, lang, maxlen)
-                    assert (report.tested, report.first_disagreement) == _brute_force(
+                    assert (report.tested, report.first_disagreement, report.undecided,
+                            report.first_undecided) == _brute_force(
                         machine, spec, lang, maxlen), (lam, relation, lang.name)
 
 
@@ -307,11 +318,14 @@ def test_every_demo_verify_report_matches_a_brute_force_loop(tmp_path, capsys):
                 capsys.readouterr()
                 main(["verify", "--machine", path, "--cutpoint", cut, "--relation", relation,
                       "--oracle", oracle_id, "--json"])
-                tested, first = _brute_force(machine, CutpointSpec(lam, relation), lang, maxlen)
+                tested, first, undecided, first_undecided = _brute_force(
+                    machine, CutpointSpec(lam, relation), lang, maxlen)
                 assert json.loads(capsys.readouterr().out) == {
                     "oracle": oracle_id, "tested": tested, "max_len": maxlen,
                     "agreed": first is None,
                     "first_disagreement": None if first is None else "".join(first),
+                    "undecided": undecided,
+                    "first_undecided": None if first_undecided is None else "".join(first_undecided),
                 }, (name, oracle_id, relation)
                 checked += 1
     # Three one-letter machines with mod-2 and mod-3, neq_mcqfa with the six
