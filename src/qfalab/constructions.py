@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, compress
 from operator import itemgetter, mul, pos
 from typing import Mapping, Optional, Sequence
 
@@ -54,6 +55,7 @@ from .numeric import (
     mat_mul,
     one,
     same_kind,
+    support_index,
     zero,
 )
 
@@ -215,35 +217,61 @@ class CompletionResult:
 
 def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     """Eigenvalues and eigenvector columns ``v`` of a symmetric float matrix,
-    ``a = v diag(values) v^T``, by cyclic Jacobi rotations that overwrite ``a``."""
+    ``a = v diag(values) v^T``, by cyclic Jacobi rotations.
+
+    A rotation (p, q), made where ``a[p][q]`` is nonzero, mixes only rows and
+    columns p and q, so entries between connected blocks of the off-diagonal
+    nonzero graph stay 0.0 (c * 0.0 - s * 0.0 is 0.0).  Rotating each block
+    as a dense submatrix in the global cyclic order, with the stopping test
+    summed in the global order, makes a dense sweep's rotations to the bit.
+    """
     size = len(a)
-    v = [[float(i == j) for j in range(size)] for i in range(size)]
+    block = [[i] for i in range(size)]  # index -> the sorted members of its block
+    for i, row in enumerate(a):
+        for j in compress(range(i + 1, size), row[i + 1:]):
+            if block[j] is not block[i]:
+                merged = sorted(block[i] + block[j])
+                block = [merged if b is block[i] or b is block[j] else b for b in block]
+    subs = {id(b): ([[a[i][j] for j in b] for i in b], [[float(i == j) for j in b] for i in b])
+            for i, b in enumerate(block) if b[0] == i}  # each block of a, and of v^T
+    place = [(*subs[id(b)], b.index(i)) for i, b in enumerate(block)]
+    upper = [(s, k, m) for s, _, k in place for m in range(k + 1, len(s))]  # i < j, row-major
     for _ in range(100):
-        off = sum(a[i][j] * a[i][j] for i in range(size) for j in range(i + 1, size))
-        if off <= 1e-32 * sum(a[i][i] * a[i][i] for i in range(size)):
+        off = sum(s[k][m] * s[k][m] for s, k, m in upper)
+        if off <= 1e-32 * sum(s[k][k] * s[k][k] for s, _, k in place):
             break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                if a[p][q] == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                for row in a + v:  # columns p, q of a and v: X <- X J
-                    row[p], row[q] = c * row[p] - sn * row[q], sn * row[p] + c * row[q]
-                a[p], a[q] = (  # rows p, q of a: a <- J^T a
-                    [c * x - sn * y for x, y in zip(a[p], a[q])],
-                    [sn * x + c * y for x, y in zip(a[p], a[q])],
-                )
-    return [a[i][i] for i in range(size)], v
+        for s, w in subs.values():
+            for p in range(len(s) - 1):
+                for q in range(p + 1, len(s)):
+                    if s[p][q] == 0.0:
+                        continue
+                    theta = (s[q][q] - s[p][p]) / (2.0 * s[p][q])
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                    c = 1.0 / math.sqrt(t * t + 1.0)
+                    sn = t * c
+                    for row in s:  # columns p, q of the block: a <- a J
+                        row[p], row[q] = c * row[p] - sn * row[q], sn * row[p] + c * row[q]
+                    for xp, xq in (s[p], s[q]), (w[p], w[q]):  # rows p, q of it and v^T
+                        for k in range(len(s)):  # X <- J^T X
+                            xp[k], xq[k] = c * xp[k] - sn * xq[k], sn * xp[k] + c * xq[k]
+    v = [[w[m][k] if s is si else 0.0 for s, w, m in place] for si, _, k in place]
+    return [s[k][k] for s, _, k in place], v
 
 
-def _weighted_gram(rows: Sequence[Sequence[float]], weights: Sequence[float]) -> list[list[float]]:
-    """``R diag(weights) R^T`` for the float matrix ``R`` with the given rows;
-    each entry sums ``(x * w) * y`` left to right."""
-    weighted = [list(map(mul, r, weights)) for r in rows]
-    return [[sum(map(mul, rw, s)) for s in rows] for rw in weighted]
+def _products(xs, weights, ys) -> list[list[float]]:
+    """``xs diag(weights) ys^T``, entry (i, j) summing ``(x * w) * y`` left to right
+    over the nonzero columns of ``xs[i]`` (0.0 if ``ys[j]`` shares none): a term
+    skipped is a signed zero, so with finite operands the sum is the dense one."""
+    support, sharing = support_index(xs)
+    if ys is not xs:
+        sharing = support_index(ys)[1]
+    out = [[0.0] * len(ys) for _ in xs]
+    for x, cols, row in zip(xs, support, out):
+        xw = [x[k] * weights[k] for k in cols]
+        pick = itemgetter(*cols, 0)  # a tuple, one longer than xw, if cols is not empty
+        for j in set().union(*(sharing[k] for k in cols)):
+            row[j] = sum(map(mul, xw, pick(ys[j])))
+    return out
 
 
 def _complete_one(block: Matrix) -> tuple[Matrix, float]:
@@ -255,17 +283,23 @@ def _complete_one(block: Matrix) -> tuple[Matrix, float]:
     ``Y = (I - T^T T)^(1/2) = V diag(c) V^T`` and, exactly,
     ``X = (I - T T^T)^(1/2) = I - T V diag(1/(1+c)) V^T T^T``; so ``T Y = X T``
     holds to rounding, which a second eigensystem for X would miss by sqrt(eps).
+
+    Jacobi and the products follow the extended matrices' nonzero structure, to
+    the dense loops' bits; entries beyond the float range raise ``OverflowError``.
     """
     size = block.rows
-    a = [[float(v) for v in row] for row in block.entries]
-    lam, v = _symmetric_eigen(_weighted_gram(list(zip(*a)), [1.0] * size))
+    a = [[x.numerator / x.denominator for x in row] for row in block.entries]
+    cols = list(zip(*a))
+    gram = _products(cols, [1.0] * size, cols)
+    if not all(map(math.isfinite, chain.from_iterable(gram))):
+        raise OverflowError("A^T A leaves the float range")
+    lam, v = _symmetric_eigen(gram)
     scale = 1.0 / math.sqrt(max(1.0, max(lam)))
     c = [math.sqrt(max(0.0, 1.0 - scale * scale * x)) for x in lam]
     t = [[scale * x for x in row] for row in a]
-    v_cols = list(zip(*v))
-    tv = [[sum(map(mul, row, col)) for col in v_cols] for row in t]
-    x_root = _weighted_gram(tv, [1.0 / (1.0 + ck) for ck in c])
-    y_root = _weighted_gram(v, c)
+    tv = _products(t, [1.0] * size, list(zip(*v)))
+    x_root = _products(tv, [1.0 / (1.0 + ck) for ck in c], tv)
+    y_root = _products(v, c, v)
     rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] for i in range(size)]
     rows += [y_root[i] + [-t[j][i] for j in range(size)] for i in range(size)]
     unitary = Matrix.floats(zip(*rows))
@@ -279,7 +313,10 @@ def unitary_complete(e: ExtendedMachine) -> CompletionResult:
     unitaries: dict[str, Matrix] = {}
     scales: dict[str, float] = {}
     for sym in e.sigma + MARKERS:
-        unitaries[sym], scales[sym] = _complete_one(e.trans[sym])
+        try:
+            unitaries[sym], scales[sym] = _complete_one(e.trans[sym])
+        except OverflowError:
+            raise ValueError(f"extended matrix for {sym!r} is beyond the float range") from None
     return CompletionResult(unitaries, scales, e.n_plus_3)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter, mul
 from typing import Iterable, Union
 
@@ -422,6 +423,12 @@ def is_unitary_within(m: Matrix, tol: float) -> bool:
     return deviation <= tol  # False for NaN too
 
 
+def support_index(rows) -> tuple[list[list[int]], list[set[int]]]:
+    """Each row's nonzero columns in order, and each column's nonzero rows."""
+    return ([list(compress(range(len(r)), r)) for r in rows],
+            [set(compress(range(len(rows)), col)) for col in zip(*rows)])
+
+
 def _gram_deviation(rows) -> Scalar:
     """The largest ``|(m @ m^T - I)[i][j]|``, NaN if any entry is NaN.
 
@@ -431,11 +438,7 @@ def _gram_deviation(rows) -> Scalar:
     are exact zeros, and so is every entry of two rows without a nonzero
     column in common, which is skipped too: the deviation is the dense one.
     """
-    support = [[k for k, x in enumerate(r) if x] for r in rows]
-    sharing = [set() for _ in rows]  # column k -> the rows nonzero there
-    for i, cols in enumerate(support):
-        for k in cols:
-            sharing[k].add(i)
+    support, sharing = support_index(rows)
     worst = 0
     for i, (r, cols) in enumerate(zip(rows, support)):
         vals = [r[k] for k in cols]

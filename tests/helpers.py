@@ -8,11 +8,13 @@ cancel out of a comparison.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 from qfalab.automata import CENT, DOLLAR, Gpfa, Pfa, Word, gpfa_value
-from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec
+from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec, is_unitary_within
 
 
 def words_up_to(alphabet, maxlen):
@@ -116,3 +118,58 @@ def preimage_value(g: Gpfa, h, w: Word):
             if h(u) == w:
                 total += gpfa_value(g, u)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Dense reference completion: the whole-matrix loops that the completion's
+# block-wise Jacobi and support-aware products must reproduce to the bit
+
+
+def dense_symmetric_eigen(a):
+    """Cyclic Jacobi over the whole matrix; overwrites ``a``."""
+    size = len(a)
+    v = [[float(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(100):
+        off = sum(a[i][j] * a[i][j] for i in range(size) for j in range(i + 1, size))
+        if off <= 1e-32 * sum(a[i][i] * a[i][i] for i in range(size)):
+            break
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                if a[p][q] == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * c
+                for row in a + v:
+                    row[p], row[q] = c * row[p] - sn * row[q], sn * row[p] + c * row[q]
+                a[p], a[q] = (
+                    [c * x - sn * y for x, y in zip(a[p], a[q])],
+                    [sn * x + c * y for x, y in zip(a[p], a[q])],
+                )
+    return [a[i][i] for i in range(size)], v
+
+
+def dense_weighted_gram(rows, weights):
+    """``R diag(weights) R^T``, each entry summing ``(x * w) * y`` left to right."""
+    weighted = [list(map(mul, r, weights)) for r in rows]
+    return [[sum(map(mul, rw, s)) for s in rows] for rw in weighted]
+
+
+def dense_complete_one(block: Matrix):
+    """The Halmos completion of one extended matrix with dense loops only."""
+    size = block.rows
+    a = [[float(v) for v in row] for row in block.entries]
+    lam, v = dense_symmetric_eigen(dense_weighted_gram(list(zip(*a)), [1.0] * size))
+    scale = 1.0 / math.sqrt(max(1.0, max(lam)))
+    c = [math.sqrt(max(0.0, 1.0 - scale * scale * x)) for x in lam]
+    t = [[scale * x for x in row] for row in a]
+    v_cols = list(zip(*v))
+    tv = [[sum(map(mul, row, col)) for col in v_cols] for row in t]
+    x_root = dense_weighted_gram(tv, [1.0 / (1.0 + ck) for ck in c])
+    y_root = dense_weighted_gram(v, c)
+    rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] for i in range(size)]
+    rows += [y_root[i] + [-t[j][i] for j in range(size)] for i in range(size)]
+    unitary = Matrix.floats(zip(*rows))
+    assert is_unitary_within(unitary, 1e-9)
+    return unitary, scale

@@ -680,6 +680,24 @@ SIDE_DOCUMENTS = {
 
 
 @pytest.mark.parametrize(
+    "entry, zero_rest, code",
+    [(10**154, False, 0), (0, True, 0), (10**155, False, 2), (10**309, False, 2)],
+)
+def test_complete_refuses_a_matrix_beyond_the_float_range(tmp_path, capsys, entry, zero_rest, code):
+    """10**155 overflows A^T A and 10**309 the conversion to float: both exit
+    2 with one message.  10**154 and an all-zero matrix still complete."""
+    doc = extended_to_doc(extend_pfa(coin_pfa()))
+    if zero_rest:
+        doc["matrices"]["a"] = [["0"] * 5 for _ in range(5)]
+    doc["matrices"]["a"][1][1] = str(entry)
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(doc))
+    assert main(["build", "complete", "--in", str(path), "--out", str(tmp_path / "out.json")]) == code
+    message = ["error: extended matrix for 'a' is beyond the float range"]
+    assert capsys.readouterr().err.splitlines() == (message if code else [])
+
+
+@pytest.mark.parametrize(
     "side, change, message",
     [
         ("extended", None, "document must be an object"),

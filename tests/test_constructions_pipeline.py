@@ -9,13 +9,22 @@ from functools import reduce
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_pfa, words_up_to
+from helpers import (
+    dense_complete_one,
+    dense_symmetric_eigen,
+    random_pfa,
+    words_up_to,
+)
 from qfalab import numeric
-from qfalab.automata import CENT, DOLLAR, kwqfa_run, pfa_accept_prob
+from qfalab.automata import CENT, DOLLAR, MARKERS, kwqfa_run, pfa_accept_prob
 from qfalab.cli import machine_to_doc, parse_document, serialize_machine
 from qfalab.constructions import (
     ExtendedMachine,
+    _complete_one,
+    _symmetric_eigen,
     coin_pfa,
     extend_pfa,
     pfa_to_nqfa,
@@ -184,6 +193,62 @@ COIN_NQFA_SHA256 = "fbf94fea16b24a950018b8fa760c769ec98cc10cedb594ed469bee86ef37
 def test_completion_of_the_coin_machine_is_bit_identical():
     doc = json.dumps(machine_to_doc(pfa_to_nqfa(coin_pfa())))
     assert hashlib.sha256(doc.encode()).hexdigest() == COIN_NQFA_SHA256
+
+
+# The same pin over a family: two random PFAs per n = 1..14 at denominators
+# 2, 3 and 5, drawn from one seed, their pipeline documents hashed in order.
+FAMILY_NQFA_SHA256 = "a3c5012d7000886603aa6e639481890b014df5733fb384243c22f552a08cf110"
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="float sum rounds differently from 3.12")
+def test_completion_of_a_pfa_family_is_bit_identical():
+    rng = Random(20261018)
+    digest = hashlib.sha256()
+    for den in (2, 3, 5):
+        for n in range(1, 15):
+            for _ in range(2):
+                doc = machine_to_doc(pfa_to_nqfa(random_pfa(rng, n, den=den)))
+                digest.update(json.dumps(doc).encode())
+    assert digest.hexdigest() == FAMILY_NQFA_SHA256
+
+
+@given(st.integers(1, 10), st.integers(2, 7), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_completion_matches_the_dense_loops_bit_for_bit(n, den, rng):
+    """Block-wise Jacobi and support-aware products give the unitary and
+    scale of whole-matrix loops, signed zeros included."""
+    e = extend_pfa(random_pfa(rng, n, den=den))
+    for sym in e.sigma + MARKERS:
+        unitary, scale = _complete_one(e.trans[sym])
+        dense_unitary, dense_scale = dense_complete_one(e.trans[sym])
+        assert repr(unitary.entries) == repr(dense_unitary.entries), sym
+        assert repr(scale) == repr(dense_scale), sym
+
+
+def test_jacobi_keeps_the_blocks_of_a_reducible_matrix():
+    """Indices {0, 2, 4}, {1, 3} and {5} form three blocks: every rotation
+    stays inside one, so V is exactly +0.0 between blocks, and the result is
+    the dense sweep's to the bit."""
+    a = [
+        [4.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 3.0, 0.0, 2.0, 0.0, 0.0],
+        [1.0, 0.0, 2.0, 0.0, 0.5, 0.0],
+        [0.0, 2.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.5, 0.0, 5.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 7.0],
+    ]
+    block = [0, 1, 0, 1, 0, 2]
+    lam, v = _symmetric_eigen([row[:] for row in a])
+    assert repr((lam, v)) == repr(dense_symmetric_eigen([row[:] for row in a]))
+    for i in range(6):
+        for j in range(6):
+            if block[i] != block[j]:
+                assert repr(v[i][j]) == "0.0"
+    assert v[0][2] != 0.0 and v[1][3] != 0.0  # each block was rotated
+    for j in range(6):  # a v = lam v, column by column
+        for i in range(6):
+            av = sum(a[i][k] * v[k][j] for k in range(6))
+            assert abs(av - lam[j] * v[i][j]) < 1e-12
 
 
 # -- assembled pipeline ------------------------------------------------------
