@@ -31,7 +31,9 @@ start state is always state 1.
 Each kind's semantics is written down once, in ``stepper``: a start state,
 one step per input symbol and a final read-out.  The acceptance values,
 ``kwqfa_run`` and the shortest-first ``enumerate_values`` are folds over it,
-and so is every bounded check elsewhere in the package.  Stepper states are
+and so is every bounded check elsewhere in the package: each sweep walks the
+words once with ``prefix_levels``, which keeps a level's distinct states and
+steps each of them once per symbol.  Stepper states are
 plain Python scalars, not ``numeric`` vectors: integer numerators over one
 common denominator for rational machines, tuples of floats for float ones
 (``state_vector`` converts back).  Each matrix is lowered once, when a step
@@ -50,7 +52,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import accumulate, compress, count, islice, product, starmap
+from itertools import accumulate, chain, compress, count, islice, product, starmap
 from math import gcd, isfinite, lcm
 from operator import mul, ne
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -494,6 +496,12 @@ def stepper(machine: Machine):
     but not always in lowest terms, so a sweep compares it with a cutpoint
     without building the ``Fraction``.
 
+    A sweep steps each distinct state of a level once (``prefix_levels``),
+    so states are hashable, and equal states step and read out equally: a
+    rational vector is in lowest terms, so equal vectors are equal tuples,
+    and a float one is finite, where only ``0.0 == -0.0`` merges unequal
+    bits, which changes no magnitude and no read-out (each adds ``0.0``).
+
     States are plain Python scalars, and every matrix is lowered once per
     machine, when a step first reads its symbol (the read-out on the
     machine's first evaluation); the lowered tables stay on the machine
@@ -667,18 +675,35 @@ def prefix_levels(sigma: Sequence[str], maxlen: int, *steppers) -> Iterator[tupl
     """The words over ``sigma`` up to ``maxlen``, walked once with each
     ``(init, advance, readout)`` of ``steppers``: per length, ``(words,
     outs, ...)``, where ``words`` is the lazy ``itertools.product(sigma,
-    repeat=length)`` and each stepper's ``outs`` lazily reads out its states
-    after those words.  Only states are stored, each one step from its parent
-    prefix's."""
+    repeat=length)`` and each stepper's ``outs`` lazily reads out its state
+    after each of those words.
+
+    A level keeps each stepper's distinct states once, in the order the
+    words first reach them, and one index per word into them, so each
+    distinct state takes one step per symbol.  States must therefore be
+    hashable, and equal states must step and read out equally; every
+    ``stepper`` and ``LanguageOracle`` state is.  The first step that
+    raises is the first word's to raise in a word-by-word walk."""
     if maxlen < 0:
         raise ValueError(f"maxlen must be nonnegative, got {maxlen}")
-    levels = [[init] for init, _, _ in steppers]
+    levels = [([init], [0]) for init, _, _ in steppers]
     for length in range(maxlen + 1):
         yield (product(sigma, repeat=length),
-               *(map(readout, level) for level, (_, _, readout) in zip(levels, steppers)))
+               *(map(readout, map(states.__getitem__, idx))
+                 for (states, idx), (_, _, readout) in zip(levels, steppers)))
         if length < maxlen:
-            levels = [[advance(state, sym) for state in level for sym in sigma]
+            levels = [_next_level(sigma, advance, *level)
                       for level, (_, advance, _) in zip(levels, steppers)]
+
+
+def _next_level(sigma, advance, states, idx):
+    """``prefix_levels``' next ``(states, idx)``: each distinct state steps
+    once per symbol, and each word's children are its state's children."""
+    seen, k = {}, len(sigma)
+    children = [seen.setdefault(advance(state, sym), len(seen)) for state in states for sym in sigma]
+    # One group of k children per state; over an empty alphabet, no children.
+    groups = list(zip(*[iter(children)] * k)) if k else [()] * len(states)
+    return list(seen), list(chain.from_iterable(map(groups.__getitem__, idx)))
 
 
 def first_difference(words: Iterator[Word], xs, ys) -> Optional[tuple[int, Word]]:

@@ -32,7 +32,14 @@ class LanguageOracle:
     """A named total membership predicate over an alphabet, as a fold:
     ``advance(state, sym)`` reads one symbol from ``init``, the empty word's
     state, and ``accepts(state)`` tells membership.  By default the state is
-    the word read so far, and ``accepts`` a predicate on words."""
+    the word read so far, and ``accepts`` a predicate on words.
+
+    A sweep merges a level's equal states (``automata.prefix_levels``), so
+    states must be hashable, and equal states must step and be accepted
+    equally.  Only ``init`` is checked, here: an unhashable one raises
+    ``TypeError``.  An unhashable state that ``advance`` returns fails in
+    the sweep with Python's own ``unhashable type`` error, and nothing
+    checks that equal states behave equally."""
 
     name: str
     alphabet: tuple[str, ...]
@@ -42,6 +49,10 @@ class LanguageOracle:
     _symbols: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            hash(self.init)
+        except TypeError as exc:
+            raise TypeError(f"oracle {self.name!r} needs hashable states: {exc}") from None
         object.__setattr__(self, "_symbols", frozenset(self.alphabet))
 
     @property

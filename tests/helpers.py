@@ -22,6 +22,19 @@ def words_up_to(alphabet, maxlen):
         yield from itertools.product(tuple(alphabet), repeat=length)
 
 
+def naive_prefix_levels(sigma, maxlen, *steppers):
+    """``automata.prefix_levels`` word by word: every word's state is one
+    step from its parent prefix's, whether or not another word of the level
+    already holds it.  The reference the merged walk must reproduce."""
+    levels = [[init] for init, _, _ in steppers]
+    for length in range(maxlen + 1):
+        yield (itertools.product(sigma, repeat=length),
+               *(map(readout, level) for level, (_, _, readout) in zip(levels, steppers)))
+        if length < maxlen:
+            levels = [[advance(state, sym) for state in level for sym in sigma]
+                      for level, (_, advance, _) in zip(levels, steppers)]
+
+
 # ---------------------------------------------------------------------------
 # Random families
 
