@@ -71,7 +71,6 @@ from .verify import (
     dieu_violation,
     enumerate_agreement,
     enumerate_values,
-    words_up_to,
 )
 
 __version__ = "0.1.0"

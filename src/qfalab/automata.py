@@ -32,8 +32,9 @@ Each kind's semantics is written down once, in ``stepper``: a start state,
 one step per input symbol and a final read-out.  The acceptance values,
 ``kwqfa_run`` and the shortest-first ``enumerate_values`` are folds over it,
 and so is every bounded check elsewhere in the package: each sweep walks the
-words once with ``prefix_levels``, which keeps a level's distinct states and
-steps each of them once per symbol.  Stepper states are
+words once with ``prefix_levels``, which keeps a level's distinct states,
+steps each of them once per symbol and reads each out at most once, with
+the sweep's per-word test passed in the read-out.  Stepper states are
 plain Python scalars, not ``numeric`` vectors: integer numerators over one
 common denominator for rational machines, tuples of floats for float ones
 (``state_vector`` converts back).  Each matrix is lowered once, when a step
@@ -52,7 +53,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import accumulate, chain, compress, count, islice, product, starmap
+from itertools import accumulate, chain, compress, count, islice, product
 from math import gcd, isfinite, lcm
 from operator import mul, ne
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -496,11 +497,12 @@ def stepper(machine: Machine):
     but not always in lowest terms, so a sweep compares it with a cutpoint
     without building the ``Fraction``.
 
-    A sweep steps each distinct state of a level once (``prefix_levels``),
-    so states are hashable, and equal states step and read out equally: a
-    rational vector is in lowest terms, so equal vectors are equal tuples,
-    and a float one is finite, where only ``0.0 == -0.0`` merges unequal
-    bits, which changes no magnitude and no read-out (each adds ``0.0``).
+    A sweep steps and reads out each distinct state of a level once
+    (``prefix_levels``), so states are hashable, and equal states step and
+    read out equally: a rational vector is in lowest terms, so equal
+    vectors are equal tuples, and a float one is finite, where only
+    ``0.0 == -0.0`` merges unequal bits, which changes no magnitude and no
+    read-out (each adds ``0.0``).
 
     States are plain Python scalars, and every matrix is lowered once per
     machine, when a step first reads its symbol (the read-out on the
@@ -680,30 +682,82 @@ def prefix_levels(sigma: Sequence[str], maxlen: int, *steppers) -> Iterator[tupl
 
     A level keeps each stepper's distinct states once, in the order the
     words first reach them, and one index per word into them, so each
-    distinct state takes one step per symbol.  States must therefore be
-    hashable, and equal states must step and read out equally; every
-    ``stepper`` and ``LanguageOracle`` state is.  The first step that
-    raises is the first word's to raise in a word-by-word walk."""
+    distinct state takes one step per symbol and is read out at most once,
+    on the first word that consumes its read-out; a later word with the same
+    state gets the same object.  A sweep that passes its per-word test in
+    the read-out (``readout_then``) thus computes each verdict once per
+    distinct state.  States must therefore be hashable, and equal states
+    must step and read out equally; every ``stepper`` and ``LanguageOracle``
+    state is.  A step to an unhashable state raises
+    ``UnhashableStateError``.  The first step or read-out that raises is
+    the first word's to raise in a word-by-word walk, and nothing is read
+    out past the last word consumed."""
     if maxlen < 0:
         raise ValueError(f"maxlen must be nonnegative, got {maxlen}")
     levels = [([init], [0]) for init, _, _ in steppers]
     for length in range(maxlen + 1):
         yield (product(sigma, repeat=length),
-               *(map(readout, map(states.__getitem__, idx))
-                 for (states, idx), (_, _, readout) in zip(levels, steppers)))
+               *(_readouts(readout, *level) for level, (_, _, readout) in zip(levels, steppers)))
         if length < maxlen:
             levels = [_next_level(sigma, advance, *level)
                       for level, (_, advance, _) in zip(levels, steppers)]
 
 
+class UnhashableStateError(TypeError):
+    """A ``prefix_levels`` stepper stepped to a state that cannot be hashed;
+    the ``TypeError`` the hash raised is the ``__cause__``."""
+
+
+class _Memo(dict):
+    """Index -> read-out of ``states[index]``, read out on the first lookup
+    of the index and kept for the level's later words."""
+
+    __slots__ = ("_states", "_readout")
+
+    def __init__(self, states, readout):
+        super().__init__()
+        self._states, self._readout = states, readout
+
+    def __missing__(self, i):
+        out = self[i] = self._readout(self._states[i])
+        return out
+
+
+def _readouts(readout, states, idx):
+    """A level's read-outs, one per word, each distinct state's at most once.
+    Without repeats the index is the identity (states are numbered in the
+    order the words first reach them), so the states are read in order."""
+    if len(states) == len(idx):
+        return map(readout, states)
+    return map(_Memo(states, readout).__getitem__, idx)
+
+
 def _next_level(sigma, advance, states, idx):
     """``prefix_levels``' next ``(states, idx)``: each distinct state steps
     once per symbol, and each word's children are its state's children."""
-    seen, k = {}, len(sigma)
-    children = [seen.setdefault(advance(state, sym), len(seen)) for state in states for sym in sigma]
+    seen, k, child = {}, len(sigma), None
+    try:
+        children = [seen.setdefault(child := advance(state, sym), len(seen))
+                    for state in states for sym in sigma]
+    except TypeError as exc:
+        # ``child`` is the last state ``advance`` returned: the one whose
+        # hash failed, or a hashable one when ``advance`` itself raised.
+        try:
+            hash(child)
+        except TypeError:
+            raise UnhashableStateError(f"stepper states must be hashable: {exc}") from exc
+        raise
     # One group of k children per state; over an empty alphabet, no children.
     groups = list(zip(*[iter(children)] * k)) if k else [()] * len(states)
     return list(seen), list(chain.from_iterable(map(groups.__getitem__, idx)))
+
+
+def readout_then(steps, test):
+    """``steps``, an ``(init, advance, readout)``, with ``test`` applied to
+    each read-out: passed to ``prefix_levels``, the test runs once per
+    distinct state of a level instead of once per word."""
+    init, advance, readout = steps
+    return init, advance, lambda state: test(readout(state))
 
 
 def first_difference(words: Iterator[Word], xs, ys) -> Optional[tuple[int, Word]]:
@@ -717,5 +771,8 @@ def enumerate_values(machine: Machine, maxlen: int) -> Iterator[tuple[Word, Scal
     """Yield (word, acceptance value) for every word up to ``maxlen``,
     shortest first and lexicographic within one length with respect to the
     machine's declared symbol order, sharing prefix work across words."""
-    for words, outs in prefix_levels(machine.sigma, maxlen, stepper(machine)):
-        yield from zip(words, starmap(Fraction, outs) if machine.kind == RATIONAL else outs)
+    steps = stepper(machine)
+    if machine.kind == RATIONAL:
+        steps = readout_then(steps, lambda out: Fraction(*out))
+    for words, values in prefix_levels(machine.sigma, maxlen, steps):
+        yield from zip(words, values)

@@ -37,6 +37,7 @@ from .automata import (
     WordLike,
     as_word,
     prefix_levels,
+    readout_then,
     state_vector,
     stepper,
 )
@@ -620,16 +621,17 @@ def suggest_padding_bound(
     def positives(bound: int) -> set:
         machine = gpfa_erasing_hom(g, kappa, bound)
         sign = itemgetter(0) if machine.kind == RATIONAL else pos  # (num, den), den > 0
-        levels = prefix_levels(machine.sigma, maxlen, stepper(machine))
-        return {w for words, outs in levels for w, x in zip(words, map(sign, outs)) if x > 0}
+        steps = readout_then(stepper(machine), lambda out: sign(out) > 0)
+        return {w for words, positive in prefix_levels(machine.sigma, maxlen, steps)
+                for w in compress(words, positive)}
 
     reference = positives(bound_cap)
-    if bound_cap > 1 and positives(bound_cap - 1) != reference:
+    if bound_cap == 1:
+        return 1
+    if positives(bound_cap - 1) != reference:
         return None
-    for bound in range(1, bound_cap + 1):
-        if positives(bound) == reference:
-            return bound
-    return None
+    # bound_cap - 1 agrees, so the search ends there without sweeping it again.
+    return next((b for b in range(1, bound_cap - 1) if positives(b) == reference), bound_cap - 1)
 
 
 def gpfa_nonerasing_hom(g: Gpfa, h: Homomorphism) -> Gpfa:

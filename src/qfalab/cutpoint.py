@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from typing import Callable, Optional
 
 from .automata import (
@@ -30,6 +31,7 @@ from .automata import (
     acceptance_value,
     first_difference,
     prefix_levels,
+    readout_then,
     stepper,
 )
 from .numeric import (
@@ -167,10 +169,12 @@ def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:
     """
     if g.kind != RATIONAL:
         raise KindMismatchError("one-sided audit requires a rational machine")
-    for words, outs in prefix_levels(g.sigma, maxlen, stepper(g)):
-        for word, (num, _) in zip(words, outs):
-            if num < 0:
-                return word
+    # A read-out is (num, den) with den > 0.
+    steps = readout_then(stepper(g), lambda out: out[0] < 0)
+    for words, negative in prefix_levels(g.sigma, maxlen, steps):
+        found = next(compress(words, negative), None)
+        if found is not None:
+            return found
     return None
 
 
@@ -191,9 +195,10 @@ def equivalent_under_separation_bounded(
         raise ValueError("machines must share one input alphabet")
     check_cutpoint_range(a1, lam1)
     check_cutpoint_range(a2, lam2)
-    cell1, cell2 = cell_test(a1, lam1), cell_test(a2, lam2)
-    for words, outs1, outs2 in prefix_levels(a1.sigma, maxlen, stepper(a1), stepper(a2)):
-        found = first_difference(words, map(cell1, outs1), map(cell2, outs2))
+    steps1 = readout_then(stepper(a1), cell_test(a1, lam1))
+    steps2 = readout_then(stepper(a2), cell_test(a2, lam2))
+    for words, cells1, cells2 in prefix_levels(a1.sigma, maxlen, steps1, steps2):
+        found = first_difference(words, cells1, cells2)
         if found is not None:
             return found[1]
     return None

@@ -37,9 +37,12 @@ class LanguageOracle:
     A sweep merges a level's equal states (``automata.prefix_levels``), so
     states must be hashable, and equal states must step and be accepted
     equally.  Only ``init`` is checked, here: an unhashable one raises
-    ``TypeError``.  An unhashable state that ``advance`` returns fails in
-    the sweep with Python's own ``unhashable type`` error, and nothing
-    checks that equal states behave equally."""
+    ``TypeError``.  An unhashable state that ``advance`` returns is found
+    when the sweep hashes it, with no check per step: ``prefix_levels``
+    raises ``UnhashableStateError``, a ``TypeError`` that states the
+    requirement, and ``verify.enumerate_agreement`` re-raises it in the
+    words used here, naming the oracle.  Nothing checks that equal states
+    behave equally."""
 
     name: str
     alphabet: tuple[str, ...]

@@ -231,6 +231,25 @@ def test_suggest_padding_bound_reads_float_machines_too():
         assert suggest_padding_bound(floats, "c", maxlen=4, bound_cap=5) == want
 
 
+@pytest.mark.parametrize("word, cap, want, bounds", [
+    (("c", "a", "c"), 5, 2, [5, 4, 1, 2]),
+    (("c", "a", "c"), 3, 2, [3, 2, 1]),
+    (("c", "a", "c"), 1, 1, [1]),
+    (("c",) * 4 + ("a",), 5, None, [5, 4]),
+])
+def test_suggest_padding_bound_sweeps_each_bound_once(monkeypatch, word, cap, want, bounds):
+    """The bound below the cap is swept once, for the early ``None``, and the
+    search stops short of it: if no smaller bound agrees, it is the answer."""
+    from qfalab import constructions
+
+    calls, erase = [], constructions.gpfa_erasing_hom
+    monkeypatch.setattr(constructions, "gpfa_erasing_hom",
+                        lambda g, kappa, n_L: calls.append(n_L) or erase(g, kappa, n_L))
+    g = unit_machine(word, sigma=("a", "c"))
+    assert constructions.suggest_padding_bound(g, "c", maxlen=4, bound_cap=cap) == want
+    assert calls == bounds
+
+
 # -- non-erasing homomorphism ------------------------------------------------
 
 

@@ -3,19 +3,20 @@ word-by-word walk it replaces (``helpers.naive_prefix_levels``).
 
 Both walks must give the same words and ``repr``-identical read-outs at
 every level, raise the same first error, and read out lazily; the merged
-walk takes one step per distinct state and symbol, which the step counts
-below pin.
+walk takes one step per distinct state and symbol and reads each distinct
+state out at most once, which the step and read-out counts below pin.
 """
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_prefix_levels, random_pfa
-from qfalab.automata import Gpfa, Mcqfa, prefix_levels, stepper
+from qfalab.automata import Gpfa, Mcqfa, UnhashableStateError, prefix_levels, stepper
 from qfalab.constructions import neq_mcqfa, pfa_to_nqfa, rotation_mcqfa, word_problem_gpfa
 from qfalab.cutpoint import CutpointSpec
 from qfalab.languages import LanguageOracle, dfa_oracle, oracle
@@ -150,6 +151,30 @@ def test_a_word_problem_sweep_steps_each_reduced_word_once(k, maxlen, merged, na
         assert len(machine_steps) == len(oracle_steps) == want
 
 
+def counting_readout(steps, calls):
+    """``steps`` with a ``readout`` that appends each state it reads out."""
+    init, advance, readout = steps
+
+    def counted(state):
+        calls.append(state)
+        return readout(state)
+    return init, advance, counted
+
+
+@pytest.mark.parametrize("k, maxlen, merged, naive", [(2, 7, 4_916, 21_845), (3, 5, 4_881, 9_331)])
+def test_a_word_problem_sweep_reads_each_distinct_state_out_once(k, maxlen, merged, naive):
+    """Read-outs fall from one per word to one per distinct state of a level,
+    for the machine and the oracle alike."""
+    wp = oracle(f"wp-{k}")
+    for walk, want in ((prefix_levels, merged), (naive_prefix_levels, naive)):
+        machine_reads, oracle_reads = [], []
+        for _, values, marks in walk(wp.alphabet, maxlen,
+                                     counting_readout(stepper(word_problem_gpfa(k)), machine_reads),
+                                     counting_readout(wp.stepper, oracle_reads)):
+            list(zip(values, marks))
+        assert len(machine_reads) == len(oracle_reads) == want
+
+
 def test_states_that_never_repeat_take_a_step_per_word_and_symbol():
     calls, maxlen = [], 8
     for _ in prefix_levels(SIGMA, maxlen, counting(oracle("pal").stepper, calls)):
@@ -192,6 +217,39 @@ def test_the_first_step_to_raise_is_the_first_words(walk):
             pass
 
 
+def b_count_readout(state):
+    if state.count in (1, 2) and len(state.word) == 3:
+        raise ValueError(f"no read-out at {''.join(state.word)!r}")
+    return state.count
+
+
+@pytest.mark.parametrize("walk", [prefix_levels, naive_prefix_levels])
+def test_the_first_read_out_to_raise_is_the_first_words(walk):
+    """At length 3, aab and the later aba and baa share a state whose
+    read-out raises, and so do abb, bab and bba; aab is the first word to
+    read either out, and every word before it reads out."""
+    steps = BCount(0, ()), lambda s, c: BCount(s.count + (c == "b"), s.word + (c,)), b_count_readout
+    read = []
+    with pytest.raises(ValueError, match="^no read-out at 'aab'$"):
+        for _, values in walk(SIGMA, 4, steps):
+            read.extend(values)
+    assert read == [0, 0, 1, 0, 1, 1, 2, 0]
+
+
+@pytest.mark.parametrize("length, values", [(1, [0, 1]), (2, [0, 1, 1, 2])])
+@pytest.mark.parametrize("consumed", range(5))
+def test_nothing_is_read_out_past_the_last_word_consumed(length, values, consumed):
+    """The state is the count of b's: level 2 (aa, ab, ba, bb) repeats ab's
+    state at ba, and level 1 (a, b) repeats nothing.  Either way, the first
+    ``consumed`` words read out only the states they reach, each once."""
+    read = []
+    steps = counting_readout((0, lambda d, c: d + (c == "b"), lambda d: d), read)
+    _, counts = list(prefix_levels(SIGMA, length, steps))[length]
+    got = list(islice(counts, consumed))
+    assert got == values[:consumed]
+    assert read == list(dict.fromkeys(got))
+
+
 def test_a_non_finite_step_raises_the_reference_walks_error():
     big = Matrix([[1e200, 1e200], [0.0, 1e200]], FLOAT)
     g = Gpfa(2, SIGMA, {"a": big, "b": big}, RowVec([1.0, 0.0], FLOAT), ColVec([1.0, 1.0], FLOAT))
@@ -226,3 +284,30 @@ def test_agreement_reads_nothing_past_the_first_disagreement(kind):
 def test_an_oracle_with_unhashable_states_is_refused():
     with pytest.raises(TypeError, match="^oracle 'lists' needs hashable states"):
         LanguageOracle("lists", SIGMA, bool, [], lambda s, c: s + [c])
+
+
+def test_an_oracle_that_steps_to_unhashable_states_is_named():
+    """Its ``init`` is hashable, so the oracle is built; the walk names the
+    requirement, and a verify sweep the oracle."""
+    lists = LanguageOracle("lists", SIGMA, bool, (), lambda s, c: list(s) + [c])
+    with pytest.raises(UnhashableStateError,
+                       match=r"^stepper states must be hashable: unhashable type: 'list'$"):
+        for _ in prefix_levels(SIGMA, 2, lists.stepper):
+            pass
+    one = Fraction(1)
+    g = Gpfa(1, SIGMA, {sym: Matrix([[one]], RATIONAL) for sym in SIGMA},
+             RowVec([one], RATIONAL), ColVec([one], RATIONAL))
+    with pytest.raises(TypeError,
+                       match=r"^oracle 'lists' needs hashable states: unhashable type: 'list'$"):
+        enumerate_agreement(g, CutpointSpec(Fraction(0), "equal"), lists, 2)
+
+
+def test_a_type_error_from_a_step_is_not_taken_for_an_unhashable_state():
+    def advance(state, sym):
+        if sym == "b":
+            raise TypeError("no step on b")
+        return state + 1
+    with pytest.raises(TypeError, match="^no step on b$") as info:
+        for _ in prefix_levels(SIGMA, 2, (0, advance, bool)):
+            pass
+    assert not isinstance(info.value, UnhashableStateError)

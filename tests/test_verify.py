@@ -5,9 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import convolution_value, random_gpfa, random_nonneg_gpfa, random_pfa
+from helpers import convolution_value, random_gpfa, random_nonneg_gpfa, random_pfa, words_up_to
 from qfalab import numeric
-from qfalab.automata import DOLLAR, Gpfa, Kwqfa, Mcqfa, acceptance_value, gpfa_value, kwqfa_run
+from qfalab.automata import (
+    DOLLAR,
+    Gpfa,
+    Kwqfa,
+    Mcqfa,
+    acceptance_value,
+    gpfa_value,
+    kwqfa_run,
+    prefix_levels,
+)
 from qfalab.constructions import (
     coin_pfa,
     gpfa_concat,
@@ -25,7 +34,6 @@ from qfalab.verify import (
     dieu_violation,
     enumerate_agreement,
     enumerate_values,
-    words_up_to,
 )
 from random import Random
 
@@ -33,7 +41,7 @@ WP2 = word_problem_gpfa(2)
 
 
 def test_enumeration_order_is_length_then_lex():
-    got = list(words_up_to(("a", "b"), 2))
+    got = [w for (words,) in prefix_levels(("a", "b"), 2) for w in words]
     assert got == [
         (),
         ("a",),
