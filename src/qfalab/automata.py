@@ -42,9 +42,12 @@ first reads its symbol, and kept on the machine: to one generated function
 that sums only the nonzero entries of each line, over integers scaled to
 one common denominator for a rational matrix and over floats for a float one
 (for a float measure-every-step machine it also returns the squared masses
-a measurement reads).  Values are the same scalars the ``numeric`` vector
-products give (for floats bit for bit on CPython 3.11 and earlier,
-to rounding from 3.12, whose ``sum`` compensates rounding).
+a measurement reads).  A measure-every-step read-out runs only the right
+end-marker's accepting rows, once the state's norm certifies that the full
+end-marker step would pass its run bounds, and takes the full step
+otherwise.  Values are the same scalars the ``numeric`` vector products
+give (for floats bit for bit on CPython 3.11 and earlier, to rounding from
+3.12, whose ``sum`` compensates rounding).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, count, islice, product
-from math import gcd, isfinite, lcm
+from math import gcd, inf, isfinite, lcm, nextafter
 from operator import mul, ne
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -66,6 +69,7 @@ from .numeric import (
     Scalar,
     is_stochastic_row,
     is_unitary_within,
+    orthogonality_deviation,
     same_kind,
     zero,
     zero_tolerance,
@@ -416,6 +420,50 @@ class _Float:
         return vec[:hi]
 
 
+# Unit roundoff of a float and Higham's gamma_k = ku / (1 - ku): a sum of k
+# products, added in any order, is off by at most gamma_k times the sum of
+# the products' magnitudes (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., section 3.1; underflow aside).
+_UNIT = Fraction(1, 2 ** 53)
+
+
+def _gamma(k: int) -> Fraction:
+    return k * _UNIT / (1 - k * _UNIT)
+
+
+def _float_above(x: Fraction) -> float:
+    """The least float not below ``x`` (``inf`` past the largest float)."""
+    if x > sys.float_info.max:
+        return inf
+    f = float(x)
+    return f if f >= x else nextafter(f, inf)
+
+
+def _mass_factor(dollar: Matrix, m: int, live: int) -> float:
+    """``K`` of a float Kwqfa's read-out certificate: from a finite live
+    vector ``v``, the three float masses of a full right end-marker step
+    add up to at most ``K * sum(v_i * v_i)`` as floats compute it.
+
+    With ``dev`` the largest entry of ``|U U^T - I|`` for ``U = dollar``,
+    bounded from the float Gram (``orthogonality_deviation``) plus that
+    Gram's own rounding, ``||U||_2 <= rho = sqrt(1 + m dev)`` and
+    ``||U||_F^2 <= m (1 + dev)``.  Each output line sums at most ``live``
+    products, so the output is off by at most ``gamma_live ||U||_F ||v||``
+    and its norm is at most ``(rho + gamma_live ||U||_F) ||v||``; each mass
+    sums at most ``m`` squares (``gamma_m``), and ``||v||^2`` is at most
+    the float sum of squares over ``1 - gamma_live``.  ``2 rho ||U||_F <=
+    rho^2 + ||U||_F^2`` keeps every step rational, so ``K`` is exact, and
+    rounded up once."""
+    g_m, g_live = _gamma(m), _gamma(live)
+    dev = orthogonality_deviation(dollar)
+    if not isfinite(dev):
+        return inf
+    dev = (Fraction(dev) / (1 - _UNIT) + g_m) / (1 - g_m)
+    rho2, frob2 = 1 + m * dev, m * (1 + dev)
+    norm2 = rho2 + g_live * (rho2 + frob2) + g_live ** 2 * frob2
+    return _float_above((1 + g_m) * norm2 / (1 - g_live))
+
+
 def _live_states(m: Kwqfa) -> list[int]:
     """0-based indices of the states a measurement never zeroes."""
     halting = m.q_acc | m.q_rej
@@ -441,9 +489,12 @@ class _Tables(dict):
 def _lower(machine: Machine):
     """The tables ``stepper`` steps with, as ``(table, start, final)``: each
     symbol's matrix lowered for the machine's kind (on first use, see
-    ``_Tables``), the start vector, and the lowered read-out (``None`` for a
-    measure-every-step machine, whose value is its accepted mass).
-    ``_Machine._lowered`` keeps them on the machine."""
+    ``_Tables``), the start vector, and the lowered read-out.  For a
+    measure-every-step machine the read-out is ``(accepting, K)``: the right
+    end-marker's accepting rows over the live columns, lowered, and the
+    factor of its read-out certificate (``_mass_factor``; 1 for a rational
+    machine, which is exactly orthogonal).  ``_Machine._lowered`` keeps them
+    on the machine."""
     ops = _Exact if machine.kind == RATIONAL else _Float
     lower, trans = ops.lower, machine.trans
 
@@ -452,17 +503,21 @@ def _lower(machine: Machine):
         # the output at two points; columns are the live states only.  A
         # float kernel also measures (see ``_kernel``).
         live = _live_states(machine)
-        order = live + [q - 1 for q in machine.q_acc] + [q - 1 for q in machine.q_rej]
+        accepting = [q - 1 for q in machine.q_acc]
+        order = live + accepting + [q - 1 for q in machine.q_rej]
+        measured = lower
         if ops is _Float:
-            lower = partial(lower, split=(len(live), len(live) + len(machine.q_acc)))
+            measured = partial(lower, split=(len(live), len(live) + len(accepting)))
 
-        def lower_one(sym):
+        def lines(sym, targets):
             rows = trans[sym].entries
-            return lower([rows[j][i] for i in live] for j in order)
+            return [[rows[j][i] for i in live] for j in targets]
 
-        table = _Tables(lower_one)
+        table = _Tables(lambda sym: measured(lines(sym, order)))
         first = trans[CENT].entries
-        return table, ops.vector(first[j][0] for j in order), None
+        factor = 1 if ops is _Exact else _mass_factor(trans[DOLLAR], machine.n, len(live))
+        final = lower(lines(DOLLAR, accepting)), factor
+        return table, ops.vector(first[j][0] for j in order), final
 
     if isinstance(machine, Mcqfa):
         # Column convention: entry j of U @ v is U's row j times v, and the
@@ -530,6 +585,17 @@ def stepper(machine: Machine):
     ``1 + EPSILON`` (NaN fails both); otherwise ``measure`` checks the sums
     it is given, naming a non-finite entry (which makes a mass non-finite,
     since squares cannot cancel) before either bound.
+
+    A measure-every-step read-out is the accepted probability after the
+    right end-marker.  It multiplies only that matrix's accepting rows, and
+    first certifies that the full step would pass both bounds:
+    ``accept + reject + K * |v|^2 <= 1 + EPSILON`` for the live vector
+    ``v``, where ``K`` bounds how far the matrix and the float rounding can
+    stretch the squared norm (``_mass_factor``; 1 for a rational machine,
+    whose test is exact).  A state that fails the test, or whose sums are
+    not finite, takes the full step, which raises where a bound breaks, so
+    every read-out returns what the full step would, bit for bit, or raises
+    what it would.  ``kwqfa_run`` takes the full step.
     """
     if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
@@ -575,9 +641,33 @@ def stepper(machine: Machine):
                     return out[:a], accept, reject
                 return measure(out, accept, reject, live)
 
-        def readout(state):
-            accept = advance(state, DOLLAR)[1]
-            return accept.as_integer_ratio() if exact else accept
+        accepting, factor = final
+        if exact:
+            kernel, d = accepting
+
+            def readout(state):
+                vec, accept, reject = state
+                if accept + reject + factor * sq(vec, 0, a) <= bound:
+                    nums, den = vec
+                    accept += sq((kernel(nums), den * d), 0, None)
+                else:
+                    accept = advance(state, DOLLAR)[1]
+                return accept.as_integer_ratio()
+        else:
+            # The test rounds at two levels (the product and the halting
+            # sum, then their sum) and the full step at one before it
+            # compares (its two halting sums), so the test's bound is shaved
+            # by (1 - u)^2 / (1 + u), rounded down.  The probabilities are
+            # never negative, and underflow adds far less than the half ulp
+            # by which the full step's sums round near a bound of at least 1.
+            cap = -_float_above(-Fraction(bound) * (1 - _UNIT) ** 2 / (1 + _UNIT))
+
+            def readout(state):
+                vec, accept, reject = state
+                if accept + reject + factor * sum(map(mul, vec, vec), 0.0) <= cap:
+                    out = accepting(vec)
+                    return accept + sum(map(mul, out, out), 0.0)
+                return advance(state, DOLLAR)[1]
 
         return measure(start, sq(start, a, r), sq(start, r, n), sq(start, 0, a)), advance, readout
 

@@ -230,8 +230,8 @@ class Matrix:
     """Immutable dense rows x cols matrix of one scalar kind.
 
     A square matrix keeps its orthogonality deviation once
-    ``is_unitary_within`` has computed it (the ``_deviation`` slot), so every
-    later check at any tolerance reuses one Gram.
+    ``orthogonality_deviation`` has computed it (the ``_deviation`` slot), so
+    every later check at any tolerance reuses one Gram.
     """
 
     __slots__ = ("entries", "rows", "cols", "kind", "_deviation")
@@ -415,12 +415,18 @@ def is_unitary_within(m: Matrix, tol: float) -> bool:
     """
     if not m.is_square():
         return False
+    return orthogonality_deviation(m) <= tol  # False for NaN too
+
+
+def orthogonality_deviation(m: Matrix) -> Scalar:
+    """The max-norm of ``m @ m^T - I`` for a square ``m``, computed once
+    per matrix (``_gram_deviation``) and kept on it."""
     try:
-        deviation = m._deviation
+        return m._deviation
     except AttributeError:
         deviation = _gram_deviation(m.entries)
         object.__setattr__(m, "_deviation", deviation)
-    return deviation <= tol  # False for NaN too
+        return deviation
 
 
 def support_index(rows) -> tuple[list[list[int]], list[set[int]]]:

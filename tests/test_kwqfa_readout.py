@@ -1,0 +1,319 @@
+"""A Kwqfa read-out runs only the right end-marker's accepting rows, once
+the state's norm certifies that the full end-marker step passes its run
+bounds; otherwise it takes the full step.
+
+Every read-out must give the full step's accepted mass bit for bit, and
+raise where the full step raises: the certificate never passes on such a
+state.  A read-out that takes the full step calls the right end-marker's
+full kernel, which the machine's lowered tables gain only then.
+"""
+
+import math
+from fractions import Fraction
+from operator import mul
+from random import Random
+
+import pytest
+
+from helpers import random_pfa
+from qfalab import numeric
+from qfalab.automata import (
+    CENT,
+    DOLLAR,
+    Kwqfa,
+    acceptance_value,
+    enumerate_values,
+    kwqfa_run,
+    stepper,
+)
+from qfalab.cli import main, save_machine
+from qfalab.constructions import pfa_to_nqfa
+from qfalab.numeric import FLOAT, RATIONAL, Matrix
+
+SIGMA = ("a", "b")
+TRIPLES = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+           (Fraction(8, 17), Fraction(15, 17)))
+
+
+def outcome(f, state):
+    """``repr`` of what ``f(state)`` returns, or the message it raises."""
+    try:
+        return repr(f(state))
+    except ValueError as exc:
+        return f"raises {exc}"
+
+
+def full_readout(m, advance):
+    """The read-out as the full end-marker step gives it."""
+    def full(state):
+        accept = advance(state, DOLLAR)[1]
+        return accept.as_integer_ratio() if m.kind == RATIONAL else accept
+    return full
+
+
+def reached_states(m, maxlen):
+    """The distinct states the input symbols reach up to ``maxlen``, leaving
+    out the steps that raise."""
+    init, advance, _ = stepper(m)
+    level, seen = [init], {init}
+    for _ in range(maxlen):
+        nxt = []
+        for state in level:
+            for sym in m.sigma:
+                try:
+                    child = advance(state, sym)
+                except ValueError:
+                    continue
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        level = nxt
+    return list(seen)
+
+
+def check_readouts(m, states):
+    """Each read-out equals the full step's outcome; returns how many of
+    ``states`` the certificate passed, and how many raise in the full step."""
+    _, advance, readout = stepper(m)
+    full = full_readout(m, advance)
+    calls = []
+    table = m._lowered[0]
+    counted = lambda kernel: lambda vec: calls.append(1) or kernel(vec)
+    if m.kind == RATIONAL:
+        kernel, d = table[DOLLAR]
+        table[DOLLAR] = counted(kernel), d
+    else:
+        table[DOLLAR] = counted(table[DOLLAR])
+    passed = raised = 0
+    for state in states:
+        want = outcome(full, state)
+        calls.clear()
+        got = outcome(readout, state)
+        fell_back = bool(calls)
+        assert got == want, state
+        if want.startswith("raises"):
+            raised += 1
+            assert fell_back, state
+        passed += not fell_back
+    return passed, raised
+
+
+def at_the_bound(m, states, rng):
+    """States whose halting probabilities put the full step at its first
+    bound, or the certificate at its own, and just either side of it:
+    ``accept`` is the bound less the step's halting masses, or less the
+    squared live norm, each times ``1 + delta`` for small deltas of both
+    signs (float ones moved by up to 4 ulps more), as accepted or rejected
+    mass or both.  Negative ones are left out: a run's probabilities never
+    are."""
+    _, advance, _ = stepper(m)
+    exact = m.kind == RATIONAL
+    zero = Fraction(0) if exact else 0.0
+    bound = 1 + numeric.zero_tolerance()
+    if exact:
+        bound, deltas = Fraction(bound), (-Fraction(1, 2 ** 60), 0, Fraction(1, 2 ** 60))
+    else:
+        deltas = (-1e-15, 0.0, 1e-13, 1e-11, 1e-9, 1e-2, 1e-1)
+    out = []
+    for vec, _, _ in states:
+        _, accepted, rejected = advance((vec, zero, zero), DOLLAR)
+        if exact:
+            norm2 = Fraction(sum(x * x for x in vec[0]), vec[1] ** 2)
+        else:
+            norm2 = sum(x * x for x in vec)
+        for target in (accepted + rejected, norm2):
+            for delta in deltas:
+                accept = bound - target * (1 + delta)
+                for _ in range(0 if exact else rng.randint(0, 4)):
+                    accept = math.nextafter(accept, rng.choice((-math.inf, math.inf)))
+                if accept >= 0:
+                    # Halted into either set, or half and half (exactly).
+                    reject = accept * rng.choice((0, 1, zero + 1 / 2))
+                    out.append((vec, accept - reject, reject))
+    return out
+
+
+def stretched_state(m):
+    """The unit live vector whose halting mass the right end-marker
+    stretches most (power iteration), as a state with nothing halted yet:
+    where the full step's halting masses come closest to the certificate's
+    factor times the squared norm."""
+    halting = m.q_acc | m.q_rej
+    live = [i for i in range(m.n) if i + 1 not in halting]
+    rows = [[row[i] for i in live] for j, row in enumerate(m.trans[DOLLAR].entries, 1)
+            if j in halting]
+    vec = [1.0] * len(live)
+    for _ in range(200):
+        out = [sum(map(mul, row, vec)) for row in rows]
+        vec = [sum(row[i] * x for row, x in zip(rows, out)) for i in range(len(live))]
+        norm = math.sqrt(sum(x * x for x in vec))
+        vec = [x / norm for x in vec]
+    return tuple(vec), 0.0, 0.0
+
+
+def givens_product(rng, n, kind, steps=12):
+    """An orthogonal matrix as a product of signed plane rotations, exact
+    from Pythagorean triples for rationals, by random angles for floats."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if kind == FLOAT:
+        rows = [[float(x) for x in row] for row in rows]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        if kind == RATIONAL:
+            c, s = rng.choice(TRIPLES)
+        else:
+            theta = rng.uniform(0, 2 * math.pi)
+            c, s = math.cos(theta), math.sin(theta)
+        s = s * rng.choice((1, -1))
+        for row in rows:
+            row[i], row[j] = c * row[i] - s * row[j], s * row[i] + c * row[j]
+    return rows
+
+
+def noisy(rng, rows, noise):
+    """``rows`` with each entry scaled by up to ``1 +- noise``."""
+    if not noise:
+        return rows
+    return [[x * (1 + rng.uniform(-noise, noise)) for x in row] for row in rows]
+
+
+def random_kwqfa(rng, n, kind, noise=0.0):
+    """A Kwqfa over ``SIGMA`` that starts in its live state 1, with 2 or
+    more live states, one accepting and one or more rejecting; float entries
+    are scaled by up to ``1 +- noise``."""
+    trans = {sym: Matrix(noisy(rng, givens_product(rng, n, kind), noise), kind)
+             for sym in SIGMA + (DOLLAR,)}
+    halting = rng.sample(range(2, n + 1), rng.randint(2, n - 2))
+    return Kwqfa(n, SIGMA, trans, {halting[0]}, set(halting[1:]))
+
+
+def swapping_kwqfa(rng, half, noise):
+    """A float Kwqfa whose states ``1..half`` are live and the rest halting
+    (the first of them accepting), and whose right end-marker swaps the two
+    halves through noisy rotations: every live vector halts, with its norm
+    stretched or shrunk by the noise."""
+    trans = {sym: Matrix.floats(noisy(rng, givens_product(rng, 2 * half, FLOAT), noise))
+             for sym in SIGMA}
+    into_live, into_halting = (noisy(rng, givens_product(rng, half, FLOAT), noise)
+                               for _ in range(2))
+    zeros = [0.0] * half
+    trans[DOLLAR] = Matrix.floats([zeros + row for row in into_live]
+                                  + [row + zeros for row in into_halting])
+    return Kwqfa(2 * half, SIGMA, trans, {half + 1}, set(range(half + 2, 2 * half + 1)))
+
+
+# -- the certificate against the full step ---------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pipeline_readouts_are_the_full_steps_bits(n):
+    """Pipeline machines: every reached state and every state at the bound
+    reads out as the full step does, and the certificate passes on every
+    reached state."""
+    rng = Random(n)
+    m = pfa_to_nqfa(random_pfa(rng, n))
+    states = reached_states(m, 4)
+    assert check_readouts(m, states) == (len(states), 0)
+    passed, raised = check_readouts(m, at_the_bound(m, states, rng))
+    assert raised and passed
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("swapping", [False, True], ids=["mixing", "swapping"])
+def test_near_orthogonal_float_readouts_are_the_full_steps(monkeypatch, swapping, seed):
+    """Float Kwqfas with entries scaled by up to 1 +- 0.004, at tolerance
+    0.05, on reached states, the state the right end-marker stretches most,
+    and states at the bound."""
+    monkeypatch.setattr(numeric, "EPSILON", 0.05)
+    rng = Random(seed)
+    if swapping:
+        m = swapping_kwqfa(rng, rng.randint(2, 4), 0.004)
+    else:
+        m = random_kwqfa(rng, rng.randint(4, 7), FLOAT, noise=0.004)
+    states = reached_states(m, 4) + [stretched_state(m)]
+    passed, raised = check_readouts(m, states + at_the_bound(m, states, rng))
+    assert raised and passed
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_readouts_are_the_full_steps(seed):
+    """An exactly orthogonal machine's certificate is exact: it passes on
+    every reached state, and at the bound only where the full step does."""
+    rng = Random(seed)
+    m = random_kwqfa(rng, rng.randint(4, 6), RATIONAL)
+    states = reached_states(m, 3)
+    assert check_readouts(m, states) == (len(states), 0)
+    passed, raised = check_readouts(m, at_the_bound(m, states, rng))
+    assert raised and passed
+
+
+def test_pipeline_sweeps_never_generate_the_full_end_marker_kernel():
+    """Sweeping pipeline machines of den-2 PFAs to length 8 generates the
+    right end-marker's accepting rows only, never its full kernel."""
+    for n in range(2, 11):
+        m = pfa_to_nqfa(random_pfa(Random(100 + n), n))
+        assert len(list(enumerate_values(m, 8))) == 511
+        table = m._lowered[0]
+        assert set(table) == set(SIGMA), n
+
+
+# -- a non-unitary right end-marker -----------------------------------------
+
+
+def stretched_end_marker(target: str) -> Kwqfa:
+    """States 1 and 2 live, 3 accepts, 4 rejects.  The left end-marker
+    starts the run at (1, 1) / sqrt(2), "a" is the identity, and the right
+    end-marker sends the live states to ``target`` ("halting": states 3 and
+    4; "live": states 1 and 2) through [[1, t], [t, 1]] with t = 0.098: its
+    Gram deviation 0.196 passes at tolerance 0.2, and the mass it sends,
+    1.098^2 = 1.2056, breaks the bound 1.2."""
+    t, c = 0.098, math.sqrt(0.5)
+    cent = [[c, -c, 0.0, 0.0], [c, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    stretch = [[1.0, t], [t, 1.0]]
+    if target == "halting":
+        dollar = [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]] + [row + [0.0, 0.0] for row in stretch]
+    else:
+        dollar = [row + [0.0, 0.0] for row in stretch] + [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    trans = {CENT: Matrix.floats(cent), "a": Matrix.identity(4, FLOAT), DOLLAR: Matrix.floats(dollar)}
+    return Kwqfa(4, ("a",), trans, {3}, {4})
+
+
+@pytest.mark.parametrize("target, message", [
+    ("halting", "halting probabilities exceed 1"),
+    ("live", "state vector norm exceeds 1"),
+])
+def test_a_stretching_end_marker_is_refused_on_every_path(monkeypatch, tmp_path, capsys,
+                                                          target, message):
+    monkeypatch.setattr(numeric, "EPSILON", 0.2)
+    m = stretched_end_marker(target)
+    for word in ("", "a", "aa"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            acceptance_value(m, word)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kwqfa_run(m, word)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        list(enumerate_values(m, 2))
+    assert DOLLAR in m._lowered[0]
+    path = str(tmp_path / "stretch.json")
+    save_machine(path, m)
+    monkeypatch.setenv("QFA_EPSILON", "0.2")
+    capsys.readouterr()
+    argv = ["verify", "--machine", path, "--cutpoint", "0", "--relation", "greater",
+            "--oracle", "mod-2", "--maxlen", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_failed_certificate_still_reads_out_a_passing_step(monkeypatch):
+    """With t = 0.05 the stretch sends 1.1025, within the bound 1.2, but the
+    certificate's factor exceeds 1.4: the read-out takes the full step and
+    gives its value."""
+    monkeypatch.setattr(numeric, "EPSILON", 0.2)
+    m = stretched_end_marker("halting")
+    rows = [list(row) for row in m.trans[DOLLAR].entries]
+    rows[2][1] = rows[3][0] = 0.05
+    m = Kwqfa(4, ("a",), {**m.trans, DOLLAR: Matrix.floats(rows)}, {3}, {4})
+    value = acceptance_value(m, "a")
+    assert DOLLAR in m._lowered[0]
+    assert value == kwqfa_run(m, "a").accept_prob
+    assert math.isclose(value, 1.05 ** 2 / 2, rel_tol=1e-12)
