@@ -15,10 +15,7 @@ from .automata import (
     RunTrace,
     acceptance_value,
     as_word,
-    gpfa_value,
     kwqfa_run,
-    mcqfa_accept_prob,
-    pfa_accept_prob,
 )
 from .constructions import (
     CompletionResult,
@@ -61,7 +58,6 @@ from .numeric import (
     KindMismatchError,
     Matrix,
     RowVec,
-    is_stochastic,
     is_unitary_within,
     mat_mul,
 )

@@ -29,7 +29,7 @@ use the row convention.  State indices in the public API are 1-based and the
 start state is always state 1.
 
 Each kind's semantics is written down once, in ``stepper``: a start state,
-one step per input symbol and a final read-out.  The acceptance values,
+one step per input symbol and a final read-out.  ``acceptance_value``,
 ``kwqfa_run`` and the shortest-first ``enumerate_values`` are folds over it,
 and so is every bounded check elsewhere in the package: each sweep walks the
 words once with ``prefix_levels``, which keeps a level's distinct states,
@@ -470,26 +470,26 @@ def _live_states(m: Kwqfa) -> list[int]:
     return [i for i in range(m.n) if i + 1 not in halting]
 
 
-class _Tables(dict):
-    """Symbol -> lowered matrix, each lowered when a step first reads its
-    symbol; after that a step is one dict lookup.  ``lower_one`` must not
-    reference the machine, or the tables would hold it in a cycle."""
+class _Lazy(dict):
+    """``key -> fill(source[key])``, filled on a key's first lookup and kept:
+    symbol -> lowered matrix over a machine's ``trans`` (not the machine:
+    its tables would hold it in a cycle), index -> read-out over a level."""
 
-    __slots__ = ("_lower_one",)
+    __slots__ = ("_fill", "_source")
 
-    def __init__(self, lower_one):
+    def __init__(self, fill, source):
         super().__init__()
-        self._lower_one = lower_one
+        self._fill, self._source = fill, source
 
-    def __missing__(self, sym):
-        table = self[sym] = self._lower_one(sym)
-        return table
+    def __missing__(self, key):
+        out = self[key] = self._fill(self._source[key])
+        return out
 
 
 def _lower(machine: Machine):
     """The tables ``stepper`` steps with, as ``(table, start, final)``: each
     symbol's matrix lowered for the machine's kind (on first use, see
-    ``_Tables``), the start vector, and the lowered read-out.  For a
+    ``_Lazy``), the start vector, and the lowered read-out.  For a
     measure-every-step machine the read-out is ``(accepting, K)``: the right
     end-marker's accepting rows over the live columns, lowered, and the
     factor of its read-out certificate (``_mass_factor``; 1 for a rational
@@ -509,26 +509,26 @@ def _lower(machine: Machine):
         if ops is _Float:
             measured = partial(lower, split=(len(live), len(live) + len(accepting)))
 
-        def lines(sym, targets):
-            rows = trans[sym].entries
+        def lines(matrix, targets):
+            rows = matrix.entries
             return [[rows[j][i] for i in live] for j in targets]
 
-        table = _Tables(lambda sym: measured(lines(sym, order)))
+        table = _Lazy(lambda matrix: measured(lines(matrix, order)), trans)
         first = trans[CENT].entries
         factor = 1 if ops is _Exact else _mass_factor(trans[DOLLAR], machine.n, len(live))
-        final = lower(lines(DOLLAR, accepting)), factor
+        final = lower(lines(trans[DOLLAR], accepting)), factor
         return table, ops.vector(first[j][0] for j in order), final
 
     if isinstance(machine, Mcqfa):
         # Column convention: entry j of U @ v is U's row j times v, and the
         # start state 1 makes the first step U_CENT's column 1.
-        table = _Tables(lambda sym: lower(trans[sym].entries))
+        table = _Lazy(lambda matrix: lower(matrix.entries), trans)
         start = [row[0] for row in trans[CENT].entries]
         final = lower(trans[DOLLAR].entries[q - 1] for q in machine.accepting)
         return table, ops.vector(start), final
 
     # Row convention: entry j of v @ A is v times A's column j.
-    table = _Tables(lambda sym: lower(zip(*trans[sym].entries)))
+    table = _Lazy(lambda matrix: lower(zip(*matrix.entries)), trans)
     if isinstance(machine, Gpfa):
         start, final = machine.v0.entries, lower([machine.f.entries])
     else:
@@ -725,32 +725,12 @@ def state_vector(machine: Machine, state) -> RowVec | ColVec:
     return ColVec(full, kind)
 
 
-def _fold(machine: Machine, w: WordLike) -> Scalar:
+def acceptance_value(machine: Machine, w: WordLike) -> Scalar:
+    """The value of ``w`` for every kind: a Pfa's, Kwqfa's or Mcqfa's
+    acceptance probability on ``CENT w DOLLAR``, a Gpfa's ``v0 @ A_w @ f``."""
     init, advance, readout = stepper(machine)
     out = readout(reduce(advance, _check_word(machine.sigma, w), init))
     return Fraction(*out) if machine.kind == RATIONAL else out
-
-
-def pfa_accept_prob(p: Pfa, w: WordLike) -> Fraction:
-    """Exact acceptance probability of ``w``: mass on accepting states after
-    processing ``CENT w DOLLAR`` from the start state."""
-    return _fold(p, w)
-
-
-def gpfa_value(g: Gpfa, w: WordLike) -> Scalar:
-    """Value of ``w``; the empty word gives ``v0 @ f`` directly."""
-    return _fold(g, w)
-
-
-def mcqfa_accept_prob(m: Mcqfa, w: WordLike) -> Scalar:
-    """Apply the full unitary product to the start state, then observe once:
-    the result is the squared amplitude mass on accepting coordinates."""
-    return _fold(m, w)
-
-
-def acceptance_value(machine: Machine, w: WordLike) -> Scalar:
-    """Uniform acceptance value used by cutpoint classification."""
-    return _fold(machine, w)
 
 
 def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
@@ -798,28 +778,13 @@ class UnhashableStateError(TypeError):
     the ``TypeError`` the hash raised is the ``__cause__``."""
 
 
-class _Memo(dict):
-    """Index -> read-out of ``states[index]``, read out on the first lookup
-    of the index and kept for the level's later words."""
-
-    __slots__ = ("_states", "_readout")
-
-    def __init__(self, states, readout):
-        super().__init__()
-        self._states, self._readout = states, readout
-
-    def __missing__(self, i):
-        out = self[i] = self._readout(self._states[i])
-        return out
-
-
 def _readouts(readout, states, idx):
     """A level's read-outs, one per word, each distinct state's at most once.
     Without repeats the index is the identity (states are numbered in the
     order the words first reach them), so the states are read in order."""
     if len(states) == len(idx):
         return map(readout, states)
-    return map(_Memo(states, readout).__getitem__, idx)
+    return map(_Lazy(readout, states).__getitem__, idx)
 
 
 def _next_level(sigma, advance, states, idx):

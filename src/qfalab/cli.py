@@ -461,8 +461,7 @@ def _build_machine(args) -> Machine:
     if op == "star":
         return gpfa_star(one)
     if op == "add-eps":
-        delta = parse_rational(args.delta) if one.kind == RATIONAL else float(args.delta)
-        return add_epsilon(one, delta)
+        return add_epsilon(one, _machine_cut(one, args.delta))
     if op == "reverse":
         return gpfa_reverse(one)
     if op == "quotient":

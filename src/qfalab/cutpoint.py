@@ -58,6 +58,11 @@ RELATION_CELLS = {
 }
 
 
+def _check_finite(lam: Scalar) -> None:
+    if scalar_kind(lam) == FLOAT and not math.isfinite(lam):
+        raise ValueError(f"cutpoint must be finite, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class CutpointSpec:
     """A threshold plus the relation a member's value must satisfy."""
@@ -66,8 +71,7 @@ class CutpointSpec:
     relation: str
 
     def __post_init__(self):
-        if scalar_kind(self.lam) == FLOAT and not math.isfinite(self.lam):
-            raise ValueError(f"cutpoint must be finite, got {self.lam!r}")
+        _check_finite(self.lam)
         if self.relation not in RELATIONS:
             raise ValueError(
                 f"unknown relation {self.relation!r}; expected one of {RELATIONS}"
@@ -144,9 +148,10 @@ def classify_machine_value(machine: Machine, v: Scalar, spec: CutpointSpec) -> b
 
 def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
     """Probability-valued machines only make sense with thresholds in [0,1];
-    generalized machines may use any real threshold."""
+    generalized machines may use any finite real threshold."""
     if not isinstance(machine, Gpfa) and not (0 <= lam <= 1):
         raise ValueError(f"cutpoint {format_scalar(lam)} outside [0,1] for a probability machine")
+    _check_finite(lam)
 
 
 def member_at_cutpoint(machine: Machine, spec: CutpointSpec, w) -> bool:

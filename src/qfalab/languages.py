@@ -63,15 +63,12 @@ class LanguageOracle:
         """``(init, advance, accepts)``, for a sweep that checks symbols once."""
         return self.init, self.advance, self.accepts
 
-    def member(self, word: Word) -> bool:
-        return self.accepts(reduce(self.advance, word, self.init))
-
     def __call__(self, w: WordLike) -> bool:
         word = as_word(w)
         if not self._symbols.issuperset(word):
             bad = next(s for s in word if s not in self._symbols)
             raise ValueError(f"symbol {bad!r} not in alphabet of {self.name}")
-        return self.member(word)
+        return self.accepts(reduce(self.advance, word, self.init))
 
 
 _GENERATOR_RE = re.compile(r"^[gG]([1-9][0-9]*)$")

@@ -95,10 +95,6 @@ def parse_rational(text: Union[str, int]) -> Fraction:
 def coerce_scalar(value, kind: str) -> Scalar:
     """Convert an int/Fraction/float literal to the given kind; cross-kind
     values (a float into rational, a Fraction into float) are rejected."""
-    return _coerce(value, kind)
-
-
-def _coerce(value, kind: str):
     # The common cases by exact type first (see ``scalar_kind``); anything
     # else, subclasses and non-finite floats included, takes the general
     # checks below.
@@ -143,9 +139,9 @@ def has_exact_type(row, kind: str) -> bool:
 
 def _coerce_row(row: tuple, kind: str) -> tuple:
     """``row`` as it is if ``has_exact_type``; any other row goes through
-    ``_coerce`` entry by entry, so a refusal names the first offending
+    ``coerce_scalar`` entry by entry, so a refusal names the first offending
     entry."""
-    return row if has_exact_type(row, kind) else tuple(_coerce(v, kind) for v in row)
+    return row if has_exact_type(row, kind) else tuple(coerce_scalar(v, kind) for v in row)
 
 
 def _infer_kind(values) -> str:
@@ -390,18 +386,6 @@ def is_stochastic_row(row) -> bool:
     den = math.lcm(*(x.denominator for x in row))
     nums = [x.numerator * (den // x.denominator) for x in row]
     return min(nums) >= 0 and max(nums) <= den and sum(nums) == den
-
-
-def is_stochastic(m: Matrix) -> bool:
-    """True iff ``m`` is square, rational, entrywise in [0,1], rows sum to 1.
-
-    Stochasticity is an exact property, so float matrices are rejected.
-    """
-    if m.kind != RATIONAL:
-        raise KindMismatchError("stochasticity is checked exactly; rational kind required")
-    if not m.is_square():
-        raise ValueError("stochasticity is defined for square matrices")
-    return all(map(is_stochastic_row, m.entries))
 
 
 def is_unitary_within(m: Matrix, tol: float) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 from random import Random
 
-from qfalab.automata import CENT, DOLLAR, Gpfa, Pfa, Word, gpfa_value
+from qfalab.automata import CENT, DOLLAR, Gpfa, Pfa, Word, acceptance_value
 from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec, is_unitary_within
 
 
@@ -89,7 +89,7 @@ def random_pfa(rng: Random, n: int, sigma=("a", "b"), den: int = 2) -> Pfa:
 
 def convolution_value(g1: Gpfa, g2: Gpfa, w: Word):
     return sum(
-        gpfa_value(g1, w[:i]) * gpfa_value(g2, w[i:]) for i in range(len(w) + 1)
+        acceptance_value(g1, w[:i]) * acceptance_value(g2, w[i:]) for i in range(len(w) + 1)
     )
 
 
@@ -101,11 +101,11 @@ def factorization_value(g: Gpfa, w: Word, _cache=None):
     if w in _cache:
         return _cache[w]
     if not w:
-        out = gpfa_value(g, ())
+        out = acceptance_value(g, ())
     else:
-        out = gpfa_value(g, w)
+        out = acceptance_value(g, w)
         for i in range(1, len(w)):
-            out += factorization_value(g, w[:i], _cache) * gpfa_value(g, w[i:])
+            out += factorization_value(g, w[:i], _cache) * acceptance_value(g, w[i:])
     _cache[w] = out
     return out
 
@@ -119,7 +119,7 @@ def padded_value(g: Gpfa, kappa: str, n_L: int, w: Word):
             padded.extend([kappa] * count)
             if sym is not None:
                 padded.append(sym)
-        total += gpfa_value(g, padded)
+        total += acceptance_value(g, padded)
     return total
 
 
@@ -129,7 +129,7 @@ def preimage_value(g: Gpfa, h, w: Word):
     for length in range(len(w) + 1):
         for u in itertools.product(g.sigma, repeat=length):
             if h(u) == w:
-                total += gpfa_value(g, u)
+                total += acceptance_value(g, u)
     return total
 
 

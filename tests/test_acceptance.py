@@ -19,7 +19,7 @@ from helpers import (
     random_nonneg_gpfa,
     random_pfa,
 )
-from qfalab.automata import CENT, DOLLAR, gpfa_value, mcqfa_accept_prob, pfa_accept_prob
+from qfalab.automata import CENT, DOLLAR, acceptance_value
 from qfalab.cli import load_machine, main, parse_document, serialize_machine
 from qfalab.constructions import (
     Homomorphism,
@@ -173,7 +173,7 @@ def test_criterion_3_rotation_machines():
         spec = CutpointSpec(0.0, "greater")
         for i in range(101):
             word = ("a",) * i
-            prob = mcqfa_accept_prob(machine, word)
+            prob = acceptance_value(machine, word)
             assert abs(prob - math.sin(i * math.pi / m) ** 2) <= 1e-9, (m, i)
             assert member_at_cutpoint(machine, spec, word) == lang(word), (m, i)
             checked += 1
@@ -210,21 +210,21 @@ def test_criterion_5_closure_identities():
 
     for g1, g2 in pairs:
         check("concat", gpfa_concat(g1, g2), lambda w: convolution_value(g1, g2, w))
-        if gpfa_value(g1, ()) != -1:
+        if acceptance_value(g1, ()) != -1:
             cache = {}
             check("star", gpfa_star(g1), lambda w: factorization_value(g1, w, cache))
         check(
-            "union", gpfa_union(g1, g2), lambda w: gpfa_value(g1, w) + gpfa_value(g2, w)
+            "union", gpfa_union(g1, g2), lambda w: acceptance_value(g1, w) + acceptance_value(g2, w)
         )
         check(
             "intersection",
             gpfa_intersection(g1, g2),
-            lambda w: gpfa_value(g1, w) * gpfa_value(g2, w),
+            lambda w: acceptance_value(g1, w) * acceptance_value(g2, w),
         )
-        check("reverse", gpfa_reverse(g1), lambda w: gpfa_value(g1, w[::-1]))
+        check("reverse", gpfa_reverse(g1), lambda w: acceptance_value(g1, w[::-1]))
         for side, ref in (
-            ("left", lambda y: gpfa_value(g1, ("a", "b") + y)),
-            ("right", lambda z: gpfa_value(g1, z + ("a", "b"))),
+            ("left", lambda y: acceptance_value(g1, ("a", "b") + y)),
+            ("right", lambda z: acceptance_value(g1, z + ("a", "b"))),
         ):
             check(f"quotient-{side}", gpfa_quotient(g1, "ab", side), ref)
 
@@ -239,7 +239,7 @@ def test_criterion_5_closure_identities():
         check(
             "inverse-hom",
             gpfa_inverse_hom(g1, inflate),
-            lambda w: gpfa_value(g1, inflate(w)),
+            lambda w: acceptance_value(g1, inflate(w)),
         )
 
     three = ("a", "b", "c")
@@ -415,7 +415,7 @@ def test_criterion_9_uncurated_pipeline_verdicts():
     tested = halves = 0
     failures = []
     for p in machines:
-        neq_half = LanguageOracle("neq-half", p.sigma, lambda w, p=p: pfa_accept_prob(p, w) != HALF)
+        neq_half = LanguageOracle("neq-half", p.sigma, lambda w, p=p: acceptance_value(p, w) != HALF)
         report = enumerate_agreement(pfa_to_nqfa(p), CutpointSpec(0.0, "greater"), neq_half, 8)
         half = sum(f == HALF for _, f in enumerate_values(p, 8))
         tested += report.tested

@@ -16,11 +16,9 @@ from qfalab.automata import (
     Kwqfa,
     Mcqfa,
     Pfa,
+    acceptance_value,
     enumerate_values,
-    gpfa_value,
     kwqfa_run,
-    mcqfa_accept_prob,
-    pfa_accept_prob,
 )
 from qfalab.constructions import coin_pfa, pfa_to_nqfa, rotation_mcqfa, word_problem_gpfa
 from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec
@@ -29,7 +27,7 @@ from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec
 def test_pfa_always_accepting_single_state():
     p = Pfa(1, ("a",), {"a": Matrix.identity(1)}, frozenset({1}))
     for w in ["", "a", "aaaa"]:
-        assert pfa_accept_prob(p, w) == 1
+        assert acceptance_value(p, w) == 1
 
 
 @pytest.mark.parametrize("cls", [Pfa, Mcqfa])
@@ -49,20 +47,27 @@ def test_shapes_are_checked_before_marker_identities_are_built(monkeypatch, cls)
 
 def test_coin_pfa_values():
     p = coin_pfa()
-    assert pfa_accept_prob(p, "a") == Fraction(1, 2)
-    assert pfa_accept_prob(p, "aa") == Fraction(3, 4)
-    assert pfa_accept_prob(p, "") == 0
+    assert acceptance_value(p, "a") == Fraction(1, 2)
+    assert acceptance_value(p, "aa") == Fraction(3, 4)
+    assert acceptance_value(p, "") == 0
 
 
 def test_pfa_rejects_unknown_symbol():
     with pytest.raises(ValueError):
-        pfa_accept_prob(coin_pfa(), "ab")
+        acceptance_value(coin_pfa(), "ab")
 
 
 def test_pfa_requires_stochastic_matrices():
     bad = Matrix.rational([[1, 1], [0, 1]])
     with pytest.raises(ValueError, match="not stochastic"):
         Pfa(2, ("a",), {"a": bad}, frozenset({1}))
+
+
+def test_pfa_refuses_float_matrices():
+    """Stochasticity is checked exactly, so a float matrix is refused."""
+    floats = Matrix.floats([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="pfa matrices must be rational"):
+        Pfa(2, ("a",), {"a": floats}, frozenset({1}))
 
 
 def test_gpfa_scalar_weights():
@@ -73,15 +78,15 @@ def test_gpfa_scalar_weights():
         RowVec([Fraction(1)]),
         ColVec([Fraction(1)]),
     )
-    assert gpfa_value(g, "") == 1
-    assert gpfa_value(g, "aaa") == 8
+    assert acceptance_value(g, "") == 1
+    assert acceptance_value(g, "aaa") == 8
 
 
 def test_gpfa_word_problem_generator_value():
     from qfalab.constructions import word_problem_gpfa
 
     wp = word_problem_gpfa(2)
-    assert gpfa_value(wp, ["g1"]) == Fraction(3, 5)
+    assert acceptance_value(wp, ["g1"]) == Fraction(3, 5)
 
 
 def test_kwqfa_nothing_halts_with_empty_sets():
@@ -132,14 +137,14 @@ def test_kwqfa_requires_unitary_matrices():
 def test_mcqfa_all_identity():
     m = Mcqfa(2, ("a",), {"a": Matrix.identity(2)}, frozenset({1}))
     for w in ["", "a", "aaa"]:
-        assert mcqfa_accept_prob(m, w) == 1
+        assert acceptance_value(m, w) == 1
 
 
 def test_rotation_mcqfa_values():
-    assert abs(mcqfa_accept_prob(rotation_mcqfa(2), "a") - 1) < 1e-12
-    assert abs(mcqfa_accept_prob(rotation_mcqfa(3), "aaa")) < 1e-12
+    assert abs(acceptance_value(rotation_mcqfa(2), "a") - 1) < 1e-12
+    assert abs(acceptance_value(rotation_mcqfa(3), "aaa")) < 1e-12
     expected = math.sin(2 * math.pi / 5) ** 2
-    assert abs(mcqfa_accept_prob(rotation_mcqfa(5), "aa") - expected) < 1e-9
+    assert abs(acceptance_value(rotation_mcqfa(5), "aa") - expected) < 1e-9
 
 
 def test_marker_matrices_default_to_identity():
@@ -188,7 +193,7 @@ def test_pfa_probabilities_stay_in_unit_interval():
     for _ in range(8):
         p = random_pfa(rng, rng.choice([2, 3]), den=4)
         for w in words_up_to(p.sigma, 4):
-            value = pfa_accept_prob(p, w)
+            value = acceptance_value(p, w)
             assert 0 <= value <= 1
 
 
@@ -204,7 +209,7 @@ def test_mcqfa_probability_within_unit_interval():
     for m in (2, 3, 5):
         machine = rotation_mcqfa(m)
         for w in words_up_to(("a",), 9):
-            value = mcqfa_accept_prob(machine, w)
+            value = acceptance_value(machine, w)
             assert -1e-9 <= value <= 1 + 1e-9
 
 
@@ -221,7 +226,7 @@ def test_gpfa_split_product_is_associative(cut_at, data):
     back = g.f
     for sym in reversed(suffix):
         back = g.trans[sym] @ back
-    assert front @ back == gpfa_value(g, word)
+    assert front @ back == acceptance_value(g, word)
 
 
 def test_run_trace_vector_norms_bounded():

@@ -384,9 +384,9 @@ def test_build_pipeline_and_quotient(demo_dir, tmp_path):
     )
     assert code == 0
     quotient = load_machine(str(quot))
-    from qfalab.automata import gpfa_value
+    from qfalab.automata import acceptance_value
 
-    assert gpfa_value(quotient, ["G1"]) == 1
+    assert acceptance_value(quotient, ["G1"]) == 1
 
 
 def test_build_union_and_shift(demo_dir, tmp_path):
@@ -458,10 +458,10 @@ def test_build_hom_roundtrip(demo_dir, tmp_path):
         ["build", "inv-hom", "--in", str(wp), "--map", str(hom2_path), "--out", str(out)]
     )
     assert code == 0
-    from qfalab.automata import gpfa_value
+    from qfalab.automata import acceptance_value
 
     mapped = load_machine(str(out))
-    assert gpfa_value(mapped, ["x", "x"]) == 1
+    assert acceptance_value(mapped, ["x", "x"]) == 1
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -482,13 +482,13 @@ def test_build_rot_machine(tmp_path):
 
 
 def test_build_star_concat_add_eps(tmp_path):
-    from qfalab.automata import gpfa_value
+    from qfalab.automata import acceptance_value
 
     wp = tmp_path / "wp.json"
     main(["build", "wp-gpfa", "--k", "2", "--out", str(wp)])
     padded = tmp_path / "padded.json"
     assert main(["build", "add-eps", "--in", str(wp), "--delta", "2", "--out", str(padded)]) == 0
-    assert gpfa_value(load_machine(str(padded)), ()) == Fraction(3)
+    assert acceptance_value(load_machine(str(padded)), ()) == Fraction(3)
 
     joined = tmp_path / "joined.json"
     assert main(["build", "concat", "--in", str(wp), "--in2", str(wp), "--out", str(joined)]) == 0
@@ -497,6 +497,29 @@ def test_build_star_concat_add_eps(tmp_path):
     starred = tmp_path / "starred.json"
     assert main(["build", "star", "--in", str(wp), "--out", str(starred)]) == 0
     assert load_machine(str(starred)).n == 4
+
+
+def test_add_eps_reads_delta_as_classify_reads_a_cutpoint(tmp_path, capsys):
+    """A fraction is a number for a float machine too, under ``--delta`` as
+    under ``--cutpoint``."""
+    from qfalab.automata import acceptance_value
+
+    wp = word_problem_gpfa(2)
+    floats = Gpfa(
+        wp.n,
+        wp.sigma,
+        {sym: m.to_float() for sym, m in wp.trans.items()},
+        wp.v0.to_float(),
+        wp.f.to_float(),
+    )
+    machine, padded = tmp_path / "wp.json", tmp_path / "padded.json"
+    cli.save_machine(str(machine), floats)
+    half = ["--cutpoint", "1/2", "--relation", "greater", "--word", ""]
+    assert main(["classify", "--machine", str(machine), *half]) == 0
+    build = ["build", "add-eps", "--in", str(machine), "--delta", "1/2", "--out", str(padded)]
+    assert main(build) == 0
+    assert capsys.readouterr().err == ""
+    assert acceptance_value(load_machine(str(padded)), ()) == 1.5
 
 
 @pytest.mark.parametrize(

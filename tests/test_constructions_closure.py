@@ -18,7 +18,7 @@ from helpers import (
     random_nonneg_gpfa,
     words_up_to,
 )
-from qfalab.automata import Gpfa, gpfa_value
+from qfalab.automata import Gpfa, acceptance_value
 from qfalab.constructions import (
     Homomorphism,
     add_epsilon,
@@ -97,9 +97,9 @@ def test_concat_annihilated_by_zero_machine():
 
 def test_concat_of_unit_machines():
     joined = gpfa_concat(unit_machine("a"), unit_machine("b"))
-    assert gpfa_value(joined, "ab") == 1
-    assert gpfa_value(joined, "ba") == 0
-    assert gpfa_value(joined, "ab" * 2) == 0
+    assert acceptance_value(joined, "ab") == 1
+    assert acceptance_value(joined, "ba") == 0
+    assert acceptance_value(joined, "ab" * 2) == 0
 
 
 def test_concat_is_convolution_for_arbitrary_machines():
@@ -124,7 +124,7 @@ def test_add_epsilon_zero_delta_changes_nothing():
     rng = Random(2)
     g = random_gpfa(rng, 2, SIGMA)
     padded = add_epsilon(g, Fraction(0))
-    assert check_value_identity(padded, lambda w: gpfa_value(g, w), 6) is None
+    assert check_value_identity(padded, lambda w: acceptance_value(g, w), 6) is None
 
 
 def test_add_epsilon_only_moves_the_empty_value():
@@ -132,10 +132,10 @@ def test_add_epsilon_only_moves_the_empty_value():
     g = random_gpfa(rng, 2, SIGMA)
     delta = Fraction(7)
     padded = add_epsilon(g, delta)
-    assert gpfa_value(padded, ()) == gpfa_value(g, ()) + delta
+    assert acceptance_value(padded, ()) == acceptance_value(g, ()) + delta
     for w in words_up_to(SIGMA, 4):
         if w:
-            assert gpfa_value(padded, w) == gpfa_value(g, w)
+            assert acceptance_value(padded, w) == acceptance_value(g, w)
 
 
 # -- iteration ---------------------------------------------------------------
@@ -145,16 +145,16 @@ def test_star_example_machine():
     # machine valuing 1 on the empty word and on "a", 0 elsewhere
     g = add_epsilon(unit_machine("a", sigma=("a",)), Fraction(1))
     starred = gpfa_star(g)
-    assert gpfa_value(starred, "aa") == 1
-    assert gpfa_value(starred, "aaa") == 1
-    assert gpfa_value(starred, ()) == gpfa_value(g, ())
+    assert acceptance_value(starred, "aa") == 1
+    assert acceptance_value(starred, "aaa") == 1
+    assert acceptance_value(starred, ()) == acceptance_value(g, ())
 
 
 def test_star_is_factorization_sum_for_arbitrary_machines():
     rng = Random(77)
     for _ in range(6):
         g = random_gpfa(rng, rng.randint(1, 3), SIGMA)
-        if gpfa_value(g, ()) == -1:
+        if acceptance_value(g, ()) == -1:
             continue
         starred = gpfa_star(g)
         cache = {}
@@ -167,7 +167,7 @@ def test_star_is_factorization_sum_for_arbitrary_machines():
 def test_star_keeps_empty_value():
     rng = Random(78)
     g = random_nonneg_gpfa(rng, 2, SIGMA)
-    assert gpfa_value(gpfa_star(g), ()) == gpfa_value(g, ())
+    assert acceptance_value(gpfa_star(g), ()) == acceptance_value(g, ())
 
 
 def test_star_rejects_minus_one_empty_value():
@@ -184,13 +184,13 @@ def test_erasing_hom_with_unit_bound_is_restriction():
     g = random_gpfa(rng, 2, ("a", "b", "c"))
     erased = gpfa_erasing_hom(g, "c", 1)
     assert erased.sigma == ("a", "b")
-    assert check_value_identity(erased, lambda w: gpfa_value(g, w), 5) is None
+    assert check_value_identity(erased, lambda w: acceptance_value(g, w), 5) is None
 
 
 def test_erasing_hom_exposes_padded_word():
     g = unit_machine(("c", "a", "c"), sigma=("a", "c"))
     erased = gpfa_erasing_hom(g, "c", 2)
-    assert gpfa_value(erased, "a") == 1
+    assert acceptance_value(erased, "a") == 1
 
 
 def test_erasing_hom_is_padded_sum():
@@ -258,16 +258,16 @@ def test_nonerasing_hom_identity_map():
     g = random_gpfa(rng, 2, SIGMA)
     identity = Homomorphism(SIGMA, SIGMA, {"a": ("a",), "b": ("b",)})
     mapped = gpfa_nonerasing_hom(g, identity)
-    assert check_value_identity(mapped, lambda w: gpfa_value(g, w), 6) is None
+    assert check_value_identity(mapped, lambda w: acceptance_value(g, w), 6) is None
 
 
 def test_nonerasing_hom_doubling_map():
     g = unit_machine("a", sigma=("a",))
     doubling = Homomorphism(("a",), ("a",), {"a": ("a", "a")})
     mapped = gpfa_nonerasing_hom(g, doubling)
-    assert gpfa_value(mapped, "aa") == 1
-    assert gpfa_value(mapped, "a") == 0
-    assert gpfa_value(mapped, "aaa") == 0
+    assert acceptance_value(mapped, "aa") == 1
+    assert acceptance_value(mapped, "a") == 0
+    assert acceptance_value(mapped, "aaa") == 0
 
 
 def test_nonerasing_hom_is_preimage_sum():
@@ -339,7 +339,7 @@ def test_hom_erasure_then_mapping():
     g = unit_machine(("a", "c", "b"), sigma=("a", "b", "c"))
     h = Homomorphism(("a", "b", "c"), SIGMA, {"a": ("a",), "b": ("b",), "c": ()})
     mapped = gpfa_hom(g, h, [2])
-    assert gpfa_value(mapped, "ab") > 0
+    assert acceptance_value(mapped, "ab") > 0
 
 
 def test_hom_bound_count_mismatch():
@@ -357,7 +357,7 @@ def test_inverse_hom_constant_when_everything_erased():
     g = random_gpfa(rng, 2, SIGMA)
     h = Homomorphism(("x", "y"), SIGMA, {"x": (), "y": ()})
     pulled = gpfa_inverse_hom(g, h)
-    empty_value = gpfa_value(g, ())
+    empty_value = acceptance_value(g, ())
     assert check_value_identity(pulled, lambda w: empty_value, 5) is None
 
 
@@ -367,8 +367,8 @@ def test_inverse_hom_collapses_cancelling_pair():
     wp = word_problem_gpfa(2)
     h = Homomorphism(("x",), wp.sigma, {"x": ("g1", "G1")})
     pulled = gpfa_inverse_hom(wp, h)
-    assert gpfa_value(pulled, ["x"]) == 1
-    assert gpfa_value(pulled, ["x", "x"]) == 1
+    assert acceptance_value(pulled, ["x"]) == 1
+    assert acceptance_value(pulled, ["x", "x"]) == 1
 
 
 def test_inverse_hom_is_composition_with_h():
@@ -376,7 +376,7 @@ def test_inverse_hom_is_composition_with_h():
     g = random_gpfa(rng, 2, SIGMA)
     h = Homomorphism(("x", "y"), SIGMA, {"x": ("a", "b"), "y": ("b",)})
     pulled = gpfa_inverse_hom(g, h)
-    assert check_value_identity(pulled, lambda w: gpfa_value(g, h(w)), 6) is None
+    assert check_value_identity(pulled, lambda w: acceptance_value(g, h(w)), 6) is None
 
 
 def test_inverse_hom_checks_image_alphabet():
@@ -395,21 +395,21 @@ def test_reverse_on_palindromes():
     rev = gpfa_reverse(g)
     for w in words_up_to(SIGMA, 5):
         if w == w[::-1]:
-            assert gpfa_value(rev, w) == gpfa_value(g, w)
+            assert acceptance_value(rev, w) == acceptance_value(g, w)
 
 
 def test_reverse_swaps_word_order():
     rng = Random(15)
     g = random_gpfa(rng, 3, SIGMA)
     rev = gpfa_reverse(g)
-    assert check_value_identity(rev, lambda w: gpfa_value(g, w[::-1]), 6) is None
+    assert check_value_identity(rev, lambda w: acceptance_value(g, w[::-1]), 6) is None
 
 
 def test_reverse_is_an_involution():
     rng = Random(16)
     g = random_gpfa(rng, 2, SIGMA)
     twice = gpfa_reverse(gpfa_reverse(g))
-    assert check_value_identity(twice, lambda w: gpfa_value(g, w), 6) is None
+    assert check_value_identity(twice, lambda w: acceptance_value(g, w), 6) is None
 
 
 # -- quotients ---------------------------------------------------------------
@@ -428,8 +428,8 @@ def test_left_quotient_values():
     g = random_gpfa(rng, 2, SIGMA)
     w = ("a", "b", "a")
     q = gpfa_quotient(g, w, "left")
-    assert gpfa_value(q, ()) == gpfa_value(g, w)
-    assert check_value_identity(q, lambda y: gpfa_value(g, w + y), 5) is None
+    assert acceptance_value(q, ()) == acceptance_value(g, w)
+    assert check_value_identity(q, lambda y: acceptance_value(g, w + y), 5) is None
 
 
 def test_right_quotient_values():
@@ -437,7 +437,7 @@ def test_right_quotient_values():
     g = random_gpfa(rng, 2, SIGMA)
     w = ("b", "a")
     q = gpfa_quotient(g, w, "right")
-    assert check_value_identity(q, lambda z: gpfa_value(g, z + w), 5) is None
+    assert check_value_identity(q, lambda z: acceptance_value(g, z + w), 5) is None
 
 
 def test_quotient_validates_side_and_word():
@@ -455,14 +455,14 @@ def test_intersection_with_constant_one_is_identity():
     rng = Random(20)
     g = random_gpfa(rng, 3, SIGMA)
     squared = gpfa_intersection(g, const_one_machine())
-    assert check_value_identity(squared, lambda w: gpfa_value(g, w), 6) is None
+    assert check_value_identity(squared, lambda w: acceptance_value(g, w), 6) is None
 
 
 def test_union_with_zero_machine_is_identity():
     rng = Random(21)
     g = random_gpfa(rng, 3, SIGMA)
     merged = gpfa_union(g, zero_machine())
-    assert check_value_identity(merged, lambda w: gpfa_value(g, w), 6) is None
+    assert check_value_identity(merged, lambda w: acceptance_value(g, w), 6) is None
 
 
 def test_intersection_is_pointwise_product():
@@ -470,7 +470,7 @@ def test_intersection_is_pointwise_product():
         both = gpfa_intersection(g1, g2)
         assert both.n == g1.n * g2.n
         cex = check_value_identity(
-            both, lambda w: gpfa_value(g1, w) * gpfa_value(g2, w), 6
+            both, lambda w: acceptance_value(g1, w) * acceptance_value(g2, w), 6
         )
         assert cex is None
 
@@ -480,7 +480,7 @@ def test_union_is_pointwise_sum():
         either = gpfa_union(g1, g2)
         assert either.n == g1.n + g2.n
         cex = check_value_identity(
-            either, lambda w: gpfa_value(g1, w) + gpfa_value(g2, w), 6
+            either, lambda w: acceptance_value(g1, w) + acceptance_value(g2, w), 6
         )
         assert cex is None
 
@@ -500,8 +500,8 @@ def test_scalar_product_and_sum_example():
         RowVec([Fraction(3)]),
         ColVec([Fraction(1)]),
     )
-    assert gpfa_value(gpfa_intersection(two, three), "ab") == 6
-    assert gpfa_value(gpfa_union(two, three), "ab") == 5
+    assert acceptance_value(gpfa_intersection(two, three), "ab") == 6
+    assert acceptance_value(gpfa_union(two, three), "ab") == 5
 
 
 # -- one-sidedness preservation ----------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import words_up_to
-from qfalab.automata import gpfa_value, mcqfa_accept_prob
+from qfalab.automata import acceptance_value
 from qfalab.constructions import neq_mcqfa, rotation_mcqfa, word_problem_gpfa
 from qfalab.cutpoint import CutpointSpec
 from qfalab.languages import (
@@ -31,7 +31,7 @@ def test_rotation_machine_closed_form():
         machine = rotation_mcqfa(m)
         for i in (0, 1, 2, m - 1, m, 2 * m, 3 * m + 1):
             expected = math.sin(i * math.pi / m) ** 2
-            got = mcqfa_accept_prob(machine, ("a",) * i)
+            got = acceptance_value(machine, ("a",) * i)
             assert abs(got - expected) < 1e-9
 
 
@@ -57,16 +57,16 @@ def test_rotation_machine_rejects_tiny_denominator():
 def test_neq_machine_balanced_words_score_zero():
     machine = neq_mcqfa()
     for w in ["ab", "ba", "aabb", "abab", "bbaa", ""]:
-        assert abs(mcqfa_accept_prob(machine, w)) < 1e-12
+        assert abs(acceptance_value(machine, w)) < 1e-12
 
 
 def test_neq_machine_closed_form():
     machine = neq_mcqfa(1.0)
-    got = mcqfa_accept_prob(machine, "a")
+    got = acceptance_value(machine, "a")
     assert abs(got - math.sin(1.0) ** 2) < 1e-9
     for w in ["aa", "aab", "bbb", "abba"]:
         surplus = w.count("a") - w.count("b")
-        assert abs(mcqfa_accept_prob(machine, w) - math.sin(surplus) ** 2) < 1e-9
+        assert abs(acceptance_value(machine, w) - math.sin(surplus) ** 2) < 1e-9
 
 
 def test_neq_machine_language_agreement():
@@ -86,14 +86,14 @@ def test_word_problem_rejects_rank_below_two():
 
 def test_word_problem_generator_values():
     wp = word_problem_gpfa(2)
-    assert gpfa_value(wp, ()) == 1
-    assert gpfa_value(wp, ["g1"]) == Fraction(3, 5)
-    assert gpfa_value(wp, ["g1", "G1"]) == 1
-    assert gpfa_value(wp, ["g2", "G2"]) == 1
+    assert acceptance_value(wp, ()) == 1
+    assert acceptance_value(wp, ["g1"]) == Fraction(3, 5)
+    assert acceptance_value(wp, ["g1", "G1"]) == 1
+    assert acceptance_value(wp, ["g2", "G2"]) == 1
     # no generator may fix the read-out axis, or cancellation-free words
     # would score 1 without being the identity
     for sym in wp.sigma:
-        assert gpfa_value(wp, [sym]) != 1
+        assert acceptance_value(wp, [sym]) != 1
 
 
 def test_word_problem_generators_are_orthogonal_rotations():
@@ -114,7 +114,7 @@ def test_word_problem_generators_are_orthogonal_rotations():
 def test_word_problem_value_is_one_exactly_on_identity_rank2_len6():
     wp = word_problem_gpfa(2)
     for w in words_up_to(wp.sigma, 6):
-        assert (gpfa_value(wp, w) == 1) == (free_reduce(w) == ()), w
+        assert (acceptance_value(wp, w) == 1) == (free_reduce(w) == ()), w
 
 
 def _scaled_integer_generators(wp):
@@ -152,7 +152,7 @@ def test_word_problem_value_is_one_exactly_on_identity_rank3_len8():
             m, e = scaled[sym]
             v = tuple(sum(v[i] * m[i][j] for i in range(3)) for j in range(3))
             exponent += e
-        assert (gpfa_value(wp, w) == 1) == (v[0] == 5**exponent)
+        assert (acceptance_value(wp, w) == 1) == (v[0] == 5**exponent)
 
     maxlen = 8
     powers = [5**i for i in range(6 * maxlen + 1)]

@@ -19,7 +19,7 @@ from helpers import (
     words_up_to,
 )
 from qfalab import numeric
-from qfalab.automata import CENT, DOLLAR, MARKERS, kwqfa_run, pfa_accept_prob
+from qfalab.automata import CENT, DOLLAR, MARKERS, acceptance_value, kwqfa_run
 from qfalab.cli import machine_to_doc, parse_document, serialize_machine
 from qfalab.constructions import (
     ExtendedMachine,
@@ -43,7 +43,7 @@ def test_shift_at_half_is_affine_identity():
     p = coin_pfa()
     shifted = shift_cutpoint(p, HALF)
     for w in words_up_to(("a",), 6):
-        assert pfa_accept_prob(shifted, w) == pfa_accept_prob(p, w)
+        assert acceptance_value(shifted, w) == acceptance_value(p, w)
 
 
 def test_shift_quarter_maps_quarter_to_half():
@@ -51,8 +51,8 @@ def test_shift_quarter_maps_quarter_to_half():
     shifted = shift_cutpoint(p, Fraction(1, 4))
     # f' = (2/3) f + 1/3
     for w in words_up_to(("a",), 6):
-        f = pfa_accept_prob(p, w)
-        assert pfa_accept_prob(shifted, w) == Fraction(2, 3) * f + Fraction(1, 3)
+        f = acceptance_value(p, w)
+        assert acceptance_value(shifted, w) == Fraction(2, 3) * f + Fraction(1, 3)
     assert Fraction(2, 3) * Fraction(1, 4) + Fraction(1, 3) == HALF
 
 
@@ -60,8 +60,8 @@ def test_shift_three_quarters_maps_to_half():
     p = coin_pfa()
     shifted = shift_cutpoint(p, Fraction(3, 4))
     for w in words_up_to(("a",), 6):
-        f = pfa_accept_prob(p, w)
-        assert pfa_accept_prob(shifted, w) == Fraction(2, 3) * f
+        f = acceptance_value(p, w)
+        assert acceptance_value(shifted, w) == Fraction(2, 3) * f
     assert Fraction(2, 3) * Fraction(3, 4) == HALF
 
 
@@ -98,7 +98,7 @@ def test_extension_flags_exactly_value_half():
     for p in [random_pfa(rng, 2) for _ in range(6)] + _larger_pfas()[:2]:
         e = extend_pfa(p)
         for w in words_up_to(p.sigma, 5):
-            f = pfa_accept_prob(p, w)
+            f = acceptance_value(p, w)
             final = reduce(lambda v, sym: v @ e.trans[sym], (CENT, *w, DOLLAR), e.v0)
             assert final[p.n] == (2 * f - 1) / 4
             assert final[p.n + 1] == (3 - 2 * f) / 4
@@ -296,7 +296,7 @@ def test_pipeline_accept_probability_closed_form():
         for u in q.trans.values():
             assert is_unitary_within(u, 1e-12)
         for w in words_up_to(p.sigma, 5):
-            f = pfa_accept_prob(p, w)
+            f = acceptance_value(p, w)
             scale = math.prod(comp.scale[sym] for sym in (CENT, *w, DOLLAR))
             expected = scale * scale * float((2 * f - 1) / 4) ** 2
             accept = kwqfa_run(q, w).accept_prob
@@ -311,7 +311,7 @@ def test_pipeline_sign_fidelity_small_sweep():
     p = random_pfa(rng, 2)
     q = pfa_to_nqfa(p)
     for w in words_up_to(p.sigma, 5):
-        f = pfa_accept_prob(p, w)
+        f = acceptance_value(p, w)
         acc = kwqfa_run(q, w).accept_prob
         if f == HALF:
             assert acc <= 1e-12

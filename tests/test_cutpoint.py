@@ -68,6 +68,23 @@ def test_rejects_non_finite_float_cutpoint(lam):
         CutpointSpec(lam, GREATER)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_equivalence_rejects_non_finite_float_cutpoints(lam):
+    """Every comparison with NaN is false, so a NaN cutpoint put every word
+    in one cell and called machines with values 1 and -1 equivalent."""
+
+    def constant(value: float) -> Gpfa:
+        one = Matrix.floats([[1.0]])
+        return Gpfa(1, ("a",), {"a": one}, RowVec([1.0], FLOAT), ColVec([value], FLOAT))
+
+    g, h = constant(1.0), constant(-1.0)
+    assert equivalent_under_separation_bounded(g, 0.0, h, 0.0, 4) == ()
+    with pytest.raises(ValueError, match=f"cutpoint must be finite, got {lam!r}"):
+        equivalent_under_separation_bounded(g, lam, h, lam, 4)
+    with pytest.raises(ValueError, match="cutpoint must be finite"):
+        equivalent_under_separation_bounded(g, 0.0, h, lam, 4)
+
+
 @given(rationals, rationals)
 def test_three_way_partition_is_exhaustive_and_exclusive(v, lam):
     matches = [

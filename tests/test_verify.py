@@ -13,7 +13,6 @@ from qfalab.automata import (
     Kwqfa,
     Mcqfa,
     acceptance_value,
-    gpfa_value,
     kwqfa_run,
     prefix_levels,
 )
@@ -55,16 +54,12 @@ def test_enumeration_order_is_length_then_lex():
 
 def test_enumerate_values_matches_direct_evaluation():
     p = coin_pfa()
-    from qfalab.automata import pfa_accept_prob
-
     for word, value in enumerate_values(p, 5):
-        assert value == pfa_accept_prob(p, word)
+        assert value == acceptance_value(p, word)
 
     m = rotation_mcqfa(3)
-    from qfalab.automata import mcqfa_accept_prob
-
     for word, value in enumerate_values(m, 5):
-        assert abs(value - mcqfa_accept_prob(m, word)) < 1e-12
+        assert abs(value - acceptance_value(m, word)) < 1e-12
 
     wp = word_problem_gpfa(2)
     wp_float = Gpfa(
@@ -80,14 +75,14 @@ def test_enumerate_values_matches_direct_evaluation():
         for word, value in enumerate_values(machine, maxlen):
             assert value == acceptance_value(machine, word)
             if isinstance(machine, Gpfa):
-                assert value == gpfa_value(machine, word)
+                assert value == acceptance_value(machine, word)
             if isinstance(machine, Kwqfa):
                 assert value == kwqfa_run(machine, word).accept_prob
     for machine, maxlen in float_cases:
         for word, value in enumerate_values(machine, maxlen):
             assert abs(value - acceptance_value(machine, word)) < 1e-12
             if isinstance(machine, Gpfa):
-                assert abs(value - gpfa_value(machine, word)) < 1e-12
+                assert abs(value - acceptance_value(machine, word)) < 1e-12
             if isinstance(machine, Kwqfa):
                 assert abs(value - kwqfa_run(machine, word).accept_prob) < 1e-12
 
@@ -192,7 +187,7 @@ def test_check_value_identity_reverse_twice():
     rng = Random(3)
     g = random_nonneg_gpfa(rng, 3, ("a", "b"))
     twice = gpfa_reverse(gpfa_reverse(g))
-    assert check_value_identity(twice, lambda w: gpfa_value(g, w), 6) is None
+    assert check_value_identity(twice, lambda w: acceptance_value(g, w), 6) is None
 
 
 def test_check_value_identity_concat_convolution():
@@ -211,7 +206,7 @@ def test_check_value_identity_union_sum():
     g1 = random_nonneg_gpfa(rng, 2, ("a", "b"))
     g2 = random_nonneg_gpfa(rng, 3, ("a", "b"))
     merged = gpfa_union(g1, g2)
-    reference = lambda w: gpfa_value(g1, w) + gpfa_value(g2, w)
+    reference = lambda w: acceptance_value(g1, w) + acceptance_value(g2, w)
     assert check_value_identity(merged, reference, 6) is None
 
 
@@ -224,15 +219,15 @@ def test_check_value_identity_reports_minimal_counterexample():
         ColVec([Fraction(1)]),
     )
     # reference disagrees from length 2 onward
-    reference = lambda w: gpfa_value(g, w) if len(w) < 2 else Fraction(0)
+    reference = lambda w: acceptance_value(g, w) if len(w) < 2 else Fraction(0)
     assert check_value_identity(g, reference, 4) == ("a", "a")
 
 
 @pytest.mark.parametrize("reference", [
-    lambda w: float(gpfa_value(WP2, w)),
+    lambda w: float(acceptance_value(WP2, w)),
     lambda w: None,
     lambda w: "1",
-    lambda w: gpfa_value(WP2, w) == 1,
+    lambda w: acceptance_value(WP2, w) == 1,
 ], ids=["float", "None", "str", "bool"])
 def test_check_value_identity_refuses_a_reference_that_is_not_rational(reference):
     """A reference value is compared exactly, so one that is not an int or a
@@ -240,7 +235,7 @@ def test_check_value_identity_refuses_a_reference_that_is_not_rational(reference
     counterexample."""
     with pytest.raises(KindMismatchError, match=r"reference value .* for word \(\) "):
         check_value_identity(WP2, reference, 3)
-    assert check_value_identity(WP2, lambda w: int(gpfa_value(WP2, w)), 0) is None
+    assert check_value_identity(WP2, lambda w: int(acceptance_value(WP2, w)), 0) is None
 
 
 def test_word_problem_agreement_small():
