@@ -14,7 +14,6 @@ from .automata import (
     Pfa,
     RunTrace,
     acceptance_value,
-    as_word,
     kwqfa_run,
 )
 from .constructions import (

@@ -28,26 +28,13 @@ the amplitude from state ``i+1`` to state ``j+1``); probabilistic machines
 use the row convention.  State indices in the public API are 1-based and the
 start state is always state 1.
 
-Each kind's semantics is written down once, in ``stepper``: a start state,
-one step per input symbol and a final read-out.  ``acceptance_value``,
-``kwqfa_run`` and the shortest-first ``enumerate_values`` are folds over it,
-and so is every bounded check elsewhere in the package: each sweep walks the
-words once with ``prefix_levels``, which keeps a level's distinct states,
-steps each of them once per symbol and reads each out at most once, with
-the sweep's per-word test passed in the read-out.  Stepper states are
-plain Python scalars, not ``numeric`` vectors: integer numerators over one
-common denominator for rational machines, tuples of floats for float ones
-(``state_vector`` converts back).  Each matrix is lowered once, when a step
-first reads its symbol, and kept on the machine: to one generated function
-that sums only the nonzero entries of each line, over integers scaled to
-one common denominator for a rational matrix and over floats for a float one
-(for a float measure-every-step machine it also returns the squared masses
-a measurement reads).  A measure-every-step read-out runs only the right
-end-marker's accepting rows, once the state's norm certifies that the full
-end-marker step would pass its run bounds, and takes the full step
-otherwise.  Values are the same scalars the ``numeric`` vector products
-give (for floats bit for bit on CPython 3.11 and earlier, to rounding from
-3.12, whose ``sum`` compensates rounding).
+Each kind's semantics is written down once, in ``stepper``: a start
+state, one step per input symbol and a final read-out, over plain Python
+scalars (its docstring gives the state layouts and the lowering of each
+matrix to a generated kernel).  ``acceptance_value``, ``kwqfa_run`` and
+``enumerate_values`` are folds over it, and every bounded check in the
+package walks the words once with ``prefix_levels`` (its docstring gives
+how a level's distinct states are stepped and read out once each).
 """
 
 from __future__ import annotations
@@ -83,15 +70,6 @@ Word = tuple[str, ...]
 WordLike = Union[str, Sequence[str]]
 
 
-def as_word(w: WordLike) -> Word:
-    """Normalize a word to a tuple of symbol strings.
-
-    A plain ``str`` is split into characters, so multi-character symbols
-    (e.g. free-group generators ``g1``) must be passed as a sequence.
-    """
-    return tuple(w)
-
-
 def _check_alphabet(sigma: Sequence[str]) -> tuple[str, ...]:
     alphabet = tuple(sigma)
     if not alphabet:
@@ -105,7 +83,7 @@ def _check_alphabet(sigma: Sequence[str]) -> tuple[str, ...]:
 
 
 def _check_word(sigma: Sequence[str], w: WordLike) -> Word:
-    word = as_word(w)
+    word = tuple(w)
     allowed = set(sigma)
     for s in word:
         if s not in allowed:

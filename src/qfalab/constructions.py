@@ -35,7 +35,6 @@ from .automata import (
     Pfa,
     Word,
     WordLike,
-    as_word,
     prefix_levels,
     readout_then,
     state_vector,
@@ -440,7 +439,7 @@ class Homomorphism:
     def __post_init__(self):
         source = tuple(self.source)
         target = tuple(self.target)
-        images = {sym: as_word(w) for sym, w in self.images.items()}
+        images = {sym: tuple(w) for sym, w in self.images.items()}
         for sym in source:
             if sym not in images:
                 raise ValueError(f"source symbol {sym!r} has no image")
@@ -458,7 +457,7 @@ class Homomorphism:
 
     def __call__(self, w: WordLike) -> Word:
         out: list[str] = []
-        for sym in as_word(w):
+        for sym in w:
             if sym not in self.images:
                 raise ValueError(f"symbol {sym!r} outside the homomorphism source")
             out.extend(self.images[sym])
@@ -477,24 +476,40 @@ def hom(images: Mapping[str, WordLike], target: Optional[Sequence[str]] = None) 
     """Convenience builder: source from the mapping's key order, target from
     the images (first occurrence order) unless given explicitly."""
     source = tuple(images)
-    normalized = {s: as_word(w) for s, w in images.items()}
     if target is None:
         seen: list[str] = []
-        for w in normalized.values():
+        for w in images.values():
             for t in w:
                 if t not in seen:
                     seen.append(t)
         target = tuple(seen) if seen else source
-    return Homomorphism(source, tuple(target), normalized)
+    return Homomorphism(source, tuple(target), images)
 
 
 # ---------------------------------------------------------------------------
 # Closure constructions on generalized machines
 
 
-def _require_same_alphabet(g1: Gpfa, g2: Gpfa) -> None:
+def _require_same_alphabet(g1: Gpfa, g2: Gpfa) -> str:
+    """The two machines' common scalar kind, once their alphabets match."""
     if g1.sigma != g2.sigma:
         raise ValueError(f"alphabet mismatch: {g1.sigma} vs {g2.sigma}")
+    return same_kind(g1.kind, g2.kind)
+
+
+def _assemble(size: int, blocks, kind: str) -> Matrix:
+    """A ``size`` x ``size`` matrix of zeros with each ``(row, col, block)``
+    of ``blocks`` written in, its top-left entry at (``row``, ``col``)."""
+    grid = [[zero(kind)] * size for _ in range(size)]
+    for row, col, block in blocks:
+        for i, line in enumerate(block.entries):
+            grid[row + i][col:col + block.cols] = line
+    return Matrix(grid, kind)
+
+
+def _word_product(g: Gpfa, word: Word) -> Matrix:
+    """The product of ``g``'s matrices along ``word``; the identity if empty."""
+    return reduce(mat_mul, (g.trans[sym] for sym in word), Matrix.identity(g.n, g.kind))
 
 
 def _outer(col: ColVec, row: RowVec) -> Matrix:
@@ -513,25 +528,16 @@ def gpfa_concat(g1: Gpfa, g2: Gpfa) -> Gpfa:
     the second block, so the empty-split terms carry their exact values and
     the identity holds for every input machine, not only 0/1-valued ones.
     """
-    _require_same_alphabet(g1, g2)
-    same_kind(g1.kind, g2.kind)
-    kind = g1.kind
+    kind = _require_same_alphabet(g1, g2)
     n1, n2 = g1.n, g2.n
     eps1 = g1.v0 @ g1.f
     v0 = RowVec(list(g1.v0.entries) + [eps1 * x for x in g2.v0.entries], kind)
     f = ColVec([zero(kind)] * n1 + list(g2.f.entries), kind)
     trans: dict[str, Matrix] = {}
     for sym in g1.sigma:
-        reach = g1.trans[sym] @ g1.f
-        branch = _outer(reach, g2.v0)
-        top = [
-            list(g1.trans[sym].entries[i]) + list(branch.entries[i])
-            for i in range(n1)
-        ]
-        bottom = [
-            [zero(kind)] * n1 + list(g2.trans[sym].entries[i]) for i in range(n2)
-        ]
-        trans[sym] = Matrix(top + bottom, kind)
+        branch = _outer(g1.trans[sym] @ g1.f, g2.v0)
+        blocks = [(0, 0, g1.trans[sym]), (0, n1, branch), (n1, n1, g2.trans[sym])]
+        trans[sym] = _assemble(n1 + n2, blocks, kind)
     return Gpfa(n1 + n2, g1.sigma, trans, v0, f)
 
 
@@ -654,53 +660,29 @@ def gpfa_nonerasing_hom(g: Gpfa, h: Homomorphism) -> Gpfa:
         raise ValueError(f"images must be nonempty; {empty[0]!r} is erased")
     kind = g.kind
     n = g.n
-    lengths = {sym: len(h.images[sym]) for sym in g.sigma}
-    offsets: dict[tuple[str, int], int] = {}
-    cursor = 0
-    for sym in g.sigma:
-        for t in range(lengths[sym]):
-            offsets[(sym, t)] = cursor
-            cursor += n
-    total = cursor
-
-    def blank():
-        return [[zero(kind)] * total for _ in range(total)]
-
-    def write_block(grid, r0: int, c0: int, block: Matrix) -> None:
-        for i, row in enumerate(block.entries):
-            target = grid[r0 + i]
-            for j, v in enumerate(row):
-                target[c0 + j] = v
-
+    slots = [(sym, t) for sym in g.sigma for t in range(len(h.images[sym]))]
+    offset = {slot: n * i for i, slot in enumerate(slots)}
+    total = n * len(slots)
     trans: dict[str, Matrix] = {}
     eye = Matrix.identity(n, kind)
     for gamma in h.target:
-        grid = blank()
-        for sym in g.sigma:
+        blocks = []
+        for sym, t in slots:
             image = h.images[sym]
-            last = lengths[sym] - 1
-            for t, letter in enumerate(image):
-                if letter != gamma:
-                    continue
-                if t < last:
-                    write_block(grid, offsets[(sym, t)], offsets[(sym, t + 1)], eye)
-                else:
-                    for dest in g.sigma:
-                        write_block(
-                            grid, offsets[(sym, last)], offsets[(dest, 0)], g.trans[sym]
-                        )
-        trans[gamma] = Matrix(grid, kind)
+            if image[t] != gamma:
+                continue
+            if t < len(image) - 1:
+                blocks.append((offset[sym, t], offset[sym, t + 1], eye))
+            else:
+                blocks += [(offset[sym, t], offset[dest, 0], g.trans[sym]) for dest in g.sigma]
+        trans[gamma] = _assemble(total, blocks, kind)
 
-    v0_entries = [zero(kind)] * total
+    v0 = [zero(kind)] * total
     for sym in g.sigma:
-        base = offsets[(sym, 0)]
-        for i, v in enumerate(g.v0.entries):
-            v0_entries[base + i] = v
-    f_entries = [zero(kind)] * total
-    read_base = offsets[(g.sigma[0], 0)]
-    for i, v in enumerate(g.f.entries):
-        f_entries[read_base + i] = v
-    return Gpfa(total, h.target, trans, RowVec(v0_entries, kind), ColVec(f_entries, kind))
+        v0[offset[sym, 0]:offset[sym, 0] + n] = g.v0.entries
+    f = [zero(kind)] * total
+    f[:n] = g.f.entries  # the first slot of the first region starts at 0
+    return Gpfa(total, h.target, trans, RowVec(v0, kind), ColVec(f, kind))
 
 
 def gpfa_hom(g: Gpfa, h: Homomorphism, n_L_per_erased: Sequence[int]) -> Gpfa:
@@ -734,12 +716,7 @@ def gpfa_inverse_hom(g: Gpfa, h: Homomorphism) -> Gpfa:
         for t in h.images[sym]:
             if t not in g.sigma:
                 raise ValueError(f"image symbol {t!r} not in the machine's alphabet")
-    trans: dict[str, Matrix] = {}
-    for sym in h.source:
-        acc = Matrix.identity(g.n, g.kind)
-        for t in h.images[sym]:
-            acc = mat_mul(acc, g.trans[t])
-        trans[sym] = acc
+    trans = {sym: _word_product(g, h.images[sym]) for sym in h.source}
     return Gpfa(g.n, h.source, trans, g.v0, g.f)
 
 
@@ -753,7 +730,7 @@ def gpfa_reverse(g: Gpfa) -> Gpfa:
 def gpfa_quotient(g: Gpfa, w: WordLike, side: str) -> Gpfa:
     """Fix a word on one side: the left quotient values ``y`` at ``f(wy)``,
     the right quotient values ``z`` at ``f(zw)``."""
-    word = as_word(w)
+    word = tuple(w)
     for sym in word:
         if sym not in g.sigma:
             raise ValueError(f"symbol {sym!r} not in the machine's alphabet")
@@ -762,10 +739,7 @@ def gpfa_quotient(g: Gpfa, w: WordLike, side: str) -> Gpfa:
         v0 = state_vector(g, reduce(advance, word, init))
         return Gpfa(g.n, g.sigma, dict(g.trans), v0, g.f)
     if side == "right":
-        acc = Matrix.identity(g.n, g.kind)
-        for sym in word:
-            acc = mat_mul(acc, g.trans[sym])
-        return Gpfa(g.n, g.sigma, dict(g.trans), g.v0, acc @ g.f)
+        return Gpfa(g.n, g.sigma, dict(g.trans), g.v0, _word_product(g, word) @ g.f)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -773,9 +747,7 @@ def gpfa_intersection(g1: Gpfa, g2: Gpfa) -> Gpfa:
     """Tensor-product machine valuing the pointwise product
     ``f(w) = f1(w) * f2(w)``; for nonnegative inputs this realizes language
     intersection at cutpoint 0."""
-    _require_same_alphabet(g1, g2)
-    same_kind(g1.kind, g2.kind)
-    kind = g1.kind
+    kind = _require_same_alphabet(g1, g2)
     trans = {sym: kron(g1.trans[sym], g2.trans[sym]) for sym in g1.sigma}
     v0 = RowVec([x * y for x in g1.v0.entries for y in g2.v0.entries], kind)
     f = ColVec([x * y for x in g1.f.entries for y in g2.f.entries], kind)
@@ -785,9 +757,7 @@ def gpfa_intersection(g1: Gpfa, g2: Gpfa) -> Gpfa:
 def gpfa_union(g1: Gpfa, g2: Gpfa) -> Gpfa:
     """Direct-sum machine valuing the pointwise sum ``f(w) = f1(w) + f2(w)``;
     for nonnegative inputs this realizes language union at cutpoint 0."""
-    _require_same_alphabet(g1, g2)
-    same_kind(g1.kind, g2.kind)
-    kind = g1.kind
+    kind = _require_same_alphabet(g1, g2)
     trans = {sym: direct_sum(g1.trans[sym], g2.trans[sym]) for sym in g1.sigma}
     v0 = RowVec(list(g1.v0.entries) + list(g2.v0.entries), kind)
     f = ColVec(list(g1.f.entries) + list(g2.f.entries), kind)

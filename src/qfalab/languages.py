@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Mapping
 
-from .automata import Word, WordLike, as_word
+from .automata import Word, WordLike
 
 
 def _extend(word: Word, sym: str) -> Word:
@@ -64,7 +64,7 @@ class LanguageOracle:
         return self.init, self.advance, self.accepts
 
     def __call__(self, w: WordLike) -> bool:
-        word = as_word(w)
+        word = tuple(w)
         if not self._symbols.issuperset(word):
             bad = next(s for s in word if s not in self._symbols)
             raise ValueError(f"symbol {bad!r} not in alphabet of {self.name}")
@@ -106,7 +106,7 @@ def free_reduce(w: WordLike) -> Word:
     The result is the unique reduced word: a stack scan removes a pair as
     soon as a symbol meets its own inverse on top.
     """
-    word = as_word(w)
+    word = tuple(w)
     # In order of first appearance, so the first malformed symbol is reported.
     inverse = {sym: inverse_generator(sym) for sym in dict.fromkeys(word)}
     stack, reduced = reduce(_cancel(inverse), word, ()), []

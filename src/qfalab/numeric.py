@@ -95,14 +95,6 @@ def parse_rational(text: Union[str, int]) -> Fraction:
 def coerce_scalar(value, kind: str) -> Scalar:
     """Convert an int/Fraction/float literal to the given kind; cross-kind
     values (a float into rational, a Fraction into float) are rejected."""
-    # The common cases by exact type first (see ``scalar_kind``); anything
-    # else, subclasses and non-finite floats included, takes the general
-    # checks below.
-    t = type(value)
-    if t is float and kind == FLOAT and math.isfinite(value):
-        return value
-    if t is Fraction and kind == RATIONAL:
-        return value
     if kind == RATIONAL:
         if isinstance(value, float):
             raise KindMismatchError(
@@ -294,19 +286,11 @@ class Matrix:
     def to_float(self) -> "Matrix":
         return Matrix([[float(v) for v in row] for row in self.entries], FLOAT)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __matmul__(self, other):
         if isinstance(other, Matrix):
             return mat_mul(self, other)
         if isinstance(other, ColVec):
             return mat_times_col(self, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, Matrix):
-            return mat_add(self, other)
         return NotImplemented
 
 
@@ -397,7 +381,7 @@ def is_unitary_within(m: Matrix, tol: float) -> bool:
     Works for both kinds; a rational matrix is tested with exact products
     against the given tolerance.  A NaN deviation or tolerance fails.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         return False
     return orthogonality_deviation(m) <= tol  # False for NaN too
 

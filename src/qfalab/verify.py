@@ -30,7 +30,6 @@ from .automata import (
     UnhashableStateError,
     Word,
     WordLike,
-    as_word,
     enumerate_values,
     first_difference,
     prefix_levels,
@@ -150,7 +149,7 @@ def dieu_violation(
         raise ValueError(f"n must be nonnegative, got {n}")
     if m_max < n:
         raise ValueError("m_max must be at least n")
-    uw, yw, vw = as_word(u), as_word(y), as_word(v)
+    uw, yw, vw = tuple(u), tuple(y), tuple(v)
     for i in range(n):
         if not oracle(uw + yw * i + vw):
             return None

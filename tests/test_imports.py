@@ -1,4 +1,5 @@
-"""Every name a ``qfalab`` module imports is used in that module."""
+"""Every name a ``qfalab`` module imports is used in that module, and no
+function in it is a pure pass-through of another."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,51 @@ def test_the_scan_finds_an_unused_import():
 def test_every_imported_name_is_used(path):
     unused = _unused_imports(ast.parse(path.read_text()))
     assert [name for name in unused if (path.stem, name) not in RE_EXPORTS] == []
+
+
+def _pass_throughs(tree: ast.Module) -> list[str]:
+    """Functions whose body, after any docstring, is only ``return g(p1, ..., pk)``:
+    their own parameters in order, less a leading ``self`` or ``cls``, and no
+    keywords."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if not isinstance(call, ast.Call) or call.keywords:
+            continue
+        args = node.args
+        if args.vararg or args.kwonlyargs or args.kwarg:
+            continue
+        params = [a.arg for a in args.posonlyargs + args.args]
+        if params[:1] in (["self"], ["cls"]):
+            params = params[1:]
+        if [a.id if isinstance(a, ast.Name) else None for a in call.args] == params:
+            found.append(node.name)
+    return found
+
+
+def test_the_scan_finds_a_pass_through():
+    tree = ast.parse(
+        "def word(w):\n    'Doc.'\n    return tuple(w)\n"
+        "class A:\n    def m(self, x, y):\n        return f(x, y)\n"
+        "def swapped(x, y):\n    return f(y, x)\n"
+        "def keyword(x):\n    return f(x, k=1)\n"
+        "def extra(x):\n    return f(x, 1)\n"
+        "def field(x):\n    return f(x.a)\n"
+        "def nested(x):\n    return f(g(x))\n"
+        "def two(x):\n    y = x\n    return f(y)\n"
+        "def star(*xs):\n    return f(*xs)\n"
+        "def value(x):\n    return x\n"
+    )
+    assert _pass_throughs(tree) == ["word", "m"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_function_is_a_pass_through(path):
+    assert _pass_throughs(ast.parse(path.read_text())) == []
