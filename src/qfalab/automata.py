@@ -276,7 +276,7 @@ def _kernel(lines, nil, split=None):
     With ``split = (a, r)`` the lines run live, accepting, rejecting, and
     the kernel also measures: it returns ``(out, accepted, rejected,
     live)``, the line products and the squared masses of ``out[a:r]``,
-    ``out[r:]`` and ``out[:a]``, each added like ``_Float.sq``."""
+    ``out[r:]`` and ``out[:a]``, each a ``sum`` of squares from ``nil``."""
     consts, body, rows, used = [], [], [], set()
     lines = [tuple(line) for line in lines]
     for i, line in enumerate(lines):
@@ -316,86 +316,43 @@ def _kernel(lines, nil, split=None):
     return namespace.pop("kernel")
 
 
-class _Exact:
-    """Exact vectors on plain integers.  A vector is ``(numerators,
-    denominator)`` in lowest terms with a positive denominator; a lowered
-    matrix is ``(kernel, den)``: the ``_kernel`` of its lines scaled to
-    integers over one common denominator ``den``.  ``stepper`` runs the
-    kernels and divides out the gcd itself."""
-
-    @staticmethod
-    def scaled(lines):
-        grid = [tuple(line) for line in lines]
-        den = lcm(*(x.denominator for line in grid for x in line))
-        return [[x.numerator * (den // x.denominator) for x in line] for line in grid], den
-
-    @staticmethod
-    def lower(lines):
-        grid, den = _Exact.scaled(lines)
-        return _kernel(grid, "0"), den
-
-    @staticmethod
-    def vector(entries):
-        (nums,), den = _Exact.scaled([entries])
-        return _Exact.reduced(nums, den)
-
-    @staticmethod
-    def reduced(nums, den):
-        g = gcd(*nums, den)
-        if g == 1:
-            return tuple(nums), den
-        return tuple(x // g for x in nums), den // g
-
-    @staticmethod
-    def sq(vec, lo, hi):
-        nums, den = vec
-        return Fraction(sum(x * x for x in nums[lo:hi]), den * den)
-
-    @staticmethod
-    def cut(vec, hi):
-        nums, den = vec
-        return _Exact.reduced(nums[:hi], den)
-
-    @staticmethod
-    def entries(vec):
-        nums, den = vec
-        return [Fraction(x, den) for x in nums]
-
-    @staticmethod
-    def check_finite(vec):
-        """Exact entries are always finite."""
+def _scaled(lines):
+    """Rational ``lines`` as integer lines over one common denominator:
+    ``(grid, den)``."""
+    grid = [tuple(line) for line in lines]
+    den = lcm(*(x.denominator for line in grid for x in line))
+    return [[x.numerator * (den // x.denominator) for x in line] for line in grid], den
 
 
-class _Float:
-    """Float vectors are tuples of floats.  A lowered matrix is its
-    ``_kernel`` with ``0.0`` for an all-zero line; ``stepper`` runs it and
-    checks that the entries stay finite."""
+def _lower_exact(lines):
+    """A rational matrix lowered: ``(kernel, den)``, the ``_kernel`` of its
+    integer lines over the common denominator ``den``."""
+    grid, den = _scaled(lines)
+    return _kernel(grid, "0"), den
 
-    lower = staticmethod(partial(_kernel, nil="0.0"))
-    vector = staticmethod(tuple)
 
-    @staticmethod
-    def check_finite(vec):
-        """Raise ``non-finite float entry`` for the first one in ``vec``."""
-        bad = next((x for x in vec if not isfinite(x)), None)
-        if bad is not None:
-            raise ValueError(f"non-finite float entry {bad!r}")
+# A float matrix lowered: its ``_kernel``, with ``0.0`` for an all-zero line.
+_lower_float = partial(_kernel, nil="0.0")
 
-    # Where ``sum`` gives 0.0, a generated sum may give -0.0 (it has no 0.0
-    # to start from); ``entries`` and the read-outs add 0.0, so what a caller
-    # sees is the same bits as the ``numeric`` products.
-    @staticmethod
-    def entries(vec):
-        return tuple(x + 0.0 for x in vec)
 
-    @staticmethod
-    def sq(vec, lo, hi):
-        part = vec[lo:hi]
-        return sum(map(mul, part, part), 0.0)
+def _reduced(nums, den):
+    """The exact vector ``nums / den`` in lowest terms."""
+    g = gcd(*nums, den)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(x // g for x in nums), den // g
 
-    @staticmethod
-    def cut(vec, hi):
-        return vec[:hi]
+
+def _exact_mass(nums, den):
+    """The squared mass of the exact vector ``nums / den``."""
+    return Fraction(sum(x * x for x in nums), den * den)
+
+
+def _check_finite(vec):
+    """Raise ``non-finite float entry`` for the first one in ``vec``."""
+    bad = next((x for x in vec if not isfinite(x)), None)
+    if bad is not None:
+        raise ValueError(f"non-finite float entry {bad!r}")
 
 
 # Unit roundoff of a float and Higham's gamma_k = ku / (1 - ku): a sum of k
@@ -468,13 +425,12 @@ def _lower(machine: Machine):
     """The tables ``stepper`` steps with, as ``(table, start, final)``: each
     symbol's matrix lowered for the machine's kind (on first use, see
     ``_Lazy``), the start vector, and the lowered read-out.  For a
-    measure-every-step machine the read-out is ``(accepting, K)``: the right
-    end-marker's accepting rows over the live columns, lowered, and the
-    factor of its read-out certificate (``_mass_factor``; 1 for a rational
-    machine, which is exactly orthogonal).  ``_Machine._lowered`` keeps them
-    on the machine."""
-    ops = _Exact if machine.kind == RATIONAL else _Float
-    lower, trans = ops.lower, machine.trans
+    measure-every-step machine the read-out is the right end-marker's
+    accepting rows over the live columns, lowered, and for a float one it
+    is paired with the factor of its read-out certificate
+    (``_mass_factor``).  ``_Machine._lowered`` keeps them on the machine."""
+    exact = machine.kind == RATIONAL
+    lower, trans = _lower_exact if exact else _lower_float, machine.trans
 
     if isinstance(machine, Kwqfa):
         # Rows run live, accepting, rejecting, so each measurement splits
@@ -484,7 +440,7 @@ def _lower(machine: Machine):
         accepting = [q - 1 for q in machine.q_acc]
         order = live + accepting + [q - 1 for q in machine.q_rej]
         measured = lower
-        if ops is _Float:
+        if not exact:
             measured = partial(lower, split=(len(live), len(live) + len(accepting)))
 
         def lines(matrix, targets):
@@ -492,29 +448,30 @@ def _lower(machine: Machine):
             return [[rows[j][i] for i in live] for j in targets]
 
         table = _Lazy(lambda matrix: measured(lines(matrix, order)), trans)
-        first = trans[CENT].entries
-        factor = 1 if ops is _Exact else _mass_factor(trans[DOLLAR], machine.n, len(live))
-        final = lower(lines(trans[DOLLAR], accepting)), factor
-        return table, ops.vector(first[j][0] for j in order), final
-
-    if isinstance(machine, Mcqfa):
+        start = [trans[CENT].entries[j][0] for j in order]
+        final = lower(lines(trans[DOLLAR], accepting))
+        if not exact:
+            final = final, _mass_factor(trans[DOLLAR], machine.n, len(live))
+    elif isinstance(machine, Mcqfa):
         # Column convention: entry j of U @ v is U's row j times v, and the
         # start state 1 makes the first step U_CENT's column 1.
         table = _Lazy(lambda matrix: lower(matrix.entries), trans)
         start = [row[0] for row in trans[CENT].entries]
         final = lower(trans[DOLLAR].entries[q - 1] for q in machine.accepting)
-        return table, ops.vector(start), final
-
-    # Row convention: entry j of v @ A is v times A's column j.
-    table = _Lazy(lambda matrix: lower(zip(*matrix.entries)), trans)
-    if isinstance(machine, Gpfa):
-        start, final = machine.v0.entries, lower([machine.f.entries])
     else:
-        # The right end-marker and the accepting mass fold into one column.
-        start = trans[CENT].entries[0]
-        final = lower([[sum((row[q - 1] for q in machine.accepting), Fraction(0))
-                        for row in trans[DOLLAR].entries]])
-    return table, ops.vector(start), final
+        # Row convention: entry j of v @ A is v times A's column j.
+        table = _Lazy(lambda matrix: lower(zip(*matrix.entries)), trans)
+        if isinstance(machine, Gpfa):
+            start, final = machine.v0.entries, lower([machine.f.entries])
+        else:
+            # The right end-marker and the accepting mass fold into one column.
+            start = trans[CENT].entries[0]
+            final = lower([[sum((row[q - 1] for q in machine.accepting), Fraction(0))
+                            for row in trans[DOLLAR].entries]])
+    if not exact:
+        return table, tuple(start), final
+    (nums,), den = _scaled([start])
+    return table, _reduced(nums, den), final
 
 
 def stepper(machine: Machine):
@@ -558,98 +515,62 @@ def stepper(machine: Machine):
     squared amplitudes accumulate into the two probabilities, and the
     coordinates are zeroed.  The vector therefore keeps only the live
     (non-halting) coordinates, and a step multiplies only the live columns.
-    A float kernel also returns the step's three squared masses, and the
-    step passes when the halting probabilities and the live norm stay within
-    ``1 + EPSILON`` (NaN fails both); otherwise ``measure`` checks the sums
-    it is given, naming a non-finite entry (which makes a mass non-finite,
-    since squares cannot cancel) before either bound.
+    Its read-out is the accepted probability after the right end-marker,
+    taken from that matrix's accepting rows (for a float machine, once
+    certified, below).
 
-    A measure-every-step read-out is the accepted probability after the
-    right end-marker.  It multiplies only that matrix's accepting rows, and
-    first certifies that the full step would pass both bounds:
-    ``accept + reject + K * |v|^2 <= 1 + EPSILON`` for the live vector
-    ``v``, where ``K`` bounds how far the matrix and the float rounding can
-    stretch the squared norm (``_mass_factor``; 1 for a rational machine,
-    whose test is exact).  A state that fails the test, or whose sums are
-    not finite, takes the full step, which raises where a bound breaks, so
-    every read-out returns what the full step would, bit for bit, or raises
-    what it would.  ``kwqfa_run`` takes the full step.
+    A rational quantum machine is exactly orthogonal (checked at
+    construction) and starts from a column of its left end-marker's matrix,
+    a unit vector, so its accepted, rejected and surviving probabilities add
+    up to exactly 1 on every state a run reaches: its steps and read-outs
+    check no bound.  A float one may stretch a vector within its tolerance,
+    so its run must stay within ``1 + EPSILON``:
+
+    * A measure-every-step kernel also returns the step's three squared
+      masses, and the step passes when the halting probabilities and the
+      live norm stay within the bound (NaN fails both); otherwise
+      ``measure`` checks the sums it is given, naming a non-finite entry
+      (which makes a mass non-finite, since squares cannot cancel) before
+      either bound.
+    * A measure-every-step read-out first certifies that the full step
+      would pass both bounds: ``accept + reject + K * |v|^2 <= 1 + EPSILON``
+      for the live vector ``v``, where ``K`` bounds how far the matrix and
+      the float rounding can stretch the squared norm (``_mass_factor``).  A
+      state that fails the test, or whose sums are not finite, takes the
+      full step, which raises where a bound breaks, so every read-out
+      returns what the full step would, bit for bit, or raises what it
+      would.  ``kwqfa_run`` takes the full step.
+    * A measure-once read-out, the accepting mass, is checked against the
+      live norm's bound in the same way.
     """
     if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
-    exact = machine.kind == RATIONAL
-    ops = _Exact if exact else _Float
-    sq, check_finite = ops.sq, ops.check_finite
     table, start, final = machine._lowered
 
-    if isinstance(machine, Kwqfa):
-        # Measure after every symbol.
-        n = machine.n
-        r = n - len(machine.q_rej)
-        a = r - len(machine.q_acc)
-        slack = 1 + zero_tolerance()
-        # ``slack`` capped to a finite float: a non-finite entry makes a mass
-        # non-finite (squares cannot cancel), so it fails ``bound`` even at an
-        # infinite tolerance.
-        bound = min(slack, sys.float_info.max)
-        cut = ops.cut
+    if machine.kind == RATIONAL:
+        if isinstance(machine, Kwqfa):
+            # Measure after every symbol.  The live part is reduced once cut
+            # out: without the halting coordinates its gcd may exceed 1.
+            r = machine.n - len(machine.q_rej)
+            a = r - len(machine.q_acc)
 
-        def measure(out, accept, reject, live):
-            if not (accept + reject <= bound and live <= bound):
-                check_finite(out)
-                if not accept + reject <= slack:
-                    raise ValueError("halting probabilities exceed 1")
-                if not live <= slack:
-                    raise ValueError("state vector norm exceeds 1")
-            return cut(out, a), accept, reject
+            def measure(nums, den, accept, reject):
+                return (_reduced(nums[:a], den), accept + _exact_mass(nums[a:r], den),
+                        reject + _exact_mass(nums[r:], den))
 
-        if exact:
             def advance(state, sym):
                 (nums, den), accept, reject = state
                 kernel, d = table[sym]
-                out = kernel(nums), den * d
-                return measure(out, accept + sq(out, a, r), reject + sq(out, r, n), sq(out, 0, a))
-        else:
-            def advance(state, sym):
-                vec, accept, reject = state
-                out, accepted, rejected, live = table[sym](vec)
-                accept += accepted
-                reject += rejected
-                if accept + reject <= bound and live <= bound:
-                    return out[:a], accept, reject
-                return measure(out, accept, reject, live)
+                return measure(kernel(nums), den * d, accept, reject)
 
-        accepting, factor = final
-        if exact:
-            kernel, d = accepting
+            kernel, d = final
 
             def readout(state):
-                vec, accept, reject = state
-                if accept + reject + factor * sq(vec, 0, a) <= bound:
-                    nums, den = vec
-                    accept += sq((kernel(nums), den * d), 0, None)
-                else:
-                    accept = advance(state, DOLLAR)[1]
-                return accept.as_integer_ratio()
-        else:
-            # The test rounds at two levels (the product and the halting
-            # sum, then their sum) and the full step at one before it
-            # compares (its two halting sums), so the test's bound is shaved
-            # by (1 - u)^2 / (1 + u), rounded down.  The probabilities are
-            # never negative, and underflow adds far less than the half ulp
-            # by which the full step's sums round near a bound of at least 1.
-            cap = -_float_above(-Fraction(bound) * (1 - _UNIT) ** 2 / (1 + _UNIT))
+                (nums, den), accept, _ = state
+                return (accept + _exact_mass(kernel(nums), den * d)).as_integer_ratio()
 
-            def readout(state):
-                vec, accept, reject = state
-                if accept + reject + factor * sum(map(mul, vec, vec), 0.0) <= cap:
-                    out = accepting(vec)
-                    return accept + sum(map(mul, out, out), 0.0)
-                return advance(state, DOLLAR)[1]
+            return measure(*start, 0, 0), advance, readout
 
-        return measure(start, sq(start, a, r), sq(start, r, n), sq(start, 0, a)), advance, readout
-
-    if exact:
         def advance(v, sym):
             (kernel, d), (nums, den) = table[sym], v
             out, den = kernel(nums), den * d
@@ -668,18 +589,67 @@ def stepper(machine: Machine):
                 return kernel(v[0])[0], v[1] * d
         return start, advance, readout
 
+    slack = 1 + zero_tolerance()
+    # ``slack`` capped to a finite float: a non-finite entry makes a mass
+    # non-finite (squares cannot cancel), so it fails ``bound`` even at an
+    # infinite tolerance.
+    bound = min(slack, sys.float_info.max)
+
+    if isinstance(machine, Kwqfa):
+        r = machine.n - len(machine.q_rej)
+        a = r - len(machine.q_acc)
+
+        def measure(out, accept, reject, live):
+            if not (accept + reject <= bound and live <= bound):
+                _check_finite(out)
+                if not accept + reject <= slack:
+                    raise ValueError("halting probabilities exceed 1")
+                if not live <= slack:
+                    raise ValueError("state vector norm exceeds 1")
+            return out[:a], accept, reject
+
+        def advance(state, sym):
+            vec, accept, reject = state
+            out, accepted, rejected, live = table[sym](vec)
+            accept += accepted
+            reject += rejected
+            if accept + reject <= bound and live <= bound:
+                return out[:a], accept, reject
+            return measure(out, accept, reject, live)
+
+        # The test rounds at two levels (the product and the halting sum,
+        # then their sum) and the full step at one before it compares (its
+        # two halting sums), so the test's bound is shaved by (1 - u)^2 /
+        # (1 + u), rounded down.  The probabilities are never negative, and
+        # underflow adds far less than the half ulp by which the full step's
+        # sums round near a bound of at least 1.
+        cap = -_float_above(-Fraction(bound) * (1 - _UNIT) ** 2 / (1 + _UNIT))
+        accepting, factor = final
+
+        def readout(state):
+            vec, accept, reject = state
+            if accept + reject + factor * sum(map(mul, vec, vec), 0.0) <= cap:
+                out = accepting(vec)
+                return accept + sum(map(mul, out, out), 0.0)
+            return advance(state, DOLLAR)[1]
+
+        masses = (sum(map(mul, part, part), 0.0) for part in (start[a:r], start[r:], start[:a]))
+        return measure(start, *masses), advance, readout
+
     def advance(v, sym):
         out = table[sym](v)
         if not all(map(isfinite, out)):
-            check_finite(out)
+            _check_finite(out)
         return out
 
     if isinstance(machine, Mcqfa):
         def readout(v):
             out = final(v)
             mass = sum(map(mul, out, out), 0.0)
-            if not isfinite(mass):
-                check_finite(out)
+            if not mass <= bound:
+                _check_finite(out)
+                if not mass <= slack:
+                    raise ValueError("state vector norm exceeds 1")
             return mass
     else:
         def readout(v):
@@ -692,15 +662,23 @@ def state_vector(machine: Machine, state) -> RowVec | ColVec:
     probabilistic kinds, a column vector for the quantum ones, with a
     measure-every-step machine's halting coordinates restored as zeros."""
     kind = machine.kind
-    entries = (_Exact if kind == RATIONAL else _Float).entries
+    vec = state[0] if isinstance(machine, Kwqfa) else state
+    # Where ``sum`` gives 0.0, a generated sum may give -0.0 (it has no 0.0
+    # to start from); adding 0.0, as the read-outs do, gives the same bits
+    # as the ``numeric`` products.
+    if kind == RATIONAL:
+        nums, den = vec
+        entries = [Fraction(x, den) for x in nums]
+    else:
+        entries = [x + 0.0 for x in vec]
     if isinstance(machine, (Pfa, Gpfa)):
-        return RowVec(entries(state), kind)
-    if isinstance(machine, Mcqfa):
-        return ColVec(entries(state), kind)
-    full = [zero(kind)] * machine.n
-    for i, x in zip(_live_states(machine), entries(state[0])):
-        full[i] = x
-    return ColVec(full, kind)
+        return RowVec(entries, kind)
+    if isinstance(machine, Kwqfa):
+        full = [zero(kind)] * machine.n
+        for i, x in zip(_live_states(machine), entries):
+            full[i] = x
+        entries = full
+    return ColVec(entries, kind)
 
 
 def acceptance_value(machine: Machine, w: WordLike) -> Scalar:

@@ -16,7 +16,7 @@ document; ``cli`` reads machine, extended and homomorphism documents with them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping
 
@@ -49,14 +49,12 @@ class LanguageOracle:
     accepts: Callable[[object], bool]
     init: object = ()
     advance: Callable[[object, str], object] = _extend
-    _symbols: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
             hash(self.init)
         except TypeError as exc:
             raise TypeError(f"oracle {self.name!r} needs hashable states: {exc}") from None
-        object.__setattr__(self, "_symbols", frozenset(self.alphabet))
 
     @property
     def stepper(self) -> tuple:
@@ -65,8 +63,8 @@ class LanguageOracle:
 
     def __call__(self, w: WordLike) -> bool:
         word = tuple(w)
-        if not self._symbols.issuperset(word):
-            bad = next(s for s in word if s not in self._symbols)
+        bad = next((s for s in word if s not in self.alphabet), None)
+        if bad is not None:
             raise ValueError(f"symbol {bad!r} not in alphabet of {self.name}")
         return self.accepts(reduce(self.advance, word, self.init))
 

@@ -146,30 +146,14 @@ def _infer_kind(values) -> str:
     return RATIONAL
 
 
-class _Vec:
-    """Immutable vector of one scalar kind; see ``RowVec`` and ``ColVec``."""
+class _Entries:
+    """Immutable ``entries`` of one scalar ``kind``, equal and hashed by the
+    two, and only to the same type; see ``_Vec`` and ``Matrix``."""
 
     __slots__ = ("entries", "kind")
 
-    def __init__(self, entries: Iterable, kind: str | None = None):
-        raw = tuple(entries)
-        if not raw:
-            raise ValueError("vectors must be nonempty")
-        k = kind if kind is not None else _infer_kind(raw)
-        object.__setattr__(self, "entries", _coerce_row(raw, k))
-        object.__setattr__(self, "kind", k)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def __eq__(self, other):
         return (
@@ -180,6 +164,29 @@ class _Vec:
 
     def __hash__(self):
         return hash((self.kind, self.entries))
+
+
+class _Vec(_Entries):
+    """Immutable vector of one scalar kind; see ``RowVec`` and ``ColVec``."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Iterable, kind: str | None = None):
+        raw = tuple(entries)
+        if not raw:
+            raise ValueError("vectors must be nonempty")
+        k = kind if kind is not None else _infer_kind(raw)
+        object.__setattr__(self, "entries", _coerce_row(raw, k))
+        object.__setattr__(self, "kind", k)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def __iter__(self):
+        return iter(self.entries)
 
     def __repr__(self):
         body = ", ".join(format_scalar(v) for v in self.entries)
@@ -214,7 +221,7 @@ class ColVec(_Vec):
         return RowVec(self.entries, self.kind)
 
 
-class Matrix:
+class Matrix(_Entries):
     """Immutable dense rows x cols matrix of one scalar kind.
 
     A square matrix keeps its orthogonality deviation once
@@ -222,7 +229,7 @@ class Matrix:
     every later check at any tolerance reuses one Gram.
     """
 
-    __slots__ = ("entries", "rows", "cols", "kind", "_deviation")
+    __slots__ = ("rows", "cols", "_deviation")
 
     def __init__(self, entries: Iterable[Iterable], kind: str | None = None):
         grid = tuple(tuple(row) for row in entries)
@@ -237,9 +244,6 @@ class Matrix:
         object.__setattr__(self, "rows", len(coerced))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "kind", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def rational(cls, entries) -> "Matrix":
@@ -259,16 +263,6 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int, kind: str = RATIONAL) -> "Matrix":
         return cls([[zero(kind)] * cols for _ in range(rows)], kind)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.kind == other.kind
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.entries))
 
     def __repr__(self):
         body = "; ".join(

@@ -1,5 +1,6 @@
-"""Every name a ``qfalab`` module imports is used in that module, and no
-function in it is a pure pass-through of another."""
+"""Every name a ``qfalab`` module imports is used in that module, no
+function in it is a pure pass-through of another, and no class in it is a
+namespace of static methods."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,46 @@ def test_the_scan_finds_a_pass_through():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_function_is_a_pass_through(path):
     assert _pass_throughs(ast.parse(path.read_text())) == []
+
+
+def _namespace_classes(tree: ast.Module) -> list[str]:
+    """Classes without bases whose body, after any docstring, holds only
+    ``@staticmethod`` functions or ``name = staticmethod(...)`` assignments:
+    module functions in disguise."""
+    def static(node) -> bool:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                       for d in node.decorator_list)
+        return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id == "staticmethod")
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or node.bases or node.keywords:
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if body and all(map(static, body)):
+            found.append(node.name)
+    return found
+
+
+def test_the_scan_finds_a_namespace_class():
+    tree = ast.parse(
+        "class Ops:\n    'Doc.'\n    lower = staticmethod(f)\n"
+        "    @staticmethod\n    def sq(v):\n        return v\n"
+        "class Plain:\n    @staticmethod\n    def f():\n        pass\n"
+        "class Based(Ops):\n    @staticmethod\n    def g():\n        pass\n"
+        "class Mixed:\n    @staticmethod\n    def f():\n        pass\n    def m(self):\n        pass\n"
+        "class Field:\n    x = 1\n"
+        "class Doc:\n    'Only a docstring.'\n"
+        "class Classy:\n    @classmethod\n    def make(cls):\n        pass\n"
+    )
+    assert _namespace_classes(tree) == ["Ops", "Plain"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_class_is_a_namespace(path):
+    assert _namespace_classes(ast.parse(path.read_text())) == []

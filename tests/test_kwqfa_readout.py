@@ -1,6 +1,7 @@
-"""A Kwqfa read-out runs only the right end-marker's accepting rows, once
-the state's norm certifies that the full end-marker step passes its run
-bounds; otherwise it takes the full step.
+"""A float Kwqfa read-out runs only the right end-marker's accepting rows,
+once the state's norm certifies that the full end-marker step passes its
+run bounds; otherwise it takes the full step.  A rational Kwqfa is exactly
+orthogonal, so it always reads out from the accepting rows.
 
 Every read-out must give the full step's accepted mass bit for bit, and
 raise where the full step raises: the certificate never passes on such a
@@ -24,6 +25,7 @@ from qfalab.automata import (
     acceptance_value,
     enumerate_values,
     kwqfa_run,
+    state_vector,
     stepper,
 )
 from qfalab.cli import main, save_machine
@@ -73,7 +75,8 @@ def reached_states(m, maxlen):
 
 def check_readouts(m, states):
     """Each read-out equals the full step's outcome; returns how many of
-    ``states`` the certificate passed, and how many raise in the full step."""
+    ``states`` read out without the full step (for a float machine, the
+    ones the certificate passed), and how many raise in the full step."""
     _, advance, readout = stepper(m)
     full = full_readout(m, advance)
     calls = []
@@ -99,36 +102,26 @@ def check_readouts(m, states):
 
 
 def at_the_bound(m, states, rng):
-    """States whose halting probabilities put the full step at its first
-    bound, or the certificate at its own, and just either side of it:
-    ``accept`` is the bound less the step's halting masses, or less the
-    squared live norm, each times ``1 + delta`` for small deltas of both
-    signs (float ones moved by up to 4 ulps more), as accepted or rejected
-    mass or both.  Negative ones are left out: a run's probabilities never
-    are."""
+    """States of a float machine whose halting probabilities put the full
+    step at its first bound, or the certificate at its own, and just either
+    side of it: ``accept`` is the bound less the step's halting masses, or
+    less the squared live norm, each times ``1 + delta`` for small deltas of
+    both signs, moved by up to 4 ulps more, as accepted or rejected mass or
+    both.  Negative ones are left out: a run's probabilities never are."""
     _, advance, _ = stepper(m)
-    exact = m.kind == RATIONAL
-    zero = Fraction(0) if exact else 0.0
     bound = 1 + numeric.zero_tolerance()
-    if exact:
-        bound, deltas = Fraction(bound), (-Fraction(1, 2 ** 60), 0, Fraction(1, 2 ** 60))
-    else:
-        deltas = (-1e-15, 0.0, 1e-13, 1e-11, 1e-9, 1e-2, 1e-1)
     out = []
     for vec, _, _ in states:
-        _, accepted, rejected = advance((vec, zero, zero), DOLLAR)
-        if exact:
-            norm2 = Fraction(sum(x * x for x in vec[0]), vec[1] ** 2)
-        else:
-            norm2 = sum(x * x for x in vec)
+        _, accepted, rejected = advance((vec, 0.0, 0.0), DOLLAR)
+        norm2 = sum(x * x for x in vec)
         for target in (accepted + rejected, norm2):
-            for delta in deltas:
+            for delta in (-1e-15, 0.0, 1e-13, 1e-11, 1e-9, 1e-2, 1e-1):
                 accept = bound - target * (1 + delta)
-                for _ in range(0 if exact else rng.randint(0, 4)):
+                for _ in range(rng.randint(0, 4)):
                     accept = math.nextafter(accept, rng.choice((-math.inf, math.inf)))
                 if accept >= 0:
-                    # Halted into either set, or half and half (exactly).
-                    reject = accept * rng.choice((0, 1, zero + 1 / 2))
+                    # Halted into either set, or half and half.
+                    reject = accept * rng.choice((0, 1, 0.5))
                     out.append((vec, accept - reject, reject))
     return out
 
@@ -237,14 +230,22 @@ def test_near_orthogonal_float_readouts_are_the_full_steps(monkeypatch, swapping
 
 @pytest.mark.parametrize("seed", range(12))
 def test_rational_readouts_are_the_full_steps(seed):
-    """An exactly orthogonal machine's certificate is exact: it passes on
-    every reached state, and at the bound only where the full step does."""
+    """An exactly orthogonal machine reads every reached state out from the
+    accepting rows, as the full step does, and conserves probability
+    exactly: on each reached state, and on the state after the full right
+    end-marker step from it, the accepted, rejected and surviving
+    probabilities add up to 1 as ``Fraction``s."""
     rng = Random(seed)
     m = random_kwqfa(rng, rng.randint(4, 6), RATIONAL)
     states = reached_states(m, 3)
     assert check_readouts(m, states) == (len(states), 0)
-    passed, raised = check_readouts(m, at_the_bound(m, states, rng))
-    assert raised and passed
+    _, advance, _ = stepper(m)
+    for state in states:
+        for reached in (state, advance(state, DOLLAR)):
+            _, accept, reject = reached
+            live = state_vector(m, reached).entries
+            assert accept + reject + sum(x * x for x in live) == 1
+            assert {type(x) for x in (accept, reject, *live)} == {Fraction}
 
 
 def test_pipeline_sweeps_never_generate_the_full_end_marker_kernel():

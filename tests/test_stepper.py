@@ -8,6 +8,7 @@ exactly equal where every entry is dyadic, so the fold rounds nothing.
 """
 
 import gc
+import json
 import math
 import re
 import sys
@@ -38,6 +39,7 @@ from qfalab.automata import (
     state_vector,
     stepper,
 )
+from qfalab.cli import main, save_machine
 from qfalab.constructions import pfa_to_nqfa
 from qfalab.numeric import FLOAT, RATIONAL, ColVec, Matrix, RowVec, mat_mul, one, zero
 
@@ -195,7 +197,7 @@ def test_a_long_line_lowers_to_a_left_to_right_sum():
     rng = Random(5000)
     line = [rng.uniform(0.5, 1.0) * rng.choice((1, -1)) for _ in range(5000)]
     vec = tuple(rng.uniform(-1.0, 1.0) for _ in range(5000))
-    (got,) = automata._Float.lower([line])(vec)
+    (got,) = automata._lower_float([line])(vec)
     assert got == reduce(add, map(mul, vec, line))
     assert abs(got - sum(map(mul, vec, line))) <= 1e-9
 
@@ -223,9 +225,9 @@ def test_a_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
     """A one-symbol word on a fresh two-symbol machine generates two kernels:
     the symbol's and the read-out (for a Kwqfa, the right end-marker's)."""
     calls = []
-    lower = automata._Float.lower
-    counted = staticmethod(lambda lines, **split: calls.append(1) or lower(lines, **split))
-    monkeypatch.setattr(automata._Float, "lower", counted)
+    lower = automata._lower_float
+    counted = lambda lines, **split: calls.append(1) or lower(lines, **split)
+    monkeypatch.setattr(automata, "_lower_float", counted)
     fresh = replace(m)
     acceptance_value(fresh, "a")
     assert len(calls) == 2
@@ -297,6 +299,40 @@ def test_float_kwqfa_norm_bound_holds(monkeypatch):
     assert acceptance_value(m, "a") == 0.0
     with pytest.raises(ValueError, match="state vector norm exceeds 1"):
         list(enumerate_values(m, 3))
+
+
+def test_float_mcqfa_norm_bound_holds_on_every_path(monkeypatch, tmp_path, capsys):
+    """A rotation by 0.3 rad scaled by 1.09 passes the orthogonality check
+    at tolerance 0.2 (its Gram deviation is 1.09^2 - 1 = 0.188).  Its
+    accepting mass, 1.09^(2k) cos^2(0.3 k) after k symbols, is returned up
+    to 1.2 and refused past it, on every path: at length 8 it is 2.16."""
+    monkeypatch.setattr(numeric, "EPSILON", 0.2)
+    k, c, s = 1.09, math.cos(0.3), math.sin(0.3)
+    m = Mcqfa(2, ("a",), {"a": Matrix.floats([[k * c, -k * s], [k * s, k * c]])}, {1})
+    values = dict(enumerate_values(m, 7))
+    assert 1 < values[("a",)] == acceptance_value(m, "a") <= 1.2
+    message = "^state vector norm exceeds 1$"
+    for word in ("a" * 8, "a" * 10):
+        with pytest.raises(ValueError, match=message):
+            acceptance_value(m, word)
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_values(m, 8))
+    path = str(tmp_path / "grow.json")
+    save_machine(path, m)
+    # The words the machine puts above 1/2 up to length 7, outside the band:
+    # lengths 0, 1, 2 and 7.  State q is length q - 1, and 9 is a sink.
+    dfa = {"alphabet": ["a"], "n": 9, "accepting": [1, 2, 3, 8],
+           "transitions": {str(q): {"a": min(q + 1, 9)} for q in range(1, 10)}}
+    oracle = tmp_path / "lengths.json"
+    oracle.write_text(json.dumps(dfa))
+    monkeypatch.setenv("QFA_EPSILON", "0.2")
+    cut = ["--machine", path, "--cutpoint", "1/2", "--relation", "greater"]
+    assert main(["verify", *cut, "--oracle", f"dfa:{oracle}", "--maxlen", "7"]) == 0
+    for argv in (["classify", *cut, "--word", "a" * 8],
+                 ["verify", *cut, "--oracle", f"dfa:{oracle}", "--maxlen", "8"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: state vector norm exceeds 1\n"
 
 
 # -- a float Kwqfa kernel that also measures -------------------------------
@@ -407,7 +443,7 @@ def test_a_long_rational_line_lowers_to_its_exact_sum():
     line = [Fraction(rng.randint(1, 99), rng.randint(1, 12)) * rng.choice((1, -1))
             for _ in range(450)]
     nums = tuple(rng.randint(-10**30, 10**30) for _ in range(450))
-    kernel, den = automata._Exact.lower([line])
+    kernel, den = automata._lower_exact([line])
     (got,) = kernel(nums)
     assert type(got) is int
     assert got == sum(map(mul, nums, (x * den for x in line)))
