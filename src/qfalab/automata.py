@@ -265,7 +265,7 @@ class RunTrace:
 _CHUNK = 200
 
 
-def _kernel(lines, nil, split=None):
+def _kernel(lines, nil, masses=()):
     """Generate ``kernel(vec)`` for a lowered matrix: it returns the tuple of
     the line products, each a straight-line sum of the line's nonzero
     entries, added left to right (``v3 * c[17] + ...``), and an all-zero
@@ -273,10 +273,9 @@ def _kernel(lines, nil, split=None):
     ones).  The source holds only indices and names; the entries come in as
     the tuple ``c``.
 
-    With ``split = (a, r)`` the lines run live, accepting, rejecting, and
-    the kernel also measures: it returns ``(out, accepted, rejected,
-    live)``, the line products and the squared masses of ``out[a:r]``,
-    ``out[r:]`` and ``out[:a]``, each a ``sum`` of squares from ``nil``."""
+    With ``masses``, a sequence of line ranges ``(lo, hi)``, the kernel also
+    measures: it returns ``(out, *sums)``, the line products and, per range,
+    the squared mass of ``out[lo:hi]``, a ``sum`` of squares from ``nil``."""
     consts, body, rows, used = [], [], [], set()
     lines = [tuple(line) for line in lines]
     for i, line in enumerate(lines):
@@ -296,19 +295,18 @@ def _kernel(lines, nil, split=None):
         rows.append(expr)
     width = len(lines[0]) if lines else 0
     names = "".join(f"v{j}, " if j in used else "_, " for j in range(width))
-    masses = ""
-    if split is not None:
+    sums = ""
+    if masses:
         # Each nonzero line gets a name its square reuses; an all-zero
         # line adds exactly nothing to a mass, so it is left out.
         named = [i for i, row in enumerate(rows) if row != nil]
         body += [f"    r{i} = {rows[i]}\n" for i in named]
         rows = [f"r{i}" if row != nil else row for i, row in enumerate(rows)]
-        a, r = split
-        for lo, hi in ((a, r), (r, len(rows)), (0, a)):
+        for lo, hi in masses:
             terms = "".join(f"r{i} * r{i}, " for i in named if lo <= i < hi)
-            masses += f", sum(({terms}), {nil})"
+            sums += f", sum(({terms}), {nil})"
     source = (f"def kernel(v, c=c):\n    {names or '_'} = v\n{''.join(body)}"
-              f"    return ({''.join(row + ', ' for row in rows)}){masses}\n")
+              f"    return ({''.join(row + ', ' for row in rows)}){sums}\n")
     namespace = {"c": tuple(consts)}
     exec(source, namespace)
     # Popped: left in its own globals, the kernel would be in a cycle
@@ -374,12 +372,12 @@ def _float_above(x: Fraction) -> float:
     return f if f >= x else nextafter(f, inf)
 
 
-def _mass_factor(dollar: Matrix, m: int, live: int) -> float:
-    """``K`` of a float Kwqfa's read-out certificate: from a finite live
-    vector ``v``, the three float masses of a full right end-marker step
-    add up to at most ``K * sum(v_i * v_i)`` as floats compute it.
+def _mass_factor(matrix: Matrix, m: int, live: int) -> float:
+    """``K`` of a float Kwqfa's certificates: from a finite live vector
+    ``v``, the three float masses of a full step by ``matrix`` add up to at
+    most ``K * sum(v_i * v_i)`` as floats compute it.
 
-    With ``dev`` the largest entry of ``|U U^T - I|`` for ``U = dollar``,
+    With ``dev`` the largest entry of ``|U U^T - I|`` for ``U = matrix``,
     bounded from the float Gram (``orthogonality_deviation``) plus that
     Gram's own rounding, ``||U||_2 <= rho = sqrt(1 + m dev)`` and
     ``||U||_F^2 <= m (1 + dev)``.  Each output line sums at most ``live``
@@ -390,13 +388,27 @@ def _mass_factor(dollar: Matrix, m: int, live: int) -> float:
     rho^2 + ||U||_F^2`` keeps every step rational, so ``K`` is exact, and
     rounded up once."""
     g_m, g_live = _gamma(m), _gamma(live)
-    dev = orthogonality_deviation(dollar)
+    dev = orthogonality_deviation(matrix)
     if not isfinite(dev):
         return inf
     dev = (Fraction(dev) / (1 - _UNIT) + g_m) / (1 - g_m)
     rho2, frob2 = 1 + m * dev, m * (1 + dev)
     norm2 = rho2 + g_live * (rho2 + frob2) + g_live ** 2 * frob2
     return _float_above((1 + g_m) * norm2 / (1 - g_live))
+
+
+def _run_bound(masses, factor: float, steps: int):
+    """An upper bound on ``T_0 ((1 + u) K)^steps``, the certificate of a
+    float Kwqfa run (see ``_lower``), from the start state's three float
+    masses, whose exact sum is ``T_0``, and ``K = factor``; ``inf`` where
+    one of them is not finite.  With ``y = steps ((1 + u) K - 1)``, ``1 + x
+    <= e^x`` and ``e^y <= 1 / (1 - y)`` for ``0 <= y < 1`` give ``T_0 / (1 -
+    y)``, and ``inf`` from ``y >= 1``: exact in ``Fraction``s and as cheap
+    for any ``steps``, where the power itself carries 53 bits per step."""
+    if not all(map(isfinite, (*masses, factor))):
+        return inf
+    y = steps * ((1 + _UNIT) * Fraction(factor) - 1)
+    return sum(map(Fraction, masses)) / (1 - y) if y < 1 else inf
 
 
 def _live_states(m: Kwqfa) -> list[int]:
@@ -422,36 +434,67 @@ class _Lazy(dict):
 
 
 def _lower(machine: Machine):
-    """The tables ``stepper`` steps with, as ``(table, start, final)``: each
-    symbol's matrix lowered for the machine's kind (on first use, see
-    ``_Lazy``), the start vector, and the lowered read-out.  For a
-    measure-every-step machine the read-out is the right end-marker's
-    accepting rows over the live columns, lowered, and for a float one it
-    is paired with the factor of its read-out certificate
-    (``_mass_factor``).  ``_Machine._lowered`` keeps them on the machine."""
+    """The tables ``stepper`` steps with, as ``(table, start, final,
+    kept)``: each symbol's matrix lowered for the machine's kind (on first
+    use, see ``_Lazy``), the start vector, the lowered read-out, and for a
+    measure-every-step machine a second such table over the live and
+    accepting rows alone (``None`` for the other kinds).
+    ``_Machine._lowered`` keeps them on the machine.
+
+    A measure-every-step read-out is the right end-marker's accepting rows
+    over the live columns, lowered.  For a float machine it comes with the
+    factor of its read-out certificate (``_mass_factor`` of the right
+    end-marker), the start state's three masses and ``K``, the largest
+    ``_mass_factor`` over the input symbols and the right end-marker: the
+    run certificate that lets a sweep step with ``kept``.  Let ``T_t`` be
+    the exact sum of the floats ``accept``, ``reject`` and ``sum(v_i *
+    v_i)`` of the state after ``t`` symbols past the left end-marker.  A
+    step adds each new halting mass to its probability with one rounding,
+    and the step's three masses add up to at most ``K sum(v_i * v_i)``
+    while ``v`` is finite, so with ``K >= 1`` and ``u = 2^-53``::
+
+        T_(t+1) <= (1 + u) (accept + reject) + (1 + u) K sum(v_i * v_i)
+                <= (1 + u) K T_t,   so   T_t <= T_0 ((1 + u) K)^t.
+
+    The step's tests round ``accept + reject`` once more and read the live
+    mass, at most ``T``, so both pass while ``(1 + u) T_t`` is within
+    ``stepper``'s ``bound``, which keeps ``v`` finite.  Its ``cap`` is at
+    most ``bound / (1 + u)``, so ``T_0 ((1 + u) K)^(L + 1) <= cap``
+    (``_run_bound``) shows that no step of a word of length ``L``, and no
+    full right end-marker step after it, can break a bound (underflow
+    aside, as for ``K``).  The accepting rows' product then gives that
+    step's accepted probability bit for bit, and the run needs neither the
+    rejecting rows nor the live mass."""
     exact = machine.kind == RATIONAL
-    lower, trans = _lower_exact if exact else _lower_float, machine.trans
+    lower, trans, kept = _lower_exact if exact else _lower_float, machine.trans, None
 
     if isinstance(machine, Kwqfa):
         # Rows run live, accepting, rejecting, so each measurement splits
         # the output at two points; columns are the live states only.  A
-        # float kernel also measures (see ``_kernel``).
+        # float kernel also measures (see ``_kernel``): all three masses in
+        # ``table``, the accepted one alone in ``kept``.
         live = _live_states(machine)
-        accepting = [q - 1 for q in machine.q_acc]
-        order = live + accepting + [q - 1 for q in machine.q_rej]
-        measured = lower
-        if not exact:
-            measured = partial(lower, split=(len(live), len(live) + len(accepting)))
+        order = live + [q - 1 for q in machine.q_acc]
+        a, r = len(live), len(order)
+        order += [q - 1 for q in machine.q_rej]
 
         def lines(matrix, targets):
             rows = matrix.entries
             return [[rows[j][i] for i in live] for j in targets]
 
-        table = _Lazy(lambda matrix: measured(lines(matrix, order)), trans)
+        def lowered(targets, masses):
+            measured = lower if exact else partial(lower, masses=masses)
+            return _Lazy(lambda matrix: measured(lines(matrix, targets)), trans)
+
+        table = lowered(order, ((a, r), (r, len(order)), (0, a)))
+        kept = lowered(order[:r], ((a, r),))
         start = [trans[CENT].entries[j][0] for j in order]
-        final = lower(lines(trans[DOLLAR], accepting))
+        final = lower(lines(trans[DOLLAR], order[a:r]))
         if not exact:
-            final = final, _mass_factor(trans[DOLLAR], machine.n, len(live))
+            factors = [_mass_factor(trans[s], machine.n, a) for s in (*machine.sigma, DOLLAR)]
+            parts = start[a:r], start[r:], start[:a]
+            masses = [sum(map(mul, part, part), 0.0) for part in parts]
+            final = final, factors[-1], masses, max(factors)
     elif isinstance(machine, Mcqfa):
         # Column convention: entry j of U @ v is U's row j times v, and the
         # start state 1 makes the first step U_CENT's column 1.
@@ -469,14 +512,16 @@ def _lower(machine: Machine):
             final = lower([[sum((row[q - 1] for q in machine.accepting), Fraction(0))
                             for row in trans[DOLLAR].entries]])
     if not exact:
-        return table, tuple(start), final
+        return table, tuple(start), final, kept
     (nums,), den = _scaled([start])
-    return table, _reduced(nums, den), final
+    return table, _reduced(nums, den), final, kept
 
 
-def stepper(machine: Machine):
+def stepper(machine: Machine, maxlen: Optional[int] = None):
     """The machine's semantics as a prefix-incremental evaluator
-    ``(init, advance, readout)``.
+    ``(init, advance, readout)``; ``maxlen``, when given, is the longest
+    word the caller will step, which lets a measure-every-step run drop
+    what its value does not need (below).
 
     ``init`` is the state after the left end-marker (if the model has one),
     ``advance(state, sym)`` reads one input symbol, and ``readout(state)``
@@ -517,7 +562,12 @@ def stepper(machine: Machine):
     (non-halting) coordinates, and a step multiplies only the live columns.
     Its read-out is the accepted probability after the right end-marker,
     taken from that matrix's accepting rows (for a float machine, once
-    certified, below).
+    certified, below).  Given ``maxlen``, a rational machine, and a float
+    one whose run certificate holds for ``maxlen`` (``_lower``), steps
+    ``(vector, accept)`` through the live and accepting rows alone and reads
+    out from the accepting rows with no test; its values are the full
+    step's, bit for bit, and states that differ only in ``reject`` merge.
+    ``kwqfa_run``, which reports ``reject``, passes no ``maxlen``.
 
     A rational quantum machine is exactly orthogonal (checked at
     construction) and starts from a column of its left end-marker's matrix,
@@ -540,12 +590,12 @@ def stepper(machine: Machine):
       full step, which raises where a bound breaks, so every read-out
       returns what the full step would, bit for bit, or raises what it
       would.  ``kwqfa_run`` takes the full step.
-    * A measure-once read-out, the accepting mass, is checked against the
-      live norm's bound in the same way.
+    * A measure-once read-out checks the accepting mass and the state's
+      squared norm against the same bound, with one sum of squares each.
     """
     if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
-    table, start, final = machine._lowered
+    table, start, final, kept = machine._lowered
 
     if machine.kind == RATIONAL:
         if isinstance(machine, Kwqfa):
@@ -563,13 +613,22 @@ def stepper(machine: Machine):
                 kernel, d = table[sym]
                 return measure(kernel(nums), den * d, accept, reject)
 
-            kernel, d = final
+            def advance_kept(state, sym):
+                (nums, den), accept = state
+                kernel, d = kept[sym]
+                nums, den = kernel(nums), den * d
+                return _reduced(nums[:a], den), accept + _exact_mass(nums[a:], den)
+
+            accepting, d = final
 
             def readout(state):
-                (nums, den), accept, _ = state
-                return (accept + _exact_mass(kernel(nums), den * d)).as_integer_ratio()
+                (nums, den), accept = state[:2]
+                return (accept + _exact_mass(accepting(nums), den * d)).as_integer_ratio()
 
-            return measure(*start, 0, 0), advance, readout
+            init = measure(*start, 0, 0)
+            if maxlen is None:
+                return init, advance, readout
+            return init[:2], advance_kept, readout
 
         def advance(v, sym):
             (kernel, d), (nums, den) = table[sym], v
@@ -624,17 +683,27 @@ def stepper(machine: Machine):
         # underflow adds far less than the half ulp by which the full step's
         # sums round near a bound of at least 1.
         cap = -_float_above(-Fraction(bound) * (1 - _UNIT) ** 2 / (1 + _UNIT))
-        accepting, factor = final
+        accepting, factor, masses, growth = final
+
+        def accepted(state):
+            out = accepting(state[0])
+            return state[1] + sum(map(mul, out, out), 0.0)
 
         def readout(state):
             vec, accept, reject = state
             if accept + reject + factor * sum(map(mul, vec, vec), 0.0) <= cap:
-                out = accepting(vec)
-                return accept + sum(map(mul, out, out), 0.0)
+                return accepted(state)
             return advance(state, DOLLAR)[1]
 
-        masses = (sum(map(mul, part, part), 0.0) for part in (start[a:r], start[r:], start[:a]))
-        return measure(start, *masses), advance, readout
+        def advance_kept(state, sym):
+            vec, accept = state
+            out, mass = kept[sym](vec)
+            return out[:a], accept + mass
+
+        init = measure(start, *masses)
+        if maxlen is None or not _run_bound(masses, growth, maxlen + 1) <= cap:
+            return init, advance, readout
+        return init[:2], advance_kept, accepted
 
     def advance(v, sym):
         out = table[sym](v)
@@ -645,10 +714,10 @@ def stepper(machine: Machine):
     if isinstance(machine, Mcqfa):
         def readout(v):
             out = final(v)
-            mass = sum(map(mul, out, out), 0.0)
-            if not mass <= bound:
+            mass, norm = sum(map(mul, out, out), 0.0), sum(map(mul, v, v), 0.0)
+            if not (mass <= bound and norm <= bound):
                 _check_finite(out)
-                if not mass <= slack:
+                if not (mass <= slack and norm <= slack):
                     raise ValueError("state vector norm exceeds 1")
             return mass
     else:
@@ -684,8 +753,9 @@ def state_vector(machine: Machine, state) -> RowVec | ColVec:
 def acceptance_value(machine: Machine, w: WordLike) -> Scalar:
     """The value of ``w`` for every kind: a Pfa's, Kwqfa's or Mcqfa's
     acceptance probability on ``CENT w DOLLAR``, a Gpfa's ``v0 @ A_w @ f``."""
-    init, advance, readout = stepper(machine)
-    out = readout(reduce(advance, _check_word(machine.sigma, w), init))
+    word = _check_word(machine.sigma, w)
+    init, advance, readout = stepper(machine, len(word))
+    out = readout(reduce(advance, word, init))
     return Fraction(*out) if machine.kind == RATIONAL else out
 
 
@@ -782,7 +852,7 @@ def enumerate_values(machine: Machine, maxlen: int) -> Iterator[tuple[Word, Scal
     """Yield (word, acceptance value) for every word up to ``maxlen``,
     shortest first and lexicographic within one length with respect to the
     machine's declared symbol order, sharing prefix work across words."""
-    steps = stepper(machine)
+    steps = stepper(machine, maxlen)
     if machine.kind == RATIONAL:
         steps = readout_then(steps, lambda out: Fraction(*out))
     for words, values in prefix_levels(machine.sigma, maxlen, steps):

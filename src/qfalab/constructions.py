@@ -627,7 +627,7 @@ def suggest_padding_bound(
     def positives(bound: int) -> set:
         machine = gpfa_erasing_hom(g, kappa, bound)
         sign = itemgetter(0) if machine.kind == RATIONAL else pos  # (num, den), den > 0
-        steps = readout_then(stepper(machine), lambda out: sign(out) > 0)
+        steps = readout_then(stepper(machine, maxlen), lambda out: sign(out) > 0)
         return {w for words, positive in prefix_levels(machine.sigma, maxlen, steps)
                 for w in compress(words, positive)}
 

@@ -174,7 +174,7 @@ def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:
     if g.kind != RATIONAL:
         raise KindMismatchError("one-sided audit requires a rational machine")
     # A read-out is (num, den) with den > 0.
-    steps = readout_then(stepper(g), lambda out: out[0] < 0)
+    steps = readout_then(stepper(g, maxlen), lambda out: out[0] < 0)
     for words, negative in prefix_levels(g.sigma, maxlen, steps):
         found = next(compress(words, negative), None)
         if found is not None:
@@ -199,8 +199,8 @@ def equivalent_under_separation_bounded(
         raise ValueError("machines must share one input alphabet")
     check_cutpoint_range(a1, lam1)
     check_cutpoint_range(a2, lam2)
-    steps1 = readout_then(stepper(a1), cell_test(a1, lam1))
-    steps2 = readout_then(stepper(a2), cell_test(a2, lam2))
+    steps1 = readout_then(stepper(a1, maxlen), cell_test(a1, lam1))
+    steps2 = readout_then(stepper(a2, maxlen), cell_test(a2, lam2))
     for words, cells1, cells2 in prefix_levels(a1.sigma, maxlen, steps1, steps2):
         found = first_difference(words, cells1, cells2)
         if found is not None:

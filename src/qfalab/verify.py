@@ -76,7 +76,7 @@ def enumerate_agreement(
         )
     check_cutpoint_range(machine, spec.lam)
     members = RELATION_CELLS[spec.relation]
-    steps = readout_then(stepper(machine), cell_test(machine, spec.lam))
+    steps = readout_then(stepper(machine, maxlen), cell_test(machine, spec.lam))
     levels = prefix_levels(machine.sigma, maxlen, steps, oracle.stepper)
     band = machine.kind != RATIONAL
     tested = undecided = 0
@@ -118,7 +118,7 @@ def check_value_identity(
     """
     if lhs.kind != RATIONAL:
         raise ValueError("value identities are checked exactly; rational kind required")
-    for words, outs in prefix_levels(lhs.sigma, maxlen, stepper(lhs)):
+    for words, outs in prefix_levels(lhs.sigma, maxlen, stepper(lhs, maxlen)):
         for word, (num, den) in zip(words, outs):
             ref = reference(word)
             if type(ref) is bool or not isinstance(ref, (int, Fraction)):

@@ -923,7 +923,8 @@ def test_classify_evaluates_its_word_once(demo_dir, monkeypatch, capsys):
 
     calls = []
     stepper = automata.stepper
-    monkeypatch.setattr(automata, "stepper", lambda m: calls.append(m) or stepper(m))
+    monkeypatch.setattr(automata, "stepper",
+                        lambda m, *maxlen: calls.append(m) or stepper(m, *maxlen))
     for name, cut in [("coin_pfa", "1/2"), ("wp_gpfa_2", "1"), ("neq_mcqfa", "0"),
                       ("coin_nqfa", "0")]:
         calls.clear()

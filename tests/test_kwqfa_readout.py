@@ -7,17 +7,26 @@ Every read-out must give the full step's accepted mass bit for bit, and
 raise where the full step raises: the certificate never passes on such a
 state.  A read-out that takes the full step calls the right end-marker's
 full kernel, which the machine's lowered tables gain only then.
+
+A sweep of known length steps a rational Kwqfa, and a float one whose run
+certificate holds for that length, through the live and accepting rows
+alone: its values and states must be the full step's, bit for bit, less the
+rejected probability, and it must generate no kernel of the full table.
 """
 
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import product
 from operator import mul
 from random import Random
 
 import pytest
 
 from helpers import random_pfa
-from qfalab import numeric
+from qfalab import automata, numeric
 from qfalab.automata import (
     CENT,
     DOLLAR,
@@ -30,7 +39,11 @@ from qfalab.automata import (
 )
 from qfalab.cli import main, save_machine
 from qfalab.constructions import pfa_to_nqfa
+from qfalab.cutpoint import CutpointSpec, equivalent_under_separation_bounded
+from qfalab.languages import LanguageOracle
 from qfalab.numeric import FLOAT, RATIONAL, Matrix
+from qfalab.verify import check_value_identity, enumerate_agreement
+from test_stepper import measured_fold, spiking_kwqfa
 
 SIGMA = ("a", "b")
 TRIPLES = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
@@ -248,14 +261,83 @@ def test_rational_readouts_are_the_full_steps(seed):
             assert {type(x) for x in (accept, reject, *live)} == {Fraction}
 
 
-def test_pipeline_sweeps_never_generate_the_full_end_marker_kernel():
-    """Sweeping pipeline machines of den-2 PFAs to length 8 generates the
-    right end-marker's accepting rows only, never its full kernel."""
-    for n in range(2, 11):
-        m = pfa_to_nqfa(random_pfa(Random(100 + n), n))
-        assert len(list(enumerate_values(m, 8))) == 511
-        table = m._lowered[0]
-        assert set(table) == set(SIGMA), n
+def pipeline_machine(n):
+    """The quantum machine of a den-2 PFA on ``n`` states, and the PFA."""
+    pfa = random_pfa(Random(100 + n), n)
+    return pfa_to_nqfa(pfa), pfa
+
+
+# Each sweep returns the machines it swept, or ``None`` for those it lowered.
+
+
+def sweep_enumerate_values(m, pfa, tmp_path, capsys):
+    assert len(list(enumerate_values(m, 8))) == 511
+    return [m]
+
+
+def sweep_enumerate_agreement(m, pfa, tmp_path, capsys):
+    half = Fraction(1, 2)
+    oracle = LanguageOracle("neq-half", SIGMA, lambda w: acceptance_value(pfa, w) != half)
+    report = enumerate_agreement(m, CutpointSpec(0.0, "greater"), oracle, 6)
+    assert report.agreed and report.tested == 127
+    return [m]
+
+
+def sweep_check_value_identity(m, pfa, tmp_path, capsys):
+    # A pipeline machine is float, and identities are checked exactly: a
+    # rational machine of the same size stands in for it.
+    m = random_kwqfa(Random(m.n), m.n, RATIONAL)
+    reference = replace(m)
+    assert check_value_identity(m, lambda w: kwqfa_run(reference, w).accept_prob, 5) is None
+    return [m]
+
+
+def sweep_equivalence(m, pfa, tmp_path, capsys):
+    twin = replace(m)
+    assert equivalent_under_separation_bounded(m, 0.0, twin, 0.0, 6) is None
+    return [m, twin]
+
+
+def sweep_acceptance_value(m, pfa, tmp_path, capsys):
+    for length in range(5):
+        for word in product(SIGMA, repeat=length):
+            acceptance_value(m, word)
+    return [m]
+
+
+def sweep_cli_verify(m, pfa, tmp_path, capsys):
+    path, everything = tmp_path / "nqfa.json", tmp_path / "all.json"
+    save_machine(str(path), m)
+    everything.write_text(json.dumps({"alphabet": ["a", "b"], "n": 1, "accepting": [1],
+                                      "transitions": {"1": {"a": 1, "b": 1}}}))
+    argv = ["verify", "--machine", str(path), "--cutpoint", "0", "--relation", "greater",
+            "--oracle", f"dfa:{everything}", "--maxlen", "6", "--json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["tested"] == 127
+
+
+@pytest.mark.parametrize("sweep", [
+    sweep_enumerate_values, sweep_enumerate_agreement, sweep_check_value_identity,
+    sweep_equivalence, sweep_acceptance_value, sweep_cli_verify,
+], ids=lambda f: f.__name__.removeprefix("sweep_"))
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_every_sweep_leaves_the_full_table_empty(monkeypatch, tmp_path, capsys, sweep, n):
+    """Every sweep entry point that takes a Kwqfa passes its length to the
+    stepper, so each machine it lowers steps with the live and accepting
+    rows alone and never generates a kernel of the full table: a caller
+    that drops ``maxlen`` fails here."""
+    lowered = []
+    lower = automata._lower
+    monkeypatch.setattr(automata, "_lower", lambda machine: lowered.append(machine) or lower(machine))
+    m, pfa = pipeline_machine(n)
+    swept = sweep(m, pfa, tmp_path, capsys)
+    if swept is None:
+        swept = [machine for machine in lowered if isinstance(machine, Kwqfa)]
+    assert swept
+    for machine in swept:
+        table, _, _, kept = machine._lowered
+        assert not table and set(kept) == set(SIGMA)
 
 
 # -- a non-unitary right end-marker -----------------------------------------
@@ -318,3 +400,137 @@ def test_a_failed_certificate_still_reads_out_a_passing_step(monkeypatch):
     assert DOLLAR in m._lowered[0]
     assert value == kwqfa_run(m, "a").accept_prob
     assert math.isclose(value, 1.05 ** 2 / 2, rel_tol=1e-12)
+
+
+# -- the run certificate ------------------------------------------------------
+
+
+def certified(m, maxlen):
+    """Whether ``m`` steps ``(vector, accept)`` for sweeps up to ``maxlen``."""
+    return len(stepper(m, maxlen)[0]) == 2
+
+
+def certified_machines():
+    """Pipeline machines, n = 2..10, and float rotations drawn exactly."""
+    pipeline = [pytest.param(pfa_to_nqfa(random_pfa(Random(n), n)), id=f"pipeline-{n}")
+                for n in range(2, 11)]
+    clean = [pytest.param(random_kwqfa(Random(seed), 4 + seed % 4, FLOAT), id=f"rotations-{seed}")
+             for seed in range(8)]
+    return pipeline + clean
+
+
+@pytest.mark.parametrize("m", certified_machines())
+def test_certified_sweeps_are_the_measured_folds_bits(m):
+    """Pipeline machines and exactly drawn float rotations are certified to
+    length 5: the sweep's values, and each kept state's vector and accepted
+    probability, are the full step's by ``repr``, as the fold writes it."""
+    assert certified(m, 5)
+    init, advance, _ = stepper(m, 5)
+    full_init, full_advance, _ = stepper(replace(m))
+    for word, value in enumerate_values(m, 5):
+        want = measured_fold(m, word)
+        assert repr(value) == repr(want.accept_prob), word
+        vec, accept = reduce(advance, word, init)
+        assert repr(state_vector(m, (vec, accept))) == repr(want.vectors[len(word)])
+        full = reduce(full_advance, word, full_init)
+        assert repr((vec, accept)) == repr(full[:2])
+    assert not m._lowered[0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_sweeps_step_the_live_and_accepting_rows(seed):
+    """A rational machine steps ``(vector, accept)`` for any sweep: each
+    state is the full step's less ``reject``, and its values are
+    ``kwqfa_run``'s, which keeps the full step."""
+    rng = Random(seed)
+    m = random_kwqfa(rng, rng.randint(4, 6), RATIONAL)
+    init, advance, _ = stepper(m, 4)
+    full_init, full_advance, _ = stepper(m)
+    for word, value in enumerate_values(m, 4):
+        state = reduce(advance, word, init)
+        full = reduce(full_advance, word, full_init)
+        assert state == full[:2] and len(state) == 2
+        assert type(value) is Fraction and value == kwqfa_run(m, word).accept_prob
+
+
+def run_outcomes(m, maxlen):
+    """What every word up to ``maxlen`` gives through ``acceptance_value``
+    and through ``kwqfa_run``, values or messages, and what a sweep of a
+    fresh copy gives: its values up to the first word that raises, then the
+    message; and the copy's live-and-accepting table after the sweep."""
+    words = [w for k in range(maxlen + 1) for w in product(m.sigma, repeat=k)]
+    single = [(outcome(partial(acceptance_value, m), w),
+               outcome(lambda w: kwqfa_run(m, w).accept_prob, w)) for w in words]
+    fresh, swept = replace(m), []
+    try:
+        swept.extend(repr(v) for _, v in enumerate_values(fresh, maxlen))
+    except ValueError as exc:
+        swept.append(f"raises {exc}")
+    return single, swept, fresh._lowered[3]
+
+
+def growing_rotation():
+    """The 3-4-5 rotation scaled by 1.09, live state 1 and accepting 2."""
+    k = 1.09
+    grow = Matrix.floats([[k * 0.6, -k * 0.8], [k * 0.8, k * 0.6]])
+    return Kwqfa(2, ("a",), {"a": grow}, {2}, set())
+
+
+# ``(id, machine, tolerance, sweep length)``: stretched, noisy and
+# overflowing machines, each built at the tolerance it passes construction.
+UNCERTIFIED = [
+    *((f"stretched-{t}", partial(stretched_end_marker, t), 0.2, 2) for t in ("halting", "live")),
+    ("growing-rotation", growing_rotation, 0.2, 4),
+    *((f"noisy-{seed}", partial(random_kwqfa, Random(seed), 4 + seed % 4, FLOAT, noise=0.004),
+       0.05, 4) for seed in range(4)),
+    *((f"overflowing-{rows}", partial(spiking_kwqfa, (1e154, 0.0), {i: (1e154, 0.0) for i in rows}),
+       1e308, 2) for rows in ((1,), (2,), (3,))),
+    ("non-finite", partial(spiking_kwqfa, (1e200, 1e200), {1: (1e200, 0.0)}), math.inf, 2),
+]
+
+
+@pytest.mark.parametrize("build, tolerance, maxlen", [case[1:] for case in UNCERTIFIED],
+                         ids=[case[0] for case in UNCERTIFIED])
+def test_uncertified_machines_keep_the_full_step(monkeypatch, build, tolerance, maxlen):
+    """The certificate fails for machines whose matrices may stretch a run
+    (or overflow one) within the sweep's length: the sweep steps the full
+    state and generates no live-and-accepting kernel.  Every word gives the
+    value or message ``kwqfa_run`` gives, through ``acceptance_value`` too,
+    which a noisy machine's certificate may pass for a short word, and the
+    sweep gives the same up to the first word that raises."""
+    monkeypatch.setattr(numeric, "EPSILON", tolerance)
+    m = build()
+    assert not certified(m, maxlen)
+    single, swept, kept = run_outcomes(m, maxlen)
+    for got, want in single:
+        assert got == want
+    want = [v for v, _ in single]
+    stop = next((i for i, v in enumerate(want) if v.startswith("raises")), len(want))
+    assert swept == want[:stop + 1]
+    assert not kept
+
+
+@pytest.mark.parametrize("m", certified_machines()[::4])
+def test_the_run_bound_grows_with_the_length(m):
+    """``_run_bound`` never falls as the length grows, always covers the
+    power ``T_0 ((1 + u) K)^steps`` it bounds, and is ``inf`` once the
+    power's exponent times ``(1 + u) K - 1`` reaches 1; so a machine
+    certified for a length is certified for every shorter one.  These
+    machines are certified to length 59 and far beyond."""
+    _, _, (_, _, masses, growth), _ = m._lowered
+    t0, q = sum(map(Fraction, masses)), (1 + automata._UNIT) * Fraction(growth)
+    bounds = [automata._run_bound(masses, growth, steps) for steps in range(60)]
+    assert all(x <= y for x, y in zip(bounds, bounds[1:]))
+    for steps, bound in enumerate(bounds):
+        assert t0 * q ** steps <= bound
+        assert (bound == math.inf) == (steps * (q - 1) >= 1)
+    assert all(certified(m, maxlen) for maxlen in range(60))
+
+
+def test_a_non_finite_certificate_never_passes():
+    masses = (0.25, 0.25, 0.5)
+    assert automata._run_bound(masses, 1.0, 10**9) < math.inf
+    for factor in (math.inf, math.nan):
+        assert automata._run_bound(masses, factor, 0) == math.inf
+    for bad in (math.inf, math.nan):
+        assert automata._run_bound((0.25, bad, 0.5), 1.0, 0) == math.inf

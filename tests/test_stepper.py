@@ -219,6 +219,16 @@ def test_lowered_tables_stay_on_the_machine(monkeypatch, m):
     assert hash(fresh) == hash(m)
 
 
+def stepped_table(m):
+    """The lowered table ``acceptance_value`` steps ``m`` with: a Kwqfa's
+    table of live and accepting rows, with its full table left empty."""
+    table, _, _, kept = m._lowered
+    if kept is None:
+        return table
+    assert not table
+    return kept
+
+
 @pytest.mark.parametrize("m", zero_line_machines(),
                          ids=lambda m: f"{type(m).__name__}-{m.kind}-{m.n}")
 def test_a_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
@@ -231,7 +241,8 @@ def test_a_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
     fresh = replace(m)
     acceptance_value(fresh, "a")
     assert len(calls) == 2
-    assert "a" in fresh._lowered[0] and "b" not in fresh._lowered[0]
+    table = stepped_table(fresh)
+    assert "a" in table and "b" not in table
     for word in ("ab", "ba", "a"):
         acceptance_value(fresh, word)
     assert len(calls) == 3
@@ -303,33 +314,35 @@ def test_float_kwqfa_norm_bound_holds(monkeypatch):
 
 def test_float_mcqfa_norm_bound_holds_on_every_path(monkeypatch, tmp_path, capsys):
     """A rotation by 0.3 rad scaled by 1.09 passes the orthogonality check
-    at tolerance 0.2 (its Gram deviation is 1.09^2 - 1 = 0.188).  Its
-    accepting mass, 1.09^(2k) cos^2(0.3 k) after k symbols, is returned up
-    to 1.2 and refused past it, on every path: at length 8 it is 2.16."""
+    at tolerance 0.2 (its Gram deviation is 1.09^2 - 1 = 0.188).  After k
+    symbols the state's squared norm is 1.09^(2k): 1.19 at length 1, within
+    1.2, so that value is returned, and 1.41 at length 2, refused on every
+    path from there on, whatever the accepting mass 1.09^(2k) cos^2(0.3 k):
+    on "aaaaa" that mass is 0.0118 at a squared norm of 2.37."""
     monkeypatch.setattr(numeric, "EPSILON", 0.2)
     k, c, s = 1.09, math.cos(0.3), math.sin(0.3)
     m = Mcqfa(2, ("a",), {"a": Matrix.floats([[k * c, -k * s], [k * s, k * c]])}, {1})
-    values = dict(enumerate_values(m, 7))
+    values = dict(enumerate_values(m, 1))
     assert 1 < values[("a",)] == acceptance_value(m, "a") <= 1.2
     message = "^state vector norm exceeds 1$"
-    for word in ("a" * 8, "a" * 10):
+    for word in ("aa", "aaaaa", "a" * 8):
         with pytest.raises(ValueError, match=message):
             acceptance_value(m, word)
     with pytest.raises(ValueError, match=message):
-        list(enumerate_values(m, 8))
+        list(enumerate_values(m, 2))
     path = str(tmp_path / "grow.json")
     save_machine(path, m)
-    # The words the machine puts above 1/2 up to length 7, outside the band:
-    # lengths 0, 1, 2 and 7.  State q is length q - 1, and 9 is a sink.
-    dfa = {"alphabet": ["a"], "n": 9, "accepting": [1, 2, 3, 8],
-           "transitions": {str(q): {"a": min(q + 1, 9)} for q in range(1, 10)}}
+    # The machine puts both words up to length 1 above 1/2, outside the
+    # band.  State q is length q - 1, and 3 is a sink.
+    dfa = {"alphabet": ["a"], "n": 3, "accepting": [1, 2],
+           "transitions": {str(q): {"a": min(q + 1, 3)} for q in range(1, 4)}}
     oracle = tmp_path / "lengths.json"
     oracle.write_text(json.dumps(dfa))
     monkeypatch.setenv("QFA_EPSILON", "0.2")
     cut = ["--machine", path, "--cutpoint", "1/2", "--relation", "greater"]
-    assert main(["verify", *cut, "--oracle", f"dfa:{oracle}", "--maxlen", "7"]) == 0
-    for argv in (["classify", *cut, "--word", "a" * 8],
-                 ["verify", *cut, "--oracle", f"dfa:{oracle}", "--maxlen", "8"]):
+    assert main(["verify", *cut, "--oracle", f"dfa:{oracle}", "--maxlen", "1"]) == 0
+    for argv in (["classify", *cut, "--word", "aa"], ["classify", *cut, "--word", "aaaaa"],
+                 ["verify", *cut, "--oracle", f"dfa:{oracle}", "--maxlen", "2"]):
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: state vector norm exceeds 1\n"
@@ -476,11 +489,12 @@ def test_a_rational_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
     calls = []
     kernel = automata._kernel
     monkeypatch.setattr(automata, "_kernel",
-                        lambda lines, nil, split=None: calls.append(nil) or kernel(lines, nil, split))
+                        lambda lines, nil, masses=(): calls.append(nil) or kernel(lines, nil, masses))
     fresh = replace(m)
     acceptance_value(fresh, "a")
     assert calls == ["0", "0"]
-    assert "a" in fresh._lowered[0] and "b" not in fresh._lowered[0]
+    table = stepped_table(fresh)
+    assert "a" in table and "b" not in table
     for word in ("ab", "ba", "a"):
         acceptance_value(fresh, word)
     assert len(calls) == 3
