@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, count, islice, product
-from math import gcd, inf, isfinite, lcm, nextafter
+from math import gcd, inf, isfinite, lcm
 from operator import mul, ne
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -364,18 +364,11 @@ def _gamma(k: int) -> Fraction:
     return k * _UNIT / (1 - k * _UNIT)
 
 
-def _float_above(x: Fraction) -> float:
-    """The least float not below ``x`` (``inf`` past the largest float)."""
-    if x > sys.float_info.max:
-        return inf
-    f = float(x)
-    return f if f >= x else nextafter(f, inf)
-
-
-def _mass_factor(matrix: Matrix, m: int, live: int) -> float:
-    """``K`` of a float Kwqfa's certificates: from a finite live vector
-    ``v``, the three float masses of a full step by ``matrix`` add up to at
-    most ``K * sum(v_i * v_i)`` as floats compute it.
+def _mass_factor(matrix: Matrix, m: int, live: int) -> Fraction | float:
+    """``K`` of a float Kwqfa's run certificate, exact (``inf`` where the
+    matrix's deviation is not finite): from a finite live vector ``v``, the
+    three float masses of a full step by ``matrix`` add up to at most ``K *
+    sum(v_i * v_i)`` as floats compute it.
 
     With ``dev`` the largest entry of ``|U U^T - I|`` for ``U = matrix``,
     bounded from the float Gram (``orthogonality_deviation``) plus that
@@ -385,8 +378,7 @@ def _mass_factor(matrix: Matrix, m: int, live: int) -> float:
     and its norm is at most ``(rho + gamma_live ||U||_F) ||v||``; each mass
     sums at most ``m`` squares (``gamma_m``), and ``||v||^2`` is at most
     the float sum of squares over ``1 - gamma_live``.  ``2 rho ||U||_F <=
-    rho^2 + ||U||_F^2`` keeps every step rational, so ``K`` is exact, and
-    rounded up once."""
+    rho^2 + ||U||_F^2`` keeps every step rational."""
     g_m, g_live = _gamma(m), _gamma(live)
     dev = orthogonality_deviation(matrix)
     if not isfinite(dev):
@@ -394,20 +386,22 @@ def _mass_factor(matrix: Matrix, m: int, live: int) -> float:
     dev = (Fraction(dev) / (1 - _UNIT) + g_m) / (1 - g_m)
     rho2, frob2 = 1 + m * dev, m * (1 + dev)
     norm2 = rho2 + g_live * (rho2 + frob2) + g_live ** 2 * frob2
-    return _float_above((1 + g_m) * norm2 / (1 - g_live))
+    return (1 + g_m) * norm2 / (1 - g_live)
 
 
-def _run_bound(masses, factor: float, steps: int):
+def _run_bound(masses, factor: Fraction | float, steps: int):
     """An upper bound on ``T_0 ((1 + u) K)^steps``, the certificate of a
     float Kwqfa run (see ``_lower``), from the start state's three float
     masses, whose exact sum is ``T_0``, and ``K = factor``; ``inf`` where
     one of them is not finite.  With ``y = steps ((1 + u) K - 1)``, ``1 + x
     <= e^x`` and ``e^y <= 1 / (1 - y)`` for ``0 <= y < 1`` give ``T_0 / (1 -
     y)``, and ``inf`` from ``y >= 1``: exact in ``Fraction``s and as cheap
-    for any ``steps``, where the power itself carries 53 bits per step."""
-    if not all(map(isfinite, (*masses, factor))):
+    for any ``steps``, where the power itself carries 53 bits per step.
+    ``factor`` is compared with ``inf``, not passed to ``isfinite``: a
+    ``Fraction`` past the largest float overflows there."""
+    if factor == inf or not all(map(isfinite, masses)):
         return inf
-    y = steps * ((1 + _UNIT) * Fraction(factor) - 1)
+    y = steps * ((1 + _UNIT) * factor - 1)
     return sum(map(Fraction, masses)) / (1 - y) if y < 1 else inf
 
 
@@ -443,28 +437,31 @@ def _lower(machine: Machine):
 
     A measure-every-step read-out is the right end-marker's accepting rows
     over the live columns, lowered.  For a float machine it comes with the
-    factor of its read-out certificate (``_mass_factor`` of the right
-    end-marker), the start state's three masses and ``K``, the largest
-    ``_mass_factor`` over the input symbols and the right end-marker: the
-    run certificate that lets a sweep step with ``kept``.  Let ``T_t`` be
-    the exact sum of the floats ``accept``, ``reject`` and ``sum(v_i *
-    v_i)`` of the state after ``t`` symbols past the left end-marker.  A
-    step adds each new halting mass to its probability with one rounding,
-    and the step's three masses add up to at most ``K sum(v_i * v_i)``
-    while ``v`` is finite, so with ``K >= 1`` and ``u = 2^-53``::
+    start state's three masses and ``K``, the largest ``_mass_factor`` over
+    the input symbols and the right end-marker, exact: the run certificate
+    that lets a sweep step with ``kept`` and read out from those rows.  Let
+    ``T_t`` be the exact sum of the floats ``accept``, ``reject`` and
+    ``sum(v_i * v_i)`` of the state after ``t`` symbols past the left
+    end-marker.  A step adds each new halting mass to its probability with
+    one rounding, and the step's three masses add up to at most ``K sum(v_i
+    * v_i)`` while ``v`` is finite, so with ``K >= 1`` and ``u = 2^-53``::
 
         T_(t+1) <= (1 + u) (accept + reject) + (1 + u) K sum(v_i * v_i)
                 <= (1 + u) K T_t,   so   T_t <= T_0 ((1 + u) K)^t.
 
     The step's tests round ``accept + reject`` once more and read the live
     mass, at most ``T``, so both pass while ``(1 + u) T_t`` is within
-    ``stepper``'s ``bound``, which keeps ``v`` finite.  Its ``cap`` is at
-    most ``bound / (1 + u)``, so ``T_0 ((1 + u) K)^(L + 1) <= cap``
-    (``_run_bound``) shows that no step of a word of length ``L``, and no
-    full right end-marker step after it, can break a bound (underflow
-    aside, as for ``K``).  The accepting rows' product then gives that
-    step's accepted probability bit for bit, and the run needs neither the
-    rejecting rows nor the live mass."""
+    ``stepper``'s ``bound``, which keeps ``v`` finite.  So ``T_0 ((1 + u)
+    K)^(L + 1) <= bound / (1 + u)`` (``_run_bound``, compared exactly)
+    shows that no step of a word of length ``L``, and no full right
+    end-marker step after it, can break a bound (underflow aside, as for
+    ``K``).  The accepting rows' product then gives that step's accepted
+    probability bit for bit, and the run needs neither the rejecting rows
+    nor the live mass.
+
+    A float measure-once read-out is the right end-marker's rows with the
+    accepting ones first, lowered to also measure the accepted mass and the
+    squared norm after the end-marker (``_kernel``)."""
     exact = machine.kind == RATIONAL
     lower, trans, kept = _lower_exact if exact else _lower_float, machine.trans, None
 
@@ -491,16 +488,21 @@ def _lower(machine: Machine):
         start = [trans[CENT].entries[j][0] for j in order]
         final = lower(lines(trans[DOLLAR], order[a:r]))
         if not exact:
-            factors = [_mass_factor(trans[s], machine.n, a) for s in (*machine.sigma, DOLLAR)]
+            growth = max(_mass_factor(trans[s], machine.n, a) for s in (*machine.sigma, DOLLAR))
             parts = start[a:r], start[r:], start[:a]
-            masses = [sum(map(mul, part, part), 0.0) for part in parts]
-            final = final, factors[-1], masses, max(factors)
+            final = final, [sum(map(mul, part, part), 0.0) for part in parts], growth
     elif isinstance(machine, Mcqfa):
         # Column convention: entry j of U @ v is U's row j times v, and the
         # start state 1 makes the first step U_CENT's column 1.
         table = _Lazy(lambda matrix: lower(matrix.entries), trans)
         start = [row[0] for row in trans[CENT].entries]
-        final = lower(trans[DOLLAR].entries[q - 1] for q in machine.accepting)
+        rows = trans[DOLLAR].entries
+        accepting = [rows[q - 1] for q in machine.accepting]
+        if exact:
+            final = lower(accepting)
+        else:
+            rest = [row for q, row in enumerate(rows, 1) if q not in machine.accepting]
+            final = lower(accepting + rest, masses=((0, len(accepting)), (0, machine.n)))
     else:
         # Row convention: entry j of v @ A is v times A's column j.
         table = _Lazy(lambda matrix: lower(zip(*matrix.entries)), trans)
@@ -561,12 +563,14 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
     coordinates are zeroed.  The vector therefore keeps only the live
     (non-halting) coordinates, and a step multiplies only the live columns.
     Its read-out is the accepted probability after the right end-marker,
-    taken from that matrix's accepting rows (for a float machine, once
-    certified, below).  Given ``maxlen``, a rational machine, and a float
-    one whose run certificate holds for ``maxlen`` (``_lower``), steps
-    ``(vector, accept)`` through the live and accepting rows alone and reads
-    out from the accepting rows with no test; its values are the full
-    step's, bit for bit, and states that differ only in ``reject`` merge.
+    by one of two rules.  Given ``maxlen``, a rational machine, and a float
+    one whose run certificate holds for ``maxlen`` (``_lower``: an exact
+    ``K`` and cap), steps ``(vector, accept)`` through the live and
+    accepting rows alone and reads out from the end-marker's accepting rows
+    with no test; its values are the full step's, bit for bit, and states
+    that differ only in ``reject`` merge.  Every other run, an uncertified
+    float sweep or any call without ``maxlen``, reads out by the full
+    right end-marker step, which raises where a bound breaks.
     ``kwqfa_run``, which reports ``reject``, passes no ``maxlen``.
 
     A rational quantum machine is exactly orthogonal (checked at
@@ -582,16 +586,11 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
       ``measure`` checks the sums it is given, naming a non-finite entry
       (which makes a mass non-finite, since squares cannot cancel) before
       either bound.
-    * A measure-every-step read-out first certifies that the full step
-      would pass both bounds: ``accept + reject + K * |v|^2 <= 1 + EPSILON``
-      for the live vector ``v``, where ``K`` bounds how far the matrix and
-      the float rounding can stretch the squared norm (``_mass_factor``).  A
-      state that fails the test, or whose sums are not finite, takes the
-      full step, which raises where a bound breaks, so every read-out
-      returns what the full step would, bit for bit, or raises what it
-      would.  ``kwqfa_run`` takes the full step.
-    * A measure-once read-out checks the accepting mass and the state's
-      squared norm against the same bound, with one sum of squares each.
+    * A measure-once read-out checks the accepting mass and the squared
+      norms before and after the right end-marker against the same bound;
+      one kernel call gives the last two, the end-marker's accepting rows
+      coming first.
+    * A generalized read-out checks its value finite, as a step does.
     """
     if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
@@ -622,12 +621,12 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
             accepting, d = final
 
             def readout(state):
-                (nums, den), accept = state[:2]
+                (nums, den), accept = state
                 return (accept + _exact_mass(accepting(nums), den * d)).as_integer_ratio()
 
             init = measure(*start, 0, 0)
             if maxlen is None:
-                return init, advance, readout
+                return init, advance, lambda state: advance(state, DOLLAR)[1].as_integer_ratio()
             return init[:2], advance_kept, readout
 
         def advance(v, sym):
@@ -676,24 +675,12 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
                 return out[:a], accept, reject
             return measure(out, accept, reject, live)
 
-        # The test rounds at two levels (the product and the halting sum,
-        # then their sum) and the full step at one before it compares (its
-        # two halting sums), so the test's bound is shaved by (1 - u)^2 /
-        # (1 + u), rounded down.  The probabilities are never negative, and
-        # underflow adds far less than the half ulp by which the full step's
-        # sums round near a bound of at least 1.
-        cap = -_float_above(-Fraction(bound) * (1 - _UNIT) ** 2 / (1 + _UNIT))
-        accepting, factor, masses, growth = final
+        accepting, masses, growth = final
 
         def accepted(state):
-            out = accepting(state[0])
-            return state[1] + sum(map(mul, out, out), 0.0)
-
-        def readout(state):
-            vec, accept, reject = state
-            if accept + reject + factor * sum(map(mul, vec, vec), 0.0) <= cap:
-                return accepted(state)
-            return advance(state, DOLLAR)[1]
+            vec, accept = state
+            out = accepting(vec)
+            return accept + sum(map(mul, out, out), 0.0)
 
         def advance_kept(state, sym):
             vec, accept = state
@@ -701,8 +688,9 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
             return out[:a], accept + mass
 
         init = measure(start, *masses)
+        cap = Fraction(bound) / (1 + _UNIT)
         if maxlen is None or not _run_bound(masses, growth, maxlen + 1) <= cap:
-            return init, advance, readout
+            return init, advance, lambda state: advance(state, DOLLAR)[1]
         return init[:2], advance_kept, accepted
 
     def advance(v, sym):
@@ -713,16 +701,19 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
 
     if isinstance(machine, Mcqfa):
         def readout(v):
-            out = final(v)
-            mass, norm = sum(map(mul, out, out), 0.0), sum(map(mul, v, v), 0.0)
-            if not (mass <= bound and norm <= bound):
+            out, mass, after = final(v)
+            before = sum(map(mul, v, v), 0.0)
+            if not (mass <= bound and before <= bound and after <= bound):
                 _check_finite(out)
-                if not (mass <= slack and norm <= slack):
+                if not (mass <= slack and before <= slack and after <= slack):
                     raise ValueError("state vector norm exceeds 1")
             return mass
     else:
         def readout(v):
-            return final(v)[0] + 0.0
+            value = final(v)[0] + 0.0
+            if not isfinite(value):
+                _check_finite((value,))
+            return value
     return start, advance, readout
 
 

@@ -1,8 +1,10 @@
 """Every name a ``qfalab`` module imports is used in that module, no
-function in it is a pure pass-through of another, and no class in it is a
-namespace of static methods."""
+function in it is a pure pass-through of another, no class in it is a
+namespace of static methods, and every private module-level name is
+referenced somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -131,3 +133,62 @@ def test_the_scan_finds_a_namespace_class():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_class_is_a_namespace(path):
     assert _namespace_classes(ast.parse(path.read_text())) == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read under ``node``: loaded names, attribute names and names
+    imported from a module."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` of each module-level function, class or constant of
+    ``trees`` whose name starts with one ``_`` and that no module references
+    outside its own definition."""
+    everywhere = sum(map(_references, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = _references(node)
+            found += [f"{module}.{name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")
+                      and everywhere[name] == own[name]]
+    return found
+
+
+def test_the_scan_finds_an_unreferenced_private_name():
+    trees = {
+        "a": ast.parse(
+            "def _used(): pass\n"
+            "def _dead(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "def _by_attribute(): pass\n"
+            "_CONST = 1\n"
+            "_IMPORTED: int = 2\n"
+            "class _Gone: pass\n"
+            "__all__ = []\n"
+            "def public(): return _used()\n"
+        ),
+        "b": ast.parse("from .a import _IMPORTED\nfrom . import a\nx = a._by_attribute\n"),
+    }
+    assert _unreferenced_privates(trees) == ["a._dead", "a._recursive", "a._CONST", "a._Gone"]
+
+
+def test_every_private_name_is_referenced():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_privates(trees) == []

@@ -1,17 +1,13 @@
-"""A float Kwqfa read-out runs only the right end-marker's accepting rows,
-once the state's norm certifies that the full end-marker step passes its
-run bounds; otherwise it takes the full step.  A rational Kwqfa is exactly
-orthogonal, so it always reads out from the accepting rows.
+"""A Kwqfa reads out by one of two rules.  A sweep of known length steps a
+rational machine, and a float one whose run certificate holds for that
+length, through the live and accepting rows alone and reads out from the
+right end-marker's accepting rows: its values and states must be the full
+step's, bit for bit, less the rejected probability, and it must generate no
+kernel of the full table.  Every other run reads out by the full right
+end-marker step.
 
-Every read-out must give the full step's accepted mass bit for bit, and
-raise where the full step raises: the certificate never passes on such a
-state.  A read-out that takes the full step calls the right end-marker's
-full kernel, which the machine's lowered tables gain only then.
-
-A sweep of known length steps a rational Kwqfa, and a float one whose run
-certificate holds for that length, through the live and accepting rows
-alone: its values and states must be the full step's, bit for bit, less the
-rejected probability, and it must generate no kernel of the full table.
+The run certificate's ``K`` and cap are exact, so a float machine is
+certified for exactly the lengths the bound's closed form admits.
 """
 
 import json
@@ -20,7 +16,6 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
-from operator import mul
 from random import Random
 
 import pytest
@@ -58,103 +53,20 @@ def outcome(f, state):
         return f"raises {exc}"
 
 
-def full_readout(m, advance):
-    """The read-out as the full end-marker step gives it."""
-    def full(state):
-        accept = advance(state, DOLLAR)[1]
-        return accept.as_integer_ratio() if m.kind == RATIONAL else accept
-    return full
-
-
 def reached_states(m, maxlen):
-    """The distinct states the input symbols reach up to ``maxlen``, leaving
-    out the steps that raise."""
+    """The distinct full states the input symbols reach up to ``maxlen``."""
     init, advance, _ = stepper(m)
     level, seen = [init], {init}
     for _ in range(maxlen):
         nxt = []
         for state in level:
             for sym in m.sigma:
-                try:
-                    child = advance(state, sym)
-                except ValueError:
-                    continue
+                child = advance(state, sym)
                 if child not in seen:
                     seen.add(child)
                     nxt.append(child)
         level = nxt
     return list(seen)
-
-
-def check_readouts(m, states):
-    """Each read-out equals the full step's outcome; returns how many of
-    ``states`` read out without the full step (for a float machine, the
-    ones the certificate passed), and how many raise in the full step."""
-    _, advance, readout = stepper(m)
-    full = full_readout(m, advance)
-    calls = []
-    table = m._lowered[0]
-    counted = lambda kernel: lambda vec: calls.append(1) or kernel(vec)
-    if m.kind == RATIONAL:
-        kernel, d = table[DOLLAR]
-        table[DOLLAR] = counted(kernel), d
-    else:
-        table[DOLLAR] = counted(table[DOLLAR])
-    passed = raised = 0
-    for state in states:
-        want = outcome(full, state)
-        calls.clear()
-        got = outcome(readout, state)
-        fell_back = bool(calls)
-        assert got == want, state
-        if want.startswith("raises"):
-            raised += 1
-            assert fell_back, state
-        passed += not fell_back
-    return passed, raised
-
-
-def at_the_bound(m, states, rng):
-    """States of a float machine whose halting probabilities put the full
-    step at its first bound, or the certificate at its own, and just either
-    side of it: ``accept`` is the bound less the step's halting masses, or
-    less the squared live norm, each times ``1 + delta`` for small deltas of
-    both signs, moved by up to 4 ulps more, as accepted or rejected mass or
-    both.  Negative ones are left out: a run's probabilities never are."""
-    _, advance, _ = stepper(m)
-    bound = 1 + numeric.zero_tolerance()
-    out = []
-    for vec, _, _ in states:
-        _, accepted, rejected = advance((vec, 0.0, 0.0), DOLLAR)
-        norm2 = sum(x * x for x in vec)
-        for target in (accepted + rejected, norm2):
-            for delta in (-1e-15, 0.0, 1e-13, 1e-11, 1e-9, 1e-2, 1e-1):
-                accept = bound - target * (1 + delta)
-                for _ in range(rng.randint(0, 4)):
-                    accept = math.nextafter(accept, rng.choice((-math.inf, math.inf)))
-                if accept >= 0:
-                    # Halted into either set, or half and half.
-                    reject = accept * rng.choice((0, 1, 0.5))
-                    out.append((vec, accept - reject, reject))
-    return out
-
-
-def stretched_state(m):
-    """The unit live vector whose halting mass the right end-marker
-    stretches most (power iteration), as a state with nothing halted yet:
-    where the full step's halting masses come closest to the certificate's
-    factor times the squared norm."""
-    halting = m.q_acc | m.q_rej
-    live = [i for i in range(m.n) if i + 1 not in halting]
-    rows = [[row[i] for i in live] for j, row in enumerate(m.trans[DOLLAR].entries, 1)
-            if j in halting]
-    vec = [1.0] * len(live)
-    for _ in range(200):
-        out = [sum(map(mul, row, vec)) for row in rows]
-        vec = [sum(row[i] * x for row, x in zip(rows, out)) for i in range(len(live))]
-        norm = math.sqrt(sum(x * x for x in vec))
-        vec = [x / norm for x in vec]
-    return tuple(vec), 0.0, 0.0
 
 
 def givens_product(rng, n, kind, steps=12):
@@ -208,52 +120,22 @@ def swapping_kwqfa(rng, half, noise):
     return Kwqfa(2 * half, SIGMA, trans, {half + 1}, set(range(half + 2, 2 * half + 1)))
 
 
-# -- the certificate against the full step ---------------------------------
-
-
-@pytest.mark.parametrize("n", range(2, 11))
-def test_pipeline_readouts_are_the_full_steps_bits(n):
-    """Pipeline machines: every reached state and every state at the bound
-    reads out as the full step does, and the certificate passes on every
-    reached state."""
-    rng = Random(n)
-    m = pfa_to_nqfa(random_pfa(rng, n))
-    states = reached_states(m, 4)
-    assert check_readouts(m, states) == (len(states), 0)
-    passed, raised = check_readouts(m, at_the_bound(m, states, rng))
-    assert raised and passed
-
-
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("swapping", [False, True], ids=["mixing", "swapping"])
-def test_near_orthogonal_float_readouts_are_the_full_steps(monkeypatch, swapping, seed):
-    """Float Kwqfas with entries scaled by up to 1 +- 0.004, at tolerance
-    0.05, on reached states, the state the right end-marker stretches most,
-    and states at the bound."""
-    monkeypatch.setattr(numeric, "EPSILON", 0.05)
-    rng = Random(seed)
-    if swapping:
-        m = swapping_kwqfa(rng, rng.randint(2, 4), 0.004)
-    else:
-        m = random_kwqfa(rng, rng.randint(4, 7), FLOAT, noise=0.004)
-    states = reached_states(m, 4) + [stretched_state(m)]
-    passed, raised = check_readouts(m, states + at_the_bound(m, states, rng))
-    assert raised and passed
+# -- rational read-outs -----------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_rational_readouts_are_the_full_steps(seed):
     """An exactly orthogonal machine reads every reached state out from the
-    accepting rows, as the full step does, and conserves probability
-    exactly: on each reached state, and on the state after the full right
-    end-marker step from it, the accepted, rejected and surviving
-    probabilities add up to 1 as ``Fraction``s."""
+    accepting rows, giving what the full step gives, and conserves
+    probability exactly: on each reached state, and on the state after the
+    full right end-marker step from it, the accepted, rejected and
+    surviving probabilities add up to 1 as ``Fraction``s."""
     rng = Random(seed)
     m = random_kwqfa(rng, rng.randint(4, 6), RATIONAL)
-    states = reached_states(m, 3)
-    assert check_readouts(m, states) == (len(states), 0)
-    _, advance, _ = stepper(m)
-    for state in states:
+    _, advance, full = stepper(m)
+    _, _, accepting_rows = stepper(m, 3)
+    for state in reached_states(m, 3):
+        assert accepting_rows(state[:2]) == full(state)
         for reached in (state, advance(state, DOLLAR)):
             _, accept, reject = reached
             live = state_vector(m, reached).entries
@@ -387,10 +269,10 @@ def test_a_stretching_end_marker_is_refused_on_every_path(monkeypatch, tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_a_failed_certificate_still_reads_out_a_passing_step(monkeypatch):
+def test_an_uncertified_run_reads_out_a_passing_full_step(monkeypatch):
     """With t = 0.05 the stretch sends 1.1025, within the bound 1.2, but the
-    certificate's factor exceeds 1.4: the read-out takes the full step and
-    gives its value."""
+    run certificate's ``K`` exceeds 1.4: the read-out takes the full step
+    and gives its value."""
     monkeypatch.setattr(numeric, "EPSILON", 0.2)
     m = stretched_end_marker("halting")
     rows = [list(row) for row in m.trans[DOLLAR].entries]
@@ -476,13 +358,21 @@ def growing_rotation():
     return Kwqfa(2, ("a",), {"a": grow}, {2}, set())
 
 
-# ``(id, machine, tolerance, sweep length)``: stretched, noisy and
+def noisy_kwqfa(seed):
+    return random_kwqfa(Random(seed), 4 + seed % 4, FLOAT, noise=0.004)
+
+
+def noisy_swapping_kwqfa(seed):
+    return swapping_kwqfa(Random(seed), 2 + seed % 3, 0.004)
+
+
+# ``(id, machine, tolerance, sweep length)``: stretched, noisy, swapping and
 # overflowing machines, each built at the tolerance it passes construction.
 UNCERTIFIED = [
     *((f"stretched-{t}", partial(stretched_end_marker, t), 0.2, 2) for t in ("halting", "live")),
     ("growing-rotation", growing_rotation, 0.2, 4),
-    *((f"noisy-{seed}", partial(random_kwqfa, Random(seed), 4 + seed % 4, FLOAT, noise=0.004),
-       0.05, 4) for seed in range(4)),
+    *((f"noisy-{seed}", partial(noisy_kwqfa, seed), 0.05, 4) for seed in range(4)),
+    *((f"swapping-{seed}", partial(noisy_swapping_kwqfa, seed), 0.05, 4) for seed in range(4)),
     *((f"overflowing-{rows}", partial(spiking_kwqfa, (1e154, 0.0), {i: (1e154, 0.0) for i in rows}),
        1e308, 2) for rows in ((1,), (2,), (3,))),
     ("non-finite", partial(spiking_kwqfa, (1e200, 1e200), {1: (1e200, 0.0)}), math.inf, 2),
@@ -510,6 +400,54 @@ def test_uncertified_machines_keep_the_full_step(monkeypatch, build, tolerance, 
     assert not kept
 
 
+def admitted_length(m):
+    """The longest sweep length the exact certificate admits for a float
+    machine, by the closed form of ``_run_bound``: a length ``L`` needs ``y
+    = (L + 1) ((1 + u) K - 1) <= 1 - T_0 / cap`` with ``cap = bound / (1 +
+    u)``, exactly; -1 where no length, not even 0, is admitted."""
+    _, _, (_, masses, growth), _ = m._lowered
+    if growth == math.inf:
+        return -1
+    cap = Fraction(1 + numeric.zero_tolerance()) / (1 + automata._UNIT)
+    slack = 1 - sum(map(Fraction, masses)) / cap
+    return max(math.floor(slack / ((1 + automata._UNIT) * growth - 1)) - 1, -1)
+
+
+EDGE = [case for case in UNCERTIFIED if case[0].startswith(("stretched", "noisy", "swapping"))]
+
+
+@pytest.mark.parametrize("build, tolerance", [case[1:3] for case in EDGE],
+                         ids=[case[0] for case in EDGE])
+def test_the_certificate_admits_exactly_its_closed_form(monkeypatch, build, tolerance):
+    """At the longest admitted length ``L*`` (``admitted_length``) the sweep
+    steps the live and accepting rows: its values are ``kwqfa_run``'s by
+    ``repr``, and it generates no kernel of the full table; ``L* + 1`` is
+    not certified.  The stretched machines admit no length at all."""
+    monkeypatch.setattr(numeric, "EPSILON", tolerance)
+    m = build()
+    edge = admitted_length(m)
+    assert not certified(m, edge + 1)
+    if edge < 0:
+        return
+    assert certified(m, edge)
+    values = list(enumerate_values(m, edge))
+    assert not m._lowered[0]
+    for word, value in values:
+        assert repr(value) == repr(kwqfa_run(m, word).accept_prob), word
+
+
+def test_k_is_exact():
+    """``K`` is a ``Fraction`` of at least 1 for a finite matrix, ``inf``
+    for one whose Gram deviation is not finite, and a ``Fraction`` past the
+    largest float passes through ``_run_bound`` to ``inf``."""
+    for n in (1, 3, 8):
+        factor = automata._mass_factor(Matrix.identity(n, FLOAT), n, n)
+        assert type(factor) is Fraction and factor > 1
+    huge = Matrix.floats([[1e300, 0.0], [0.0, 1.0]])
+    assert automata._mass_factor(huge, 2, 2) == math.inf
+    assert automata._run_bound((0.25, 0.25, 0.5), Fraction(10 ** 400), 1) == math.inf
+
+
 @pytest.mark.parametrize("m", certified_machines()[::4])
 def test_the_run_bound_grows_with_the_length(m):
     """``_run_bound`` never falls as the length grows, always covers the
@@ -517,7 +455,7 @@ def test_the_run_bound_grows_with_the_length(m):
     power's exponent times ``(1 + u) K - 1`` reaches 1; so a machine
     certified for a length is certified for every shorter one.  These
     machines are certified to length 59 and far beyond."""
-    _, _, (_, _, masses, growth), _ = m._lowered
+    _, _, (_, masses, growth), _ = m._lowered
     t0, q = sum(map(Fraction, masses)), (1 + automata._UNIT) * Fraction(growth)
     bounds = [automata._run_bound(masses, growth, steps) for steps in range(60)]
     assert all(x <= y for x, y in zip(bounds, bounds[1:]))

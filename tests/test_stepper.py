@@ -279,6 +279,39 @@ def test_float_gpfa_overflow_raises():
         acceptance_value(g, "a")
 
 
+def test_a_non_finite_float_gpfa_value_is_refused_on_every_path(tmp_path, capsys):
+    """Finite vectors whose value overflows: 1e300 * 1e10 - 1e300 * 1e10 is
+    inf - inf, NaN, on every word, and one state gives inf.  The read-out
+    names the entry as a step does, and the command line exits 2."""
+    v0, f = RowVec([1e300, 1e300], FLOAT), ColVec([1e10, -1e10], FLOAT)
+    g = Gpfa(2, ("a",), {"a": Matrix.identity(2, FLOAT)}, v0, f)
+    with pytest.raises(ValueError, match="^non-finite float entry nan$"):
+        acceptance_value(g, "")
+    with pytest.raises(ValueError, match="^non-finite float entry nan$"):
+        list(enumerate_values(g, 1))
+    v0, f = RowVec([1e300], FLOAT), ColVec([1e10], FLOAT)
+    single = Gpfa(1, ("a",), {"a": Matrix.identity(1, FLOAT)}, v0, f)
+    with pytest.raises(ValueError, match="^non-finite float entry inf$"):
+        acceptance_value(single, "a")
+    path, single_path = str(tmp_path / "g.json"), str(tmp_path / "single.json")
+    save_machine(path, g)
+    save_machine(single_path, single)
+    everything = tmp_path / "all.json"
+    everything.write_text(json.dumps(
+        {"alphabet": ["a"], "n": 1, "accepting": [1], "transitions": {"1": {"a": 1}}}))
+    cut = ["--cutpoint", "0", "--relation", "greater"]
+    for argv, bad in (
+        (["simulate", "--machine", path, "--word", "", "--json"], "nan"),
+        (["classify", "--machine", path, "--word", "", *cut], "nan"),
+        (["verify", "--machine", path, *cut, "--oracle", f"dfa:{everything}", "--maxlen", "1"],
+         "nan"),
+        (["simulate", "--machine", single_path, "--word", "a", "--json"], "inf"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: non-finite float entry {bad}\n")
+
+
 @pytest.mark.parametrize("kind", [RATIONAL, FLOAT])
 def test_kwqfa_halting_bound_holds_on_every_path(monkeypatch, kind):
     """A scaled rotation passes the float orthogonality check at tolerance
@@ -346,6 +379,31 @@ def test_float_mcqfa_norm_bound_holds_on_every_path(monkeypatch, tmp_path, capsy
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: state vector norm exceeds 1\n"
+
+
+def test_a_stretching_mcqfa_end_marker_is_refused(monkeypatch, tmp_path, capsys):
+    """The 1.09-scaled rotation by 0.3 rad as both "a" and the right
+    end-marker, at tolerance 0.2.  On the empty word the end-marker takes
+    the squared norm from 1 to 1.09^2 = 1.188, within 1.2, so the value is
+    returned; on "a" it takes it from 1.188, within the bound, to 1.41,
+    which every path refuses."""
+    monkeypatch.setattr(numeric, "EPSILON", 0.2)
+    k, c, s = 1.09, math.cos(0.3), math.sin(0.3)
+    rotation = Matrix.floats([[k * c, -k * s], [k * s, k * c]])
+    m = Mcqfa(2, ("a",), {"a": rotation, DOLLAR: rotation}, {1})
+    assert math.isclose(acceptance_value(m, ""), (k * c) ** 2, rel_tol=1e-12)
+    message = "^state vector norm exceeds 1$"
+    with pytest.raises(ValueError, match=message):
+        acceptance_value(m, "a")
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_values(m, 1))
+    path = str(tmp_path / "stretch.json")
+    save_machine(path, m)
+    monkeypatch.setenv("QFA_EPSILON", "0.2")
+    capsys.readouterr()
+    assert main(["classify", "--machine", path, "--word", "a", "--cutpoint", "1/2",
+                 "--relation", "greater"]) == 2
+    assert capsys.readouterr().err == "error: state vector norm exceeds 1\n"
 
 
 # -- a float Kwqfa kernel that also measures -------------------------------
