@@ -11,7 +11,8 @@ Four automaton families share this module:
   the alphabet plus markers, disjoint accepting/rejecting state sets, and
   amplitudes that are measured out after each symbol.
 * ``Mcqfa``  -- measure-once quantum automaton: unitary evolution over the
-  marked input with a single observation at the end.
+  marked input with a single observation at the end, evaluated as a
+  measure-every-step run that measures nothing before the right end-marker.
 
 All four are frozen dataclasses over one base, ``_Machine``, which holds the
 fields ``n``, ``sigma`` and ``trans``, checks them once for every kind (a
@@ -341,9 +342,18 @@ def _reduced(nums, den):
     return tuple(x // g for x in nums), den // g
 
 
-def _exact_mass(nums, den):
-    """The squared mass of the exact vector ``nums / den``."""
-    return Fraction(sum(x * x for x in nums), den * den)
+def _add_mass(prob, nums, den):
+    """``prob + |nums|^2 / den^2`` for a probability kept as the integer
+    pair ``(num, den)`` in lowest terms, also in lowest terms; ``prob``
+    itself where the mass is 0."""
+    mass = sum(map(mul, nums, nums))
+    if not mass:
+        return prob
+    p, q = prob
+    den *= den
+    num, den = p * den + mass * q, q * den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _check_finite(vec):
@@ -405,9 +415,20 @@ def _run_bound(masses, factor: Fraction | float, steps: int):
     return sum(map(Fraction, masses)) / (1 - y) if y < 1 else inf
 
 
-def _live_states(m: Kwqfa) -> list[int]:
+def _measured(m: Kwqfa | Mcqfa) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The accepting and rejecting states a quantum machine measures after
+    every symbol, and the states a run ends accepted in.  A measure-once run
+    is a measure-every-step run that halts nowhere before the right
+    end-marker (Moore & Crutchfield, TCS 237, 2000)."""
+    if isinstance(m, Kwqfa):
+        return m.q_acc, m.q_rej, m.q_acc
+    return frozenset(), frozenset(), m.accepting
+
+
+def _live_states(m: Kwqfa | Mcqfa) -> list[int]:
     """0-based indices of the states a measurement never zeroes."""
-    halting = m.q_acc | m.q_rej
+    acc, rej, _ = _measured(m)
+    halting = acc | rej
     return [i for i in range(m.n) if i + 1 not in halting]
 
 
@@ -431,18 +452,18 @@ def _lower(machine: Machine):
     """The tables ``stepper`` steps with, as ``(table, start, final,
     kept)``: each symbol's matrix lowered for the machine's kind (on first
     use, see ``_Lazy``), the start vector, the lowered read-out, and for a
-    measure-every-step machine a second such table over the live and
-    accepting rows alone (``None`` for the other kinds).
-    ``_Machine._lowered`` keeps them on the machine.
+    quantum machine a second such table over the live and accepting rows
+    alone (``None`` for the other kinds).  ``_Machine._lowered`` keeps them
+    on the machine.
 
-    A measure-every-step read-out is the right end-marker's accepting rows
-    over the live columns, lowered.  For a float machine it comes with the
-    start state's three masses and ``K``, the largest ``_mass_factor`` over
-    the input symbols and the right end-marker, exact: the run certificate
-    that lets a sweep step with ``kept`` and read out from those rows.  Let
-    ``T_t`` be the exact sum of the floats ``accept``, ``reject`` and
-    ``sum(v_i * v_i)`` of the state after ``t`` symbols past the left
-    end-marker.  A step adds each new halting mass to its probability with
+    A quantum read-out is the right end-marker's rows for the states a run
+    ends accepted in (``_measured``), over the live columns, lowered.  For a
+    float machine it comes with the start state's three masses and ``K``,
+    the largest ``_mass_factor`` over the input symbols and the right
+    end-marker, exact: the run certificate that lets a sweep step with
+    ``kept`` and read out from those rows.  Let ``T_t`` be the exact sum of
+    the floats ``accept``, ``reject`` and ``sum(v_i * v_i)`` of the state
+    after ``t`` symbols past the left end-marker.  A step adds each new halting mass to its probability with
     one rounding, and the step's three masses add up to at most ``K sum(v_i
     * v_i)`` while ``v`` is finite, so with ``K >= 1`` and ``u = 2^-53``::
 
@@ -457,23 +478,22 @@ def _lower(machine: Machine):
     end-marker step after it, can break a bound (underflow aside, as for
     ``K``).  The accepting rows' product then gives that step's accepted
     probability bit for bit, and the run needs neither the rejecting rows
-    nor the live mass.
-
-    A float measure-once read-out is the right end-marker's rows with the
-    accepting ones first, lowered to also measure the accepted mass and the
-    squared norm after the end-marker (``_kernel``)."""
+    nor the live mass."""
     exact = machine.kind == RATIONAL
     lower, trans, kept = _lower_exact if exact else _lower_float, machine.trans, None
 
-    if isinstance(machine, Kwqfa):
-        # Rows run live, accepting, rejecting, so each measurement splits
-        # the output at two points; columns are the live states only.  A
-        # float kernel also measures (see ``_kernel``): all three masses in
-        # ``table``, the accepted one alone in ``kept``.
+    if isinstance(machine, (Kwqfa, Mcqfa)):
+        # Column convention: entry j of U @ v is U's row j times v, and the
+        # start state 1 makes the first step U_CENT's column 1.  Rows run
+        # live, accepting, rejecting, so each measurement splits the output
+        # at two points; columns are the live states only.  A float kernel
+        # also measures (see ``_kernel``): all three masses in ``table``,
+        # the accepted one alone in ``kept``.
+        acc, rej, ends = _measured(machine)
         live = _live_states(machine)
-        order = live + [q - 1 for q in machine.q_acc]
+        order = live + [q - 1 for q in acc]
         a, r = len(live), len(order)
-        order += [q - 1 for q in machine.q_rej]
+        order += [q - 1 for q in rej]
 
         def lines(matrix, targets):
             rows = matrix.entries
@@ -486,23 +506,11 @@ def _lower(machine: Machine):
         table = lowered(order, ((a, r), (r, len(order)), (0, a)))
         kept = lowered(order[:r], ((a, r),))
         start = [trans[CENT].entries[j][0] for j in order]
-        final = lower(lines(trans[DOLLAR], order[a:r]))
+        final = lower(lines(trans[DOLLAR], [q - 1 for q in ends]))
         if not exact:
             growth = max(_mass_factor(trans[s], machine.n, a) for s in (*machine.sigma, DOLLAR))
             parts = start[a:r], start[r:], start[:a]
             final = final, [sum(map(mul, part, part), 0.0) for part in parts], growth
-    elif isinstance(machine, Mcqfa):
-        # Column convention: entry j of U @ v is U's row j times v, and the
-        # start state 1 makes the first step U_CENT's column 1.
-        table = _Lazy(lambda matrix: lower(matrix.entries), trans)
-        start = [row[0] for row in trans[CENT].entries]
-        rows = trans[DOLLAR].entries
-        accepting = [rows[q - 1] for q in machine.accepting]
-        if exact:
-            final = lower(accepting)
-        else:
-            rest = [row for q, row in enumerate(rows, 1) if q not in machine.accepting]
-            final = lower(accepting + rest, masses=((0, len(accepting)), (0, machine.n)))
     else:
         # Row convention: entry j of v @ A is v times A's column j.
         table = _Lazy(lambda matrix: lower(zip(*matrix.entries)), trans)
@@ -522,8 +530,8 @@ def _lower(machine: Machine):
 def stepper(machine: Machine, maxlen: Optional[int] = None):
     """The machine's semantics as a prefix-incremental evaluator
     ``(init, advance, readout)``; ``maxlen``, when given, is the longest
-    word the caller will step, which lets a measure-every-step run drop
-    what its value does not need (below).
+    word the caller will step, which lets a quantum run drop what its value
+    does not need (below).
 
     ``init`` is the state after the left end-marker (if the model has one),
     ``advance(state, sym)`` reads one input symbol, and ``readout(state)``
@@ -557,21 +565,22 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
     compensates float rounding and the generated sums add plainly, so values
     agree to rounding); ``state_vector`` turns a state back into a vector.
 
-    A measure-every-step state is ``(vector, accept, reject)``: after each
-    unitary step the accepting and rejecting coordinates are measured, their
-    squared amplitudes accumulate into the two probabilities, and the
-    coordinates are zeroed.  The vector therefore keeps only the live
-    (non-halting) coordinates, and a step multiplies only the live columns.
-    Its read-out is the accepted probability after the right end-marker,
-    by one of two rules.  Given ``maxlen``, a rational machine, and a float
-    one whose run certificate holds for ``maxlen`` (``_lower``: an exact
-    ``K`` and cap), steps ``(vector, accept)`` through the live and
-    accepting rows alone and reads out from the end-marker's accepting rows
-    with no test; its values are the full step's, bit for bit, and states
-    that differ only in ``reject`` merge.  Every other run, an uncertified
-    float sweep or any call without ``maxlen``, reads out by the full
-    right end-marker step, which raises where a bound breaks.
-    ``kwqfa_run``, which reports ``reject``, passes no ``maxlen``.
+    A quantum state is ``(vector, accept, reject)``: after each unitary
+    step the halting coordinates (``_measured``; none for a measure-once
+    machine) are measured, their squared amplitudes accumulate into the two
+    probabilities (rational ones as integer pairs ``(num, den)`` in lowest
+    terms), and the coordinates are zeroed.  The vector therefore keeps only
+    the live coordinates, and a step multiplies only the live columns.  The
+    read-out adds the accepted mass of the right end-marker step to
+    ``accept``.  Given ``maxlen``, a rational machine, and a float one whose
+    run certificate holds for ``maxlen`` (``_lower``: an exact ``K`` and
+    cap), steps ``(vector, accept)`` through the live and accepting rows
+    alone and reads out from the end-marker's accepting rows with no test;
+    its values are the full step's, bit for bit, and states that differ
+    only in ``reject`` merge.  Every other run, an uncertified float sweep
+    or any call without ``maxlen``, reads out the same way, a float one
+    after the full right end-marker step, which raises where a bound
+    breaks.  ``kwqfa_run``, which reports ``reject``, passes no ``maxlen``.
 
     A rational quantum machine is exactly orthogonal (checked at
     construction) and starts from a column of its left end-marker's matrix,
@@ -580,32 +589,29 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
     check no bound.  A float one may stretch a vector within its tolerance,
     so its run must stay within ``1 + EPSILON``:
 
-    * A measure-every-step kernel also returns the step's three squared
-      masses, and the step passes when the halting probabilities and the
-      live norm stay within the bound (NaN fails both); otherwise
-      ``measure`` checks the sums it is given, naming a non-finite entry
-      (which makes a mass non-finite, since squares cannot cancel) before
-      either bound.
-    * A measure-once read-out checks the accepting mass and the squared
-      norms before and after the right end-marker against the same bound;
-      one kernel call gives the last two, the end-marker's accepting rows
-      coming first.
+    * A quantum kernel also returns the step's three squared masses, and
+      the step passes when the halting probabilities and the live norm stay
+      within the bound (NaN fails both); otherwise ``measure`` checks the
+      sums it is given, naming a non-finite entry (which makes a mass
+      non-finite, since squares cannot cancel) before either bound.  So a
+      measure-once run is bounded after every symbol, not only at its end.
     * A generalized read-out checks its value finite, as a step does.
     """
     if not isinstance(machine, _Machine):
         raise TypeError(f"not a machine: {machine!r}")
     table, start, final, kept = machine._lowered
+    if quantum := isinstance(machine, (Kwqfa, Mcqfa)):
+        acc, rej, _ = _measured(machine)
+        r = machine.n - len(rej)
+        a = r - len(acc)
 
     if machine.kind == RATIONAL:
-        if isinstance(machine, Kwqfa):
+        if quantum:
             # Measure after every symbol.  The live part is reduced once cut
             # out: without the halting coordinates its gcd may exceed 1.
-            r = machine.n - len(machine.q_rej)
-            a = r - len(machine.q_acc)
-
             def measure(nums, den, accept, reject):
-                return (_reduced(nums[:a], den), accept + _exact_mass(nums[a:r], den),
-                        reject + _exact_mass(nums[r:], den))
+                return (_reduced(nums[:a], den), _add_mass(accept, nums[a:r], den),
+                        _add_mass(reject, nums[r:], den))
 
             def advance(state, sym):
                 (nums, den), accept, reject = state
@@ -616,17 +622,18 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
                 (nums, den), accept = state
                 kernel, d = kept[sym]
                 nums, den = kernel(nums), den * d
-                return _reduced(nums[:a], den), accept + _exact_mass(nums[a:], den)
+                return _reduced(nums[:a], den), _add_mass(accept, nums[a:], den)
 
             accepting, d = final
 
             def readout(state):
-                (nums, den), accept = state
-                return (accept + _exact_mass(accepting(nums), den * d)).as_integer_ratio()
+                (nums, den), (p, q) = state
+                out, den = accepting(nums), (den * d) ** 2
+                return p * den + sum(map(mul, out, out)) * q, q * den
 
-            init = measure(*start, 0, 0)
+            init = measure(*start, (0, 1), (0, 1))
             if maxlen is None:
-                return init, advance, lambda state: advance(state, DOLLAR)[1].as_integer_ratio()
+                return init, advance, lambda state: readout(state[:2])
             return init[:2], advance_kept, readout
 
         def advance(v, sym):
@@ -638,14 +645,7 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
             return tuple([x // g for x in out]), den // g
 
         kernel, d = final
-        if isinstance(machine, Mcqfa):
-            def readout(v):
-                out = kernel(v[0])
-                return sum(map(mul, out, out)), (v[1] * d) ** 2
-        else:
-            def readout(v):
-                return kernel(v[0])[0], v[1] * d
-        return start, advance, readout
+        return start, advance, lambda v: (kernel(v[0])[0], v[1] * d)
 
     slack = 1 + zero_tolerance()
     # ``slack`` capped to a finite float: a non-finite entry makes a mass
@@ -653,10 +653,7 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
     # infinite tolerance.
     bound = min(slack, sys.float_info.max)
 
-    if isinstance(machine, Kwqfa):
-        r = machine.n - len(machine.q_rej)
-        a = r - len(machine.q_acc)
-
+    if quantum:
         def measure(out, accept, reject, live):
             if not (accept + reject <= bound and live <= bound):
                 _check_finite(out)
@@ -689,9 +686,13 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
 
         init = measure(start, *masses)
         cap = Fraction(bound) / (1 + _UNIT)
-        if maxlen is None or not _run_bound(masses, growth, maxlen + 1) <= cap:
-            return init, advance, lambda state: advance(state, DOLLAR)[1]
-        return init[:2], advance_kept, accepted
+        if maxlen is not None and _run_bound(masses, growth, maxlen + 1) <= cap:
+            return init[:2], advance_kept, accepted
+
+        def checked(state):
+            advance(state, DOLLAR)  # for its bound checks
+            return accepted(state[:2])
+        return init, advance, checked
 
     def advance(v, sym):
         out = table[sym](v)
@@ -699,30 +700,20 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
             _check_finite(out)
         return out
 
-    if isinstance(machine, Mcqfa):
-        def readout(v):
-            out, mass, after = final(v)
-            before = sum(map(mul, v, v), 0.0)
-            if not (mass <= bound and before <= bound and after <= bound):
-                _check_finite(out)
-                if not (mass <= slack and before <= slack and after <= slack):
-                    raise ValueError("state vector norm exceeds 1")
-            return mass
-    else:
-        def readout(v):
-            value = final(v)[0] + 0.0
-            if not isfinite(value):
-                _check_finite((value,))
-            return value
+    def readout(v):
+        value = final(v)[0] + 0.0
+        if not isfinite(value):
+            _check_finite((value,))
+        return value
     return start, advance, readout
 
 
 def state_vector(machine: Machine, state) -> RowVec | ColVec:
     """The vector a ``stepper`` state stands for: a row vector for the
-    probabilistic kinds, a column vector for the quantum ones, with a
-    measure-every-step machine's halting coordinates restored as zeros."""
-    kind = machine.kind
-    vec = state[0] if isinstance(machine, Kwqfa) else state
+    probabilistic kinds, a column vector for the quantum ones, with the
+    halting coordinates restored as zeros."""
+    kind, quantum = machine.kind, isinstance(machine, (Kwqfa, Mcqfa))
+    vec = state[0] if quantum else state
     # Where ``sum`` gives 0.0, a generated sum may give -0.0 (it has no 0.0
     # to start from); adding 0.0, as the read-outs do, gives the same bits
     # as the ``numeric`` products.
@@ -731,14 +722,12 @@ def state_vector(machine: Machine, state) -> RowVec | ColVec:
         entries = [Fraction(x, den) for x in nums]
     else:
         entries = [x + 0.0 for x in vec]
-    if isinstance(machine, (Pfa, Gpfa)):
+    if not quantum:
         return RowVec(entries, kind)
-    if isinstance(machine, Kwqfa):
-        full = [zero(kind)] * machine.n
-        for i, x in zip(_live_states(machine), entries):
-            full[i] = x
-        entries = full
-    return ColVec(entries, kind)
+    full = [zero(kind)] * machine.n
+    for i, x in zip(_live_states(machine), entries):
+        full[i] = x
+    return ColVec(full, kind)
 
 
 def acceptance_value(machine: Machine, w: WordLike) -> Scalar:
@@ -757,6 +746,8 @@ def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
     tape = (*_check_word(m.sigma, w), DOLLAR)
     states = list(accumulate(tape, advance, initial=init))
     _, accept, reject = states[-1]
+    if m.kind == RATIONAL:
+        accept, reject = Fraction(*accept), Fraction(*reject)
     return RunTrace(accept, reject, tuple(state_vector(m, state) for state in states))
 
 

@@ -8,6 +8,7 @@ exactly equal where every entry is dyadic, so the fold rounds nothing.
 """
 
 import gc
+import hashlib
 import json
 import math
 import re
@@ -39,7 +40,7 @@ from qfalab.automata import (
     state_vector,
     stepper,
 )
-from qfalab.cli import main, save_machine
+from qfalab.cli import _demo_machines, main, save_machine
 from qfalab.constructions import pfa_to_nqfa
 from qfalab.numeric import FLOAT, RATIONAL, ColVec, Matrix, RowVec, mat_mul, one, zero
 
@@ -220,8 +221,9 @@ def test_lowered_tables_stay_on_the_machine(monkeypatch, m):
 
 
 def stepped_table(m):
-    """The lowered table ``acceptance_value`` steps ``m`` with: a Kwqfa's
-    table of live and accepting rows, with its full table left empty."""
+    """The lowered table ``acceptance_value`` steps ``m`` with: a quantum
+    machine's table of live and accepting rows, with its full table left
+    empty."""
     table, _, _, kept = m._lowered
     if kept is None:
         return table
@@ -233,7 +235,8 @@ def stepped_table(m):
                          ids=lambda m: f"{type(m).__name__}-{m.kind}-{m.n}")
 def test_a_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
     """A one-symbol word on a fresh two-symbol machine generates two kernels:
-    the symbol's and the read-out (for a Kwqfa, the right end-marker's)."""
+    the symbol's and the read-out (for a quantum machine, the right
+    end-marker's)."""
     calls = []
     lower = automata._lower_float
     counted = lambda lines, **split: calls.append(1) or lower(lines, **split)
@@ -253,7 +256,7 @@ def test_a_dropped_float_machine_frees_its_kernels_at_once():
     machine, without waiting for the cycle collector."""
     m = Mcqfa(2, ("a",), {"a": Matrix.floats([[0.6, -0.8], [0.8, 0.6]])}, frozenset({2}))
     acceptance_value(m, "a")
-    kernel = weakref.ref(m._lowered[0]["a"])
+    kernel = weakref.ref(stepped_table(m)["a"])
     gc.disable()
     try:
         del m
@@ -406,6 +409,41 @@ def test_a_stretching_mcqfa_end_marker_is_refused(monkeypatch, tmp_path, capsys)
     assert capsys.readouterr().err == "error: state vector norm exceeds 1\n"
 
 
+def test_an_mcqfa_that_stretches_mid_run_is_refused(monkeypatch, tmp_path, capsys):
+    """The rotation by 0.3 rad scaled by 1.09 as "a" and by 0.92 as "b", at
+    tolerance 0.2: the squared norm is 1.41 after "aa" and back to 1.19
+    after "aab", so a run bounded only at its ends would return a value
+    for "aab" (0.4617).  Every step is bounded, so every path refuses it,
+    as it refuses the same matrices in a Kwqfa."""
+    monkeypatch.setattr(numeric, "EPSILON", 0.2)
+    c, s = math.cos(0.3), math.sin(0.3)
+    scaled = lambda k: Matrix.floats([[k * c, -k * s], [k * s, k * c]])
+    m = Mcqfa(2, SIGMA, {"a": scaled(1.09), "b": scaled(0.92)}, {1})
+    # Squared norms 1.19 after "a" and 1.01 after "ab": within the bound.
+    assert 0 < acceptance_value(m, "ab") < acceptance_value(m, "a") <= 1.2
+    block = lambda k: Matrix.floats([[*row, 0.0] for row in scaled(k).entries] + [[0.0, 0.0, 1.0]])
+    twin = Kwqfa(3, SIGMA, {"a": block(1.09), "b": block(0.92)}, {3}, set())
+    message = "^state vector norm exceeds 1$"
+    for word in ("aa", "aab"):
+        for machine in (m, twin):
+            with pytest.raises(ValueError, match=message):
+                acceptance_value(machine, word)
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_values(m, 3))
+    path = str(tmp_path / "stretch.json")
+    save_machine(path, m)
+    everything = tmp_path / "all.json"
+    everything.write_text(json.dumps({"alphabet": list(SIGMA), "n": 1, "accepting": [1],
+                                      "transitions": {"1": {"a": 1, "b": 1}}}))
+    monkeypatch.setenv("QFA_EPSILON", "0.2")
+    cut = ["--machine", path, "--cutpoint", "1/2", "--relation", "greater"]
+    for argv in (["classify", *cut, "--word", "aab"],
+                 ["verify", *cut, "--oracle", f"dfa:{everything}", "--maxlen", "3"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: state vector norm exceeds 1\n"
+
+
 # -- a float Kwqfa kernel that also measures -------------------------------
 
 
@@ -532,7 +570,7 @@ def test_zero_rational_lines_stay_integers(m):
                                         if type(f) is type(m) and f.n == m.n), 3))
     for word, value in enumerate_values(m, 3):
         state = reduce(advance, word, init)
-        nums, den = state[0] if isinstance(m, Kwqfa) else state
+        nums, den = state[0] if isinstance(m, (Kwqfa, Mcqfa)) else state
         assert all(type(x) is int for x in (*nums, den))
         assert [type(x) for x in readout(state)] == [int, int]
         assert type(value) is Fraction and value == floats[word]
@@ -563,7 +601,7 @@ def test_a_dropped_rational_machine_frees_its_kernels_at_once():
                                                  [Fraction(4, 5), Fraction(3, 5)]])},
               frozenset({2}))
     acceptance_value(m, "a")
-    kernel = weakref.ref(m._lowered[0]["a"][0])
+    kernel = weakref.ref(stepped_table(m)["a"][0])
     gc.disable()
     try:
         del m
@@ -576,11 +614,11 @@ def test_a_dropped_rational_machine_frees_its_kernels_at_once():
 
 
 def exact_machines():
-    """Rational Pfa, Gpfa and Mcqfa: the seeded ones and the rational twins
-    of the zero-line machines, whose all-zero lines reach a zero vector."""
+    """Rational machines of every kind: the seeded ones and the rational
+    twins of the zero-line machines, whose all-zero lines reach a zero
+    vector."""
     twins = [rational_twin(m) for m in zero_line_machines()]
-    return [m for m in machines() + twins
-            if m.kind == RATIONAL and not isinstance(m, Kwqfa)]
+    return [m for m in machines() + twins if m.kind == RATIONAL]
 
 
 def exact_sweep(m, maxlen):
@@ -596,10 +634,17 @@ def exact_sweep(m, maxlen):
 
 @pytest.mark.parametrize("m", exact_machines(), ids=lambda m: f"{type(m).__name__}-{m.n}")
 def test_rational_states_stay_in_lowest_terms(m):
-    """A state's gcd is 1, so an all-zero vector is ``((0, ...), 1)``."""
+    """A state's gcd is 1, so an all-zero vector is ``((0, ...), 1)``; a
+    quantum state's accepted and rejected probabilities are pairs of ints
+    in lowest terms too."""
     states, outs = exact_sweep(m, 5)
-    for nums, den in states:
+    quantum = isinstance(m, (Kwqfa, Mcqfa))
+    for state in states:
+        (nums, den), *probs = state if quantum else (state,)
         assert type(nums) is tuple and den > 0 and gcd(*nums, den) == 1
+        assert len(probs) == (2 if quantum else 0)
+        for num, den in probs:
+            assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
     for num, den in outs:
         assert type(num) is int and type(den) is int and den > 0
 
@@ -646,3 +691,27 @@ def test_fused_float_kwqfa_steps_match_a_numeric_fold(seed):
     m = pfa_to_nqfa(random_pfa(rng, rng.randint(2, 8)))
     for word in words_up_to(SIGMA, 4):
         assert repr(kwqfa_run(m, word)) == repr(numeric_kwqfa_run(m, word))
+
+
+# The digest of every quantum value below, pinned on CPython 3.11.7.
+QUANTUM_VALUES = (55, 11959, "a2102f0d9e05735ba5abd267be269c4993c83a659205a4c489f87b51217c527b")
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from 3.12 numeric's sum compensates float rounding")
+def test_quantum_values_are_pinned_bit_for_bit():
+    """The quantum machines of ``machines()`` and the demo machines, by the
+    ``repr`` of their values to length 6, of ``acceptance_value`` on the
+    first 40 of those words, and for a Kwqfa of ``kwqfa_run`` on them: a
+    change to how a run is stepped or read out must keep every bit."""
+    quantum = [m for m in machines() if isinstance(m, (Kwqfa, Mcqfa))]
+    digest, count = hashlib.sha256(), 0
+    for m in quantum + list(_demo_machines().values()):
+        values = list(enumerate_values(m, 6))
+        words = [word for word, _ in values[:40]]
+        count += len(values)
+        digest.update(repr(values).encode())
+        digest.update(repr([acceptance_value(m, word) for word in words]).encode())
+        if isinstance(m, Kwqfa):
+            digest.update(repr([kwqfa_run(m, word) for word in words]).encode())
+    assert (len(quantum) + 5, count, digest.hexdigest()) == QUANTUM_VALUES
