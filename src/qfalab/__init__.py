@@ -46,7 +46,6 @@ from .cutpoint import (
     CutpointSpec,
     classify_value,
     equivalent_under_separation_bounded,
-    member_at_cutpoint,
     one_sided_zero_check,
 )
 from .languages import LanguageOracle, dfa_oracle, free_reduce, oracle

@@ -58,7 +58,7 @@ from .constructions import (
     unitary_complete,
     word_problem_gpfa,
 )
-from .cutpoint import RELATIONS, CutpointSpec, check_cutpoint_range, classify_machine_value
+from .cutpoint import EQUAL, RELATION_CELLS, RELATIONS, CutpointSpec, cell_test, check_cutpoint_range
 from .languages import DocumentError, LanguageOracle, complement, dfa_oracle, oracle
 from .languages import _field, _integer, _object, _states, _strings  # the document readers
 from .numeric import (
@@ -382,13 +382,18 @@ def _cmd_classify(args) -> int:
     spec = CutpointSpec(_machine_cut(machine, args.cutpoint), args.relation)
     check_cutpoint_range(machine, spec.lam)
     value = acceptance_value(machine, word)
+    # A float in the ``equal`` cell's band is undecided, as in ``verify``.
+    floating = machine.kind == FLOAT
+    cell = cell_test(machine, spec.lam)(value if floating else value.as_integer_ratio())
     _emit(
         {
             "word": "".join(word),
             "value": _encode_scalar(value),
             "cutpoint": args.cutpoint,
             "relation": args.relation,
-            "member": classify_machine_value(machine, value, spec),
+            "member": cell in RELATION_CELLS[spec.relation],
+            "cell": cell,
+            "undecided": floating and cell == EQUAL,
         },
         args.json,
     )

@@ -6,11 +6,12 @@ comparisons treat values within the zero tolerance of the threshold as
 equal, and that band is where a float verdict cannot be trusted.  A float
 quantum machine's value is a sum of squared amplitudes, so at cutpoint 0 the
 tolerance applies to the amplitudes: the value lands in the ``equal`` cell
-iff it is at most EPSILON squared.  A sweep binds its comparison to the machine once with
-``cell_test`` and then costs one call per word's ``stepper`` read-out,
-building no ``Fraction``; ``member_at_cutpoint`` uses the same rule, and the
-bare ``classify_value``, which cannot see the machine, checks both kinds on
-every call.
+iff it is at most EPSILON squared.  ``cell_test`` is the one rule for a
+machine's value: a sweep, and ``qfalab classify``, binds it to the machine
+once and then costs one call per word's ``stepper`` read-out, building no
+``Fraction``.  The bare ``classify_value``, which cannot see the machine,
+keeps the plain band and checks both kinds on every call; it is kept for the
+benchmark.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .automata import (
     Machine,
     Mcqfa,
     Word,
-    acceptance_value,
     first_difference,
     prefix_levels,
     readout_then,
@@ -125,8 +125,8 @@ def classify_value(v: Scalar, spec: CutpointSpec) -> bool:
     Both values must be of the same scalar kind.  Floats within the zero
     tolerance of the threshold land in the ``equal`` cell.  Without the
     machine this cannot apply ``cell_test``'s amplitude band at cutpoint 0,
-    so it keeps the plain tolerance for every float value; classify a
-    machine's value with ``classify_machine_value``.
+    so it keeps the plain band for every float value.  It is kept for the
+    benchmark; classify a machine's value with ``cell_test``.
     """
     kind, lam = scalar_kind(v), spec.lam
     _kinds_match(kind, scalar_kind(lam))
@@ -137,31 +137,12 @@ def classify_value(v: Scalar, spec: CutpointSpec) -> bool:
     return cell in RELATION_CELLS[spec.relation]
 
 
-def classify_machine_value(machine: Machine, v: Scalar, spec: CutpointSpec) -> bool:
-    """True iff ``v``, a value of ``machine``, stands in the spec's relation
-    to the threshold, by ``cell_test``'s rule."""
-    cell = cell_test(machine, spec.lam)
-    _kinds_match(scalar_kind(v), machine.kind)
-    out = v.as_integer_ratio() if machine.kind == RATIONAL else v
-    return cell(out) in RELATION_CELLS[spec.relation]
-
-
 def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
     """Probability-valued machines only make sense with thresholds in [0,1];
     generalized machines may use any finite real threshold."""
     if not isinstance(machine, Gpfa) and not (0 <= lam <= 1):
         raise ValueError(f"cutpoint {format_scalar(lam)} outside [0,1] for a probability machine")
     _check_finite(lam)
-
-
-def member_at_cutpoint(machine: Machine, spec: CutpointSpec, w) -> bool:
-    """Evaluate the machine on ``w`` and classify the value.
-
-    Measure-every-step machines are classified by their accumulated
-    acceptance probability, and every value by ``cell_test``'s rule.
-    """
-    check_cutpoint_range(machine, spec.lam)
-    return classify_machine_value(machine, acceptance_value(machine, w), spec)
 
 
 def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:

@@ -19,7 +19,7 @@ from helpers import (
     random_nonneg_gpfa,
     random_pfa,
 )
-from qfalab.automata import CENT, DOLLAR, acceptance_value
+from qfalab.automata import CENT, DOLLAR, acceptance_value, stepper
 from qfalab.cli import load_machine, main, parse_document, serialize_machine
 from qfalab.constructions import (
     Homomorphism,
@@ -40,7 +40,7 @@ from qfalab.constructions import (
     unitary_complete,
     word_problem_gpfa,
 )
-from qfalab.cutpoint import CutpointSpec, member_at_cutpoint, one_sided_zero_check
+from qfalab.cutpoint import GREATER, CutpointSpec, cell_test, one_sided_zero_check
 from qfalab.languages import LanguageOracle, complement, free_reduce, oracle
 from qfalab.numeric import is_unitary_within
 from qfalab.verify import check_value_identity, enumerate_agreement, enumerate_values
@@ -170,12 +170,14 @@ def test_criterion_3_rotation_machines():
         machine = rotation_mcqfa(m)
         assert machine.n == 2, "size claim"
         lang = oracle(f"mod-{m}")
-        spec = CutpointSpec(0.0, "greater")
+        cell = cell_test(machine, 0.0)
+        state, advance, readout = stepper(machine, 100)
         for i in range(101):
             word = ("a",) * i
             prob = acceptance_value(machine, word)
             assert abs(prob - math.sin(i * math.pi / m) ** 2) <= 1e-9, (m, i)
-            assert member_at_cutpoint(machine, spec, word) == lang(word), (m, i)
+            assert (cell(readout(state)) == GREATER) == lang(word), (m, i)
+            state = advance(state, "a")
             checked += 1
     _report(3, True, f"m in (2,3,5,7), {checked} lengths, 2-state machines")
 

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -23,6 +24,7 @@ from qfalab.cli import (
 from qfalab.constructions import (
     coin_pfa,
     extend_pfa,
+    gpfa_union,
     neq_mcqfa,
     pfa_to_nqfa,
     rotation_mcqfa,
@@ -945,9 +947,72 @@ def test_classify_and_verify_decide_a_tiny_quantum_value_by_its_amplitudes(tmp_p
     argv = ["classify", "--machine", path, "--word", "a", "--cutpoint", "0",
             "--relation", "greater", "--json"]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["member"] is True
+    report = json.loads(capsys.readouterr().out)
+    assert report["member"] is True
+    assert (report["cell"], report["undecided"]) == ("greater", False)
+    argv[4] = ""
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["member"], report["cell"], report["undecided"]) == (False, "equal", True)
     argv = ["verify", "--machine", path, "--cutpoint", "0", "--relation", "greater",
             "--oracle", "mod-2", "--maxlen", "4"]
     assert main(argv) == 1
     assert capsys.readouterr().out.splitlines()[-4:] == [
         "agreed: False", "first_disagreement: aa", "undecided: 1", "first_undecided: "]
+    # An exact value on the cutpoint is decided: rational values have no band.
+    coin = str(tmp_path / "coin.json")
+    cli.save_machine(coin, coin_pfa())
+    argv = ["classify", "--machine", coin, "--word", "a", "--cutpoint", "1/2",
+            "--relation", "equal", "--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["member"], report["cell"], report["undecided"]) == (True, "equal", False)
+
+
+def _rounded_zero_union(path: str) -> None:
+    """Save a float Gpfa with exact value 0 on every word that float
+    evaluation misses by more than EPSILON on three words of length 13.  g1
+    has 4 states and entries ``round(uniform(-2, 2), 3)`` from ``Random(7)``,
+    drawn as the rows of ``a``, the rows of ``b``, ``v0``, then ``f``; g2 is
+    g1 with state i taken from state ``[2, 0, 3, 1][i]`` and ``f`` negated;
+    the machine is their union, which adds the halves in different orders."""
+    rng = Random(7)
+    line = lambda: [round(rng.uniform(-2, 2), 3) for _ in range(4)]
+    a, b = [line() for _ in range(4)], [line() for _ in range(4)]
+    v0, f = line(), line()
+    perm = [2, 0, 3, 1]
+
+    def gpfa(rows_a, rows_b, start, final):
+        return Gpfa(4, ("a", "b"), {"a": Matrix(rows_a, FLOAT), "b": Matrix(rows_b, FLOAT)},
+                    RowVec(start, FLOAT), ColVec(final, FLOAT))
+
+    def permuted(rows):
+        return [[rows[i][j] for j in perm] for i in perm]
+
+    g1 = gpfa(a, b, v0, f)
+    g2 = gpfa(permuted(a), permuted(b), [v0[i] for i in perm], [-f[i] for i in perm])
+    cli.save_machine(path, gpfa_union(g1, g2))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "float verdicts keep a constant band; a rounding bound per word length "
+    "(ROADMAP direction 2) makes these words undecided"))
+def test_a_rounded_exact_zero_is_never_silently_decided(tmp_path, capsys):
+    """The three words' float values lie outside the EPSILON band although
+    their exact values are 0: ``classify`` must report them undecided, and
+    ``verify`` against the all-words language must not find a disagreement."""
+    path = str(tmp_path / "union.json")
+    _rounded_zero_union(path)
+    for word in ("aaaaaaaaaaaab", "aaaaaaaaabbba", "aaaaaaaabbbba"):
+        capsys.readouterr()
+        assert main(["classify", "--machine", path, "--word", word, "--cutpoint", "0",
+                     "--relation", "equal", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["undecided"] is True, word
+    everything = tmp_path / "all.json"
+    everything.write_text(json.dumps({"name": "all", "alphabet": ["a", "b"], "n": 1,
+                                      "accepting": [1],
+                                      "transitions": {"1": {"a": 1, "b": 1}}}))
+    capsys.readouterr()
+    main(["verify", "--machine", path, "--cutpoint", "0", "--relation", "equal",
+          "--oracle", f"dfa:{everything}", "--maxlen", "13", "--json"])
+    assert json.loads(capsys.readouterr().out)["agreed"] is True

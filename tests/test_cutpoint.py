@@ -1,7 +1,9 @@
 """Cutpoint classification and bounded equivalence tests."""
 
+import json
 import math
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_nonneg_gpfa
-from qfalab.automata import Gpfa, Kwqfa, acceptance_value
+from qfalab import cli
+from qfalab.automata import Gpfa, Kwqfa, acceptance_value, stepper
 from qfalab.constructions import (
     coin_pfa,
     gpfa_concat,
@@ -26,10 +29,8 @@ from qfalab.cutpoint import (
     RELATIONS,
     CutpointSpec,
     cell_test,
-    classify_machine_value,
     classify_value,
     equivalent_under_separation_bounded,
-    member_at_cutpoint,
     one_sided_zero_check,
 )
 from qfalab import numeric
@@ -100,23 +101,47 @@ def test_not_equal_is_union_of_less_and_greater(v, lam):
     assert spec(NOT_EQUAL) == (spec(LESS) or spec(GREATER))
 
 
-def test_member_at_cutpoint_rotation_machine():
+def _cell(machine, lam, word):
+    """The cell of ``machine``'s value on ``word``: ``cell_test`` applied to
+    the read-out of one ``stepper`` run, as a sweep applies it."""
+    init, advance, readout = stepper(machine, len(word))
+    return cell_test(machine, lam)(readout(reduce(advance, tuple(word), init)))
+
+
+def _classify(tmp_path, capsys, machine, word, cut, relation):
+    """``qfalab classify --json``'s report on ``machine``, saved as a document."""
+    path = str(tmp_path / "machine.json")
+    cli.save_machine(path, machine)
+    capsys.readouterr()
+    argv = ["classify", "--machine", path, "--word", word, "--cutpoint", cut,
+            "--relation", relation, "--json"]
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_membership_rotation_machine(tmp_path, capsys):
     m = rotation_mcqfa(2)
-    spec = CutpointSpec(0.0, GREATER)
-    assert member_at_cutpoint(m, spec, "a")
-    assert not member_at_cutpoint(m, spec, "aa")
+    assert _cell(m, 0.0, "a") in MEMBER_CELLS[GREATER]
+    assert _cell(m, 0.0, "aa") not in MEMBER_CELLS[GREATER]
+    assert _classify(tmp_path, capsys, m, "a", "0", GREATER)["member"] is True
+    assert _classify(tmp_path, capsys, m, "aa", "0", GREATER)["member"] is False
 
 
-def test_member_at_cutpoint_no_pfa_beats_one():
+def test_membership_no_pfa_beats_one(tmp_path, capsys):
     p = coin_pfa()
-    spec = CutpointSpec(Fraction(1), GREATER)
     for w in ["", "a", "aaa"]:
-        assert not member_at_cutpoint(p, spec, w)
+        assert _cell(p, Fraction(1), w) not in MEMBER_CELLS[GREATER]
+        assert _classify(tmp_path, capsys, p, w, "1", GREATER)["member"] is False
 
 
-def test_member_at_cutpoint_range_check():
-    with pytest.raises(ValueError, match=r"outside \[0,1\]"):
-        member_at_cutpoint(coin_pfa(), CutpointSpec(Fraction(2), GREATER), "a")
+def test_membership_range_check(tmp_path, capsys):
+    path = str(tmp_path / "coin.json")
+    cli.save_machine(path, coin_pfa())
+    capsys.readouterr()
+    argv = ["classify", "--machine", path, "--word", "a", "--cutpoint", "2",
+            "--relation", GREATER]
+    assert cli.main(argv) == 2
+    assert "outside [0,1]" in capsys.readouterr().err
 
 
 def test_one_sided_zero_check_squared_word_problem():
@@ -305,17 +330,17 @@ def tiny_turn_kwqfa(s: float = 1e-6) -> Kwqfa:
     return Kwqfa(2, ("a",), {"a": Matrix.floats([[c, -s], [s, c]])}, {2}, set())
 
 
-def test_a_quantum_value_at_cutpoint_zero_is_decided_by_its_amplitudes():
+def test_a_quantum_value_at_cutpoint_zero_is_decided_by_its_amplitudes(tmp_path, capsys):
     """1e-12 lies within EPSILON of 0 but its amplitude 1e-6 does not, so a
     quantum machine's value is above 0; the bare value keeps the plain band."""
     m = tiny_turn_kwqfa()
     value = acceptance_value(m, "a")
     assert 1e-18 < value <= 1e-9
     for rel, member in ((GREATER, True), (EQUAL, False), (NOT_EQUAL, True), (LESS, False)):
-        spec = CutpointSpec(0.0, rel)
-        assert member_at_cutpoint(m, spec, "a") is member
-        assert classify_machine_value(m, value, spec) is member
-        assert classify_value(value, spec) is (rel == EQUAL)
-    assert member_at_cutpoint(m, CutpointSpec(0.0, EQUAL), "")
-    with pytest.raises(KindMismatchError, match="^comparing rational value against float cutpoint$"):
-        classify_machine_value(m, Fraction(0), CutpointSpec(0.0, EQUAL))
+        assert (_cell(m, 0.0, "a") in MEMBER_CELLS[rel]) is member
+        assert _classify(tmp_path, capsys, m, "a", "0", rel)["member"] is member
+        assert classify_value(value, CutpointSpec(0.0, rel)) is (rel == EQUAL)
+    assert _cell(m, 0.0, "") == EQUAL
+    assert _classify(tmp_path, capsys, m, "", "0", EQUAL)["member"] is True
+    with pytest.raises(KindMismatchError, match="^comparing float value against rational cutpoint$"):
+        cell_test(m, Fraction(0))

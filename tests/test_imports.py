@@ -1,9 +1,11 @@
 """Every name a ``qfalab`` module imports is used in that module, no
 function in it is a pure pass-through of another, no class in it is a
-namespace of static methods, and every private module-level name is
-referenced somewhere in the package."""
+namespace of static methods, every private module-level name is
+referenced somewhere in the package, and every package name the benchmark
+under ``bench/`` looks up exists."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 import qfalab
 
 PACKAGE = Path(qfalab.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Imported and not used, on purpose: the benchmark calls
 # ``qfalab.verify.enumerate_values``.
@@ -192,3 +195,64 @@ def test_the_scan_finds_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced_privates(trees) == []
+
+
+MODULES = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+
+
+def _bench_names(tree: ast.Module) -> set[str]:
+    """The package names a benchmark file looks up: ``q.<module>.<name>``
+    (``q`` is the namespace of freshly imported modules), ``qfalab.<name>``
+    and ``qfalab.<module>.<name>``, each as ``"<module>.<name>"`` or, for
+    the package itself, ``"<name>"``; and the construction names of
+    ``_late(c, "<name>")`` calls, as ``"constructions.<name>"``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_late":
+            found.add(f"constructions.{node.args[1].value}")
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name) or node.id not in ("q", "qfalab"):
+            continue
+        if chain[0] in MODULES:
+            if len(chain) > 1:
+                found.add(f"{chain[0]}.{chain[1]}")
+        elif node.id == "qfalab":
+            found.add(chain[0])
+    return found
+
+
+def test_the_scan_finds_the_benchmarks_names():
+    tree = ast.parse(
+        "x = q.cutpoint.CutpointSpec(0.0, 'greater')\n"
+        "y = q.numeric.Matrix.rational([[1]])\n"
+        "c = q.constructions\n"
+        "z = _late(c, 'gpfa_star', g)\n"
+        "qfalab.classify_value(v, s)\n"
+        "qfalab.constructions.gpfa_quotient(g, '', 'up')\n"
+        "qfalab.cli\n"
+        "other.cutpoint.gone\n"
+    )
+    assert _bench_names(tree) == {
+        "cutpoint.CutpointSpec", "numeric.Matrix", "constructions.gpfa_star", "classify_value",
+        "constructions.gpfa_quotient",
+    }
+
+
+@pytest.mark.skipif(not BENCH.is_dir(), reason="no bench/ beside the tests")
+def test_every_name_the_benchmark_looks_up_exists():
+    """Deleting or renaming a name the benchmark calls would leave the
+    package's tests passing and the benchmark unable to run."""
+    names = set().union(*(_bench_names(ast.parse(p.read_text())) for p in BENCH.rglob("*.py")))
+    assert {"cutpoint.classify_value", "constructions.gpfa_union", "CutpointSpec"} <= names
+    missing = []
+    for name in sorted(names):
+        module, _, attr = name.rpartition(".")
+        owner = importlib.import_module(f"qfalab.{module}") if module else qfalab
+        if not hasattr(owner, attr):
+            missing.append(name)
+    assert missing == []

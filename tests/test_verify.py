@@ -26,7 +26,7 @@ from qfalab.constructions import (
     rotation_mcqfa,
     word_problem_gpfa,
 )
-from qfalab.cutpoint import RELATIONS, CutpointSpec, member_at_cutpoint
+from qfalab.cutpoint import RELATIONS, CutpointSpec
 from qfalab.languages import LanguageOracle, oracle
 from qfalab.numeric import ColVec, KindMismatchError, Matrix, RowVec
 from qfalab.verify import (
@@ -238,21 +238,39 @@ def test_word_problem_agreement_small():
     assert report.agreed
 
 
+# Which cells each relation accepts, written out independently of the module.
+MEMBER_CELLS = {
+    "less": {"less"}, "equal": {"equal"}, "greater": {"greater"},
+    "not-equal": {"less", "greater"},
+}
+
+
+def _member(machine, spec, word):
+    """``(member, undecided)`` for ``word``, by plain comparison of its value
+    with the cutpoint: a rational value is equal only exactly; a float value
+    within EPSILON of the cutpoint (EPSILON squared for a quantum machine at
+    0) is equal, and undecided."""
+    value, lam = acceptance_value(machine, word), spec.lam
+    floating, tol = machine.kind == numeric.FLOAT, 0
+    if floating:
+        tol = numeric.EPSILON
+        if isinstance(machine, (Kwqfa, Mcqfa)) and lam == 0:
+            tol = tol ** 2
+    cell = "equal" if abs(value - lam) <= tol else "less" if value < lam else "greater"
+    return cell in MEMBER_CELLS[spec.relation], floating and cell == "equal"
+
+
 def _brute_force(machine, spec, lang, maxlen):
     """``(tested, first_disagreement, undecided, first_undecided)`` of a loop
-    that evaluates and classifies every word from scratch and asks the oracle
-    about the word.  A float value within EPSILON of the cutpoint (EPSILON
-    squared for a quantum machine at 0) is undecided."""
-    tol = numeric.EPSILON
-    if isinstance(machine, (Kwqfa, Mcqfa)) and spec.lam == 0:
-        tol = tol ** 2
+    that evaluates and classifies every word from scratch (``_member``) and
+    asks the oracle about the word."""
     tested, undecided = 0, []
     for word in words_up_to(machine.sigma, maxlen):
         tested += 1
-        value = acceptance_value(machine, word)
-        if machine.kind == numeric.FLOAT and abs(value - spec.lam) <= tol:
+        member, band = _member(machine, spec, word)
+        if band:
             undecided.append(word)
-        if member_at_cutpoint(machine, spec, word) != lang(word):
+        if member != lang(word):
             break
     else:
         word = None
@@ -280,7 +298,7 @@ def test_agreement_sweep_matches_a_brute_force_loop(seed):
                 spec = CutpointSpec(lam, relation)
                 flipped = rng.choice(words + [None])
                 def copied(w, machine=machine, spec=spec, flipped=flipped):
-                    return member_at_cutpoint(machine, spec, w) != (w == flipped)
+                    return _member(machine, spec, w)[0] != (w == flipped)
 
                 copy = LanguageOracle("copy", ("a", "b"), copied)
                 oracles = [oracle(name) for name in ("eq", "lt", "pal", "eq-dot-b")] + [copy]
