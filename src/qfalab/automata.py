@@ -276,7 +276,8 @@ def _kernel(lines, nil, masses=()):
 
     With ``masses``, a sequence of line ranges ``(lo, hi)``, the kernel also
     measures: it returns ``(out, *sums)``, the line products and, per range,
-    the squared mass of ``out[lo:hi]``, a ``sum`` of squares from ``nil``."""
+    the squared mass of ``out[lo:hi]``, a ``sum`` of squares from ``nil``
+    (``nil`` itself where the range has no nonzero line)."""
     consts, body, rows, used = [], [], [], set()
     lines = [tuple(line) for line in lines]
     for i, line in enumerate(lines):
@@ -305,7 +306,7 @@ def _kernel(lines, nil, masses=()):
         rows = [f"r{i}" if row != nil else row for i, row in enumerate(rows)]
         for lo, hi in masses:
             terms = "".join(f"r{i} * r{i}, " for i in named if lo <= i < hi)
-            sums += f", sum(({terms}), {nil})"
+            sums += f", sum(({terms}), {nil})" if terms else f", {nil}"
     source = (f"def kernel(v, c=c):\n    {names or '_'} = v\n{''.join(body)}"
               f"    return ({''.join(row + ', ' for row in rows)}){sums}\n")
     namespace = {"c": tuple(consts)}
@@ -323,11 +324,12 @@ def _scaled(lines):
     return [[x.numerator * (den // x.denominator) for x in line] for line in grid], den
 
 
-def _lower_exact(lines):
+def _lower_exact(lines, masses=()):
     """A rational matrix lowered: ``(kernel, den)``, the ``_kernel`` of its
-    integer lines over the common denominator ``den``."""
+    integer lines over the common denominator ``den``; a mass is over
+    ``den ** 2``."""
     grid, den = _scaled(lines)
-    return _kernel(grid, "0"), den
+    return _kernel(grid, "0", masses), den
 
 
 # A float matrix lowered: its ``_kernel``, with ``0.0`` for an all-zero line.
@@ -342,13 +344,10 @@ def _reduced(nums, den):
     return tuple(x // g for x in nums), den // g
 
 
-def _add_mass(prob, nums, den):
-    """``prob + |nums|^2 / den^2`` for a probability kept as the integer
-    pair ``(num, den)`` in lowest terms, also in lowest terms; ``prob``
-    itself where the mass is 0."""
-    mass = sum(map(mul, nums, nums))
-    if not mass:
-        return prob
+def _add_mass(prob, mass, den):
+    """``prob + mass / den^2`` for a probability kept as the integer pair
+    ``(num, den)`` in lowest terms and an integer ``mass``, a kernel's sum of
+    squares, also in lowest terms."""
     p, q = prob
     den *= den
     num, den = p * den + mass * q, q * den
@@ -454,16 +453,17 @@ def _lower(machine: Machine):
     use, see ``_Lazy``), the start vector, the lowered read-out, and for a
     quantum machine a second such table over the live and accepting rows
     alone (``None`` for the other kinds).  ``_Machine._lowered`` keeps them
-    on the machine.
+    on the machine; a rational quantum machine leaves its full table empty.
 
     A quantum read-out is the right end-marker's rows for the states a run
-    ends accepted in (``_measured``), over the live columns, lowered.  For a
-    float machine it comes with the start state's three masses and ``K``,
-    the largest ``_mass_factor`` over the input symbols and the right
-    end-marker, exact: the run certificate that lets a sweep step with
-    ``kept`` and read out from those rows.  Let ``T_t`` be the exact sum of
-    the floats ``accept``, ``reject`` and ``sum(v_i * v_i)`` of the state
-    after ``t`` symbols past the left end-marker.  A step adds each new halting mass to its probability with
+    ends accepted in (``_measured``), over the live columns, lowered to
+    measure their mass.  For a float machine it comes with the start
+    state's three masses and ``K``, the largest ``_mass_factor`` over the
+    input symbols and the right end-marker, exact: the run certificate that
+    lets a sweep step with ``kept`` and read out from those rows.  Let
+    ``T_t`` be the exact sum of the floats ``accept``, ``reject`` and
+    ``sum(v_i * v_i)`` of the state after ``t`` symbols past the left
+    end-marker.  A step adds each new halting mass to its probability with
     one rounding, and the step's three masses add up to at most ``K sum(v_i
     * v_i)`` while ``v`` is finite, so with ``K >= 1`` and ``u = 2^-53``::
 
@@ -486,9 +486,9 @@ def _lower(machine: Machine):
         # Column convention: entry j of U @ v is U's row j times v, and the
         # start state 1 makes the first step U_CENT's column 1.  Rows run
         # live, accepting, rejecting, so each measurement splits the output
-        # at two points; columns are the live states only.  A float kernel
+        # at two points; columns are the live states only.  Every kernel
         # also measures (see ``_kernel``): all three masses in ``table``,
-        # the accepted one alone in ``kept``.
+        # the accepted one alone in ``kept`` and ``final``.
         acc, rej, ends = _measured(machine)
         live = _live_states(machine)
         order = live + [q - 1 for q in acc]
@@ -500,13 +500,12 @@ def _lower(machine: Machine):
             return [[rows[j][i] for i in live] for j in targets]
 
         def lowered(targets, masses):
-            measured = lower if exact else partial(lower, masses=masses)
-            return _Lazy(lambda matrix: measured(lines(matrix, targets)), trans)
+            return _Lazy(lambda matrix: lower(lines(matrix, targets), masses=masses), trans)
 
         table = lowered(order, ((a, r), (r, len(order)), (0, a)))
         kept = lowered(order[:r], ((a, r),))
         start = [trans[CENT].entries[j][0] for j in order]
-        final = lower(lines(trans[DOLLAR], [q - 1 for q in ends]))
+        final = lower(lines(trans[DOLLAR], [q - 1 for q in ends]), masses=((0, len(ends)),))
         if not exact:
             growth = max(_mass_factor(trans[s], machine.n, a) for s in (*machine.sigma, DOLLAR))
             parts = start[a:r], start[r:], start[:a]
@@ -530,8 +529,8 @@ def _lower(machine: Machine):
 def stepper(machine: Machine, maxlen: Optional[int] = None):
     """The machine's semantics as a prefix-incremental evaluator
     ``(init, advance, readout)``; ``maxlen``, when given, is the longest
-    word the caller will step, which lets a quantum run drop what its value
-    does not need (below).
+    word the caller will step, which lets a float quantum run drop what its
+    value does not need (below).
 
     ``init`` is the state after the left end-marker (if the model has one),
     ``advance(state, sym)`` reads one input symbol, and ``readout(state)``
@@ -565,31 +564,31 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
     compensates float rounding and the generated sums add plainly, so values
     agree to rounding); ``state_vector`` turns a state back into a vector.
 
-    A quantum state is ``(vector, accept, reject)``: after each unitary
-    step the halting coordinates (``_measured``; none for a measure-once
-    machine) are measured, their squared amplitudes accumulate into the two
-    probabilities (rational ones as integer pairs ``(num, den)`` in lowest
-    terms), and the coordinates are zeroed.  The vector therefore keeps only
-    the live coordinates, and a step multiplies only the live columns.  The
-    read-out adds the accepted mass of the right end-marker step to
-    ``accept``.  Given ``maxlen``, a rational machine, and a float one whose
-    run certificate holds for ``maxlen`` (``_lower``: an exact ``K`` and
-    cap), steps ``(vector, accept)`` through the live and accepting rows
-    alone and reads out from the end-marker's accepting rows with no test;
-    its values are the full step's, bit for bit, and states that differ
-    only in ``reject`` merge.  Every other run, an uncertified float sweep
-    or any call without ``maxlen``, reads out the same way, a float one
-    after the full right end-marker step, which raises where a bound
-    breaks.  ``kwqfa_run``, which reports ``reject``, passes no ``maxlen``.
+    A quantum run measures after each unitary step: the squared amplitudes
+    of the halting coordinates (``_measured``; none for a measure-once
+    machine), which the step's kernel returns, accumulate into the accepted
+    and rejected probabilities, and the vector keeps only the live
+    coordinates, so a step multiplies only the live columns.  The read-out
+    adds the accepted mass of the right end-marker step, from the kernel of
+    its accepting rows, to ``accept``.
 
     A rational quantum machine is exactly orthogonal (checked at
     construction) and starts from a column of its left end-marker's matrix,
     a unit vector, so its accepted, rejected and surviving probabilities add
-    up to exactly 1 on every state a run reaches: its steps and read-outs
-    check no bound.  A float one may stretch a vector within its tolerance,
-    so its run must stay within ``1 + EPSILON``:
+    up to exactly 1 on every state a run reaches.  Whatever ``maxlen`` is,
+    its state is ``(vector, accept)``, ``accept`` an integer pair ``(num,
+    den)`` in lowest terms, stepped through the live and accepting rows
+    alone with no bound checked; ``kwqfa_run`` derives the rejected
+    probability.  A float one may stretch a vector within its tolerance, so
+    its run must stay within ``1 + EPSILON``.  Given ``maxlen`` and a run
+    certificate that holds for it (``_lower``: an exact ``K`` and cap), it
+    steps and reads out the same way with no test; its values are the full
+    step's, bit for bit, and states that differ only in ``reject`` merge.
+    Every other float run steps ``(vector, accept, reject)`` through all the
+    rows and reads out the same way after the full right end-marker step,
+    which raises where a bound breaks:
 
-    * A quantum kernel also returns the step's three squared masses, and
+    * The full step's kernel returns its three squared masses, and
       the step passes when the halting probabilities and the live norm stay
       within the bound (NaN fails both); otherwise ``measure`` checks the
       sums it is given, naming a non-finite entry (which makes a mass
@@ -607,34 +606,26 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
 
     if machine.kind == RATIONAL:
         if quantum:
-            # Measure after every symbol.  The live part is reduced once cut
-            # out: without the halting coordinates its gcd may exceed 1.
-            def measure(nums, den, accept, reject):
-                return (_reduced(nums[:a], den), _add_mass(accept, nums[a:r], den),
-                        _add_mass(reject, nums[r:], den))
-
+            # The live part is reduced once cut out: without the halting
+            # coordinates its gcd may exceed 1.
             def advance(state, sym):
-                (nums, den), accept, reject = state
-                kernel, d = table[sym]
-                return measure(kernel(nums), den * d, accept, reject)
-
-            def advance_kept(state, sym):
                 (nums, den), accept = state
                 kernel, d = kept[sym]
-                nums, den = kernel(nums), den * d
-                return _reduced(nums[:a], den), _add_mass(accept, nums[a:], den)
+                out, mass = kernel(nums)
+                den *= d
+                return _reduced(out[:a], den), _add_mass(accept, mass, den) if mass else accept
 
             accepting, d = final
 
             def readout(state):
                 (nums, den), (p, q) = state
-                out, den = accepting(nums), (den * d) ** 2
-                return p * den + sum(map(mul, out, out)) * q, q * den
+                _, mass = accepting(nums)
+                den = (den * d) ** 2
+                return p * den + mass * q, q * den
 
-            init = measure(*start, (0, 1), (0, 1))
-            if maxlen is None:
-                return init, advance, lambda state: readout(state[:2])
-            return init[:2], advance_kept, readout
+            (nums, den), halted = start, start[0][a:r]
+            init = _reduced(nums[:a], den), _add_mass((0, 1), sum(map(mul, halted, halted)), den)
+            return init, advance, readout
 
         def advance(v, sym):
             (kernel, d), (nums, den) = table[sym], v
@@ -676,8 +667,7 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
 
         def accepted(state):
             vec, accept = state
-            out = accepting(vec)
-            return accept + sum(map(mul, out, out), 0.0)
+            return accept + accepting(vec)[1]
 
         def advance_kept(state, sym):
             vec, accept = state
@@ -741,14 +731,19 @@ def acceptance_value(machine: Machine, w: WordLike) -> Scalar:
 
 def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
     """Run the measure-every-step semantics on ``CENT w DOLLAR`` and keep
-    the surviving vector after every tape symbol."""
+    the surviving vector after every tape symbol.  A rational run's rejected
+    probability is what the accepted and surviving ones leave of 1."""
+    if not isinstance(m, Kwqfa):
+        raise TypeError(f"kwqfa_run needs a Kwqfa, got {type(m).__name__}")
     init, advance, _ = stepper(m)
     tape = (*_check_word(m.sigma, w), DOLLAR)
     states = list(accumulate(tape, advance, initial=init))
-    _, accept, reject = states[-1]
-    if m.kind == RATIONAL:
-        accept, reject = Fraction(*accept), Fraction(*reject)
-    return RunTrace(accept, reject, tuple(state_vector(m, state) for state in states))
+    vectors = tuple(state_vector(m, state) for state in states)
+    if m.kind != RATIONAL:
+        _, accept, reject = states[-1]
+        return RunTrace(accept, reject, vectors)
+    accept = Fraction(*states[-1][1])
+    return RunTrace(accept, 1 - accept - sum(x * x for x in vectors[-1].entries), vectors)
 
 
 def prefix_levels(sigma: Sequence[str], maxlen: int, *steppers) -> Iterator[tuple]:

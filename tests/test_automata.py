@@ -123,6 +123,21 @@ def test_kwqfa_pipeline_accepts_empty_word_of_coin():
     assert kwqfa_run(q, "").accept_prob > 0
 
 
+@pytest.mark.parametrize("machine", [
+    rotation_mcqfa(3),
+    Mcqfa(2, ("a",), {"a": Matrix.rational([[Fraction(3, 5), Fraction(-4, 5)],
+                                            [Fraction(4, 5), Fraction(3, 5)]])}, {2}),
+    coin_pfa(),
+    word_problem_gpfa(2),
+], ids=lambda m: f"{type(m).__name__}-{m.kind}")
+def test_kwqfa_run_refuses_other_kinds(machine):
+    """A run trace is a Kwqfa's.  An Mcqfa has a value (about 0.75 on "a" for
+    the float rotation, 16/25 for the rational 3-4-5 one), but its run
+    halts nowhere before the right end-marker, so its trace would read 0."""
+    with pytest.raises(TypeError, match=f"^kwqfa_run needs a Kwqfa, got {type(machine).__name__}$"):
+        kwqfa_run(machine, "a")
+
+
 def test_kwqfa_rejects_overlapping_halting_sets():
     with pytest.raises(ValueError, match="disjoint"):
         Kwqfa(2, ("a",), {"a": Matrix.identity(2)}, frozenset({1}), frozenset({1}))

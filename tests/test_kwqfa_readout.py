@@ -1,10 +1,12 @@
-"""A Kwqfa reads out by one of two rules.  A sweep of known length steps a
-rational machine, and a float one whose run certificate holds for that
-length, through the live and accepting rows alone and reads out from the
-right end-marker's accepting rows: its values and states must be the full
-step's, bit for bit, less the rejected probability, and it must generate no
-kernel of the full table.  Every other run keeps the full step, and a float
-one reads out after the full right end-marker step's bound checks.
+"""A Kwqfa reads out by one of two rules.  A rational machine, on any run,
+and a float one on a sweep of known length whose run certificate holds for
+that length, step through the live and accepting rows alone and read out
+from the right end-marker's accepting rows, and generate no kernel of the
+full table.  A rational run's states, read-outs and values must be an
+independent exact vector fold's (``reference_run``); a float one's must be
+the full step's, bit for bit, less the rejected probability.  Every other
+float run keeps the full step and reads out after the full right
+end-marker step's bound checks.
 
 The run certificate's ``K`` and cap are exact, so a float machine is
 certified for exactly the lengths the bound's closed form admits.
@@ -20,12 +22,13 @@ from random import Random
 
 import pytest
 
-from helpers import random_pfa
+from helpers import random_pfa, words_up_to
 from qfalab import automata, numeric
 from qfalab.automata import (
     CENT,
     DOLLAR,
     Kwqfa,
+    Mcqfa,
     acceptance_value,
     enumerate_values,
     kwqfa_run,
@@ -38,7 +41,7 @@ from qfalab.cutpoint import CutpointSpec, equivalent_under_separation_bounded
 from qfalab.languages import LanguageOracle
 from qfalab.numeric import FLOAT, RATIONAL, Matrix
 from qfalab.verify import check_value_identity, enumerate_agreement
-from test_stepper import measured_fold, spiking_kwqfa
+from test_stepper import measured_fold, reference_run, spiking_kwqfa
 
 SIGMA = ("a", "b")
 TRIPLES = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
@@ -51,22 +54,6 @@ def outcome(f, state):
         return repr(f(state))
     except ValueError as exc:
         return f"raises {exc}"
-
-
-def reached_states(m, maxlen):
-    """The distinct full states the input symbols reach up to ``maxlen``."""
-    init, advance, _ = stepper(m)
-    level, seen = [init], {init}
-    for _ in range(maxlen):
-        nxt = []
-        for state in level:
-            for sym in m.sigma:
-                child = advance(state, sym)
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        level = nxt
-    return list(seen)
 
 
 def givens_product(rng, n, kind, steps=12):
@@ -123,27 +110,35 @@ def swapping_kwqfa(rng, half, noise):
 # -- rational read-outs -----------------------------------------------------
 
 
+def prefix_run(m, word):
+    """``reference_run`` of ``m`` stopped after ``word``: with the identity
+    as the right end-marker, which halts nothing more, its probabilities
+    and last vector are those after ``word``."""
+    return reference_run(replace(m, trans={**m.trans, DOLLAR: Matrix.identity(m.n)}), word)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_rational_readouts_are_the_full_steps(seed):
     """An exactly orthogonal machine reads every reached state out from the
-    accepting rows, giving what the full step gives, and conserves
-    probability exactly: on each reached state, and on the state after the
-    full right end-marker step from it, the accepted, rejected and
-    surviving probabilities add up to 1 as ``Fraction``s; the accepted and
-    rejected ones are kept as pairs of ints."""
+    accepting rows: each state's vector and accepted probability, and its
+    read-out, are the exact vector fold's (``reference_run``), which
+    conserves probability exactly: after each word, and after the full
+    right end-marker step, its accepted, rejected and surviving
+    probabilities add up to 1 as ``Fraction``s.  The accepted probability
+    is kept as a pair of ints."""
     rng = Random(seed)
     m = random_kwqfa(rng, rng.randint(4, 6), RATIONAL)
-    _, advance, full = stepper(m)
-    _, _, accepting_rows = stepper(m, 3)
-    for state in reached_states(m, 3):
-        assert accepting_rows(state[:2]) == full(state)
-        for reached in (state, advance(state, DOLLAR)):
-            _, accept, reject = reached
-            assert {type(x) for x in (*accept, *reject)} == {int}
-            accept, reject = Fraction(*accept), Fraction(*reject)
-            live = state_vector(m, reached).entries
-            assert accept + reject + sum(x * x for x in live) == 1
-            assert {type(x) for x in live} == {Fraction}
+    init, advance, readout = stepper(m, 3)
+    for word in words_up_to(SIGMA, 3):
+        _, accept = state = reduce(advance, word, init)
+        assert {type(x) for x in accept} == {int}
+        live = state_vector(m, state).entries
+        assert {type(x) for x in live} == {Fraction}
+        prefix, run = prefix_run(m, word), reference_run(m, word)
+        for want, vectors, reject in (prefix, run):
+            assert want + reject + sum(x * x for x in vectors[-1].entries) == 1
+        assert Fraction(*accept) == prefix[0] and list(live) == list(prefix[1][-1].entries)
+        assert Fraction(*readout(state)) == run[0]
 
 
 def pipeline_machine(n):
@@ -172,8 +167,7 @@ def sweep_check_value_identity(m, pfa, tmp_path, capsys):
     # A pipeline machine is float, and identities are checked exactly: a
     # rational machine of the same size stands in for it.
     m = random_kwqfa(Random(m.n), m.n, RATIONAL)
-    reference = replace(m)
-    assert check_value_identity(m, lambda w: kwqfa_run(reference, w).accept_prob, 5) is None
+    assert check_value_identity(m, lambda w: reference_run(m, w)[0], 5) is None
     return [m]
 
 
@@ -324,18 +318,40 @@ def test_certified_sweeps_are_the_measured_folds_bits(m):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_rational_sweeps_step_the_live_and_accepting_rows(seed):
-    """A rational machine steps ``(vector, accept)`` for any sweep: each
-    state is the full step's less ``reject``, and its values are
-    ``kwqfa_run``'s, which keeps the full step."""
+    """A rational machine steps ``(vector, accept)`` for any sweep, and for
+    a call without ``maxlen``, which reaches the same states: each state is
+    the exact vector fold's vector and accepted probability, and its values
+    are the fold's, and ``kwqfa_run``'s."""
     rng = Random(seed)
     m = random_kwqfa(rng, rng.randint(4, 6), RATIONAL)
     init, advance, _ = stepper(m, 4)
-    full_init, full_advance, _ = stepper(m)
+    any_init, any_advance, _ = stepper(m)
     for word, value in enumerate_values(m, 4):
         state = reduce(advance, word, init)
-        full = reduce(full_advance, word, full_init)
-        assert state == full[:2] and len(state) == 2
-        assert type(value) is Fraction and value == kwqfa_run(m, word).accept_prob
+        assert state == reduce(any_advance, word, any_init) and len(state) == 2
+        want, vectors, _ = prefix_run(m, word)
+        assert Fraction(*state[1]) == want and state_vector(m, state) == vectors[-1]
+        assert type(value) is Fraction and value == reference_run(m, word)[0]
+        assert value == kwqfa_run(m, word).accept_prob
+
+
+@pytest.mark.parametrize("machine", [
+    pytest.param(random_kwqfa(Random(3), 5, RATIONAL), id="Kwqfa"),
+    pytest.param(Mcqfa(3, SIGMA, {sym: Matrix.rational(givens_product(Random(sym), 3, RATIONAL))
+                                  for sym in SIGMA}, {2}), id="Mcqfa"),
+])
+def test_a_rational_quantum_machine_never_lowers_its_full_table(machine):
+    """Every path steps a rational quantum machine through its live and
+    accepting rows, ``kwqfa_run`` too: the full table stays empty."""
+    m, twin = replace(machine), replace(machine)
+    if isinstance(m, Kwqfa):
+        kwqfa_run(m, "ab")
+    acceptance_value(m, "ba")
+    list(enumerate_values(m, 3))
+    assert equivalent_under_separation_bounded(m, Fraction(1, 2), twin, Fraction(1, 2), 3) is None
+    for lowered in (m, twin):
+        table, _, _, kept = lowered._lowered
+        assert not table and set(kept) >= set(SIGMA)
 
 
 def run_outcomes(m, maxlen):

@@ -635,14 +635,14 @@ def exact_sweep(m, maxlen):
 @pytest.mark.parametrize("m", exact_machines(), ids=lambda m: f"{type(m).__name__}-{m.n}")
 def test_rational_states_stay_in_lowest_terms(m):
     """A state's gcd is 1, so an all-zero vector is ``((0, ...), 1)``; a
-    quantum state's accepted and rejected probabilities are pairs of ints
-    in lowest terms too."""
+    quantum state's accepted probability, the one it keeps, is a pair of
+    ints in lowest terms too."""
     states, outs = exact_sweep(m, 5)
     quantum = isinstance(m, (Kwqfa, Mcqfa))
     for state in states:
         (nums, den), *probs = state if quantum else (state,)
         assert type(nums) is tuple and den > 0 and gcd(*nums, den) == 1
-        assert len(probs) == (2 if quantum else 0)
+        assert len(probs) == (1 if quantum else 0)
         for num, den in probs:
             assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
     for num, den in outs:
