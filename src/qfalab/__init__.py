@@ -38,7 +38,6 @@ from .constructions import (
     pfa_to_nqfa,
     rotation_mcqfa,
     shift_cutpoint,
-    suggest_padding_bound,
     unitary_complete,
     word_problem_gpfa,
 )

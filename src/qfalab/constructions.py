@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
-from operator import itemgetter, mul, pos
+from operator import itemgetter, mul
 from typing import Mapping, Optional, Sequence
 
 from .automata import (
@@ -35,10 +35,6 @@ from .automata import (
     Pfa,
     Word,
     WordLike,
-    prefix_levels,
-    readout_then,
-    state_vector,
-    stepper,
 )
 from .languages import generator_alphabet
 from .numeric import (
@@ -591,6 +587,19 @@ def gpfa_erasing_hom(g: Gpfa, kappa: str, n_L: int) -> Gpfa:
     The padding matrix ``I + A + ... + A^(n_L-1)`` (powers of the erased
     symbol's matrix, summed by Horner's rule ``pad = I + A @ pad``) is
     folded into the initial vector and after every remaining symbol.
+
+    If ``g`` is nonnegative on every word, ``n_L = g.n`` is a proved bound:
+    the result is positive on a word exactly when some padding of it, with
+    runs of any length, is (Paz 1971; Tzeng 1992), and any larger bound
+    gives the same positive set.  Proof: fix every run of a positive
+    padding but one; as a function of that run's length k the value is
+    ``x A^k y``, which obeys the recurrence of ``A``'s characteristic
+    polynomial (Cayley-Hamilton, order at most n).  If it were 0 for every
+    k < n it would be 0 for every k, so some k < n gives a nonzero, hence
+    positive, value; shortening the runs one at a time this way yields a
+    positive padding inside the bound.  The result's values are sums of
+    nonnegative ones, so a larger bound adds no positive word beyond the
+    unbounded image's.
     """
     if kappa not in g.sigma:
         raise ValueError(f"symbol {kappa!r} not in the machine's alphabet")
@@ -605,39 +614,6 @@ def gpfa_erasing_hom(g: Gpfa, kappa: str, n_L: int) -> Gpfa:
         raise ValueError("erasing the only symbol would leave an empty alphabet")
     trans = {sym: mat_mul(g.trans[sym], pad) for sym in remaining}
     return Gpfa(g.n, remaining, trans, g.v0 @ pad, g.f)
-
-
-def suggest_padding_bound(
-    g: Gpfa, kappa: str, maxlen: int = 6, bound_cap: int = 8
-) -> Optional[int]:
-    """Heuristic search for a padding bound to hand to ``gpfa_erasing_hom``.
-
-    Returns the smallest bound in ``1..bound_cap`` whose padded-positivity
-    verdicts agree with ``bound_cap``'s on every ``kappa``-free word up to
-    ``maxlen``, or ``None`` when even the cap keeps finding new positive
-    words.  This is a bounded trial only: a genuine bound exists for
-    machines recognizing with one-sided cutpoint 0, but nothing here
-    certifies that the returned candidate is one.
-    """
-    if kappa not in g.sigma:
-        raise ValueError(f"symbol {kappa!r} not in the machine's alphabet")
-    if bound_cap < 1:
-        raise ValueError("bound cap must be at least 1")
-
-    def positives(bound: int) -> set:
-        machine = gpfa_erasing_hom(g, kappa, bound)
-        sign = itemgetter(0) if machine.kind == RATIONAL else pos  # (num, den), den > 0
-        steps = readout_then(stepper(machine, maxlen), lambda out: sign(out) > 0)
-        return {w for words, positive in prefix_levels(machine.sigma, maxlen, steps)
-                for w in compress(words, positive)}
-
-    reference = positives(bound_cap)
-    if bound_cap == 1:
-        return 1
-    if positives(bound_cap - 1) != reference:
-        return None
-    # bound_cap - 1 agrees, so the search ends there without sweeping it again.
-    return next((b for b in range(1, bound_cap - 1) if positives(b) == reference), bound_cap - 1)
 
 
 def gpfa_nonerasing_hom(g: Gpfa, h: Homomorphism) -> Gpfa:
@@ -688,7 +664,13 @@ def gpfa_nonerasing_hom(g: Gpfa, h: Homomorphism) -> Gpfa:
 def gpfa_hom(g: Gpfa, h: Homomorphism, n_L_per_erased: Sequence[int]) -> Gpfa:
     """General homomorphic image: erase the empty-image symbols one at a
     time (each with its own padding bound, in the order the symbols appear
-    in the machine's alphabet), then apply the residual non-erasing map."""
+    in the machine's alphabet), then apply the residual non-erasing map.
+
+    If ``g`` is nonnegative on every word, ``[g.n] * k`` for k erased
+    symbols keeps exactly the image's positive set, and larger bounds give
+    the same set.  Each erasure keeps n states and nonnegative values, so
+    ``gpfa_erasing_hom``'s argument applies stage by stage.
+    """
     if set(h.source) != set(g.sigma):
         raise ValueError("homomorphism source must match the machine's alphabet")
     erased = tuple(s for s in g.sigma if not h.images[s])
@@ -729,14 +711,14 @@ def gpfa_reverse(g: Gpfa) -> Gpfa:
 
 def gpfa_quotient(g: Gpfa, w: WordLike, side: str) -> Gpfa:
     """Fix a word on one side: the left quotient values ``y`` at ``f(wy)``,
-    the right quotient values ``z`` at ``f(zw)``."""
+    its initial vector the row product ``v0 A_w``; the right quotient values
+    ``z`` at ``f(zw)``, its final vector the column product ``A_w f``."""
     word = tuple(w)
     for sym in word:
         if sym not in g.sigma:
             raise ValueError(f"symbol {sym!r} not in the machine's alphabet")
     if side == "left":
-        init, advance, _ = stepper(g)
-        v0 = state_vector(g, reduce(advance, word, init))
+        v0 = reduce(lambda v, sym: v @ g.trans[sym], word, g.v0)
         return Gpfa(g.n, g.sigma, dict(g.trans), v0, g.f)
     if side == "right":
         return Gpfa(g.n, g.sigma, dict(g.trans), g.v0, _word_product(g, word) @ g.f)

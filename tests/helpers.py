@@ -60,6 +60,18 @@ def random_nonneg_gpfa(rng: Random, n: int, sigma, hi: int = 2, den: int = 2) ->
     return random_gpfa(rng, n, sigma, lo=0, hi=hi, den=den)
 
 
+def cyclic_witness() -> Gpfa:
+    """Three states over {a, c}, nonnegative: the run starts in state 1,
+    ``c`` shifts 1 -> 2 -> 3 -> 1, ``a`` keeps only state 3 and the value
+    reads state 3.  So the value of ``c^k a`` is 1 iff k = 2 (mod 3), and
+    erasing ``c`` needs a padding bound of 3, the state count."""
+    unit = lambda i: [Fraction(int(j == i)) for j in range(3)]
+    shift = Matrix.rational([unit(1), unit(2), unit(0)])
+    keep = Matrix.rational([[0] * 3, [0] * 3, unit(2)])
+    return Gpfa(3, ("a", "c"), {"a": keep, "c": shift}, RowVec(unit(0), RATIONAL),
+                ColVec(unit(2), RATIONAL))
+
+
 def random_stochastic_row(rng: Random, n: int, den: int) -> list[Fraction]:
     cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
     parts = (

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from helpers import cyclic_witness
 from qfalab.automata import Gpfa, Kwqfa, Mcqfa, Pfa
 from qfalab import cli
 from qfalab.cli import (
@@ -24,7 +25,10 @@ from qfalab.cli import (
 from qfalab.constructions import (
     coin_pfa,
     extend_pfa,
+    gpfa_hom,
+    gpfa_quotient,
     gpfa_union,
+    hom,
     neq_mcqfa,
     pfa_to_nqfa,
     rotation_mcqfa,
@@ -389,6 +393,44 @@ def test_build_pipeline_and_quotient(demo_dir, tmp_path):
     from qfalab.automata import acceptance_value
 
     assert acceptance_value(quotient, ["G1"]) == 1
+
+
+def test_build_hom_erases_with_the_given_bound(tmp_path, capsys):
+    """``build hom --nl 3`` on the nonnegative 3-state witness writes the
+    library's image document; bound 3 keeps ``a``, whose padding ``cca``
+    has value 1, and bound 2 loses it."""
+    g = cyclic_witness()
+    machine, mapping = tmp_path / "witness.json", tmp_path / "erase_c.json"
+    machine.write_text(serialize_machine(g))
+    mapping.write_text(json.dumps({"source": ["a", "c"], "target": ["a"],
+                                   "images": {"a": ["a"], "c": []}}))
+    for bound, value in (("3", "1"), ("2", "0")):
+        out = tmp_path / f"image_{bound}.json"
+        argv = ["build", "hom", "--in", str(machine), "--map", str(mapping),
+                "--nl", bound, "--out", str(out)]
+        assert main(argv) == 0
+        expected = gpfa_hom(g, hom({"a": "a", "c": ()}), [int(bound)])
+        assert out.read_text() == serialize_machine(expected)
+        capsys.readouterr()
+        assert main(["simulate", "--machine", str(out), "--word", "a", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == value
+
+
+def test_left_quotient_refuses_a_non_finite_initial_vector(tmp_path, capsys):
+    """Reading ``aa`` into a float machine can overflow; the left quotient
+    refuses the infinite initial vector, in the library and as exit 2."""
+    big = 1e200
+    g = Gpfa(2, ("a",), {"a": Matrix([[big, big], [0.0, 1.0]], FLOAT)},
+             RowVec([big, 1.0], FLOAT), ColVec([1.0, 1.0], FLOAT))
+    with pytest.raises(ValueError, match="^non-finite float entry inf$"):
+        gpfa_quotient(g, "aa", "left")
+    machine = tmp_path / "big.json"
+    machine.write_text(serialize_machine(g))
+    capsys.readouterr()
+    argv = ["build", "quotient", "--in", str(machine), "--word", "aa", "--side", "left",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: non-finite float entry inf\n"
 
 
 def test_build_union_and_shift(demo_dir, tmp_path):

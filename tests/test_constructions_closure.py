@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     convolution_value,
+    cyclic_witness,
     factorization_value,
     padded_value,
     preimage_value,
@@ -18,7 +19,7 @@ from helpers import (
     random_nonneg_gpfa,
     words_up_to,
 )
-from qfalab.automata import Gpfa, acceptance_value
+from qfalab.automata import Gpfa, acceptance_value, enumerate_values
 from qfalab.constructions import (
     Homomorphism,
     add_epsilon,
@@ -32,6 +33,7 @@ from qfalab.constructions import (
     gpfa_reverse,
     gpfa_star,
     gpfa_union,
+    hom,
 )
 from qfalab.cutpoint import one_sided_zero_check
 from qfalab.numeric import ColVec, Matrix, RowVec
@@ -209,45 +211,41 @@ def test_erasing_hom_unknown_symbol():
         gpfa_erasing_hom(unit_machine("a"), "z", 2)
 
 
-def test_suggest_padding_bound_heuristic():
-    from qfalab.constructions import suggest_padding_bound
+def _sparse_nonneg_gpfa(rng: Random, n: int, sigma) -> Gpfa:
+    """Rational machine with about a third of its entries positive and the
+    rest 0, so that whether a word is padded decides many values."""
+    def entry():
+        return Fraction(rng.randint(1, 2), rng.randint(1, 2)) if rng.random() < 0.35 else Fraction(0)
 
-    padded_once = unit_machine(("c", "a", "c"), sigma=("a", "c"))
-    assert suggest_padding_bound(padded_once, "c", maxlen=4, bound_cap=5) == 2
-
-    still_growing = unit_machine(("c",) * 4 + ("a",), sigma=("a", "c"))
-    assert suggest_padding_bound(still_growing, "c", maxlen=3, bound_cap=5) is None
-
-
-def test_suggest_padding_bound_reads_float_machines_too():
-    """A float machine's read-outs are values, a rational one's integer
-    pairs; both give the same suggestion."""
-    from qfalab.constructions import suggest_padding_bound
-
-    for word, want in ((("c", "a", "c"), 2), (("c",) * 4 + ("a",), None)):
-        g = unit_machine(word, sigma=("a", "c"))
-        floats = Gpfa(g.n, g.sigma, {s: m.to_float() for s, m in g.trans.items()},
-                      g.v0.to_float(), g.f.to_float())
-        assert suggest_padding_bound(floats, "c", maxlen=4, bound_cap=5) == want
+    trans = {s: Matrix.rational([[entry() for _ in range(n)] for _ in range(n)]) for s in sigma}
+    return Gpfa(n, tuple(sigma), trans, RowVec([entry() for _ in range(n)]),
+                ColVec([entry() for _ in range(n)]))
 
 
-@pytest.mark.parametrize("word, cap, want, bounds", [
-    (("c", "a", "c"), 5, 2, [5, 4, 1, 2]),
-    (("c", "a", "c"), 3, 2, [3, 2, 1]),
-    (("c", "a", "c"), 1, 1, [1]),
-    (("c",) * 4 + ("a",), 5, None, [5, 4]),
-])
-def test_suggest_padding_bound_sweeps_each_bound_once(monkeypatch, word, cap, want, bounds):
-    """The bound below the cap is swept once, for the early ``None``, and the
-    search stops short of it: if no smaller bound agrees, it is the answer."""
-    from qfalab import constructions
+def _positives(g: Gpfa, maxlen: int) -> set:
+    return {w for w, value in enumerate_values(g, maxlen) if value > 0}
 
-    calls, erase = [], constructions.gpfa_erasing_hom
-    monkeypatch.setattr(constructions, "gpfa_erasing_hom",
-                        lambda g, kappa, n_L: calls.append(n_L) or erase(g, kappa, n_L))
-    g = unit_machine(word, sigma=("a", "c"))
-    assert constructions.suggest_padding_bound(g, "c", maxlen=4, bound_cap=cap) == want
-    assert calls == bounds
+
+@pytest.mark.parametrize("erased", [("c",), ("c", "d")])
+def test_state_count_is_a_padding_bound_for_nonnegative_machines(erased):
+    """For a machine nonnegative on every word, bound ``g.n`` per erased
+    symbol keeps the image's positive set, as any larger bound does."""
+    rng = Random(len(erased))
+    h = hom({"a": "a", "b": "b", **{s: () for s in erased}})
+    padded = 0
+    for _ in range(25):
+        g = _sparse_nonneg_gpfa(rng, rng.randint(2, 5), ("a", "b") + erased)
+        image = _positives(gpfa_hom(g, h, [g.n] * len(erased)), 4)
+        assert image == _positives(gpfa_hom(g, h, [g.n + 4] * len(erased)), 4)
+        padded += image != _positives(gpfa_hom(g, h, [1] * len(erased)), 4)
+    assert padded > 0  # the draws exercise padding, not only restriction
+
+
+@pytest.mark.parametrize("bound, value", [(2, 0), (3, 1), (7, 6)])
+def test_a_bound_below_the_state_count_can_lose_a_word(bound, value):
+    """``g(c^k a) = 1`` iff k = 2 (mod 3): bound 2 = n - 1 loses ``a``."""
+    g = cyclic_witness()
+    assert acceptance_value(gpfa_hom(g, hom({"a": "a", "c": ()}), [bound]), "a") == value
 
 
 # -- non-erasing homomorphism ------------------------------------------------

@@ -1,8 +1,9 @@
-"""Every name a ``qfalab`` module imports is used in that module, no
-function in it is a pure pass-through of another, no class in it is a
-namespace of static methods, every private module-level name is
-referenced somewhere in the package, and every package name the benchmark
-under ``bench/`` looks up exists."""
+"""Every name a ``qfalab`` module imports is used in that module,
+``constructions`` imports no evaluator from ``automata``, no function in a
+module is a pure pass-through of another, no class in it is a namespace of
+static methods, every private module-level name is referenced somewhere in
+the package, and every package name the benchmark under ``bench/`` looks up
+exists."""
 
 import ast
 import importlib
@@ -45,6 +46,41 @@ def test_the_scan_finds_an_unused_import():
 def test_every_imported_name_is_used(path):
     unused = _unused_imports(ast.parse(path.read_text()))
     assert [name for name in unused if (path.stem, name) not in RE_EXPORTS] == []
+
+
+# What ``constructions`` may take from ``automata``: machine types, markers
+# and word aliases.  A construction builds a machine and never runs one.
+MACHINE_NAMES = {"CENT", "DOLLAR", "MARKERS", "Gpfa", "Kwqfa", "Mcqfa", "Pfa", "Word", "WordLike"}
+
+
+def _imports_from(tree: ast.Module, module: str) -> set[str]:
+    """Names imported from the package module ``module``, relatively or by
+    its full name, and ``module`` itself for a plain ``import``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"qfalab.{module}"):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "qfalab"):
+            found.update(alias.name for alias in node.names if alias.name == module)
+        elif isinstance(node, ast.Import):
+            found.update(module for alias in node.names if alias.name == f"qfalab.{module}")
+    return found
+
+
+def test_the_scan_finds_names_imported_from_a_module():
+    tree = ast.parse(
+        "from .automata import Gpfa, stepper as s\n"
+        "from qfalab.automata import prefix_levels\n"
+        "from . import automata, numeric\n"
+        "import qfalab.automata\n"
+        "from .numeric import mat_mul\n"
+    )
+    assert _imports_from(tree, "automata") == {"Gpfa", "stepper", "prefix_levels", "automata"}
+
+
+def test_constructions_import_no_evaluator():
+    tree = ast.parse((PACKAGE / "constructions.py").read_text())
+    assert _imports_from(tree, "automata") - MACHINE_NAMES == set()
 
 
 def _pass_throughs(tree: ast.Module) -> list[str]:
