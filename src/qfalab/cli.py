@@ -7,7 +7,8 @@ the end-markers appear under the reserved names ``cent`` and ``dollar``.
 Every document (machine, extended, homomorphism and ``dfa:`` oracle) is
 read by one JSON loader, ``_read_json``, and checked by the field readers
 of ``languages``; syntax errors and nesting too deep to parse are both
-reported as ``invalid JSON``.
+reported as ``invalid JSON``.  Each ``build`` operation is one entry of
+``BUILD_OPERATIONS``, and each command returns its report for ``main`` to print.
 Exit codes: 0 for success or agreement, 1 for a disagreement or a found
 counterexample, 2 for usage and validation errors.
 """
@@ -153,7 +154,12 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
 
 
 def _matrices_to_doc(table: Mapping[str, Matrix]) -> dict:
-    """Each symbol's matrix as rows, keyed by the symbol's document name."""
+    """Each symbol's matrix as rows, keyed by the symbol's document name.  An
+    input symbol named ``cent`` or ``dollar`` is refused: its key would be an
+    end-marker's."""
+    for sym in table:
+        if sym in NAMED_MARKERS:
+            raise ValueError(f"input symbol {sym!r} is an end-marker's name in documents")
     return {
         MARKER_NAMES.get(sym, sym): [list(row) for row in m.entries] if m.kind == FLOAT
         else [[format_scalar(v) for v in row] for row in m.entries]
@@ -183,9 +189,13 @@ def _machine_fields(
     """Alphabet, state count and matrices, shared by machine and extended documents."""
     alphabet = _strings(_field(doc, "alphabet"), "alphabet")
     n = _integer(_field(doc, count), count)
+    matrices = _object(_field(doc, "matrices"), "matrices")
+    for key in matrices:
+        if key in MARKER_NAMES:
+            raise DocumentError(f"matrix key {key!r}: the end-markers are 'cent' and 'dollar'")
     trans = {
         NAMED_MARKERS.get(key, key): _matrix_from_doc(raw, scalar, f"matrix {key!r}", literals)
-        for key, raw in _object(_field(doc, "matrices"), "matrices").items()
+        for key, raw in matrices.items()
     }
     return alphabet, n, trans
 
@@ -342,11 +352,15 @@ def hom_from_doc(doc: Mapping) -> Homomorphism:
 # Reports
 
 
-def _emit(report: dict, as_json: bool) -> None:
+def _emit(report: Mapping, as_json: bool) -> None:
+    """Print one command's report: as JSON, or one ``key: value`` line per
+    entry, a nested mapping written as ``k=v, ...``."""
     if as_json:
         print(json.dumps(report, indent=2, default=str))
         return
     for key, value in report.items():
+        if isinstance(value, Mapping):
+            value = ", ".join(f"{k}={v}" for k, v in value.items())
         print(f"{key}: {value}")
 
 
@@ -365,18 +379,17 @@ def _resolve_oracle(spec: str, complement_flag: bool) -> LanguageOracle:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its exit code and its report, which ``main`` prints.
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, dict]:
     machine = load_machine(args.machine)
     word = parse_word(args.word, machine.sigma)
     value = acceptance_value(machine, word)
-    _emit({"word": "".join(word), "value": _encode_scalar(value)}, args.json)
-    return 0
+    return 0, {"word": "".join(word), "value": _encode_scalar(value)}
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, dict]:
     machine = load_machine(args.machine)
     word = parse_word(args.word, machine.sigma)
     spec = CutpointSpec(_machine_cut(machine, args.cutpoint), args.relation)
@@ -385,22 +398,18 @@ def _cmd_classify(args) -> int:
     # A float in the ``equal`` cell's band is undecided, as in ``verify``.
     floating = machine.kind == FLOAT
     cell = cell_test(machine, spec.lam)(value if floating else value.as_integer_ratio())
-    _emit(
-        {
-            "word": "".join(word),
-            "value": _encode_scalar(value),
-            "cutpoint": args.cutpoint,
-            "relation": args.relation,
-            "member": cell in RELATION_CELLS[spec.relation],
-            "cell": cell,
-            "undecided": floating and cell == EQUAL,
-        },
-        args.json,
-    )
-    return 0
+    return 0, {
+        "word": "".join(word),
+        "value": _encode_scalar(value),
+        "cutpoint": args.cutpoint,
+        "relation": args.relation,
+        "member": cell in RELATION_CELLS[spec.relation],
+        "cell": cell,
+        "undecided": floating and cell == EQUAL,
+    }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     machine = load_machine(args.machine)
     lang = _resolve_oracle(args.oracle, args.complement)
     spec = CutpointSpec(_machine_cut(machine, args.cutpoint), args.relation)
@@ -409,107 +418,107 @@ def _cmd_verify(args) -> int:
         # desk-scale defaults: ~10^2..10^5 words either way
         maxlen = 8 if len(machine.sigma) <= 2 else 6
     report = enumerate_agreement(machine, spec, lang, maxlen)
-    _emit(
-        {
-            "oracle": lang.name,
-            "tested": report.tested,
-            "max_len": report.max_len,
-            "agreed": report.agreed,
-            "first_disagreement": None
-            if report.first_disagreement is None
-            else "".join(report.first_disagreement),
-            "undecided": report.undecided,
-            "first_undecided": None
-            if report.first_undecided is None
-            else "".join(report.first_undecided),
-        },
-        args.json,
-    )
-    return 0 if report.agreed else 1
+
+    def text(word):
+        return None if word is None else "".join(word)
+
+    return 0 if report.agreed else 1, {
+        "oracle": lang.name,
+        "tested": report.tested,
+        "max_len": report.max_len,
+        "agreed": report.agreed,
+        "first_disagreement": text(report.first_disagreement),
+        "undecided": report.undecided,
+        "first_undecided": text(report.first_undecided),
+    }
 
 
-def _cmd_dieu(args) -> int:
+def _cmd_dieu(args) -> tuple[int, dict]:
     lang = _resolve_oracle(args.oracle, args.complement)
     u = parse_word(args.u, lang.alphabet)
     y = parse_word(args.y, lang.alphabet)
     v = parse_word(args.v, lang.alphabet)
     m = dieu_violation(lang, u, y, v, args.n, args.m_max)
-    _emit({"oracle": lang.name, "n": args.n, "violation": m}, args.json)
-    return 1 if m is not None else 0
+    return 1 if m is not None else 0, {"oracle": lang.name, "n": args.n, "violation": m}
 
 
-def _require(value, flag: str, op: str):
+def _require(args, flag: str):
+    """The value of the ``build`` option ``flag``, which the operation needs;
+    each option's value is stored under its name without the dashes."""
+    value = getattr(args, flag[2:])
     if value is None:
-        raise DocumentError(f"build {op} requires {flag}")
+        raise DocumentError(f"build {args.operation} requires {flag}")
     return value
 
 
-_PAIR_OPERATIONS = {"concat": gpfa_concat, "union": gpfa_union, "intersect": gpfa_intersection}
-
-
-def _build_machine(args) -> Machine:
-    op = args.operation
-    if op == "rot-mcqfa":
-        return rotation_mcqfa(_require(args.m, "--m", op))
-    if op == "wp-gpfa":
-        return word_problem_gpfa(_require(args.k, "--k", op))
-    if op == "pfa2nqfa":
-        infile = _require(args.infile, "--in", op)
-        return pfa_to_nqfa(_expect(load_machine(infile), Pfa, op))
-    if op == "shift-cutpoint":
-        machine = _expect(load_machine(_require(args.infile, "--in", op)), Pfa, op)
-        return shift_cutpoint(machine, parse_rational(_require(args.cutpoint, "--cutpoint", op)))
-    one = _expect(load_machine(_require(args.infile, "--in", op)), Gpfa, op)
-    if op in _PAIR_OPERATIONS:
-        other = load_machine(_require(args.infile2, "--in2", op))
-        return _PAIR_OPERATIONS[op](one, _expect(other, Gpfa, op))
-    if op == "star":
-        return gpfa_star(one)
-    if op == "add-eps":
-        return add_epsilon(one, _machine_cut(one, args.delta))
-    if op == "reverse":
-        return gpfa_reverse(one)
-    if op == "quotient":
-        return gpfa_quotient(one, parse_word(args.word, one.sigma), args.side)
-    if op == "hom":
-        mapping = hom_from_doc(_read_json(_require(args.map, "--map", op)))
-        try:
-            bounds = [int(x) for x in args.nl.split(",")] if args.nl else []
-        except ValueError as exc:
-            raise DocumentError(f"--nl must be comma-separated integers: {args.nl!r}") from exc
-        return gpfa_hom(one, mapping, bounds)
-    if op == "inv-hom":
-        mapping = hom_from_doc(_read_json(_require(args.map, "--map", op)))
-        return gpfa_inverse_hom(one, mapping)
-    raise DocumentError(f"unknown build operation {op!r}")
-
-
-def _expect(machine: Machine, cls, op: str):
+def _machine(args, cls, flag: str = "--in"):
+    """The machine document named by ``--in`` (or ``flag``), which must be a ``cls``."""
+    machine = load_machine(_require(args, flag))
     if not isinstance(machine, cls):
-        raise DocumentError(
-            f"build {op} needs a {cls.__name__.lower()} document, got {type(machine).__name__.lower()}"
-        )
+        need, got = cls.__name__.lower(), type(machine).__name__.lower()
+        raise DocumentError(f"build {args.operation} needs a {need} document, got {got}")
     return machine
 
 
-def _cmd_build(args) -> int:
-    if args.operation == "extend":
-        infile = _require(args.infile, "--in", "extend")
-        extended = extend_pfa(_expect(load_machine(infile), Pfa, "extend"))
-        Path(args.out).write_text(_write_document(extended_to_doc(extended)))
-        _emit({"written": args.out, "states": extended.n_plus_3}, args.json)
-        return 0
-    if args.operation == "complete":
-        infile = _require(args.infile, "--in", "complete")
-        extended = extended_from_doc(_read_json(infile))
-        completed = unitary_complete(extended)
-        Path(args.out).write_text(_write_document(completion_to_doc(completed)))
-        _emit({"written": args.out, "dimension": completed.unitaries[CENT].rows}, args.json)
-        return 0
-    machine = _build_machine(args)
-    save_machine(args.out, machine)
-    _emit({"written": args.out, "states": machine.n}, args.json)
-    return 0
+def _homomorphism(args) -> Homomorphism:
+    return hom_from_doc(_read_json(_require(args, "--map")))
+
+
+def _hom(args) -> Gpfa:
+    one, mapping = _machine(args, Gpfa), _homomorphism(args)
+    try:
+        bounds = [int(x) for x in args.nl.split(",")] if args.nl else []
+    except ValueError as exc:
+        raise DocumentError(f"--nl must be comma-separated integers: {args.nl!r}") from exc
+    return gpfa_hom(one, mapping, bounds)
+
+
+def _extend(args) -> tuple[dict, dict]:
+    extended = extend_pfa(_machine(args, Pfa))
+    return extended_to_doc(extended), {"states": extended.n_plus_3}
+
+
+def _complete(args) -> tuple[dict, dict]:
+    completed = unitary_complete(extended_from_doc(_read_json(_require(args, "--in"))))
+    return completion_to_doc(completed), {"dimension": completed.unitaries[CENT].rows}
+
+
+# Every ``build`` operation, in the order ``build --help`` lists them: each
+# reads its own options and returns a machine, or, for the two pipeline
+# stages, a side document and its report entries.
+BUILD_OPERATIONS = {
+    "pfa2nqfa": lambda args: pfa_to_nqfa(_machine(args, Pfa)),
+    "extend": _extend,
+    "complete": _complete,
+    "concat": lambda args: gpfa_concat(_machine(args, Gpfa), _machine(args, Gpfa, "--in2")),
+    "star": lambda args: gpfa_star(_machine(args, Gpfa)),
+    "hom": _hom,
+    "inv-hom": lambda args: gpfa_inverse_hom(_machine(args, Gpfa), _homomorphism(args)),
+    "reverse": lambda args: gpfa_reverse(_machine(args, Gpfa)),
+    "quotient": lambda args: gpfa_quotient(
+        one := _machine(args, Gpfa), parse_word(args.word, one.sigma), args.side
+    ),
+    "union": lambda args: gpfa_union(_machine(args, Gpfa), _machine(args, Gpfa, "--in2")),
+    "intersect": lambda args: gpfa_intersection(
+        _machine(args, Gpfa), _machine(args, Gpfa, "--in2")
+    ),
+    "shift-cutpoint": lambda args: shift_cutpoint(
+        _machine(args, Pfa), parse_rational(_require(args, "--cutpoint"))
+    ),
+    "rot-mcqfa": lambda args: rotation_mcqfa(_require(args, "--m")),
+    "wp-gpfa": lambda args: word_problem_gpfa(_require(args, "--k")),
+    "add-eps": lambda args: add_epsilon(one := _machine(args, Gpfa), _machine_cut(one, args.delta)),
+}
+
+
+def _cmd_build(args) -> tuple[int, dict]:
+    built = BUILD_OPERATIONS[args.operation](args)
+    if isinstance(built, Machine):
+        save_machine(args.out, built)
+        return 0, {"written": args.out, "states": built.n}
+    doc, size = built
+    Path(args.out).write_text(_write_document(doc))
+    return 0, {"written": args.out, **size}
 
 
 def _demo_machines() -> dict[str, Machine]:
@@ -522,7 +531,7 @@ def _demo_machines() -> dict[str, Machine]:
     }
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple[int, dict]:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -536,12 +545,7 @@ def _cmd_demo(args) -> int:
             "states": machine.n,
             f"value({sample})": _encode_scalar(value),
         }
-    if args.json:
-        print(json.dumps(summary, indent=2, default=str))
-    else:
-        for name, info in summary.items():
-            print(f"{name}: " + ", ".join(f"{k}={v}" for k, v in info.items()))
-    return 0
+    return 0, summary
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +602,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dieu)
 
     p = with_json(sub.add_parser("build", help="run a machine construction"))
-    p.add_argument(
-        "operation",
-        choices=[
-            "pfa2nqfa", "extend", "complete", "concat", "star", "hom", "inv-hom",
-            "reverse", "quotient", "union", "intersect", "shift-cutpoint",
-            "rot-mcqfa", "wp-gpfa", "add-eps",
-        ],
-    )
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--in2", dest="infile2")
+    p.add_argument("operation", choices=list(BUILD_OPERATIONS))
+    p.add_argument("--in", metavar="INFILE")
+    p.add_argument("--in2", metavar="INFILE2")
     p.add_argument("--out", required=True)
     p.add_argument("--cutpoint")
     p.add_argument("--m", type=int)
@@ -643,7 +640,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         numeric.EPSILON = eps
     try:
         args = _make_parser().parse_args(argv)
-        return args.func(args)
+        code, report = args.func(args)
+        _emit(report, args.json)
+        return code
     except SystemExit as exc:  # argparse's exit on --help or bad arguments
         return int(exc.code or 0)
     except (DocumentError, ValueError, OSError, KeyError, TypeError) as exc:

@@ -7,11 +7,14 @@ Run from the root of a source checkout:
 It runs the ``simulate``, ``classify``, ``verify`` and ``dieu`` commands
 with ``--json`` on the demo machines and on machines drawn from the test
 families (``helpers``), and ``enumerate_values`` to length 5-7 on each
-machine, and prints the number of reports and one digest over every exit
-code, standard output and standard error and the ``repr`` of every value
-list.  Two versions of the program that print the same digest give the same
-reports on these inputs.  The name does not match ``test_*.py``, so pytest
-does not collect it.
+machine; then every ``build`` operation, and one unknown name, on each of
+nine ``--in`` choices under fourteen flag sets, ``demo`` in text and with
+``--json``, and the ``--help`` text of the command and of each subcommand
+at 80 columns.  It prints the number of reports and one digest over every
+exit code, standard output and standard error, every document ``build`` or
+``demo`` wrote and the ``repr`` of every value list.  Two versions of the
+program that print the same digest give the same reports on these inputs.
+The name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from random import Random
 
@@ -33,6 +37,8 @@ from helpers import random_gpfa, random_nonneg_gpfa, random_pfa  # noqa: E402
 from qfalab import cli  # noqa: E402
 from qfalab.automata import Gpfa, enumerate_values  # noqa: E402
 from qfalab.constructions import (  # noqa: E402
+    coin_pfa,
+    extend_pfa,
     gpfa_concat,
     gpfa_star,
     gpfa_union,
@@ -142,10 +148,81 @@ def reports(workdir: Path):
                        "--m-max", str(m_max), "--json"] + ["--complement"] * complement)
 
 
+# Spelled out rather than read from ``cli``, so that any two versions can be
+# compared; the last name is no operation.
+BUILD_OPERATIONS = (
+    "pfa2nqfa", "extend", "complete", "concat", "star", "hom", "inv-hom", "reverse", "quotient",
+    "union", "intersect", "shift-cutpoint", "rot-mcqfa", "wp-gpfa", "add-eps", "no-such-op",
+)
+MAPS = {
+    "map_ab": {"source": ["a", "b"], "target": ["x", "y"], "images": {"a": "xy", "b": ""}},
+    "map_wp": {"source": ["x", "y"], "target": ["g1", "G1", "g2", "G2"],
+               "images": {"x": ["g1", "G1"], "y": "g2"}},
+    "map_erase": {"source": ["a", "b"], "target": ["x"], "images": {"a": "", "b": ""}},
+    "map_unknown": {"source": ["a"], "target": ["x"], "images": {"z": "x"}},
+}
+# ``--in`` choices by name; None leaves the flag out.
+BUILD_INPUTS = ("pfa", "gpfa", "float", "wp", "mcqfa", "extended", "missing", "bad_json", None)
+# Flag sets; the name of a document ``build_reports`` writes stands for its path.
+BUILD_FLAGS = (
+    [],
+    ["--in2", "gpfa2", "--json"],
+    ["--in2", "pfa"],
+    ["--map", "map_ab", "--json"],
+    ["--map", "map_ab", "--nl", "2"],
+    ["--map", "map_ab", "--nl", "x"],
+    ["--map", "map_wp", "--json"],
+    ["--map", "map_erase", "--nl", "1,1"],
+    ["--map", "map_unknown", "--nl", "0"],
+    ["--cutpoint", "1/3", "--json"],
+    ["--m", "4", "--k", "2"],
+    ["--m", "0", "--k", "0", "--cutpoint", "x"],
+    ["--delta", "1/2", "--word", "ab", "--side", "right", "--json"],
+    ["--word", "ba", "--delta", "0.25"],
+)
+
+
+def build_reports(workdir: Path):
+    """Each ``build`` run with the document it wrote, if any, which is then
+    removed so that the next run starts without one."""
+    rng = Random(913)
+    files = {name: workdir / f"{name}.json" for name in BUILD_INPUTS + tuple(MAPS) + ("gpfa2",)
+             if name is not None}
+    for name, machine in (("pfa", coin_pfa()), ("gpfa", random_gpfa(rng, 2, BINARY)),
+                          ("gpfa2", random_gpfa(rng, 1, BINARY)), ("float", float_gpfa(rng, 2)),
+                          ("wp", word_problem_gpfa(2)), ("mcqfa", rotation_mcqfa(3))):
+        cli.save_machine(str(files[name]), machine)
+    files["extended"].write_text(json.dumps(cli.extended_to_doc(extend_pfa(coin_pfa()))))
+    files["bad_json"].write_text("{not json")
+    for name, doc in MAPS.items():
+        files[name].write_text(json.dumps(doc))
+    out = workdir / "built.json"
+    for op, given, flags in product(BUILD_OPERATIONS, BUILD_INPUTS, BUILD_FLAGS):
+        argv = ["build", op, "--out", str(out)] + (["--in", str(files[given])] if given else [])
+        report = run(argv + [str(files.get(f, f)) for f in flags])
+        if out.exists():
+            report += out.read_text()
+            out.unlink()
+        yield report
+
+
+def demo_and_help_reports(workdir: Path):
+    for outdir, flags in ((workdir / "demo", []), (workdir / "demo-json", ["--json"])):
+        report = run(["demo", "--outdir", str(outdir)] + flags)
+        yield report + "".join(f"{p.name}\n{p.read_text()}" for p in sorted(outdir.iterdir()))
+    yield run(["--help"])
+    yield run([])
+    for command in ("simulate", "classify", "verify", "dieu", "build", "demo"):
+        yield run([command, "--help"])
+
+
 def main() -> None:
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
     digest, count = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        for report in reports(Path(tmp)):
+        workdir = Path(tmp)
+        for report in chain(reports(workdir), build_reports(workdir),
+                            demo_and_help_reports(workdir)):
             digest.update(report.replace(tmp, "<dir>").encode())
             count += 1
     print(f"{count} reports, sha256 {digest.hexdigest()}")

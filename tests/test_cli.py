@@ -7,8 +7,8 @@ from random import Random
 
 import pytest
 
-from helpers import cyclic_witness
-from qfalab.automata import Gpfa, Kwqfa, Mcqfa, Pfa
+from helpers import cyclic_witness, random_gpfa, words_up_to
+from qfalab.automata import Gpfa, Kwqfa, Mcqfa, Pfa, acceptance_value
 from qfalab import cli
 from qfalab.cli import (
     DocumentError,
@@ -1058,3 +1058,164 @@ def test_a_rounded_exact_zero_is_never_silently_decided(tmp_path, capsys):
     main(["verify", "--machine", path, "--cutpoint", "0", "--relation", "equal",
           "--oracle", f"dfa:{everything}", "--maxlen", "13", "--json"])
     assert json.loads(capsys.readouterr().out)["agreed"] is True
+
+
+MINIMAL_GPFA = {"kind": "gpfa", "alphabet": ["a"], "n": 1, "matrices": {"a": [[1]]},
+                "v0": [1], "f": [1]}
+DFA = SIDE_DOCUMENTS["dfa"]
+
+# Each ``build`` operation's required options, in the order it reads them.
+REQUIRED = {
+    "pfa2nqfa": ["--in"], "extend": ["--in"], "complete": ["--in"], "concat": ["--in", "--in2"],
+    "star": ["--in"], "hom": ["--in", "--map"], "inv-hom": ["--in", "--map"], "reverse": ["--in"],
+    "quotient": ["--in"], "union": ["--in", "--in2"], "intersect": ["--in", "--in2"],
+    "shift-cutpoint": ["--in", "--cutpoint"], "rot-mcqfa": ["--m"], "wp-gpfa": ["--k"],
+    "add-eps": ["--in"],
+}
+PFA_INPUTS = {"pfa2nqfa", "extend", "shift-cutpoint"}
+
+
+def _missing_option_cases():
+    """Each required option left out, the ones read before it given: only
+    ``--in`` and ``--in2`` are read before another."""
+    for op, flags in REQUIRED.items():
+        for i, flag in enumerate(flags):
+            given = [x for f in flags[:i] for x in (f, "COIN" if op in PFA_INPUTS else "WP")]
+            yield pytest.param(["build", op, "--out", "OUT"] + given, None,
+                               f"build {op} requires {flag}", id=f"{op}-without-{flag[2:]}")
+
+
+SIMULATE = ["simulate", "--machine", "DOC", "--word", ""]
+DFA_VERIFY = ["verify", "--machine", "ROT", "--cutpoint", "0", "--relation", "greater",
+              "--oracle", "dfa:DOC"]
+WP_HOM = {"source": ["g1", "G1", "g2", "G2"], "target": ["x"]}
+
+REFUSALS = [
+    pytest.param(SIMULATE, {**MINIMAL_PFA, "alphabet": []}, "alphabet must be nonempty",
+                 id="alphabet-empty"),
+    pytest.param(SIMULATE, {**MINIMAL_PFA, "alphabet": ["a", "a"]},
+                 "alphabet symbols must be distinct", id="alphabet-duplicate"),
+    pytest.param(SIMULATE, {**MINIMAL_PFA, "alphabet": [""], "matrices": {"": [[1]]}},
+                 "invalid alphabet symbol ''", id="alphabet-empty-symbol"),
+    pytest.param(SIMULATE, {**MINIMAL_PFA, "n": 0}, "state count must be positive", id="n-zero"),
+    pytest.param(SIMULATE, {**TWO_STATE_PFA, "accepting": [3],
+                            "matrices": {"a": [[1, 0], [0, 1]], "b": [[0, 1], [1, 0]]}},
+                 "accepting contains invalid state index 3 for n=2", id="accepting-out-of-range"),
+    pytest.param(SIMULATE, {**MINIMAL_PFA, "alphabet": ["a", "b"]},
+                 "missing matrices for ['b']", id="matrix-missing"),
+    pytest.param(SIMULATE, {**MINIMAL_PFA, "matrices": {"a": [[1]], "c": [[1]]}},
+                 "unexpected matrices for ['c']", id="matrix-extra"),
+    pytest.param(SIMULATE, {**MINIMAL_GPFA, "v0": [1, 0]}, "v0 and f must have length n",
+                 id="gpfa-v0-length"),
+    pytest.param(SIMULATE, {**MINIMAL_GPFA, "scalar": "float", "matrices": {"a": [["x"]]}},
+                 "matrix 'a'[1][1]: float documents need numeric entries", id="float-entry-x"),
+    pytest.param(SIMULATE, {**MINIMAL_PFA, "matrices": {"a": []}},
+                 "matrix 'a': matrix must be a nonempty list of rows", id="matrix-empty"),
+    pytest.param(SIMULATE, {**TWO_STATE_PFA, "matrices": {"a": [[1, 0], [1]], "b": [[1, 0]]}},
+                 "matrix 'a': ragged matrix rows", id="matrix-ragged"),
+    pytest.param(SIMULATE, {**MINIMAL_GPFA, "v0": []}, "v0: vector must be a nonempty list",
+                 id="gpfa-v0-empty"),
+    pytest.param(SIMULATE, {**MINIMAL_PFA, "scalar": "complex"},
+                 "unknown scalar kind 'complex'", id="scalar-complex"),
+    pytest.param(["build", "complete", "--in", "DOC", "--out", "OUT"], MINIMAL_PFA,
+                 "expected an extended-machine document", id="complete-not-extended"),
+    pytest.param(["build", "inv-hom", "--in", "WP", "--map", "DOC", "--out", "OUT"],
+                 {"source": ["x"], "target": ["g1"], "images": {"x": "g1", "z": "g1"}},
+                 "image given for unknown symbol 'z'", id="hom-unknown-symbol"),
+    pytest.param(DFA_VERIFY, {**DFA, "start": 2}, "start state 2 out of range",
+                 id="dfa-start-out-of-range"),
+    pytest.param(DFA_VERIFY, {**DFA, "accepting": [2]}, "accepting state out of range",
+                 id="dfa-accepting-out-of-range"),
+    pytest.param(DFA_VERIFY, {**DFA, "transitions": {"1": {"a": 2}}},
+                 "transition target out of range at state 1, 'a'", id="dfa-target-out-of-range"),
+    *_missing_option_cases(),
+    pytest.param(["build", "hom", "--in", "WP", "--map", "DOC", "--nl", "0", "--out", "OUT"],
+                 {**WP_HOM, "images": {"g1": "x", "G1": "x", "g2": "", "G2": "x"}},
+                 "padding bound must be at least 1", id="hom-bound-zero"),
+    pytest.param(["build", "hom", "--in", "WP", "--map", "DOC", "--nl", "3,3,3,3", "--out", "OUT"],
+                 {**WP_HOM, "images": {"g1": "", "G1": "", "g2": "", "G2": ""}},
+                 "erasing the only symbol would leave an empty alphabet", id="hom-erases-all"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, message", REFUSALS)
+def test_refusals_exit_two_with_one_error_line(demo_dir, tmp_path, capsys, argv, doc, message):
+    """Malformed documents and missing or out-of-range ``build`` options exit
+    2 with one ``error:`` line, print no report and write no document."""
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    paths = {"DOC": path, "dfa:DOC": f"dfa:{path}", "OUT": out, "WP": demo_dir / "wp_gpfa_2.json",
+             "COIN": demo_dir / "coin_pfa.json", "ROT": demo_dir / "rot_mcqfa_3.json"}
+    argv = [str(paths.get(a, a)) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_every_build_operation_states_its_required_options():
+    assert list(REQUIRED) == list(cli.BUILD_OPERATIONS)
+
+
+@pytest.mark.parametrize("name", ["cent", "dollar"])
+def test_build_refuses_an_input_symbol_named_after_an_end_marker(tmp_path, capsys, name):
+    """Documents key the end-markers' matrices ``cent`` and ``dollar``, so an
+    input symbol of that name would lose its matrix to a marker's: ``build``
+    exits 2 and writes nothing."""
+    wp, hom, out = tmp_path / "wp.json", tmp_path / "hom.json", tmp_path / "out.json"
+    assert main(["build", "wp-gpfa", "--k", "2", "--out", str(wp)]) == 0
+    hom.write_text(json.dumps({"source": [name], "target": ["g1", "G1", "g2", "G2"],
+                               "images": {name: "g1"}}))
+    capsys.readouterr()
+    assert main(["build", "inv-hom", "--in", str(wp), "--map", str(hom), "--out", str(out)]) == 2
+    message = f"error: input symbol {name!r} is an end-marker's name in documents\n"
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, matrices",
+    [
+        ("simulate", {"a": [[1]], "¢": [[1]]}),
+        ("simulate", {"a": [[1]], "$": [[1]]}),
+        ("simulate", {"a": [[1]], "cent": [[1]], "¢": [[1]]}),
+        ("complete", {"a": [[1]], "$": [[1]]}),
+    ],
+    ids=["cent", "dollar", "cent-and-its-name", "extended"],
+)
+def test_a_raw_end_marker_matrix_key_is_refused(tmp_path, capsys, command, matrices):
+    """A raw ``¢`` or ``$`` key was read as the marker's name, and beside
+    ``cent`` the later key silently won; now it exits 2 with one message."""
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    if command == "simulate":
+        path.write_text(json.dumps({**MINIMAL_PFA, "matrices": matrices}))
+        argv = ["simulate", "--machine", str(path), "--word", "a"]
+    else:
+        doc = {"kind": "extended", "alphabet": ["a"], "base_n": 1, "matrices": matrices}
+        path.write_text(json.dumps(doc))
+        argv = ["build", "complete", "--in", str(path), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    marker = next(key for key in matrices if key in "¢$")
+    message = f"error: matrix key {marker!r}: the end-markers are 'cent' and 'dollar'\n"
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
+def test_build_reverse_reads_each_word_backwards(tmp_path):
+    g = random_gpfa(Random(29), 3, ("a", "b"))
+    machine, out = tmp_path / "g.json", tmp_path / "reversed.json"
+    cli.save_machine(str(machine), g)
+    assert main(["build", "reverse", "--in", str(machine), "--out", str(out)]) == 0
+    reversed_g = load_machine(str(out))
+    for word in words_up_to(("a", "b"), 4):
+        assert acceptance_value(reversed_g, word) == acceptance_value(g, word[::-1])
+
+
+def test_demo_json_prints_one_object_keyed_by_the_demo_names(tmp_path, capsys):
+    assert main(["demo", "--outdir", str(tmp_path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["rot_mcqfa_3", "neq_mcqfa", "wp_gpfa_2", "coin_pfa", "coin_nqfa"]
+    assert report["coin_pfa"] == {"file": str(tmp_path / "coin_pfa.json"), "states": 2,
+                                  "value(a)": "1/2"}

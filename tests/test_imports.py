@@ -2,8 +2,8 @@
 ``constructions`` imports no evaluator from ``automata``, no function in a
 module is a pure pass-through of another, no class in it is a namespace of
 static methods, every private module-level name is referenced somewhere in
-the package, and every package name the benchmark under ``bench/`` looks up
-exists."""
+the package, every package name the benchmark under ``bench/`` looks up
+exists, and ``cli`` prints a report only through ``_emit`` and ``main``."""
 
 import ast
 import importlib
@@ -292,3 +292,70 @@ def test_every_name_the_benchmark_looks_up_exists():
         if not hasattr(owner, attr):
             missing.append(name)
     assert missing == []
+
+
+# The one report path of ``cli``: only ``_emit`` and ``main`` print, and each
+# command returns its exit code and its report for ``main`` to print.
+PRINTERS = {"_emit", "main"}
+
+
+def _own_nodes(func: ast.FunctionDef):
+    """The nodes of ``func``'s body, without those of nested functions."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _report_path_faults(tree: ast.Module) -> list[str]:
+    """Each module-level statement outside ``PRINTERS`` that calls ``print``,
+    as ``"print in <name>"``, and each ``_cmd_*`` function that returns
+    anything but a pair or does not end in a ``return``, as ``"<name>
+    returns no pair"``."""
+    def pair(node: ast.Return) -> bool:
+        return isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2
+
+    found = []
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        if name not in PRINTERS and any(
+            isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "print"
+            for sub in ast.walk(node)
+        ):
+            found.append(f"print in {name}")
+        if isinstance(node, ast.FunctionDef) and name.startswith("_cmd_"):
+            returns = [sub for sub in _own_nodes(node) if isinstance(sub, ast.Return)]
+            if not isinstance(node.body[-1], ast.Return) or not all(map(pair, returns)):
+                found.append(f"{name} returns no pair")
+    return found
+
+
+def test_the_scan_finds_a_second_report_path():
+    tree = ast.parse(
+        "def _emit(r):\n    print(r)\n"
+        "def main():\n    print('error')\n    return 2\n"
+        "def _cmd_ok(a):\n    def text(w):\n        return w\n"
+        "    if a:\n        return 1, {}\n    return 0, {'w': text(a)}\n"
+        "def _cmd_prints(a):\n    print(a)\n    return 0, {}\n"
+        "def _cmd_code(a):\n    return 0\n"
+        "def _cmd_early(a):\n    if a:\n        return 2\n    return 0, {}\n"
+        "def _cmd_falls_off(a):\n    if a:\n        return 0, {}\n"
+        "def _cmd_triple(a):\n    return 0, {}, a\n"
+        "def helper():\n    f = lambda: print('x')\n"
+        "print('top')\n"
+    )
+    assert _report_path_faults(tree) == [
+        "print in _cmd_prints", "_cmd_code returns no pair", "_cmd_early returns no pair",
+        "_cmd_falls_off returns no pair", "_cmd_triple returns no pair", "print in helper",
+        "print in <module>",
+    ]
+
+
+def test_cli_prints_reports_only_through_emit_and_main():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = [node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(commands) == 6
+    assert _report_path_faults(tree) == []
