@@ -14,15 +14,15 @@ Four automaton families share this module:
   marked input with a single observation at the end, evaluated as a
   measure-every-step run that measures nothing before the right end-marker.
 
-All four are frozen dataclasses over one base, ``_Machine``, which holds the
-fields ``n``, ``sigma`` and ``trans``, checks them once for every kind (a
-positive state count, a valid alphabet, one n x n matrix per symbol) and
-gives every machine the scalar ``kind`` of its matrices.  Each kind's own
-``__post_init__`` adds only its rules: stochastic rational rows for ``Pfa``,
-the initial and final vectors for ``Gpfa``, orthogonal matrices of one
-scalar kind, exactly orthogonal if rational and within the zero tolerance
-if float (a check the two quantum kinds share), and the accepting and
-rejecting sets.
+All four are immutable records (``numeric.Record``) over one base,
+``_Machine``, which holds the fields ``n``, ``sigma`` and ``trans``, checks
+them once for every kind (a positive state count, a valid alphabet, one
+n x n matrix per symbol) and gives every machine the scalar ``kind`` of its
+matrices.  Each kind's own ``__post_init__`` adds only its rules: stochastic
+rational rows for ``Pfa``, the initial and final vectors for ``Gpfa``,
+orthogonal matrices of one scalar kind, exactly orthogonal if rational and
+within the zero tolerance if float (a check the two quantum kinds share),
+and the accepting and rejecting sets.
 
 Quantum machines use the column convention (``U @ |u>``, so ``U[j][i]`` is
 the amplitude from state ``i+1`` to state ``j+1``); probabilistic machines
@@ -41,7 +41,6 @@ how a level's distinct states are stepped and read out once each).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, count, islice, product
@@ -53,6 +52,7 @@ from .numeric import (
     RATIONAL,
     ColVec,
     Matrix,
+    Record,
     RowVec,
     Scalar,
     is_stochastic_row,
@@ -130,8 +130,7 @@ def _check_trans(
     return table
 
 
-@dataclass(frozen=True)
-class _Machine:
+class _Machine(Record):
     """Fields and checks every machine kind shares: ``n`` states, the input
     alphabet ``sigma`` and one square matrix per symbol in ``trans``.
 
@@ -141,8 +140,9 @@ class _Machine:
 
     n: int
     sigma: tuple[str, ...]
+    trans: Mapping[str, Matrix]
     # Compared, but left out of the hash: the checked table is a plain dict.
-    trans: Mapping[str, Matrix] = field(hash=False)
+    _unhashed = ("trans",)
 
     def _check_fields(self, markers: tuple[str, ...]) -> dict[str, Matrix]:
         """Check the state count, alphabet and table; a kind with end-markers
@@ -177,7 +177,6 @@ class _Machine:
         return _lower(self)
 
 
-@dataclass(frozen=True)
 class Pfa(_Machine):
     """Probabilistic automaton over the marked input ``CENT w DOLLAR``."""
 
@@ -198,7 +197,6 @@ class Pfa(_Machine):
         )
 
 
-@dataclass(frozen=True)
 class Gpfa(_Machine):
     """Generalized automaton: value is ``v0 @ A_{w_1} @ ... @ A_{w_k} @ f``."""
 
@@ -213,7 +211,6 @@ class Gpfa(_Machine):
             raise ValueError("v0 and f must have length n")
 
 
-@dataclass(frozen=True)
 class Kwqfa(_Machine):
     """Measure-every-step quantum automaton with accept/reject partitions."""
 
@@ -231,7 +228,6 @@ class Kwqfa(_Machine):
         object.__setattr__(self, "q_rej", rej)
 
 
-@dataclass(frozen=True)
 class Mcqfa(_Machine):
     """Measure-once quantum automaton; observation happens after DOLLAR."""
 
@@ -248,8 +244,7 @@ class Mcqfa(_Machine):
 Machine = Pfa | Gpfa | Kwqfa | Mcqfa
 
 
-@dataclass(frozen=True)
-class RunTrace:
+class RunTrace(Record):
     """Record of a measure-every-step run.
 
     ``vectors`` holds the surviving (post-measurement) state vector after

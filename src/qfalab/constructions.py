@@ -18,7 +18,6 @@ Three groups live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
@@ -41,6 +40,7 @@ from .numeric import (
     RATIONAL,
     ColVec,
     Matrix,
+    Record,
     RowVec,
     Scalar,
     coerce_scalar,
@@ -112,8 +112,7 @@ def shift_cutpoint(p: Pfa, lam: Fraction) -> Pfa:
 # Three-state extension
 
 
-@dataclass(frozen=True)
-class ExtendedMachine:
+class ExtendedMachine(Record):
     """Rational machine on n+3 states whose final vector flags value 1/2.
 
     Started from the first coordinate and run over the marked input, the
@@ -190,8 +189,7 @@ def extend_pfa(p: Pfa) -> ExtendedMachine:
 # Unitary completion
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(Record):
     """Double-size orthogonal matrices embedding the scaled extended machine.
 
     For each symbol, the transpose of the produced matrix carries
@@ -424,8 +422,7 @@ def word_problem_gpfa(k: int) -> Gpfa:
 # Homomorphisms
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """Alphabet map sending each source symbol to a word over the target."""
 
     source: tuple[str, ...]
@@ -605,13 +602,13 @@ def gpfa_erasing_hom(g: Gpfa, kappa: str, n_L: int) -> Gpfa:
         raise ValueError(f"symbol {kappa!r} not in the machine's alphabet")
     if n_L < 1:
         raise ValueError("padding bound must be at least 1")
+    remaining = tuple(s for s in g.sigma if s != kappa)
+    if not remaining:
+        raise ValueError("erasing the only symbol would leave an empty alphabet")
     eye = Matrix.identity(g.n, g.kind)
     pad = eye
     for _ in range(n_L - 1):
         pad = mat_add(eye, mat_mul(g.trans[kappa], pad))
-    remaining = tuple(s for s in g.sigma if s != kappa)
-    if not remaining:
-        raise ValueError("erasing the only symbol would leave an empty alphabet")
     trans = {sym: mat_mul(g.trans[sym], pad) for sym in remaining}
     return Gpfa(g.n, remaining, trans, g.v0 @ pad, g.f)
 
@@ -664,7 +661,8 @@ def gpfa_nonerasing_hom(g: Gpfa, h: Homomorphism) -> Gpfa:
 def gpfa_hom(g: Gpfa, h: Homomorphism, n_L_per_erased: Sequence[int]) -> Gpfa:
     """General homomorphic image: erase the empty-image symbols one at a
     time (each with its own padding bound, in the order the symbols appear
-    in the machine's alphabet), then apply the residual non-erasing map.
+    in the machine's alphabet), then apply the residual non-erasing map.  A
+    map that erases every symbol is refused before the first erasure.
 
     If ``g`` is nonnegative on every word, ``[g.n] * k`` for k erased
     symbols keeps exactly the image's positive set, and larger bounds give
@@ -674,6 +672,8 @@ def gpfa_hom(g: Gpfa, h: Homomorphism, n_L_per_erased: Sequence[int]) -> Gpfa:
     if set(h.source) != set(g.sigma):
         raise ValueError("homomorphism source must match the machine's alphabet")
     erased = tuple(s for s in g.sigma if not h.images[s])
+    if len(erased) == len(g.sigma):
+        raise ValueError("the homomorphism erases every symbol, leaving an empty alphabet")
     bounds = tuple(n_L_per_erased)
     if len(bounds) != len(erased):
         raise ValueError(

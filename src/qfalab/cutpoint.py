@@ -17,7 +17,6 @@ benchmark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from typing import Callable, Optional
@@ -37,6 +36,7 @@ from .numeric import (
     FLOAT,
     RATIONAL,
     KindMismatchError,
+    Record,
     Scalar,
     format_scalar,
     scalar_kind,
@@ -63,8 +63,7 @@ def _check_finite(lam: Scalar) -> None:
         raise ValueError(f"cutpoint must be finite, got {lam!r}")
 
 
-@dataclass(frozen=True)
-class CutpointSpec:
+class CutpointSpec(Record):
     """A threshold plus the relation a member's value must satisfy."""
 
     lam: Scalar

@@ -16,19 +16,18 @@ document; ``cli`` reads machine, extended and homomorphism documents with them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping
 
 from .automata import Word, WordLike
+from .numeric import Record
 
 
 def _extend(word: Word, sym: str) -> Word:
     return word + (sym,)
 
 
-@dataclass(frozen=True)
-class LanguageOracle:
+class LanguageOracle(Record):
     """A named total membership predicate over an alphabet, as a fold:
     ``advance(state, sym)`` reads one symbol from ``init``, the empty word's
     state, and ``accepts(state)`` tells membership.  By default the state is

@@ -12,6 +12,9 @@ Two scalar kinds are supported and never mixed silently:
 An operation that receives one rational and one float operand raises
 ``KindMismatchError`` instead of promoting.  Conversions are explicit
 (``to_float`` on vectors and matrices).
+
+``Record`` is the immutable base of the package's other record types:
+machines, run traces, cutpoints, oracles, reports and construction results.
 """
 
 from __future__ import annotations
@@ -164,6 +167,77 @@ class _Entries:
 
     def __hash__(self):
         return hash((self.kind, self.entries))
+
+
+class Record:
+    """Immutable record, written once so that defining one generates no code.
+
+    A subclass's fields are the class annotations along its MRO, base
+    classes first; a class attribute of a field's name is its default.
+    Fields bind positionally or by keyword, and ``__post_init__`` runs once
+    every field is set; it may normalise one with ``object.__setattr__``.
+    Two records are equal when they have the same type and equal field
+    tuples, and a record's hash is that of its fields' tuple, less those
+    named in ``_unhashed``.  The repr is ``Name(field=value, ...)``, with
+    each value's repr.  Assigning or deleting an attribute raises
+    ``AttributeError``; a ``functools.cached_property`` still caches, since
+    it writes to the instance ``__dict__``.
+    """
+
+    _unhashed = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(dict.fromkeys(
+            name for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__annotations__", ())
+        ))
+        cls._hashed = tuple(name for name in cls._fields if name not in cls._unhashed)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(cls._fields)} arguments but {len(args)} were given"
+            )
+        values = dict(zip(cls._fields, args))
+        for name in kwargs:
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            if name not in cls._fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        values.update(kwargs)
+        missing = [name for name in cls._fields if name not in values and not hasattr(cls, name)]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing arguments {', '.join(map(repr, missing))}")
+        self.__dict__.update({
+            name: values[name] if name in values else getattr(cls, name) for name in cls._fields
+        })
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or normalise the fields; nothing by default."""
+
+    def _values(self, names) -> tuple:
+        return tuple(getattr(self, name) for name in names)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self._fields) == other._values(self._fields)
+
+    def __hash__(self):
+        return hash(self._values(self._hashed))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 class _Vec(_Entries):

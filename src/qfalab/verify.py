@@ -19,7 +19,6 @@ band, where its verdict cannot be trusted, and reports them as undecided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product, tee
 from typing import Callable, Optional
@@ -38,11 +37,10 @@ from .automata import (
 )
 from .cutpoint import EQUAL, RELATION_CELLS, CutpointSpec, cell_test, check_cutpoint_range
 from .languages import LanguageOracle
-from .numeric import RATIONAL, KindMismatchError, Scalar
+from .numeric import RATIONAL, KindMismatchError, Record, Scalar
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(Record):
     """Outcome of one bounded machine-vs-oracle sweep.
 
     ``undecided`` counts the tested words whose float value fell in the

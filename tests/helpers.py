@@ -17,6 +17,12 @@ from qfalab.automata import CENT, DOLLAR, Gpfa, Pfa, Word, acceptance_value
 from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec, is_unitary_within
 
 
+def replace(record, **changes):
+    """A record of ``record``'s type with its fields, each in ``changes``
+    replaced: built, and so checked, afresh."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
 def words_up_to(alphabet, maxlen):
     for length in range(maxlen + 1):
         yield from itertools.product(tuple(alphabet), repeat=length)

@@ -1134,7 +1134,7 @@ REFUSALS = [
                  "padding bound must be at least 1", id="hom-bound-zero"),
     pytest.param(["build", "hom", "--in", "WP", "--map", "DOC", "--nl", "3,3,3,3", "--out", "OUT"],
                  {**WP_HOM, "images": {"g1": "", "G1": "", "g2": "", "G2": ""}},
-                 "erasing the only symbol would leave an empty alphabet", id="hom-erases-all"),
+                 "the homomorphism erases every symbol, leaving an empty alphabet", id="hom-erases-all"),
 ]
 
 

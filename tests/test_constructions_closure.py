@@ -19,6 +19,7 @@ from helpers import (
     random_nonneg_gpfa,
     words_up_to,
 )
+from qfalab import constructions
 from qfalab.automata import Gpfa, acceptance_value, enumerate_values
 from qfalab.constructions import (
     Homomorphism,
@@ -338,6 +339,20 @@ def test_hom_erasure_then_mapping():
     h = Homomorphism(("a", "b", "c"), SIGMA, {"a": ("a",), "b": ("b",), "c": ()})
     mapped = gpfa_hom(g, h, [2])
     assert acceptance_value(mapped, "ab") > 0
+
+
+def test_erasing_every_symbol_is_refused_before_any_padding(monkeypatch):
+    """``gpfa_hom`` refuses a map that erases every symbol before its first
+    erasure, and ``gpfa_erasing_hom`` refuses to erase the only symbol
+    before it builds a padding matrix."""
+    calls = []
+    monkeypatch.setattr(constructions, "gpfa_erasing_hom", lambda *args: calls.append(args))
+    monkeypatch.setattr(constructions, "mat_mul", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^the homomorphism erases every symbol"):
+        gpfa_hom(unit_machine("ab"), hom({"a": (), "b": ()}), [3, 3])
+    with pytest.raises(ValueError, match="^erasing the only symbol"):
+        gpfa_erasing_hom(unit_machine("aa", sigma=("a",)), "a", 3)
+    assert calls == []
 
 
 def test_hom_bound_count_mismatch():

@@ -1,9 +1,10 @@
 """Every name a ``qfalab`` module imports is used in that module,
-``constructions`` imports no evaluator from ``automata``, no function in a
-module is a pure pass-through of another, no class in it is a namespace of
-static methods, every private module-level name is referenced somewhere in
-the package, every package name the benchmark under ``bench/`` looks up
-exists, and ``cli`` prints a report only through ``_emit`` and ``main``."""
+``constructions`` imports no evaluator from ``automata``, no module imports
+``dataclasses``, no function in a module is a pure pass-through of another,
+no class in it is a namespace of static methods, every private module-level
+name is referenced somewhere in the package, every package name the
+benchmark under ``bench/`` looks up exists, and ``cli`` prints a report only
+through ``_emit`` and ``main``."""
 
 import ast
 import importlib
@@ -81,6 +82,38 @@ def test_the_scan_finds_names_imported_from_a_module():
 def test_constructions_import_no_evaluator():
     tree = ast.parse((PACKAGE / "constructions.py").read_text())
     assert _imports_from(tree, "automata") - MACHINE_NAMES == set()
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules ``tree`` imports by absolute
+    name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_the_scan_finds_imported_modules():
+    tree = ast.parse(
+        "import dataclasses as dc\n"
+        "from dataclasses import field\n"
+        "import os.path, re\n"
+        "from importlib.util import find_spec\n"
+        "from .numeric import Record\n"
+        "from . import automata\n"
+        "def f():\n    import json\n"
+    )
+    assert _imported_modules(tree) == {"dataclasses", "os", "re", "importlib", "json"}
+
+
+def test_no_module_imports_dataclasses():
+    """Records are ``numeric.Record``s: a dataclass generates and ``exec``s
+    its methods at import, and ``dataclasses`` itself imports ``inspect``."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, tree in trees.items() if "dataclasses" in _imported_modules(tree)] == []
 
 
 def _pass_throughs(tree: ast.Module) -> list[str]:

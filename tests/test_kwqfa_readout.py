@@ -14,7 +14,6 @@ certified for exactly the lengths the bound's closed form admits.
 
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
@@ -22,7 +21,7 @@ from random import Random
 
 import pytest
 
-from helpers import random_pfa, words_up_to
+from helpers import random_pfa, replace, words_up_to
 from qfalab import automata, numeric
 from qfalab.automata import (
     CENT,
