@@ -173,7 +173,8 @@ class Record:
     """Immutable record, written once so that defining one generates no code.
 
     A subclass's fields are the class annotations along its MRO, base
-    classes first; a class attribute of a field's name is its default.
+    classes first; a class attribute of a field's name is its default, and,
+    as in a dataclass, a field without one may not follow a field with one.
     Fields bind positionally or by keyword, and ``__post_init__`` runs once
     every field is set; it may normalise one with ``object.__setattr__``.
     Two records are equal when they have the same type and equal field
@@ -188,10 +189,15 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        # ``klass.__annotations__`` is the class's own, and is built on
+        # demand where annotations are lazy (Python 3.14)
         cls._fields = tuple(dict.fromkeys(
-            name for klass in reversed(cls.__mro__)
-            for name in vars(klass).get("__annotations__", ())
+            name for klass in reversed(cls.__mro__) if issubclass(klass, Record)
+            for name in klass.__annotations__
         ))
+        defaulted = [hasattr(cls, name) for name in cls._fields]
+        if defaulted != sorted(defaulted):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
         cls._hashed = tuple(name for name in cls._fields if name not in cls._unhashed)
 
     def __init__(self, *args, **kwargs):

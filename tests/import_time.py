@@ -3,11 +3,14 @@ repeated fresh imports.
 
 Run from the root of a source checkout:
 
-    python3 tests/import_time.py [--runs 31] [--src src]
+    PYTHONPATH=src python3 tests/import_time.py
 
-Each import is the benchmark's (``import_qfalab`` in ``bench/run.py``): it
-removes every ``qfalab`` module from ``sys.modules``, invalidates the import
-caches, and imports the package and then its seven modules.  One import
+or with ``PYTHONPATH`` naming any other directory that holds the package,
+such as a copy compiled with ``python3 -m compileall``.  It times 31
+imports.  Each import is the benchmark's (``import_qfalab`` in
+``bench/run.py``): it removes every ``qfalab`` module from ``sys.modules``,
+invalidates the import caches, and imports the package and then its seven
+modules.  One import
 before the timed ones loads the standard-library modules qfalab needs, so
 that no timed import pays for them.  The script says whether the modules'
 bytecode (``.pyc`` files) was present for the timed imports: without it,
@@ -18,7 +21,6 @@ match ``test_*.py``, so pytest does not collect it.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import importlib.util
 import statistics
@@ -26,6 +28,7 @@ import sys
 import time
 from pathlib import Path
 
+RUNS = 31
 MODULES = ("numeric", "automata", "cutpoint", "constructions", "languages", "verify", "cli")
 
 
@@ -40,25 +43,17 @@ def fresh_import() -> list:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=31, help="timed imports (at least 2)")
-    parser.add_argument("--src", type=Path, default=Path("src"),
-                        help="directory that holds the qfalab package")
-    args = parser.parse_args()
-    if args.runs < 2:
-        parser.error("--runs must be at least 2")
-    sys.path.insert(0, str(args.src.resolve()))
     modules = fresh_import()
     cached = sum(Path(importlib.util.cache_from_source(m.__file__)).is_file() for m in modules)
     times = []
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         start = time.perf_counter()
         fresh_import()
         times.append(time.perf_counter() - start)
     low, median, high = (1000 * t for t in statistics.quantiles(times, n=4))
     print(f"qfalab from {Path(modules[0].__file__).parent}: bytecode present for "
           f"{cached} of {len(modules)} modules (Python {sys.version.split()[0]})")
-    print(f"{args.runs} imports: median {median:.1f} ms, quartiles [{low:.1f}, {high:.1f}] ms")
+    print(f"{RUNS} imports: median {median:.1f} ms, quartiles [{low:.1f}, {high:.1f}] ms")
     return 0
 
 

@@ -2,6 +2,9 @@
 
 A twin has the record's name, fields, defaults and unhashed field, so its
 generated ``repr``, ``==`` and ``hash`` are what the record's must be.
+This module does without ``from __future__ import annotations``, so the
+annotations of the records declared here are evaluated, where those of the
+package's records are strings.
 """
 
 from dataclasses import field, make_dataclass
@@ -132,7 +135,7 @@ class Seen(Record):
 
 
 class SeenToo(Seen):
-    c: str
+    c: str = "z"
     a: int  # re-annotated: keeps its place, as in a dataclass
 
 
@@ -140,8 +143,17 @@ def test_post_init_sees_every_field_and_fields_follow_the_mro():
     Seen.log.clear()
     Seen(1)
     SeenToo(1, 3, c="x")
-    assert Seen.log == [{"a": 1, "b": 2}, {"a": 1, "b": 3, "c": "x"}]
+    SeenToo(4)
+    assert Seen.log == [{"a": 1, "b": 2}, {"a": 1, "b": 3, "c": "x"}, {"a": 4, "b": 2, "c": "z"}]
     assert SeenToo._fields == ("a", "b", "c")
     assert Gpfa._fields == ("n", "sigma", "trans", "v0", "f")
     assert Gpfa._hashed == ("n", "sigma", "v0", "f")
+
+
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="^Late: a field without a default follows"):
+        class Late(Seen):
+            c: str
+    with pytest.raises(TypeError, match="non-default argument 'c' follows default argument"):
+        make_dataclass("Late", ["a", ("b", int, field(default=2)), "c"], frozen=True)
 
