@@ -57,7 +57,6 @@ from .numeric import (
     Scalar,
     is_stochastic_row,
     is_unitary_within,
-    orthogonality_deviation,
     same_kind,
     zero,
     zero_tolerance,
@@ -375,8 +374,8 @@ def _mass_factor(matrix: Matrix, m: int, live: int) -> Fraction | float:
     sum(v_i * v_i)`` as floats compute it.
 
     With ``dev`` the largest entry of ``|U U^T - I|`` for ``U = matrix``,
-    bounded from the float Gram (``orthogonality_deviation``) plus that
-    Gram's own rounding, ``||U||_2 <= rho = sqrt(1 + m dev)`` and
+    bounded from the float Gram (``Matrix.orthogonality_deviation``)
+    plus that Gram's own rounding, ``||U||_2 <= rho = sqrt(1 + m dev)`` and
     ``||U||_F^2 <= m (1 + dev)``.  Each output line sums at most ``live``
     products, so the output is off by at most ``gamma_live ||U||_F ||v||``
     and its norm is at most ``(rho + gamma_live ||U||_F) ||v||``; each mass
@@ -384,7 +383,7 @@ def _mass_factor(matrix: Matrix, m: int, live: int) -> Fraction | float:
     the float sum of squares over ``1 - gamma_live``.  ``2 rho ||U||_F <=
     rho^2 + ||U||_F^2`` keeps every step rational."""
     g_m, g_live = _gamma(m), _gamma(live)
-    dev = orthogonality_deviation(matrix)
+    dev = matrix.orthogonality_deviation
     if not isfinite(dev):
         return inf
     dev = (Fraction(dev) / (1 - _UNIT) + g_m) / (1 - g_m)

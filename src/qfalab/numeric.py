@@ -13,17 +13,19 @@ An operation that receives one rational and one float operand raises
 ``KindMismatchError`` instead of promoting.  Conversions are explicit
 (``to_float`` on vectors and matrices).
 
-``Record`` is the immutable base of the package's other record types:
-machines, run traces, cutpoints, oracles, reports and construction results.
+``Record`` is the one immutable base of every value type in the package:
+vectors and matrices, machines, run traces, cutpoints, oracles, reports and
+construction results.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from operator import itemgetter, mul
-from typing import Iterable, Union
+from typing import Union
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -149,28 +151,10 @@ def _infer_kind(values) -> str:
     return RATIONAL
 
 
-class _Entries:
-    """Immutable ``entries`` of one scalar ``kind``, equal and hashed by the
-    two, and only to the same type; see ``_Vec`` and ``Matrix``."""
-
-    __slots__ = ("entries", "kind")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.kind == other.kind
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.entries))
-
-
 class Record:
-    """Immutable record, written once so that defining one generates no code.
+    """Immutable record, written once so that defining one generates no code:
+    the base of every value type in the package, vectors and matrices
+    included.
 
     A subclass's fields are the class annotations along its MRO, base
     classes first; a class attribute of a field's name is its default, and,
@@ -182,7 +166,10 @@ class Record:
     named in ``_unhashed``.  The repr is ``Name(field=value, ...)``, with
     each value's repr.  Assigning or deleting an attribute raises
     ``AttributeError``; a ``functools.cached_property`` still caches, since
-    it writes to the instance ``__dict__``.
+    it writes to the instance ``__dict__`` (a matrix's Gram deviation, a
+    machine's lowered tables).  A copy or a pickle is rebuilt from the
+    fields alone, so it passes its class's checks again and recomputes
+    what it caches.
     """
 
     _unhashed = ()
@@ -245,19 +232,23 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
+    def __reduce__(self):
+        return type(self), self._values(self._fields)
 
-class _Vec(_Entries):
+
+class _Vec(Record):
     """Immutable vector of one scalar kind; see ``RowVec`` and ``ColVec``."""
 
-    __slots__ = ()
+    entries: tuple[Scalar, ...]
+    kind: str | None = None
 
-    def __init__(self, entries: Iterable, kind: str | None = None):
-        raw = tuple(entries)
+    def __post_init__(self):
+        raw = tuple(self.entries)
         if not raw:
             raise ValueError("vectors must be nonempty")
-        k = kind if kind is not None else _infer_kind(raw)
-        object.__setattr__(self, "entries", _coerce_row(raw, k))
-        object.__setattr__(self, "kind", k)
+        kind = self.kind if self.kind is not None else _infer_kind(raw)
+        object.__setattr__(self, "entries", _coerce_row(raw, kind))
+        object.__setattr__(self, "kind", kind)
 
     def __len__(self):
         return len(self.entries)
@@ -279,8 +270,6 @@ class _Vec(_Entries):
 class RowVec(_Vec):
     """Immutable 1 x n vector of one scalar kind."""
 
-    __slots__ = ()
-
     def transpose(self) -> "ColVec":
         return ColVec(self.entries, self.kind)
 
@@ -295,35 +284,36 @@ class RowVec(_Vec):
 class ColVec(_Vec):
     """Immutable n x 1 vector of one scalar kind."""
 
-    __slots__ = ()
-
     def transpose(self) -> "RowVec":
         return RowVec(self.entries, self.kind)
 
 
-class Matrix(_Entries):
-    """Immutable dense rows x cols matrix of one scalar kind.
+class Matrix(Record):
+    """Immutable dense rows x cols matrix of one scalar kind; ``rows`` and
+    ``cols`` are set from the entries and are not fields."""
 
-    A square matrix keeps its orthogonality deviation once
-    ``orthogonality_deviation`` has computed it (the ``_deviation`` slot), so
-    every later check at any tolerance reuses one Gram.
-    """
+    entries: tuple[tuple[Scalar, ...], ...]
+    kind: str | None = None
 
-    __slots__ = ("rows", "cols", "_deviation")
-
-    def __init__(self, entries: Iterable[Iterable], kind: str | None = None):
-        grid = tuple(tuple(row) for row in entries)
+    def __post_init__(self):
+        grid = tuple(tuple(row) for row in self.entries)
         if not grid or not grid[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("ragged matrix rows")
-        k = kind if kind is not None else _infer_kind(v for row in grid for v in row)
-        coerced = tuple(_coerce_row(row, k) for row in grid)
-        object.__setattr__(self, "entries", coerced)
-        object.__setattr__(self, "rows", len(coerced))
+        kind = self.kind if self.kind is not None else _infer_kind(v for row in grid for v in row)
+        object.__setattr__(self, "entries", tuple(_coerce_row(row, kind) for row in grid))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "kind", k)
+
+    @cached_property
+    def orthogonality_deviation(self) -> Scalar:
+        """The max-norm of ``self @ self^T - I`` (``_gram_deviation``),
+        computed on first use and kept in the instance ``__dict__``: every
+        later check of this matrix, at any tolerance, reuses one Gram."""
+        return _gram_deviation(self.entries)
 
     @classmethod
     def rational(cls, entries) -> "Matrix":
@@ -450,25 +440,14 @@ def is_unitary_within(m: Matrix, tol: float) -> bool:
     """Real-orthogonality test: max-norm of (m @ m^T - I) <= tol, False for
     a non-square matrix.
 
-    The max-norm is computed once per matrix (``_gram_deviation``) and kept
-    on it, so checks of one matrix at several tolerances share one Gram.
+    The max-norm is the matrix's ``orthogonality_deviation``, a cached
+    property, so checks of one matrix at several tolerances share one Gram.
     Works for both kinds; a rational matrix is tested with exact products
     against the given tolerance.  A NaN deviation or tolerance fails.
     """
     if m.rows != m.cols:
         return False
-    return orthogonality_deviation(m) <= tol  # False for NaN too
-
-
-def orthogonality_deviation(m: Matrix) -> Scalar:
-    """The max-norm of ``m @ m^T - I`` for a square ``m``, computed once
-    per matrix (``_gram_deviation``) and kept on it."""
-    try:
-        return m._deviation
-    except AttributeError:
-        deviation = _gram_deviation(m.entries)
-        object.__setattr__(m, "_deviation", deviation)
-        return deviation
+    return m.orthogonality_deviation <= tol  # False for NaN too
 
 
 def support_index(rows) -> tuple[list[list[int]], list[set[int]]]:

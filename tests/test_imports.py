@@ -1,10 +1,11 @@
 """Every name a ``qfalab`` module imports is used in that module,
 ``constructions`` imports no evaluator from ``automata``, no module imports
 ``dataclasses``, no function in a module is a pure pass-through of another,
-no class in it is a namespace of static methods, every private module-level
-name is referenced somewhere in the package, every package name the
-benchmark under ``bench/`` looks up exists, and ``cli`` prints a report only
-through ``_emit`` and ``main``."""
+no class in it is a namespace of static methods, no class but
+``numeric.Record`` defines assignment, deletion, equality or hashing, every
+private module-level name is referenced somewhere in the package, every
+package name the benchmark under ``bench/`` looks up exists, and ``cli``
+prints a report only through ``_emit`` and ``main``."""
 
 import ast
 import importlib
@@ -205,6 +206,52 @@ def test_the_scan_finds_a_namespace_class():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_class_is_a_namespace(path):
     assert _namespace_classes(ast.parse(path.read_text())) == []
+
+
+# What makes a value immutable and compared by value: written once, in
+# ``numeric.Record``, the base of every value type.
+IMMUTABILITY = ("__setattr__", "__delattr__", "__eq__", "__hash__")
+
+
+def _immutability_methods(tree: ast.Module) -> list[str]:
+    """``Class.name`` for each name of ``IMMUTABILITY`` a class body defines,
+    by ``def`` or by assignment."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{node.name}.{name}" for name in names if name in IMMUTABILITY]
+    return found
+
+
+def test_the_scan_finds_a_second_immutable_base():
+    tree = ast.parse(
+        "class Record:\n    def __setattr__(self, n, v):\n        pass\n"
+        "    def __eq__(self, o):\n        pass\n"
+        "class Entries:\n    __slots__ = ('entries',)\n    __hash__ = None\n"
+        "    def __delattr__(self, n):\n        pass\n"
+        "class Plain:\n    def __repr__(self):\n        return ''\n    eq = 1\n"
+        "    class Inner:\n        def __hash__(self):\n            return 0\n"
+        "def __eq__(a, b):\n    pass\n"
+    )
+    assert _immutability_methods(tree) == [
+        "Record.__setattr__", "Record.__eq__", "Entries.__hash__", "Entries.__delattr__",
+        "Inner.__hash__",
+    ]
+
+
+def test_record_is_the_one_immutable_base():
+    found = [f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py"))
+             for name in _immutability_methods(ast.parse(p.read_text()))]
+    assert sorted(found) == sorted(f"numeric.Record.{name}" for name in IMMUTABILITY)
 
 
 def _references(node: ast.AST) -> Counter:

@@ -202,6 +202,54 @@ def test_exact_type_coercion_keeps_the_general_rules():
         scalar_kind(1)
 
 
+# -- vectors and matrices as values -------------------------------------------
+
+
+@pytest.mark.parametrize("value, text", [
+    (RowVec([Fraction(1, 2), -3]), "RowVec([1/2, -3])"),
+    (ColVec([Fraction(1, 2), -3]), "ColVec([1/2, -3])"),
+    (RowVec([0.1, -2.0]), "RowVec([0.1, -2.0])"),
+    (ColVec([0.1, -2.0]), "ColVec([0.1, -2.0])"),
+    (Matrix([[Fraction(1, 2), 0], [-3, Fraction(2, 3)]]), "Matrix(2x2 rational: 1/2 0; -3 2/3)"),
+    (Matrix.floats([[0.1, -0.0], [1e-20, 2.5]]), "Matrix(2x2 float: 0.1 -0.0; 1e-20 2.5)"),
+], ids=["row-rational", "col-rational", "row-float", "col-float", "matrix-rational",
+        "matrix-float"])
+def test_vectors_and_matrices_print_their_entries(value, text):
+    assert repr(value) == text
+
+
+def test_vectors_and_matrices_compare_by_type_kind_and_entries():
+    assert Matrix(entries=[[1, 2]], kind=FLOAT) == Matrix.floats([[1, 2]])
+    assert RowVec(kind=RATIONAL, entries=(1, 2)) == RowVec([Fraction(1), Fraction(2)])
+    assert RowVec([1, 2]) != ColVec([1, 2])
+    assert Matrix([[1]]) != Matrix([[1.0]])
+    assert RowVec([1, 2]) != RowVec([1, 2], FLOAT)
+    for a, b in [(RowVec([1, 2]), RowVec((Fraction(1), 2))), (ColVec([0.5]), ColVec([0.5], FLOAT)),
+                 (Matrix([[1, 0]]), Matrix.rational(((Fraction(1), Fraction(0)),)))]:
+        assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("cls, entries", [(RowVec, [1]), (ColVec, [1]), (Matrix, [[1]])],
+                         ids=["row", "col", "matrix"])
+def test_a_third_argument_raises_a_type_error_naming_the_class(cls, entries):
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\W"):
+        cls(entries, RATIONAL, 3)
+
+
+@pytest.mark.parametrize(
+    "value", [RowVec([1, 2]), ColVec([0.5, -1.0]), Matrix.rational([[1, 2], [3, 4]])],
+    ids=["row", "col", "matrix"],
+)
+def test_a_vector_or_matrix_keeps_every_attribute(value):
+    fresh = type(value)(value.entries, value.kind)
+    for name in ("entries", "kind", "rows", "cols"):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    assert value == fresh and repr(value) == repr(fresh)
+
+
 # -- one orthogonality deviation per matrix ----------------------------------
 
 

@@ -7,16 +7,19 @@ annotations of the records declared here are evaluated, where those of the
 package's records are strings.
 """
 
+import copy
+import math
+import pickle
 from dataclasses import field, make_dataclass
 from random import Random
 
 import pytest
 
-from helpers import random_gpfa, replace
-from qfalab.automata import Gpfa, Kwqfa
-from qfalab.constructions import rotation_mcqfa
+from helpers import random_gpfa, replace, words_up_to
+from qfalab.automata import Gpfa, Kwqfa, acceptance_value
+from qfalab.constructions import coin_pfa, hom, pfa_to_nqfa, rotation_mcqfa, word_problem_gpfa
 from qfalab.languages import LanguageOracle
-from qfalab.numeric import Matrix, Record
+from qfalab.numeric import ColVec, Matrix, Record, RowVec
 from qfalab.verify import AgreementReport
 
 KwqfaTwin = make_dataclass(
@@ -157,3 +160,64 @@ def test_a_field_without_a_default_may_not_follow_one_with_a_default():
     with pytest.raises(TypeError, match="non-default argument 'c' follows default argument"):
         make_dataclass("Late", ["a", ("b", int, field(default=2)), "c"], frozen=True)
 
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+}
+
+
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
+def test_a_copy_or_a_pickle_is_built_afresh_from_the_fields(duplicate):
+    Seen.log.clear()
+    record = SeenToo(1, 3, c="x")
+    twin = duplicate(record)
+    assert type(twin) is SeenToo and twin == record and twin is not record
+    assert Seen.log == [{"a": 1, "b": 3, "c": "x"}] * 2  # checked again
+
+
+def rotation():
+    c, s = math.cos(1.0), math.sin(1.0)
+    return Matrix.floats([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
+def test_vectors_matrices_and_homomorphisms_copy_and_pickle(duplicate):
+    values = [RowVec([1, 2]), ColVec([0.5, -1.0]), Matrix.rational([[1, 2], [3, 4]]), rotation()]
+    values[3].orthogonality_deviation  # cached on the original, rebuilt on a copy
+    for value in values:
+        twin = duplicate(value)
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value) and twin.entries == value.entries
+        assert "orthogonality_deviation" not in vars(twin)
+    assert duplicate(values[3]).orthogonality_deviation == values[3].orthogonality_deviation
+    h = hom({"a": "ba", "b": ""})
+    twin, words = duplicate(h), list(words_up_to("ab", 3))
+    assert twin == h and [twin(w) for w in words] == [h(w) for w in words]
+
+
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
+@pytest.mark.parametrize("evaluated", [False, True], ids=["fresh", "evaluated"])
+@pytest.mark.parametrize(
+    "make",
+    [coin_pfa, lambda: word_problem_gpfa(2), lambda: pfa_to_nqfa(coin_pfa()),
+     lambda: rotation_mcqfa(3)],
+    ids=["pfa", "gpfa", "kwqfa", "mcqfa"],
+)
+def test_machines_copy_and_pickle_before_and_after_evaluation(make, evaluated, duplicate):
+    """An evaluated machine keeps ``exec``-generated kernels in ``_lowered``;
+    its copy leaves them behind and lowers itself again."""
+    machine = make()
+    words = list(words_up_to(machine.sigma, 3))
+    if evaluated:
+        values = [acceptance_value(machine, w) for w in words]
+        assert "_lowered" in vars(machine)
+    twin = duplicate(machine)
+    assert type(twin) is type(machine) and twin == machine and hash(twin) == hash(machine)
+    assert repr(twin) == repr(machine) and "_lowered" not in vars(twin)
+    twin_values = [acceptance_value(twin, w) for w in words]
+    assert twin_values == [acceptance_value(machine, w) for w in words]
+    if evaluated:
+        assert twin_values == values
