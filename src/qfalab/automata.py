@@ -32,7 +32,9 @@ start state is always state 1.
 Each kind's semantics is written down once, in ``stepper``: a start
 state, one step per input symbol and a final read-out, over plain Python
 scalars (its docstring gives the state layouts and the lowering of each
-matrix to a generated kernel).  ``acceptance_value``, ``kwqfa_run`` and
+matrix to a generated kernel).  An exact state is integers over one
+denominator that every state of a level shares, so no step takes a gcd
+(``_lower``).  ``acceptance_value``, ``kwqfa_run`` and
 ``enumerate_values`` are folds over it, and every bounded check in the
 package walks the words once with ``prefix_levels`` (its docstring gives
 how a level's distinct states are stepped and read out once each).
@@ -44,7 +46,7 @@ import sys
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, count, islice, product
-from math import gcd, inf, isfinite, lcm
+from math import inf, isfinite, lcm
 from operator import mul, ne
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -310,43 +312,24 @@ def _kernel(lines, nil, masses=()):
     return namespace.pop("kernel")
 
 
-def _scaled(lines):
-    """Rational ``lines`` as integer lines over one common denominator:
-    ``(grid, den)``."""
+def _scaled(lines, den=1):
+    """Rational ``lines`` as integer lines over the common denominator of
+    their entries and ``den``: ``(grid, den)``."""
     grid = [tuple(line) for line in lines]
-    den = lcm(*(x.denominator for line in grid for x in line))
+    den = lcm(den, *(x.denominator for line in grid for x in line))
     return [[x.numerator * (den // x.denominator) for x in line] for line in grid], den
 
 
-def _lower_exact(lines, masses=()):
+def _lower_exact(lines, masses=(), den=1):
     """A rational matrix lowered: ``(kernel, den)``, the ``_kernel`` of its
-    integer lines over the common denominator ``den``; a mass is over
-    ``den ** 2``."""
-    grid, den = _scaled(lines)
+    integer lines over ``den``, the lcm of the given ``den`` and its
+    entries' denominators; a mass is over ``den ** 2``."""
+    grid, den = _scaled(lines, den)
     return _kernel(grid, "0", masses), den
 
 
 # A float matrix lowered: its ``_kernel``, with ``0.0`` for an all-zero line.
 _lower_float = partial(_kernel, nil="0.0")
-
-
-def _reduced(nums, den):
-    """The exact vector ``nums / den`` in lowest terms."""
-    g = gcd(*nums, den)
-    if g == 1:
-        return tuple(nums), den
-    return tuple(x // g for x in nums), den // g
-
-
-def _add_mass(prob, mass, den):
-    """``prob + mass / den^2`` for a probability kept as the integer pair
-    ``(num, den)`` in lowest terms and an integer ``mass``, a kernel's sum of
-    squares, also in lowest terms."""
-    p, q = prob
-    den *= den
-    num, den = p * den + mass * q, q * den
-    g = gcd(num, den)
-    return num // g, den // g
 
 
 def _check_finite(vec):
@@ -449,6 +432,16 @@ def _lower(machine: Machine):
     alone (``None`` for the other kinds).  ``_Machine._lowered`` keeps them
     on the machine; a rational quantum machine leaves its full table empty.
 
+    An exact machine's input symbols share one denominator, ``D``, the lcm
+    of the denominators of their matrices' entries: each is lowered to
+    integer lines over ``D`` (an end-marker stepped by ``kwqfa_run`` over
+    the lcm of ``D`` and its own), and the start vector to integers over
+    ``den0``, the lcm of its own.  So every state a run reaches after ``L``
+    input symbols is over ``den0 * D ** L``, and two states of a level are
+    equal tuples exactly when they stand for equal vectors, with no gcd
+    taken: the fraction-free scheme of Bareiss (Math. Comp. 22, 1968).  A
+    read-out is lowered over its own denominator.
+
     A quantum read-out is the right end-marker's rows for the states a run
     ends accepted in (``_measured``), over the live columns, lowered to
     measure their mass.  For a float machine it comes with the start
@@ -475,6 +468,9 @@ def _lower(machine: Machine):
     nor the live mass."""
     exact = machine.kind == RATIONAL
     lower, trans, kept = _lower_exact if exact else _lower_float, machine.trans, None
+    # A stepped matrix is lowered by ``step``: exactly, over the shared ``D``.
+    step = partial(lower, den=lcm(*(x.denominator for s in machine.sigma
+                                    for row in trans[s].entries for x in row))) if exact else lower
 
     if isinstance(machine, (Kwqfa, Mcqfa)):
         # Column convention: entry j of U @ v is U's row j times v, and the
@@ -494,7 +490,7 @@ def _lower(machine: Machine):
             return [[rows[j][i] for i in live] for j in targets]
 
         def lowered(targets, masses):
-            return _Lazy(lambda matrix: lower(lines(matrix, targets), masses=masses), trans)
+            return _Lazy(lambda matrix: step(lines(matrix, targets), masses=masses), trans)
 
         table = lowered(order, ((a, r), (r, len(order)), (0, a)))
         kept = lowered(order[:r], ((a, r),))
@@ -506,7 +502,7 @@ def _lower(machine: Machine):
             final = final, [sum(map(mul, part, part), 0.0) for part in parts], growth
     else:
         # Row convention: entry j of v @ A is v times A's column j.
-        table = _Lazy(lambda matrix: lower(zip(*matrix.entries)), trans)
+        table = _Lazy(lambda matrix: step(zip(*matrix.entries)), trans)
         if isinstance(machine, Gpfa):
             start, final = machine.v0.entries, lower([machine.f.entries])
         else:
@@ -517,7 +513,7 @@ def _lower(machine: Machine):
     if not exact:
         return table, tuple(start), final, kept
     (nums,), den = _scaled([start])
-    return table, _reduced(nums, den), final, kept
+    return table, (tuple(nums), den), final, kept
 
 
 def stepper(machine: Machine, maxlen: Optional[int] = None):
@@ -537,10 +533,10 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
 
     A sweep steps and reads out each distinct state of a level once
     (``prefix_levels``), so states are hashable, and equal states step and
-    read out equally: a rational vector is in lowest terms, so equal
-    vectors are equal tuples, and a float one is finite, where only
-    ``0.0 == -0.0`` merges unequal bits, which changes no magnitude and no
-    read-out (each adds ``0.0``).
+    read out equally: every rational vector of a level has the same
+    denominator, so equal vectors are equal tuples, and a float one is
+    finite, where only ``0.0 == -0.0`` merges unequal bits, which changes
+    no magnitude and no read-out (each adds ``0.0``).
 
     States are plain Python scalars, and every matrix is lowered once per
     machine, when a step first reads its symbol (the read-out on the
@@ -548,10 +544,11 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
     (``_Machine._lowered``), so a later call reuses them.  Each matrix
     becomes one generated function that sums only the nonzero entries of
     each line (``_kernel``), and a step is one function around one call of
-    it.  A rational vector is ``(numerators, denominator)`` in lowest terms:
-    a step runs the kernel of the matrix's integer lines, multiplies the
-    denominators, and divides by the gcd when it is not 1, so a zero vector
-    is ``((0, ...), 1)``.  A float vector is a tuple of floats, and every
+    it.  A rational vector is ``(numerators, denominator)``, integers: a
+    step runs the kernel of the matrix's integer lines and multiplies the
+    denominator by the one all input symbols share (``_lower``), with no
+    gcd, so after ``L`` symbols every vector, a zero one too, is over
+    ``den0 * D ** L``.  A float vector is a tuple of floats, and every
     step checks its output finite.  A value is the same scalar as
     ``numeric``'s ``RowVec``/``ColVec`` products would, a ``Fraction`` or a
     float (bit for bit on CPython 3.11 and earlier; from 3.12 ``sum``
@@ -570,14 +567,16 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
     construction) and starts from a column of its left end-marker's matrix,
     a unit vector, so its accepted, rejected and surviving probabilities add
     up to exactly 1 on every state a run reaches.  Whatever ``maxlen`` is,
-    its state is ``(vector, accept)``, ``accept`` an integer pair ``(num,
-    den)`` in lowest terms, stepped through the live and accepting rows
-    alone with no bound checked; ``kwqfa_run`` derives the rejected
-    probability.  A float one may stretch a vector within its tolerance, so
-    its run must stay within ``1 + EPSILON``.  Given ``maxlen`` and a run
-    certificate that holds for it (``_lower``: an exact ``K`` and cap), it
-    steps and reads out the same way with no test; its values are the full
-    step's, bit for bit, and states that differ only in ``reject`` merge.
+    its state is ``(vector, accept)``, ``accept`` the accepted probability
+    as one integer over the square of the vector's denominator (a step sets
+    it to ``accept * D * D + mass``), stepped through the live and
+    accepting rows alone with no bound checked; ``kwqfa_run`` derives the
+    rejected probability.  A float one may stretch a vector within its
+    tolerance, so its run must stay within ``1 + EPSILON``.  Given
+    ``maxlen`` and a run certificate that holds for it (``_lower``: an
+    exact ``K`` and cap), it steps and reads out the same way with no test;
+    its values are the full step's, bit for bit, and states that differ
+    only in ``reject`` merge.
     Every other float run steps ``(vector, accept, reject)`` through all the
     rows and reads out the same way after the full right end-marker step,
     which raises where a bound breaks:
@@ -600,34 +599,26 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
 
     if machine.kind == RATIONAL:
         if quantum:
-            # The live part is reduced once cut out: without the halting
-            # coordinates its gcd may exceed 1.
+            # ``accept`` is over ``den ** 2``: a step puts it over the new
+            # denominator's square and adds the kernel's mass, over the same.
             def advance(state, sym):
                 (nums, den), accept = state
                 kernel, d = kept[sym]
                 out, mass = kernel(nums)
-                den *= d
-                return _reduced(out[:a], den), _add_mass(accept, mass, den) if mass else accept
+                return (out[:a], den * d), accept * d * d + mass
 
             accepting, d = final
 
             def readout(state):
-                (nums, den), (p, q) = state
-                _, mass = accepting(nums)
-                den = (den * d) ** 2
-                return p * den + mass * q, q * den
+                (nums, den), accept = state
+                return accept * d * d + accepting(nums)[1], (den * d) ** 2
 
             (nums, den), halted = start, start[0][a:r]
-            init = _reduced(nums[:a], den), _add_mass((0, 1), sum(map(mul, halted, halted)), den)
-            return init, advance, readout
+            return ((nums[:a], den), sum(map(mul, halted, halted))), advance, readout
 
         def advance(v, sym):
-            (kernel, d), (nums, den) = table[sym], v
-            out, den = kernel(nums), den * d
-            g = gcd(*out, den)
-            if g == 1:
-                return out, den
-            return tuple([x // g for x in out]), den // g
+            kernel, d = table[sym]
+            return kernel(v[0]), v[1] * d
 
         kernel, d = final
         return start, advance, lambda v: (kernel(v[0])[0], v[1] * d)
@@ -736,7 +727,8 @@ def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
     if m.kind != RATIONAL:
         _, accept, reject = states[-1]
         return RunTrace(accept, reject, vectors)
-    accept = Fraction(*states[-1][1])
+    (_, den), accept = states[-1]
+    accept = Fraction(accept, den * den)
     return RunTrace(accept, 1 - accept - sum(x * x for x in vectors[-1].entries), vectors)
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from operator import mul
 from random import Random
 
-from qfalab.automata import CENT, DOLLAR, Gpfa, Pfa, Word, acceptance_value
-from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec, is_unitary_within
+from qfalab.automata import CENT, DOLLAR, Gpfa, Kwqfa, Pfa, Word, acceptance_value
+from qfalab.numeric import FLOAT, RATIONAL, ColVec, Matrix, RowVec, is_unitary_within
 
 
 def replace(record, **changes):
@@ -58,6 +58,47 @@ def random_gpfa(rng: Random, n: int, sigma, lo: int = -3, hi: int = 3, den: int 
     v0 = RowVec([entry() for _ in range(n)], RATIONAL)
     f = ColVec([entry() for _ in range(n)], RATIONAL)
     return Gpfa(n, tuple(sigma), trans, v0, f)
+
+
+# Rational rotations (cosine, sine) from Pythagorean triples.
+TRIPLES = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+           (Fraction(8, 17), Fraction(15, 17)))
+
+
+def givens_product(rng, n, kind, steps=12):
+    """An orthogonal matrix as a product of signed plane rotations, exact
+    from Pythagorean triples for rationals, by random angles for floats."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if kind == FLOAT:
+        rows = [[float(x) for x in row] for row in rows]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        if kind == RATIONAL:
+            c, s = rng.choice(TRIPLES)
+        else:
+            theta = rng.uniform(0, 2 * math.pi)
+            c, s = math.cos(theta), math.sin(theta)
+        s = s * rng.choice((1, -1))
+        for row in rows:
+            row[i], row[j] = c * row[i] - s * row[j], s * row[i] + c * row[j]
+    return rows
+
+
+def noisy(rng, rows, noise):
+    """``rows`` with each entry scaled by up to ``1 +- noise``."""
+    if not noise:
+        return rows
+    return [[x * (1 + rng.uniform(-noise, noise)) for x in row] for row in rows]
+
+
+def random_kwqfa(rng, n, kind, noise=0.0):
+    """A Kwqfa over ``("a", "b")`` that starts in its live state 1, with 2 or
+    more live states, one accepting and one or more rejecting; float entries
+    are scaled by up to ``1 +- noise``."""
+    trans = {sym: Matrix(noisy(rng, givens_product(rng, n, kind), noise), kind)
+             for sym in ("a", "b", DOLLAR)}
+    halting = rng.sample(range(2, n + 1), rng.randint(2, n - 2))
+    return Kwqfa(n, ("a", "b"), trans, {halting[0]}, set(halting[1:]))
 
 
 def random_nonneg_gpfa(rng: Random, n: int, sigma, hi: int = 2, den: int = 2) -> Gpfa:

@@ -21,7 +21,7 @@ from random import Random
 
 import pytest
 
-from helpers import random_pfa, replace, words_up_to
+from helpers import givens_product, noisy, random_kwqfa, random_pfa, replace, words_up_to
 from qfalab import automata, numeric
 from qfalab.automata import (
     CENT,
@@ -43,8 +43,6 @@ from qfalab.verify import check_value_identity, enumerate_agreement
 from test_stepper import measured_fold, reference_run, spiking_kwqfa
 
 SIGMA = ("a", "b")
-TRIPLES = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
-           (Fraction(8, 17), Fraction(15, 17)))
 
 
 def outcome(f, state):
@@ -53,42 +51,6 @@ def outcome(f, state):
         return repr(f(state))
     except ValueError as exc:
         return f"raises {exc}"
-
-
-def givens_product(rng, n, kind, steps=12):
-    """An orthogonal matrix as a product of signed plane rotations, exact
-    from Pythagorean triples for rationals, by random angles for floats."""
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    if kind == FLOAT:
-        rows = [[float(x) for x in row] for row in rows]
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        if kind == RATIONAL:
-            c, s = rng.choice(TRIPLES)
-        else:
-            theta = rng.uniform(0, 2 * math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-        s = s * rng.choice((1, -1))
-        for row in rows:
-            row[i], row[j] = c * row[i] - s * row[j], s * row[i] + c * row[j]
-    return rows
-
-
-def noisy(rng, rows, noise):
-    """``rows`` with each entry scaled by up to ``1 +- noise``."""
-    if not noise:
-        return rows
-    return [[x * (1 + rng.uniform(-noise, noise)) for x in row] for row in rows]
-
-
-def random_kwqfa(rng, n, kind, noise=0.0):
-    """A Kwqfa over ``SIGMA`` that starts in its live state 1, with 2 or
-    more live states, one accepting and one or more rejecting; float entries
-    are scaled by up to ``1 +- noise``."""
-    trans = {sym: Matrix(noisy(rng, givens_product(rng, n, kind), noise), kind)
-             for sym in SIGMA + (DOLLAR,)}
-    halting = rng.sample(range(2, n + 1), rng.randint(2, n - 2))
-    return Kwqfa(n, SIGMA, trans, {halting[0]}, set(halting[1:]))
 
 
 def swapping_kwqfa(rng, half, noise):
@@ -124,19 +86,20 @@ def test_rational_readouts_are_the_full_steps(seed):
     conserves probability exactly: after each word, and after the full
     right end-marker step, its accepted, rejected and surviving
     probabilities add up to 1 as ``Fraction``s.  The accepted probability
-    is kept as a pair of ints."""
+    is kept as one int over the square of the vector's denominator."""
     rng = Random(seed)
     m = random_kwqfa(rng, rng.randint(4, 6), RATIONAL)
     init, advance, readout = stepper(m, 3)
     for word in words_up_to(SIGMA, 3):
-        _, accept = state = reduce(advance, word, init)
-        assert {type(x) for x in accept} == {int}
+        (_, den), accept = state = reduce(advance, word, init)
+        assert type(accept) is int
         live = state_vector(m, state).entries
         assert {type(x) for x in live} == {Fraction}
         prefix, run = prefix_run(m, word), reference_run(m, word)
         for want, vectors, reject in (prefix, run):
             assert want + reject + sum(x * x for x in vectors[-1].entries) == 1
-        assert Fraction(*accept) == prefix[0] and list(live) == list(prefix[1][-1].entries)
+        assert Fraction(accept, den * den) == prefix[0]
+        assert list(live) == list(prefix[1][-1].entries)
         assert Fraction(*readout(state)) == run[0]
 
 
@@ -329,7 +292,8 @@ def test_rational_sweeps_step_the_live_and_accepting_rows(seed):
         state = reduce(advance, word, init)
         assert state == reduce(any_advance, word, any_init) and len(state) == 2
         want, vectors, _ = prefix_run(m, word)
-        assert Fraction(*state[1]) == want and state_vector(m, state) == vectors[-1]
+        (_, den), accept = state
+        assert Fraction(accept, den * den) == want and state_vector(m, state) == vectors[-1]
         assert type(value) is Fraction and value == reference_run(m, word)[0]
         assert value == kwqfa_run(m, word).accept_prob
 

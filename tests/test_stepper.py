@@ -16,7 +16,6 @@ import sys
 import weakref
 from fractions import Fraction
 from functools import reduce
-from math import gcd
 from operator import add, mul
 from random import Random
 
@@ -40,7 +39,7 @@ from qfalab.automata import (
     stepper,
 )
 from qfalab.cli import _demo_machines, main, save_machine
-from qfalab.constructions import pfa_to_nqfa
+from qfalab.constructions import pfa_to_nqfa, word_problem_gpfa
 from qfalab.numeric import FLOAT, RATIONAL, ColVec, Matrix, RowVec, mat_mul, one, zero
 
 SIGMA = ("a", "b")
@@ -580,19 +579,22 @@ def test_zero_rational_lines_stay_integers(m):
                          ids=lambda m: f"{type(m).__name__}-{m.n}")
 def test_a_rational_step_lowers_only_the_symbols_it_reads(monkeypatch, m):
     """As for float machines: a one-symbol word generates the symbol's
-    kernel and the read-out's, and the start vector generates none."""
+    kernel and the read-out's, and the start vector generates none.  Each
+    symbol is lowered over the denominator all input symbols share, which
+    its lowering computes without generating the other symbols' kernels."""
     calls = []
     kernel = automata._kernel
     monkeypatch.setattr(automata, "_kernel",
                         lambda lines, nil, masses=(): calls.append(nil) or kernel(lines, nil, masses))
     fresh = replace(m)
+    _, shared = shared_denominator(m)
     acceptance_value(fresh, "a")
     assert calls == ["0", "0"]
     table = stepped_table(fresh)
-    assert "a" in table and "b" not in table
+    assert "a" in table and "b" not in table and table["a"][1] == shared
     for word in ("ab", "ba", "a"):
         acceptance_value(fresh, word)
-    assert len(calls) == 3
+    assert len(calls) == 3 and table["b"][1] == shared
 
 
 def test_a_dropped_rational_machine_frees_its_kernels_at_once():
@@ -620,48 +622,80 @@ def exact_machines():
     return [m for m in machines() + twins if m.kind == RATIONAL]
 
 
-def exact_sweep(m, maxlen):
-    """Every state of a ``prefix_levels`` sweep, and every read-out."""
+def shared_denominator(m):
+    """``(den0, D)``: the denominator of the start vector's entries, and the
+    one every input symbol's matrix is lowered over, the lcm of theirs."""
+    if isinstance(m, Gpfa):
+        start = m.v0.entries
+    elif isinstance(m, Pfa):
+        start = m.trans[CENT].entries[0]
+    else:
+        start = [row[0] for row in m.trans[CENT].entries]
+    entries = [x for s in m.sigma for row in m.trans[s].entries for x in row]
+    return math.lcm(*(x.denominator for x in start)), math.lcm(*(x.denominator for x in entries))
+
+
+def exact_levels(m, maxlen):
+    """Per length, the state after each word of a ``prefix_levels`` sweep
+    and each word's read-out."""
     init, advance, readout = stepper(m)
-    states, outs = [], []
-    for _, level, read in prefix_levels(m.sigma, maxlen, (init, advance, lambda s: s),
-                                        (init, advance, readout)):
-        states += level
-        outs += read
-    return states, outs
+    for _, states, outs in prefix_levels(m.sigma, maxlen, (init, advance, lambda s: s),
+                                         (init, advance, readout)):
+        yield list(states), list(outs)
 
 
 @pytest.mark.parametrize("m", exact_machines(), ids=lambda m: f"{type(m).__name__}-{m.n}")
-def test_rational_states_stay_in_lowest_terms(m):
-    """A state's gcd is 1, so an all-zero vector is ``((0, ...), 1)``; a
-    quantum state's accepted probability, the one it keeps, is a pair of
-    ints in lowest terms too."""
-    states, outs = exact_sweep(m, 5)
+def test_every_state_of_a_level_shares_one_denominator(m):
+    """At length L every state is over ``den0 * D ** L`` and no gcd is
+    taken, so two states of a level are equal tuples exactly when they
+    stand for equal vectors; numerators are ints, and a quantum state keeps
+    its accepted probability as one int over ``den ** 2``."""
+    den0, shared = shared_denominator(m)
     quantum = isinstance(m, (Kwqfa, Mcqfa))
-    for state in states:
-        (nums, den), *probs = state if quantum else (state,)
-        assert type(nums) is tuple and den > 0 and gcd(*nums, den) == 1
-        assert len(probs) == (1 if quantum else 0)
-        for num, den in probs:
-            assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
-    for num, den in outs:
-        assert type(num) is int and type(den) is int and den > 0
+    for length, (states, outs) in enumerate(exact_levels(m, 5)):
+        vectors = {}
+        for state in states:
+            (nums, den), *accept = state if quantum else (state,)
+            assert den == den0 * shared ** length
+            assert type(nums) is tuple and all(type(x) is int for x in nums)
+            assert len(accept) == (1 if quantum else 0)
+            for num in accept:
+                assert type(num) is int and 0 <= num <= den * den - sum(x * x for x in nums)
+            vectors.setdefault(state_vector(m, state), set()).add((nums, den))
+        assert all(len(tuples) == 1 for tuples in vectors.values())
+        for num, den in outs:
+            assert type(num) is int and type(den) is int and den > 0
 
 
-def test_a_zero_rational_vector_has_denominator_one():
-    m = rational_twin(zero_line_machines()[1])  # "a" is the zero matrix
-    states, _ = exact_sweep(m, 2)
-    zeros = [state for state in states if not any(state[0])]
-    assert zeros and all(state == ((0, 0), 1) for state in zeros)
+def test_a_zero_rational_vector_keeps_its_levels_denominator():
+    m = rational_twin(zero_line_machines()[0])  # "b" then "a" reaches the zero vector
+    den0, shared = shared_denominator(m)
+    assert (den0, shared) == (1, 4)
+    zeros = [(length, state) for length, (states, _) in enumerate(exact_levels(m, 3))
+             for state in states if not any(state[0])]
+    assert zeros and all(state == ((0, 0, 0), shared ** length) for length, state in zeros)
+
+
+@pytest.mark.parametrize("k, maxlen, shared", [(2, 7, 5 ** 3), (3, 5, 5 ** 5)])
+def test_a_word_problem_sweep_grows_by_one_denominator_per_symbol(k, maxlen, shared):
+    """Without a gcd, a state's integers grow by the shared denominator per
+    symbol and no faster: generator ``i`` is a rotation over ``5 ** (2i -
+    1)``, so every state at length L is a unit vector over ``shared ** L``."""
+    m = word_problem_gpfa(k)
+    assert shared_denominator(m) == (1, shared)
+    for length, (states, _) in enumerate(exact_levels(m, maxlen)):
+        for nums, den in set(states):
+            assert den == shared ** length and max(map(abs, nums)) <= den
+            assert sum(x * x for x in nums) == den * den
 
 
 @pytest.mark.parametrize("m", exact_machines(), ids=lambda m: f"{type(m).__name__}-{m.n}")
 def test_rational_sweeps_build_no_fraction_per_word(monkeypatch, m):
-    exact_sweep(m, 4)  # lowers every symbol and the read-out
+    list(exact_levels(m, 4))  # lowers every symbol and the read-out
     calls = []
     monkeypatch.setattr(automata, "Fraction",
                         lambda *args: calls.append(args) or Fraction(*args))
-    exact_sweep(m, 4)
+    list(exact_levels(m, 4))
     assert calls == []
 
 
