@@ -16,6 +16,7 @@ import sys
 import weakref
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import add, mul
 from random import Random
 
@@ -642,6 +643,37 @@ def exact_levels(m, maxlen):
     for _, states, outs in prefix_levels(m.sigma, maxlen, (init, advance, lambda s: s),
                                          (init, advance, readout)):
         yield list(states), list(outs)
+
+
+def in_lowest_terms(entries):
+    """Exact ``entries`` as ``(numerators, denominator)`` in lowest terms."""
+    den = math.lcm(*(x.denominator for x in entries))
+    return tuple(x.numerator * (den // x.denominator) for x in entries), den
+
+
+@pytest.mark.parametrize("m", exact_machines(), ids=lambda m: f"{type(m).__name__}-{m.n}")
+def test_rational_states_stay_in_lowest_terms(m):
+    """A step takes no gcd, but a state stays its word's exact vector: its
+    integers and denominator over their gcd are the lowest terms of the
+    reference fold's vector (an all-zero one is ``((0, ...), 1)``), and a
+    word's read-out in lowest terms is the reference value.  A quantum
+    state's accepted probability, the one it keeps, is one int over the
+    square of its denominator, a probability."""
+    quantum = isinstance(m, (Kwqfa, Mcqfa))
+    live = automata._live_states(m) if quantum else range(m.n)
+    for length, (states, outs) in enumerate(exact_levels(m, 5)):
+        for word, state, (num, den) in zip(product(m.sigma, repeat=length), states, outs):
+            want, vectors, _ = reference_run(m, word)
+            assert type(num) is int and type(den) is int and den > 0
+            assert Fraction(num, den) == want
+            (nums, den), *accept = state if quantum else (state,)
+            assert type(nums) is tuple and den > 0
+            g = math.gcd(*nums, den)
+            reduced = tuple(x // g for x in nums), den // g
+            assert reduced == in_lowest_terms([vectors[length].entries[i] for i in live])
+            assert len(accept) == (1 if quantum else 0)
+            for num in accept:
+                assert type(num) is int and 0 <= Fraction(num, den * den) <= 1
 
 
 @pytest.mark.parametrize("m", exact_machines(), ids=lambda m: f"{type(m).__name__}-{m.n}")
