@@ -29,12 +29,14 @@ from . import numeric
 from .automata import (
     CENT,
     DOLLAR,
+    MARKERS,
     Gpfa,
     Kwqfa,
     Machine,
     Mcqfa,
     Pfa,
     Word,
+    _check_alphabet,
     acceptance_value,
 )
 from .constructions import (
@@ -315,10 +317,18 @@ def extended_to_doc(e: ExtendedMachine) -> dict:
 
 
 def extended_from_doc(doc: Mapping) -> ExtendedMachine:
+    """An extended machine, held to the rules of machine documents: a
+    positive state count, a valid alphabet and no matrix beyond one per
+    symbol and end-marker.  A missing matrix is refused, never filled in."""
     if _object(doc, "document").get("kind") != "extended":
         raise DocumentError("expected an extended-machine document")
     alphabet, base_n, trans = _machine_fields(doc, "base_n", RATIONAL, {})
     try:
+        if base_n < 1:
+            raise ValueError("base_n must be positive")
+        extra = sorted(set(trans) - set(_check_alphabet(alphabet) + MARKERS))
+        if extra:
+            raise ValueError(f"unexpected matrices for {extra}")
         return ExtendedMachine(base_n, alphabet, trans)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

@@ -68,6 +68,16 @@ def coin_pfa() -> Pfa:
     return Pfa(2, ("a",), {"a": step}, frozenset({2}))
 
 
+def _assemble(size: int, blocks, kind: str) -> Matrix:
+    """A ``size`` x ``size`` matrix of zeros with each ``(row, col, block)``
+    of ``blocks`` written in, its top-left entry at (``row``, ``col``)."""
+    grid = [[zero(kind)] * size for _ in range(size)]
+    for row, col, block in blocks:
+        for i, line in enumerate(block.entries):
+            grid[row + i][col:col + block.cols] = line
+    return Matrix(grid, kind)
+
+
 # ---------------------------------------------------------------------------
 # Cutpoint shifting
 
@@ -75,13 +85,14 @@ def coin_pfa() -> Pfa:
 def shift_cutpoint(p: Pfa, lam: Fraction) -> Pfa:
     """Move a machine's decision threshold to 1/2.
 
-    Adds an always-accept sink and an always-reject sink, and lets the left
-    end-marker branch: the original machine runs with probability ``scale``,
-    the accept sink is entered with probability ``offset``, and the
-    remainder is rejected.  The new value is ``scale * f(w) + offset`` with
-    ``scale > 0`` chosen so a value of ``lam`` maps exactly to 1/2, hence
-    three-way comparisons against ``lam`` before the shift match
-    comparisons against 1/2 after it.
+    Adds an always-accept sink and an always-reject sink: every symbol's
+    matrix becomes ``direct_sum(P_sym, I_2)``, and only the first row of the
+    left end-marker's changes, so that it branches: the original machine
+    runs with probability ``scale``, the accept sink is entered with
+    probability ``offset``, and the remainder is rejected.  The new value is
+    ``scale * f(w) + offset`` with ``scale > 0`` chosen so a value of ``lam``
+    maps exactly to 1/2, hence three-way comparisons against ``lam`` before
+    the shift match comparisons against 1/2 after it.
     """
     lam = Fraction(lam)
     if not (0 < lam < 1):
@@ -93,18 +104,12 @@ def shift_cutpoint(p: Pfa, lam: Fraction) -> Pfa:
         scale = 1 / (2 * lam)
         offset = Fraction(0)
     n = p.n
-    rest = 1 - scale - offset
-    table: dict[str, Matrix] = {}
-    for sym in p.sigma + (DOLLAR,):
-        table[sym] = direct_sum(p.trans[sym], Matrix.identity(2, RATIONAL))
-    cent_rows = []
-    first = p.trans[CENT].entries[0]
-    cent_rows.append([scale * v for v in first] + [offset, rest])
-    for row in p.trans[CENT].entries[1:]:
-        cent_rows.append(list(row) + [Fraction(0), Fraction(0)])
-    cent_rows.append([Fraction(0)] * n + [Fraction(1), Fraction(0)])
-    cent_rows.append([Fraction(0)] * n + [Fraction(0), Fraction(1)])
-    table[CENT] = Matrix.rational(cent_rows)
+    sinks = Matrix.identity(2, RATIONAL)
+    # The order sigma, $, cent is the matrix order of the recorded documents.
+    table = {sym: direct_sum(p.trans[sym], sinks) for sym in p.sigma + (DOLLAR, CENT)}
+    first, *rest = table[CENT].entries
+    first = [scale * v for v in first[:n]] + [offset, 1 - scale - offset]
+    table[CENT] = Matrix([first, *rest], RATIONAL)
     return Pfa(n + 2, p.sigma, table, p.accepting | {n + 1})
 
 
@@ -147,41 +152,28 @@ def extend_pfa(p: Pfa) -> ExtendedMachine:
     """Append three bookkeeping states that turn acceptance probability into
     a signed coordinate.
 
-    The left marker's first row halves the original first row and parks
-    probability 1/2 on the last new state; input symbols act block-diagonally
-    (original matrix plus a 3x3 identity); the right marker is followed by a
-    collection step that writes ``(2p-1)/4`` and ``(3-2p)/4`` into the first
-    two new coordinates.  Rows of the left-marker matrix other than the
-    first are unreachable and are left zero: filler rows can only raise
-    the spectral norm ||A||_2 that unitary completion divides by, shrinking
-    the usable amplitudes for no semantic gain.
+    Input symbols act block-diagonally, ``direct_sum(P_sym, I_3)``.  The
+    left marker is one row block: the original first row halved, and
+    probability 1/2 parked on the last new state.  The right marker is the
+    (n+3) x 3 collection block ``(P_$ + I_3)`` times the collection step, in
+    the three new columns: original state i moves its accepting mass to
+    state n+1 and the rest (rows are stochastic) to state n+2, so the final
+    vector holds ``(2p-1)/4`` and ``(3-2p)/4`` in the first two new
+    coordinates.  Rows of the left-marker matrix other than the first are
+    unreachable and are left zero: filler rows can only raise the spectral
+    norm ||A||_2 that unitary completion divides by, shrinking the usable
+    amplitudes for no semantic gain.
     """
     n = p.n
-    dim = n + 3
-    zero = Fraction(0)
-    half = Fraction(1, 2)
-
-    cent_rows = [[zero] * dim for _ in range(dim)]
-    for j, v in enumerate(p.trans[CENT].entries[0]):
-        cent_rows[0][j] = half * v
-    cent_rows[0][dim - 1] = half
-    cent = Matrix.rational(cent_rows)
-
-    table: dict[str, Matrix] = {CENT: cent}
+    naught, unit, half = Fraction(0), Fraction(1), Fraction(1, 2)
+    cent = Matrix([[half * v for v in p.trans[CENT].entries[0]] + [naught, naught, half]], RATIONAL)
+    table = {CENT: _assemble(n + 3, [(0, 0, cent)], RATIONAL)}
     for sym in p.sigma:
         table[sym] = direct_sum(p.trans[sym], Matrix.identity(3, RATIONAL))
-
-    # (P_$ + I_3) times the collection step, row by row: original state i
-    # moves its accepting mass to state n+1 and the rest (rows are
-    # stochastic) to state n+2.
-    dollar = []
-    for row in p.trans[DOLLAR].entries:
-        acc = sum((row[q - 1] for q in p.accepting), zero)
-        dollar.append([zero] * n + [acc, 1 - acc, zero])
-    dollar.append([zero] * n + [Fraction(1), zero, zero])
-    dollar.append([zero] * n + [zero, Fraction(1), zero])
-    dollar.append([zero] * n + [-half, half, zero])
-    table[DOLLAR] = Matrix.rational(dollar)
+    accepted = [sum((row[q - 1] for q in p.accepting), naught) for row in p.trans[DOLLAR].entries]
+    collect = [[acc, 1 - acc, naught] for acc in accepted]
+    collect += [[unit, naught, naught], [naught, unit, naught], [-half, half, naught]]
+    table[DOLLAR] = _assemble(n + 3, [(0, n, Matrix(collect, RATIONAL))], RATIONAL)
     return ExtendedMachine(n, p.sigma, table)
 
 
@@ -490,16 +482,6 @@ def _require_same_alphabet(g1: Gpfa, g2: Gpfa) -> str:
     return same_kind(g1.kind, g2.kind)
 
 
-def _assemble(size: int, blocks, kind: str) -> Matrix:
-    """A ``size`` x ``size`` matrix of zeros with each ``(row, col, block)``
-    of ``blocks`` written in, its top-left entry at (``row``, ``col``)."""
-    grid = [[zero(kind)] * size for _ in range(size)]
-    for row, col, block in blocks:
-        for i, line in enumerate(block.entries):
-            grid[row + i][col:col + block.cols] = line
-    return Matrix(grid, kind)
-
-
 def _word_product(g: Gpfa, word: Word) -> Matrix:
     """The product of ``g``'s matrices along ``word``; the identity if empty."""
     return reduce(mat_mul, (g.trans[sym] for sym in word), Matrix.identity(g.n, g.kind))
@@ -551,29 +533,23 @@ def gpfa_star(g: Gpfa) -> Gpfa:
     """Machine summing, over all factorizations of the input into nonempty
     blocks, the product of the block values; the empty word keeps its value.
 
-    Per symbol, a restart block feeds "close the current block here, value
-    so far times block value, start over" into the initial vector, which is
-    the displayed column construction.  That evolution also closes a
-    phantom empty block at the very end, inflating every nonempty word's
-    value by the factor ``1 + f(empty)``; dividing the final vector by that
-    factor and routing the empty word's value through one isolated helper
-    state restores the exact factorization sum.
+    The body adds to each symbol's matrix a restart block, ``A f v0``: "close
+    the current block here, value so far times block value, start over",
+    which is the displayed column construction.  That evolution also closes
+    a phantom empty block at the very end, inflating every nonempty word's
+    value by the factor ``1 + f(empty)``.  The body's final vector is divided
+    by that factor, which leaves the empty word at ``f(empty) / (1 + f(empty))``,
+    and ``add_epsilon`` adds the missing ``f(empty)^2 / (1 + f(empty))``
+    through one isolated state; that restores the exact factorization sum.
     """
     kind = g.kind
     eps_value = g.v0 @ g.f
     if eps_value == -1:
         raise ValueError("iteration undefined for machines valuing the empty word at -1")
     scale = one(kind) / (one(kind) + eps_value)
-    trans: dict[str, Matrix] = {}
-    for sym in g.sigma:
-        restart = _outer(g.trans[sym] @ g.f, g.v0)
-        top = mat_add(g.trans[sym], restart)
-        trans[sym] = direct_sum(top, Matrix.zeros(1, 1, kind))
-    v0 = RowVec(list(g.v0.entries) + [one(kind)], kind)
-    f = ColVec(
-        [scale * x for x in g.f.entries] + [eps_value * eps_value * scale], kind
-    )
-    return Gpfa(g.n + 1, g.sigma, trans, v0, f)
+    trans = {sym: mat_add(g.trans[sym], _outer(g.trans[sym] @ g.f, g.v0)) for sym in g.sigma}
+    body = Gpfa(g.n, g.sigma, trans, g.v0, ColVec([scale * x for x in g.f.entries], kind))
+    return add_epsilon(body, eps_value * eps_value * scale)
 
 
 def gpfa_erasing_hom(g: Gpfa, kappa: str, n_L: int) -> Gpfa:

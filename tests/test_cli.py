@@ -745,6 +745,9 @@ SIDE_DOCUMENTS = {
     "dfa": {"alphabet": ["a"], "n": 1, "accepting": [1], "transitions": {"1": {"a": 1}}},
 }
 
+EXTENDED = SIDE_DOCUMENTS["extended"]
+EXTENDED_MARKERS = {key: EXTENDED["matrices"][key] for key in ("cent", "dollar")}
+
 
 @pytest.mark.parametrize(
     "entry, zero_rest, code",
@@ -776,6 +779,8 @@ def test_complete_refuses_a_matrix_beyond_the_float_range(tmp_path, capsys, entr
         ("dfa", {"transitions": [{"a": 1}]}, "transitions must be an object"),
         ("dfa", {"transitions": {"1": [1]}}, "transitions row must be an object"),
         ("extended", {"matrices": {}}, "extended matrix for 'a' must be rational 5x5"),
+        ("extended", {"matrices": {key: EXTENDED["matrices"][key] for key in ("a", "cent")}},
+         "extended matrix for '$' must be rational 5x5"),
     ],
 )
 def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, change, message):
@@ -792,6 +797,33 @@ def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, cha
     }[side]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"base_n": -2, "matrices": {key: [["1"]] for key in ("a", "cent", "dollar")}},
+         "base_n must be positive"),
+        ({"alphabet": [], "matrices": EXTENDED_MARKERS}, "alphabet must be nonempty"),
+        ({"alphabet": ["a", "a"]}, "alphabet symbols must be distinct"),
+        ({"alphabet": [""], "matrices": {"": EXTENDED["matrices"]["a"], **EXTENDED_MARKERS}},
+         "invalid alphabet symbol ''"),
+        ({"matrices": {**EXTENDED["matrices"], "b": EXTENDED["matrices"]["a"]}},
+         "unexpected matrices for ['b']"),
+    ],
+    ids=["base-n-negative", "alphabet-empty", "alphabet-repeated", "symbol-empty", "matrix-extra"],
+)
+def test_a_malformed_extended_document_is_refused(tmp_path, capsys, change, message):
+    """Each document has every matrix ``build complete`` reads, square and
+    rational, so it used to be completed and written with exit 0.  The rules
+    of machine documents refuse it: a positive state count, a nonempty
+    alphabet of distinct nonempty symbols, and no other matrix than one per
+    symbol, ``cent`` and ``dollar``."""
+    path, out = tmp_path / "ext.json", tmp_path / "out.json"
+    path.write_text(json.dumps({**EXTENDED, **change}))
+    assert main(["build", "complete", "--in", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
