@@ -32,6 +32,7 @@ from .constructions import (
     gpfa_quotient,
     gpfa_reverse,
     gpfa_star,
+    gpfa_to_nqfa,
     gpfa_union,
     hom,
     neq_mcqfa,

@@ -475,11 +475,13 @@ def _lower(machine: Machine):
     if isinstance(machine, (Kwqfa, Mcqfa)):
         # Column convention: entry j of U @ v is U's row j times v, and the
         # start state 1 makes the first step U_CENT's column 1.  Rows run
-        # live, accepting, rejecting, so each measurement splits the output
-        # at two points; columns are the live states only.  Every kernel
-        # also measures (see ``_kernel``): all three masses in ``table``,
-        # the accepted one alone in ``kept`` and ``final``.
-        acc, rej, ends = _measured(machine)
+        # live, accepting, rejecting, each in state order (a set's own order
+        # follows its hash layout, and so would a mass's rounding), so each
+        # measurement splits the output at two points; columns are the live
+        # states only.  Every kernel also measures (see ``_kernel``): all
+        # three masses in ``table``, the accepted one alone in ``kept`` and
+        # ``final``.
+        acc, rej, ends = map(sorted, _measured(machine))
         live = _live_states(machine)
         order = live + [q - 1 for q in acc]
         a, r = len(live), len(order)

@@ -53,6 +53,7 @@ from .constructions import (
     gpfa_quotient,
     gpfa_reverse,
     gpfa_star,
+    gpfa_to_nqfa,
     gpfa_union,
     neq_mcqfa,
     pfa_to_nqfa,
@@ -498,6 +499,7 @@ def _complete(args) -> tuple[dict, dict]:
 # stages, a side document and its report entries.
 BUILD_OPERATIONS = {
     "pfa2nqfa": lambda args: pfa_to_nqfa(_machine(args, Pfa)),
+    "gpfa2nqfa": lambda args: gpfa_to_nqfa(_machine(args, Gpfa)),
     "extend": _extend,
     "complete": _complete,
     "concat": lambda args: gpfa_concat(_machine(args, Gpfa), _machine(args, Gpfa, "--in2")),

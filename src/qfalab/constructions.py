@@ -3,10 +3,13 @@
 Three groups live here:
 
 * the probabilistic-to-nondeterministic-quantum pipeline: cutpoint shifting,
-  the three-state extension whose final vector isolates "value equals 1/2"
-  in a single coordinate, the completion of each extended matrix to an
-  orthogonal one of double size (Halmos dilation), and their assembly into
-  a measure-every-step machine whose cutpoint-0 language is "value != 1/2";
+  and one dilation for every generalized automaton g, a 2n+1-state
+  measure-every-step machine accepting exactly where g is nonzero (each
+  input matrix completed to an orthogonal one of double size by Halmos's
+  dilation, each end-marker one Householder reflection); a PFA's machine is
+  that of its signed form 2p - 1, so its cutpoint-0 language is
+  "value != 1/2".  The three-state extension and its completion stay as
+  stages to inspect;
 * small quantum and rational demo machines: rotation automata over a unary
   or binary alphabet and the free-rotation word-problem recognizer;
 * closure constructions on generalized automata (concatenation, iteration,
@@ -260,21 +263,34 @@ def _products(xs, weights, ys) -> list[list[float]]:
     return out
 
 
-def _complete_one(block: Matrix) -> tuple[Matrix, float]:
-    """Embed a square rational matrix A into an orthogonal matrix of double
-    size whose transpose is Halmos's dilation ``[[T, X], [Y, -T^T]]`` of
-    ``T = scale * A``, ``scale = 1 / max(1, ||A||_2)``.
+def _orthogonal(rows) -> Matrix:
+    """``rows`` as a float matrix, checked orthogonal to 1e-9: its one Gram,
+    which the machine's own tolerance check reuses."""
+    unitary = Matrix.floats(rows)
+    if not is_unitary_within(unitary, 1e-9):
+        raise RuntimeError("internal defect: completed matrix misses unitarity")
+    return unitary
+
+
+def _complete_one(block: Matrix, fixed: int = 0) -> tuple[Matrix, float]:
+    """Embed a square rational or float matrix A into an orthogonal matrix
+    of double size whose transpose is Halmos's dilation ``[[T, X], [Y, -T^T]]``
+    of ``T = scale * A``, ``scale = 1 / max(1, ||A||_2)``, followed by
+    ``fixed`` states it leaves where they are: the matrix at its final size.
 
     Both roots come from one eigensystem ``A^T A = V diag(lam) V^T``:
     ``Y = (I - T^T T)^(1/2) = V diag(c) V^T`` and, exactly,
     ``X = (I - T T^T)^(1/2) = I - T V diag(1/(1+c)) V^T T^T``; so ``T Y = X T``
     holds to rounding, which a second eigensystem for X would miss by sqrt(eps).
 
-    Jacobi and the products follow the extended matrices' nonzero structure, to
-    the dense loops' bits; entries beyond the float range raise ``OverflowError``.
+    Jacobi and the products follow the matrix's nonzero structure, to the
+    dense loops' bits; entries beyond the float range raise ``OverflowError``.
     """
     size = block.rows
-    a = [[x.numerator / x.denominator for x in row] for row in block.entries]
+    if block.kind == RATIONAL:
+        a = [[x.numerator / x.denominator for x in row] for row in block.entries]
+    else:
+        a = [list(row) for row in block.entries]
     cols = list(zip(*a))
     gram = _products(cols, [1.0] * size, cols)
     if not all(map(math.isfinite, chain.from_iterable(gram))):
@@ -286,12 +302,11 @@ def _complete_one(block: Matrix) -> tuple[Matrix, float]:
     tv = _products(t, [1.0] * size, list(zip(*v)))
     x_root = _products(tv, [1.0 / (1.0 + ck) for ck in c], tv)
     y_root = _products(v, c, v)
-    rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] for i in range(size)]
-    rows += [y_root[i] + [-t[j][i] for j in range(size)] for i in range(size)]
-    unitary = Matrix.floats(zip(*rows))
-    if not is_unitary_within(unitary, 1e-9):
-        raise RuntimeError("internal defect: completed matrix misses unitarity")
-    return unitary, scale
+    pad = [0.0] * fixed
+    rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] + pad for i in range(size)]
+    rows += [y_root[i] + [-t[j][i] for j in range(size)] + pad for i in range(size)]
+    rows += [[0.0] * (2 * size) + [float(i == j) for j in range(fixed)] for i in range(fixed)]
+    return _orthogonal(zip(*rows)), scale
 
 
 def unitary_complete(e: ExtendedMachine) -> CompletionResult:
@@ -306,27 +321,74 @@ def unitary_complete(e: ExtendedMachine) -> CompletionResult:
     return CompletionResult(unitaries, scales, e.n_plus_3)
 
 
-def pfa_to_nqfa(p: Pfa) -> Kwqfa:
-    """Full pipeline: extend, complete, and wire up the measurement sets.
+def _reflection(x, k: int, size: int) -> Matrix:
+    """The Householder reflection ``I - 2 u u^T / (u^T u)`` of ``size``
+    states that swaps state ``k + 1`` with the unit vector ``x / ||x||``
+    on the first ``len(x)`` states, up to sign (Householder, J. ACM 5,
+    1958): ``u = e_k + s x / ||x||``, with ``s`` the sign of that vector's
+    entry ``k``, so the two never cancel.  For ``x = 0`` it negates state
+    ``k + 1`` alone.  ``x`` is divided by its largest magnitude first, exactly
+    for a rational one, so no norm leaves the float range."""
+    top = max(map(abs, x))
+    unit = [float(v / top) if top else 0.0 for v in x] + [0.0] * (size - len(x))
+    norm = math.copysign(math.hypot(*unit) or 1.0, unit[k])
+    u = [v / norm for v in unit]
+    u[k] += 1.0
+    beta = 2.0 / sum(v * v for v in u)
+    rows = [[float(i == j) for j in range(size)] for i in range(size)]
+    support = list(compress(range(size), u))
+    for i in support:
+        for j in support:
+            rows[i][j] -= beta * u[i] * u[j]
+    return _orthogonal(rows)
 
-    The input is read as deciding "value differs from 1/2" (shift the
-    cutpoint first if needed).  In the produced machine the lone accepting
-    state is the coordinate carrying ``(2p-1)/4``, its companion coordinate
-    rejects, and all completion states reject, so some accepting amplitude
-    survives exactly on the words whose value differs from 1/2.
+
+def gpfa_to_nqfa(g: Gpfa) -> Kwqfa:
+    """A measure-every-step quantum machine that accepts exactly the words
+    on which ``g`` is nonzero, with probability
+    ``prod(s_sym^2 for sym in w) * g(w)^2 / (||v0||^2 ||f||^2)``, where
+    ``s_sym`` is the scale ``_complete_one`` gives ``A_sym``.
+
+    It has ``2n + 1`` states: ``1..n`` live, ``n+1..2n`` rejecting and
+    ``2n + 1`` accepting.  Each input matrix ``A`` of ``g`` is completed as
+    it is given (``_complete_one``, the one Halmos dilation), so the live
+    block steps ``s_sym * A`` and the rest is measured out as rejected.  The
+    left end-marker is one reflection sending state 1 to ``v0 / ||v0||``
+    and the right one a reflection swapping ``f / ||f||`` with the accepting
+    state (``_reflection``, up to sign), so neither loses scale.  Where
+    ``v0`` or ``f`` is 0, ``g`` is 0 on every word: the right end-marker
+    then sends nothing to the accepting state, and no word is accepted.
     """
-    extended = extend_pfa(p)
-    completed = unitary_complete(extended)
-    n3 = completed.block_dim
-    total = 2 * n3
-    rejecting = {p.n + 2} | set(range(n3 + 1, total + 1))
-    return Kwqfa(
-        total,
-        p.sigma,
-        dict(completed.unitaries),
-        frozenset({p.n + 1}),
-        frozenset(rejecting),
-    )
+    n, size = g.n, 2 * g.n + 1
+    f = g.f.entries if any(g.v0.entries) else [0] * n
+    table: dict[str, Matrix] = {}
+    for sym in g.sigma:
+        try:
+            table[sym] = _complete_one(g.trans[sym], 1)[0]
+        except OverflowError:
+            raise ValueError(f"matrix for {sym!r} is beyond the float range") from None
+    table[CENT] = _reflection(g.v0.entries, 0, size)
+    table[DOLLAR] = _reflection(f, size - 1, size)
+    return Kwqfa(size, g.sigma, table, frozenset({size}), frozenset(range(n + 1, size)))
+
+
+def pfa_to_nqfa(p: Pfa) -> Kwqfa:
+    """The pipeline: ``gpfa_to_nqfa`` of the PFA's signed form, so the
+    machine accepts exactly the words whose value differs from 1/2 (shift
+    the cutpoint first if needed).
+
+    The signed form has ``v0`` the first row of ``P_CENT``, the input
+    matrices ``P_sym`` and ``f = P_DOLLAR (2 * 1_acc - 1)``, twice each
+    row's accepting mass less 1 since rows are stochastic, so its value is
+    ``2p - 1``.  The machine has ``2n + 1`` states and accepts with
+    probability ``prod(s_sym^2) * (2p - 1)^2 / (||v0||^2 ||f||^2)``.
+    ``extend_pfa`` and ``unitary_complete`` stay as stages to inspect.
+    """
+    f = [2 * sum((row[q - 1] for q in p.accepting), Fraction(0)) - 1
+         for row in p.trans[DOLLAR].entries]
+    signed = Gpfa(p.n, p.sigma, {sym: p.trans[sym] for sym in p.sigma},
+                  RowVec(p.trans[CENT].entries[0], RATIONAL), ColVec(f, RATIONAL))
+    return gpfa_to_nqfa(signed)
 
 
 # ---------------------------------------------------------------------------

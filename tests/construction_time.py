@@ -14,7 +14,7 @@ fixed seed ``"construction:<n>"``, and times
 * ``extend_pfa``, ``unitary_complete`` (of the PFA's extension, built
   untimed) and ``pfa_to_nqfa`` on the PFA;
 * ``shift_cutpoint`` of the PFA to the threshold 1/3;
-* ``gpfa_star`` of the Gpfa.
+* ``gpfa_star`` and ``gpfa_to_nqfa`` of the Gpfa.
 
 Each call is made once untimed and then 15 times.  It is the construction
 counterpart of ``sweep_time.py``, and like it the name does not match
@@ -32,7 +32,14 @@ from random import Random
 
 import qfalab
 from helpers import random_gpfa, random_pfa
-from qfalab.constructions import extend_pfa, gpfa_star, pfa_to_nqfa, shift_cutpoint, unitary_complete
+from qfalab.constructions import (
+    extend_pfa,
+    gpfa_star,
+    gpfa_to_nqfa,
+    pfa_to_nqfa,
+    shift_cutpoint,
+    unitary_complete,
+)
 
 RUNS = 15
 SIZES = (4, 8, 16, 24)
@@ -50,6 +57,7 @@ def calls(n: int) -> list:
         ("pfa_to_nqfa", lambda: pfa_to_nqfa(p)),
         ("shift_cutpoint", lambda: shift_cutpoint(p, Fraction(1, 3))),
         ("gpfa_star", lambda: gpfa_star(g)),
+        ("gpfa_to_nqfa", lambda: gpfa_to_nqfa(g)),
     ]
 
 

@@ -151,8 +151,9 @@ def reports(workdir: Path):
 # Spelled out rather than read from ``cli``, so that any two versions can be
 # compared; the last name is no operation.
 BUILD_OPERATIONS = (
-    "pfa2nqfa", "extend", "complete", "concat", "star", "hom", "inv-hom", "reverse", "quotient",
-    "union", "intersect", "shift-cutpoint", "rot-mcqfa", "wp-gpfa", "add-eps", "no-such-op",
+    "pfa2nqfa", "gpfa2nqfa", "extend", "complete", "concat", "star", "hom", "inv-hom", "reverse",
+    "quotient", "union", "intersect", "shift-cutpoint", "rot-mcqfa", "wp-gpfa", "add-eps",
+    "no-such-op",
 )
 MAPS = {
     "map_ab": {"source": ["a", "b"], "target": ["x", "y"], "images": {"a": "xy", "b": ""}},

@@ -365,7 +365,7 @@ def test_build_pipeline_and_quotient(demo_dir, tmp_path):
         ["build", "pfa2nqfa", "--in", str(demo_dir / "coin_pfa.json"), "--out", str(out)]
     )
     assert code == 0
-    assert load_machine(str(out)).n == 10
+    assert load_machine(str(out)).n == 5
 
     ext = tmp_path / "ext.json"
     assert main(["build", "extend", "--in", str(demo_dir / "coin_pfa.json"), "--out", str(ext)]) == 0
@@ -541,6 +541,31 @@ def test_build_star_concat_add_eps(tmp_path):
     starred = tmp_path / "starred.json"
     assert main(["build", "star", "--in", str(wp), "--out", str(starred)]) == 0
     assert load_machine(str(starred)).n == 4
+
+
+def test_build_gpfa2nqfa_accepts_where_the_gpfa_is_nonzero(tmp_path):
+    """The word-problem machine values 1 at the identity, and its 2n+1-state
+    quantum machine accepts exactly where the value is nonzero."""
+    wp, out = tmp_path / "wp.json", tmp_path / "nqfa.json"
+    main(["build", "wp-gpfa", "--k", "2", "--out", str(wp)])
+    assert main(["build", "gpfa2nqfa", "--in", str(wp), "--out", str(out)]) == 0
+    machine, g = load_machine(str(out)), load_machine(str(wp))
+    assert isinstance(machine, Kwqfa) and machine.n == 2 * g.n + 1
+    for word in words_up_to(g.sigma, 2):
+        nonzero = acceptance_value(g, word) != 0
+        assert (acceptance_value(machine, word) > 1e-9) == nonzero
+
+
+@pytest.mark.parametrize("zero", ["v0", "f"])
+def test_build_gpfa2nqfa_of_a_zero_machine_never_accepts(tmp_path, zero):
+    doc = machine_to_doc(random_gpfa(Random(3), 2, ("a", "b")))
+    doc[zero] = [0, 0]
+    src, out = tmp_path / "g.json", tmp_path / "nqfa.json"
+    src.write_text(json.dumps(doc))
+    assert main(["build", "gpfa2nqfa", "--in", str(src), "--out", str(out)]) == 0
+    machine = load_machine(str(out))
+    assert machine.n == 5
+    assert all(acceptance_value(machine, word) == 0.0 for word in words_up_to(("a", "b"), 4))
 
 
 def test_add_eps_reads_delta_as_classify_reads_a_cutpoint(tmp_path, capsys):
@@ -1098,7 +1123,7 @@ DFA = SIDE_DOCUMENTS["dfa"]
 
 # Each ``build`` operation's required options, in the order it reads them.
 REQUIRED = {
-    "pfa2nqfa": ["--in"], "extend": ["--in"], "complete": ["--in"], "concat": ["--in", "--in2"],
+    "pfa2nqfa": ["--in"], "gpfa2nqfa": ["--in"], "extend": ["--in"], "complete": ["--in"], "concat": ["--in", "--in2"],
     "star": ["--in"], "hom": ["--in", "--map"], "inv-hom": ["--in", "--map"], "reverse": ["--in"],
     "quotient": ["--in"], "union": ["--in", "--in2"], "intersect": ["--in", "--in2"],
     "shift-cutpoint": ["--in", "--cutpoint"], "rot-mcqfa": ["--m"], "wp-gpfa": ["--k"],
@@ -1151,6 +1176,8 @@ REFUSALS = [
                  "unknown scalar kind 'complex'", id="scalar-complex"),
     pytest.param(["build", "complete", "--in", "DOC", "--out", "OUT"], MINIMAL_PFA,
                  "expected an extended-machine document", id="complete-not-extended"),
+    pytest.param(["build", "gpfa2nqfa", "--in", "COIN", "--out", "OUT"], None,
+                 "build gpfa2nqfa needs a gpfa document, got pfa", id="gpfa2nqfa-not-gpfa"),
     pytest.param(["build", "inv-hom", "--in", "WP", "--map", "DOC", "--out", "OUT"],
                  {"source": ["x"], "target": ["g1"], "images": {"x": "g1", "z": "g1"}},
                  "image given for unknown symbol 'z'", id="hom-unknown-symbol"),

@@ -15,11 +15,20 @@ from hypothesis import strategies as st
 from helpers import (
     dense_complete_one,
     dense_symmetric_eigen,
+    random_gpfa,
     random_pfa,
     words_up_to,
 )
 from qfalab import numeric
-from qfalab.automata import CENT, DOLLAR, MARKERS, acceptance_value, kwqfa_run
+from qfalab.automata import (
+    CENT,
+    DOLLAR,
+    MARKERS,
+    Gpfa,
+    acceptance_value,
+    enumerate_values,
+    kwqfa_run,
+)
 from qfalab.cli import machine_to_doc, parse_document, serialize_machine
 from qfalab.constructions import (
     ExtendedMachine,
@@ -27,13 +36,17 @@ from qfalab.constructions import (
     _symmetric_eigen,
     coin_pfa,
     extend_pfa,
+    gpfa_concat,
+    gpfa_to_nqfa,
+    gpfa_union,
     pfa_to_nqfa,
     shift_cutpoint,
     unitary_complete,
 )
-from qfalab.numeric import Matrix, is_unitary_within
+from qfalab.numeric import Matrix, RowVec, is_unitary_within
 
 HALF = Fraction(1, 2)
+SIGMA = ("a", "b")
 
 
 # -- cutpoint shifting -------------------------------------------------------
@@ -186,7 +199,7 @@ def test_completion_is_deterministic():
 # the completion's arithmetic (each Gram entry sums (x * w) * y left to
 # right) must not change a bit.  From 3.12 ``sum`` compensates float
 # rounding, so the digest there is a different one.
-COIN_NQFA_SHA256 = "fbf94fea16b24a950018b8fa760c769ec98cc10cedb594ed469bee86ef372b6b"
+COIN_NQFA_SHA256 = "828c13c4b783e09f2294842abde976f9df1a239636802ba6a9cdd9b998b3b488"
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12), reason="float sum rounds differently from 3.12")
@@ -197,7 +210,7 @@ def test_completion_of_the_coin_machine_is_bit_identical():
 
 # The same pin over a family: two random PFAs per n = 1..14 at denominators
 # 2, 3 and 5, drawn from one seed, their pipeline documents hashed in order.
-FAMILY_NQFA_SHA256 = "a3c5012d7000886603aa6e639481890b014df5733fb384243c22f552a08cf110"
+FAMILY_NQFA_SHA256 = "4d5ed6847747df4b30037aa878c7d8710e9ac72ce5788f1ea46ee3364de720e1"
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12), reason="float sum rounds differently from 3.12")
@@ -254,14 +267,22 @@ def test_jacobi_keeps_the_blocks_of_a_reducible_matrix():
 # -- assembled pipeline ------------------------------------------------------
 
 
+def _signed_final(p):
+    """The signed form's final vector, ``P_$ (2 * 1_acc - 1)``, exactly."""
+    sign = [2 * (q in p.accepting) - 1 for q in range(1, p.n + 1)]
+    return [sum(x * y for x, y in zip(row, sign)) for row in p.trans[DOLLAR].entries]
+
+
+def _squared_norms(v0, f):
+    return sum(x * x for x in v0) * sum(x * x for x in f)
+
+
 def test_pipeline_state_count_and_measurement_sets():
-    p = coin_pfa()
-    q = pfa_to_nqfa(p)
-    assert q.n == 2 * (p.n + 3)
-    assert q.q_acc == frozenset({p.n + 1})
-    assert q.q_rej == frozenset({p.n + 2}) | frozenset(
-        range(p.n + 4, 2 * (p.n + 3) + 1)
-    )
+    for p in [coin_pfa()] + _larger_pfas():
+        q = pfa_to_nqfa(p)
+        assert q.n == 2 * p.n + 1
+        assert q.q_acc == frozenset({2 * p.n + 1})
+        assert q.q_rej == frozenset(range(p.n + 1, 2 * p.n + 1))
 
 
 def test_pipeline_computes_one_gram_per_matrix(monkeypatch):
@@ -287,18 +308,19 @@ def test_pipeline_on_coin_machine():
 
 
 def test_pipeline_accept_probability_closed_form():
-    """Completion states are measured out after every step, so only the
-    scaled extended vector survives: the accept probability is
-    ``(product of scales)^2 * ((2p-1)/4)^2`` over the marked word."""
+    """Rejecting states are measured out after every step, and neither
+    end-marker loses scale, so the accept probability is
+    ``(product of scales)^2 * (2p-1)^2 / (||v0||^2 ||f||^2)`` over the input
+    symbols, for the signed form's ``v0`` and ``f``."""
     for p in [coin_pfa()] + _larger_pfas():
-        comp = unitary_complete(extend_pfa(p))
         q = pfa_to_nqfa(p)
         for u in q.trans.values():
             assert is_unitary_within(u, 1e-12)
+        scale = {sym: _complete_one(p.trans[sym])[1] for sym in p.sigma}
+        norms = _squared_norms(p.trans[CENT].entries[0], _signed_final(p))
         for w in words_up_to(p.sigma, 5):
             f = acceptance_value(p, w)
-            scale = math.prod(comp.scale[sym] for sym in (CENT, *w, DOLLAR))
-            expected = scale * scale * float((2 * f - 1) / 4) ** 2
+            expected = math.prod(scale[sym] ** 2 for sym in w) * float((2 * f - 1) ** 2 / norms)
             accept = kwqfa_run(q, w).accept_prob
             if f == HALF:
                 assert accept <= 1e-12
@@ -320,26 +342,72 @@ def test_pipeline_sign_fidelity_small_sweep():
 
 
 def test_pipeline_amplitude_tracking():
-    """The non-halting top coordinates equal the scaled extended vector:
-    after the left marker and k input symbols the simulation block holds
-    the exact extended row vector times the product of the scales."""
+    """The live coordinates hold the signed form's row vector, normalised and
+    scaled: after the left marker and k input symbols, ``(product of scales)
+    * v0 A_prefix / ||v0||`` up to one sign for the whole run, and every
+    halting coordinate is measured out."""
     rng = Random(53)
     cases = [
         (coin_pfa(), ("a",) * 4),
         (random_pfa(rng, 3), ("a", "b", "b", "a", "b")),
     ]
     for p, word in cases:
-        e = extend_pfa(p)
-        comp = unitary_complete(e)
         q = pfa_to_nqfa(p)
-        dim = comp.block_dim
+        v0 = RowVec(p.trans[CENT].entries[0])
+        norm = math.sqrt(sum(x * x for x in v0))
+        big = max(range(p.n), key=lambda j: abs(v0[j]))
         trace = kwqfa_run(q, word)
+        sign = math.copysign(1.0, trace.vectors[0][big] * v0[big])
+        scale = 1.0
         for k in range(len(word) + 1):
-            prefix = word[:k]
-            scale = comp.scale[CENT]
-            for sym in prefix:
-                scale *= comp.scale[sym]
-            exact = reduce(lambda v, sym: v @ e.trans[sym], (CENT, *prefix), e.v0)
+            if k:
+                scale *= _complete_one(p.trans[word[k - 1]])[1]
+            exact = reduce(lambda v, sym: v @ p.trans[sym], word[:k], v0)
             observed = trace.vectors[k]
-            for j in range(dim):
-                assert abs(observed[j] - scale * float(exact[j])) < 1e-9
+            for j in range(p.n):
+                assert abs(observed[j] - sign * scale * float(exact[j]) / norm) < 1e-9
+            assert all(x == 0.0 for x in observed.entries[p.n:])
+
+
+# -- one dilation for every Gpfa ----------------------------------------------
+
+
+def _gpfa_case(shape, rng):
+    if shape == "random":
+        return random_gpfa(rng, rng.randint(1, 4), SIGMA)
+    one, two = (random_gpfa(rng, rng.randint(1, 3), SIGMA) for _ in range(2))
+    return gpfa_union(one, two) if shape == "union" else gpfa_concat(one, two)
+
+
+@given(st.sampled_from(["random", "union", "concat"]), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_gpfa_to_nqfa_accepts_by_the_closed_form(shape, rng):
+    """Every word to length 5 is accepted with probability ``(product of
+    scales)^2 * g(w)^2 / (||v0||^2 ||f||^2)`` within 1e-9 relative, from
+    exact g, and with at most 1e-12 where g(w) = 0."""
+    g = _gpfa_case(shape, rng)
+    q = gpfa_to_nqfa(g)
+    assert (q.n, q.q_acc, q.q_rej) == (2 * g.n + 1, {2 * g.n + 1}, set(range(g.n + 1, 2 * g.n + 1)))
+    scale = {sym: _complete_one(g.trans[sym])[1] for sym in g.sigma}
+    norms = _squared_norms(g.v0, g.f)
+    values = dict(enumerate_values(g, 5))
+    for word, accept in enumerate_values(q, 5):
+        value = values[word]
+        if value == 0:
+            assert accept <= 1e-12, word
+        else:
+            expected = math.prod(scale[sym] ** 2 for sym in word) * float(value ** 2 / norms)
+            assert abs(accept - expected) <= 1e-9 * expected, word
+
+
+def test_gpfa_to_nqfa_takes_float_machines():
+    """A float copy of a rational Gpfa gives the same machine to rounding:
+    the blocks convert to the same floats, and only the end-markers'
+    normalisations round differently."""
+    g = random_gpfa(Random(9), 3, SIGMA)
+    floats = Gpfa(3, SIGMA, {sym: m.to_float() for sym, m in g.trans.items()},
+                  g.v0.to_float(), g.f.to_float())
+    exact, approx = gpfa_to_nqfa(g), gpfa_to_nqfa(floats)
+    for sym, u in exact.trans.items():
+        for row, near in zip(u.entries, approx.trans[sym].entries):
+            assert all(abs(x - y) <= 1e-15 for x, y in zip(row, near)), sym

@@ -484,6 +484,22 @@ def test_pipeline_machines_match_a_measured_fold(n):
         assert repr(acceptance_value(m, word)) == repr(values[word]) == repr(want.accept_prob)
 
 
+def test_halting_masses_add_in_state_order():
+    """A float run adds the halting states' squared amplitudes in state
+    order, not in the order their frozenset iterates ([8, 9, 6, 7] for
+    {6, 7, 8, 9}), which would tie the rounding to the set's hash layout.
+    "a" is the Householder reflection sending state 1 to a unit vector on
+    the rejecting states 6-9, whose squares sum to 0.9999999999999999 in
+    state order and to 0.9999999999999998 in set order."""
+    norm = math.hypot(2.0, 3.0, 5.0, 7.0)
+    u = [1.0, 0.0, 0.0, 0.0, 0.0] + [x / norm for x in (2.0, 3.0, 5.0, 7.0)]
+    beta = 2.0 / sum(x * x for x in u)
+    a = [[float(i == j) - beta * ui * uj for j, uj in enumerate(u)] for i, ui in enumerate(u)]
+    m = Kwqfa(9, ("a",), {"a": Matrix.floats(a)}, frozenset(), frozenset({6, 7, 8, 9}))
+    want = sum((a[q - 1][0] * a[q - 1][0] for q in (6, 7, 8, 9)), 0.0)
+    assert repr(kwqfa_run(m, "a").reject_prob) == repr(want) == "0.9999999999999999"
+
+
 def spiking_kwqfa(grow: tuple[float, float], send: dict[int, tuple[float, float]]) -> Kwqfa:
     """States 1 and 2 live, 3 accepts, 4 rejects.  "a" sends state 1 to the
     live states with the entries ``grow``; "b" has only the rows ``send``
@@ -759,7 +775,7 @@ def test_fused_float_kwqfa_steps_match_a_numeric_fold(seed):
 
 
 # The digest of every quantum value below, pinned on CPython 3.11.7.
-QUANTUM_VALUES = (55, 11959, "a2102f0d9e05735ba5abd267be269c4993c83a659205a4c489f87b51217c527b")
+QUANTUM_VALUES = (55, 11959, "347068789231e4577b51eff4a34a2285d768eeb46c897f8f1c59d4bc3d708676")
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12),
