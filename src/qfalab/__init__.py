@@ -17,12 +17,9 @@ from .automata import (
     kwqfa_run,
 )
 from .constructions import (
-    CompletionResult,
-    ExtendedMachine,
     Homomorphism,
     add_epsilon,
     coin_pfa,
-    extend_pfa,
     gpfa_concat,
     gpfa_erasing_hom,
     gpfa_hom,
@@ -39,7 +36,6 @@ from .constructions import (
     pfa_to_nqfa,
     rotation_mcqfa,
     shift_cutpoint,
-    unitary_complete,
     word_problem_gpfa,
 )
 from .cutpoint import (

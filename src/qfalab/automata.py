@@ -446,8 +446,9 @@ def _lower(machine: Machine):
     ends accepted in (``_measured``), over the live columns, lowered to
     measure their mass.  For a float machine it comes with the start
     state's three masses and ``K``, the largest ``_mass_factor`` over the
-    input symbols and the right end-marker, exact: the run certificate that
-    lets a sweep step with ``kept`` and read out from those rows.  Let
+    input symbols and the right end-marker, exact, computed once for the
+    matrix of largest deviation: the run certificate that lets a sweep step
+    with ``kept`` and read out from those rows.  Let
     ``T_t`` be the exact sum of the floats ``accept``, ``reject`` and
     ``sum(v_i * v_i)`` of the state after ``t`` symbols past the left
     end-marker.  A step adds each new halting mass to its probability with
@@ -499,7 +500,10 @@ def _lower(machine: Machine):
         start = [trans[CENT].entries[j][0] for j in order]
         final = lower(lines(trans[DOLLAR], [q - 1 for q in ends]), masses=((0, len(ends)),))
         if not exact:
-            growth = max(_mass_factor(trans[s], machine.n, a) for s in (*machine.sigma, DOLLAR))
+            # K grows with the deviation, never NaN once the machine is checked.
+            worst = max((trans[s] for s in (*machine.sigma, DOLLAR)),
+                        key=lambda u: u.orthogonality_deviation)
+            growth = _mass_factor(worst, machine.n, a)
             parts = start[a:r], start[r:], start[:a]
             final = final, [sum(map(mul, part, part), 0.0) for part in parts], growth
     else:

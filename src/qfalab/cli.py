@@ -4,11 +4,12 @@ bounded verification runs.
 Machine documents are JSON with named fields.  Rational entries are written
 as ``"p/q"`` strings (plain integers allowed), float entries as numbers, and
 the end-markers appear under the reserved names ``cent`` and ``dollar``.
-Every document (machine, extended, homomorphism and ``dfa:`` oracle) is
-read by one JSON loader, ``_read_json``, and checked by the field readers
-of ``languages``; syntax errors and nesting too deep to parse are both
-reported as ``invalid JSON``.  Each ``build`` operation is one entry of
-``BUILD_OPERATIONS``, and each command returns its report for ``main`` to print.
+Every document (machine, homomorphism and ``dfa:`` oracle) is read by one
+JSON loader, ``_read_json``, and checked by the field readers of
+``languages``; syntax errors and nesting too deep to parse are both reported
+as ``invalid JSON``.  Each ``build`` operation is one entry of
+``BUILD_OPERATIONS`` and returns a machine, and each command returns its
+report for ``main`` to print.
 Exit codes: 0 for success or agreement, 1 for a disagreement or a found
 counterexample, 2 for usage and validation errors.
 """
@@ -29,23 +30,18 @@ from . import numeric
 from .automata import (
     CENT,
     DOLLAR,
-    MARKERS,
     Gpfa,
     Kwqfa,
     Machine,
     Mcqfa,
     Pfa,
     Word,
-    _check_alphabet,
     acceptance_value,
 )
 from .constructions import (
-    CompletionResult,
-    ExtendedMachine,
     Homomorphism,
     add_epsilon,
     coin_pfa,
-    extend_pfa,
     gpfa_concat,
     gpfa_hom,
     gpfa_intersection,
@@ -59,7 +55,6 @@ from .constructions import (
     pfa_to_nqfa,
     rotation_mcqfa,
     shift_cutpoint,
-    unitary_complete,
     word_problem_gpfa,
 )
 from .cutpoint import EQUAL, RELATION_CELLS, RELATIONS, CutpointSpec, cell_test, check_cutpoint_range
@@ -186,23 +181,6 @@ def _vector_from_doc(raw, kind: str, where: str, literals: dict) -> list:
     return _decode_entries(raw, kind, where, literals)
 
 
-def _machine_fields(
-    doc: Mapping, count: str, scalar: str, literals: dict
-) -> tuple[tuple[str, ...], int, dict]:
-    """Alphabet, state count and matrices, shared by machine and extended documents."""
-    alphabet = _strings(_field(doc, "alphabet"), "alphabet")
-    n = _integer(_field(doc, count), count)
-    matrices = _object(_field(doc, "matrices"), "matrices")
-    for key in matrices:
-        if key in MARKER_NAMES:
-            raise DocumentError(f"matrix key {key!r}: the end-markers are 'cent' and 'dollar'")
-    trans = {
-        NAMED_MARKERS.get(key, key): _matrix_from_doc(raw, scalar, f"matrix {key!r}", literals)
-        for key, raw in matrices.items()
-    }
-    return alphabet, n, trans
-
-
 def machine_to_doc(machine: Machine) -> dict:
     doc_kind = type(machine).__name__.lower()
     if doc_kind not in _CONVENTIONS:
@@ -259,8 +237,17 @@ def machine_from_doc(doc: Mapping) -> Machine:
         raise DocumentError(
             f"{kind_name} documents use the {_CONVENTIONS[kind_name]} convention, not {conv!r}"
         )
+    alphabet = _strings(_field(doc, "alphabet"), "alphabet")
+    n = _integer(_field(doc, "n"), "n")
+    matrices = _object(_field(doc, "matrices"), "matrices")
+    for key in matrices:
+        if key in MARKER_NAMES:
+            raise DocumentError(f"matrix key {key!r}: the end-markers are 'cent' and 'dollar'")
     literals: dict = {}
-    alphabet, n, trans = _machine_fields(doc, "n", scalar, literals)
+    trans = {
+        NAMED_MARKERS.get(key, key): _matrix_from_doc(raw, scalar, f"matrix {key!r}", literals)
+        for key, raw in matrices.items()
+    }
 
     def states(key: str) -> frozenset[int]:
         return _states(doc.get(key, []), key)
@@ -301,48 +288,6 @@ def load_machine(path: str) -> Machine:
 
 def save_machine(path: str, machine: Machine) -> None:
     Path(path).write_text(serialize_machine(machine))
-
-
-# Extended machines and completion results travel through their own document
-# kinds so the two pipeline stages can be inspected separately.
-
-
-def extended_to_doc(e: ExtendedMachine) -> dict:
-    return {
-        "kind": "extended",
-        "scalar": RATIONAL,
-        "alphabet": list(e.sigma),
-        "base_n": e.base_n,
-        "matrices": _matrices_to_doc(e.trans),
-    }
-
-
-def extended_from_doc(doc: Mapping) -> ExtendedMachine:
-    """An extended machine, held to the rules of machine documents: a
-    positive state count, a valid alphabet and no matrix beyond one per
-    symbol and end-marker.  A missing matrix is refused, never filled in."""
-    if _object(doc, "document").get("kind") != "extended":
-        raise DocumentError("expected an extended-machine document")
-    alphabet, base_n, trans = _machine_fields(doc, "base_n", RATIONAL, {})
-    try:
-        if base_n < 1:
-            raise ValueError("base_n must be positive")
-        extra = sorted(set(trans) - set(_check_alphabet(alphabet) + MARKERS))
-        if extra:
-            raise ValueError(f"unexpected matrices for {extra}")
-        return ExtendedMachine(base_n, alphabet, trans)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-
-
-def completion_to_doc(c: CompletionResult) -> dict:
-    return {
-        "kind": "completion",
-        "scalar": FLOAT,
-        "block_dim": c.block_dim,
-        "unitaries": _matrices_to_doc(c.unitaries),
-        "scale": {MARKER_NAMES.get(sym, sym): v for sym, v in c.scale.items()},
-    }
 
 
 def hom_from_doc(doc: Mapping) -> Homomorphism:
@@ -484,24 +429,11 @@ def _hom(args) -> Gpfa:
     return gpfa_hom(one, mapping, bounds)
 
 
-def _extend(args) -> tuple[dict, dict]:
-    extended = extend_pfa(_machine(args, Pfa))
-    return extended_to_doc(extended), {"states": extended.n_plus_3}
-
-
-def _complete(args) -> tuple[dict, dict]:
-    completed = unitary_complete(extended_from_doc(_read_json(_require(args, "--in"))))
-    return completion_to_doc(completed), {"dimension": completed.unitaries[CENT].rows}
-
-
 # Every ``build`` operation, in the order ``build --help`` lists them: each
-# reads its own options and returns a machine, or, for the two pipeline
-# stages, a side document and its report entries.
+# reads its own options and returns a machine.
 BUILD_OPERATIONS = {
     "pfa2nqfa": lambda args: pfa_to_nqfa(_machine(args, Pfa)),
     "gpfa2nqfa": lambda args: gpfa_to_nqfa(_machine(args, Gpfa)),
-    "extend": _extend,
-    "complete": _complete,
     "concat": lambda args: gpfa_concat(_machine(args, Gpfa), _machine(args, Gpfa, "--in2")),
     "star": lambda args: gpfa_star(_machine(args, Gpfa)),
     "hom": _hom,
@@ -525,12 +457,8 @@ BUILD_OPERATIONS = {
 
 def _cmd_build(args) -> tuple[int, dict]:
     built = BUILD_OPERATIONS[args.operation](args)
-    if isinstance(built, Machine):
-        save_machine(args.out, built)
-        return 0, {"written": args.out, "states": built.n}
-    doc, size = built
-    Path(args.out).write_text(_write_document(doc))
-    return 0, {"written": args.out, **size}
+    save_machine(args.out, built)
+    return 0, {"written": args.out, "states": built.n}
 
 
 def _demo_machines() -> dict[str, Machine]:

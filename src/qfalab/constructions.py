@@ -8,8 +8,7 @@ Three groups live here:
   input matrix completed to an orthogonal one of double size by Halmos's
   dilation, each end-marker one Householder reflection); a PFA's machine is
   that of its signed form 2p - 1, so its cutpoint-0 language is
-  "value != 1/2".  The three-state extension and its completion stay as
-  stages to inspect;
+  "value != 1/2";
 * small quantum and rational demo machines: rotation automata over a unary
   or binary alphabet and the free-rotation word-problem recognizer;
 * closure constructions on generalized automata (concatenation, iteration,
@@ -30,7 +29,6 @@ from typing import Mapping, Optional, Sequence
 from .automata import (
     CENT,
     DOLLAR,
-    MARKERS,
     Gpfa,
     Kwqfa,
     Mcqfa,
@@ -117,91 +115,7 @@ def shift_cutpoint(p: Pfa, lam: Fraction) -> Pfa:
 
 
 # ---------------------------------------------------------------------------
-# Three-state extension
-
-
-class ExtendedMachine(Record):
-    """Rational machine on n+3 states whose final vector flags value 1/2.
-
-    Started from the first coordinate and run over the marked input, the
-    final row vector is ``(0 ... 0 | (2p-1)/4, (3-2p)/4, 0)`` where ``p`` is
-    the base machine's acceptance probability, so coordinate n+1 vanishes
-    exactly when ``p = 1/2``.
-    """
-
-    base_n: int
-    sigma: tuple[str, ...]
-    trans: Mapping[str, Matrix]
-
-    def __post_init__(self):
-        dim = self.n_plus_3
-        for sym in self.sigma + MARKERS:
-            m = self.trans.get(sym)
-            if m is None or m.rows != dim or m.cols != dim or m.kind != RATIONAL:
-                raise ValueError(f"extended matrix for {sym!r} must be rational {dim}x{dim}")
-
-    @property
-    def n_plus_3(self) -> int:
-        return self.base_n + 3
-
-    @property
-    def v0(self) -> RowVec:
-        return RowVec(
-            [Fraction(1)] + [Fraction(0)] * (self.n_plus_3 - 1), RATIONAL
-        )
-
-
-def extend_pfa(p: Pfa) -> ExtendedMachine:
-    """Append three bookkeeping states that turn acceptance probability into
-    a signed coordinate.
-
-    Input symbols act block-diagonally, ``direct_sum(P_sym, I_3)``.  The
-    left marker is one row block: the original first row halved, and
-    probability 1/2 parked on the last new state.  The right marker is the
-    (n+3) x 3 collection block ``(P_$ + I_3)`` times the collection step, in
-    the three new columns: original state i moves its accepting mass to
-    state n+1 and the rest (rows are stochastic) to state n+2, so the final
-    vector holds ``(2p-1)/4`` and ``(3-2p)/4`` in the first two new
-    coordinates.  Rows of the left-marker matrix other than the first are
-    unreachable and are left zero: filler rows can only raise the spectral
-    norm ||A||_2 that unitary completion divides by, shrinking the usable
-    amplitudes for no semantic gain.
-    """
-    n = p.n
-    naught, unit, half = Fraction(0), Fraction(1), Fraction(1, 2)
-    cent = Matrix([[half * v for v in p.trans[CENT].entries[0]] + [naught, naught, half]], RATIONAL)
-    table = {CENT: _assemble(n + 3, [(0, 0, cent)], RATIONAL)}
-    for sym in p.sigma:
-        table[sym] = direct_sum(p.trans[sym], Matrix.identity(3, RATIONAL))
-    accepted = [sum((row[q - 1] for q in p.accepting), naught) for row in p.trans[DOLLAR].entries]
-    collect = [[acc, 1 - acc, naught] for acc in accepted]
-    collect += [[unit, naught, naught], [naught, unit, naught], [-half, half, naught]]
-    table[DOLLAR] = _assemble(n + 3, [(0, n, Matrix(collect, RATIONAL))], RATIONAL)
-    return ExtendedMachine(n, p.sigma, table)
-
-
-# ---------------------------------------------------------------------------
-# Unitary completion
-
-
-class CompletionResult(Record):
-    """Double-size orthogonal matrices embedding the scaled extended machine.
-
-    For each symbol, the transpose of the produced matrix carries
-    ``scale * A`` in its top-left block; the remaining blocks only serve to
-    make the whole matrix orthogonal.
-    """
-
-    unitaries: Mapping[str, Matrix]
-    scale: Mapping[str, float]
-    block_dim: int
-
-    def __post_init__(self):
-        for sym, u in self.unitaries.items():
-            if u.rows != 2 * self.block_dim or u.cols != 2 * self.block_dim:
-                raise ValueError(f"completed matrix for {sym!r} has wrong size")
-            if not (0 < self.scale[sym] <= 1):
-                raise ValueError(f"scale for {sym!r} outside (0,1]")
+# Dilation to a measure-every-step machine
 
 
 def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
@@ -272,11 +186,12 @@ def _orthogonal(rows) -> Matrix:
     return unitary
 
 
-def _complete_one(block: Matrix, fixed: int = 0) -> tuple[Matrix, float]:
-    """Embed a square rational or float matrix A into an orthogonal matrix
-    of double size whose transpose is Halmos's dilation ``[[T, X], [Y, -T^T]]``
-    of ``T = scale * A``, ``scale = 1 / max(1, ||A||_2)``, followed by
-    ``fixed`` states it leaves where they are: the matrix at its final size.
+def _complete_one(block: Matrix) -> tuple[Matrix, float]:
+    """Embed a square rational or float n x n matrix A into an orthogonal
+    matrix on ``2n + 1`` states whose transpose is Halmos's dilation
+    ``[[T, X], [Y, -T^T]]`` of ``T = scale * A``, ``scale = 1 / max(1,
+    ||A||_2)``, followed by one state it leaves where it is: the pipeline
+    machine's accepting state, so the matrix is built at its final size.
 
     Both roots come from one eigensystem ``A^T A = V diag(lam) V^T``:
     ``Y = (I - T^T T)^(1/2) = V diag(c) V^T`` and, exactly,
@@ -302,23 +217,10 @@ def _complete_one(block: Matrix, fixed: int = 0) -> tuple[Matrix, float]:
     tv = _products(t, [1.0] * size, list(zip(*v)))
     x_root = _products(tv, [1.0 / (1.0 + ck) for ck in c], tv)
     y_root = _products(v, c, v)
-    pad = [0.0] * fixed
-    rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] + pad for i in range(size)]
-    rows += [y_root[i] + [-t[j][i] for j in range(size)] + pad for i in range(size)]
-    rows += [[0.0] * (2 * size) + [float(i == j) for j in range(fixed)] for i in range(fixed)]
+    rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] for i in range(size)]
+    rows += [y_root[i] + [-t[j][i] for j in range(size)] for i in range(size)]
+    rows = [row + [0.0] for row in rows] + [[0.0] * (2 * size) + [1.0]]
     return _orthogonal(zip(*rows)), scale
-
-
-def unitary_complete(e: ExtendedMachine) -> CompletionResult:
-    """Complete every extended matrix to an orthogonal one of double size."""
-    unitaries: dict[str, Matrix] = {}
-    scales: dict[str, float] = {}
-    for sym in e.sigma + MARKERS:
-        try:
-            unitaries[sym], scales[sym] = _complete_one(e.trans[sym])
-        except OverflowError:
-            raise ValueError(f"extended matrix for {sym!r} is beyond the float range") from None
-    return CompletionResult(unitaries, scales, e.n_plus_3)
 
 
 def _reflection(x, k: int, size: int) -> Matrix:
@@ -364,7 +266,7 @@ def gpfa_to_nqfa(g: Gpfa) -> Kwqfa:
     table: dict[str, Matrix] = {}
     for sym in g.sigma:
         try:
-            table[sym] = _complete_one(g.trans[sym], 1)[0]
+            table[sym] = _complete_one(g.trans[sym])[0]
         except OverflowError:
             raise ValueError(f"matrix for {sym!r} is beyond the float range") from None
     table[CENT] = _reflection(g.v0.entries, 0, size)
@@ -382,7 +284,6 @@ def pfa_to_nqfa(p: Pfa) -> Kwqfa:
     row's accepting mass less 1 since rows are stochastic, so its value is
     ``2p - 1``.  The machine has ``2n + 1`` states and accepts with
     probability ``prod(s_sym^2) * (2p - 1)^2 / (||v0||^2 ||f||^2)``.
-    ``extend_pfa`` and ``unitary_complete`` stay as stages to inspect.
     """
     f = [2 * sum((row[q - 1] for q in p.accepting), Fraction(0)) - 1
          for row in p.trans[DOLLAR].entries]

@@ -10,7 +10,7 @@ Free-group generators are spelled ``g1 ... gk`` with uppercase ``G1 ... Gk``
 for their inverses, so every symbol is a single token.
 
 The document field readers live here, the lowest module that reads a
-document; ``cli`` reads machine, extended and homomorphism documents with them.
+document; ``cli`` reads machine and homomorphism documents with them.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ one random PFA over {a, b} (denominator 2, ``helpers.random_pfa``) and one
 random rational Gpfa over {a, b} (``helpers.random_gpfa``), both from the
 fixed seed ``"construction:<n>"``, and times
 
-* ``extend_pfa``, ``unitary_complete`` (of the PFA's extension, built
-  untimed) and ``pfa_to_nqfa`` on the PFA;
+* ``_complete_one`` of each of the PFA's input matrices, the dilations
+  the pipeline makes, and ``pfa_to_nqfa`` on the PFA;
 * ``shift_cutpoint`` of the PFA to the threshold 1/3;
 * ``gpfa_star`` and ``gpfa_to_nqfa`` of the Gpfa.
 
@@ -33,12 +33,11 @@ from random import Random
 import qfalab
 from helpers import random_gpfa, random_pfa
 from qfalab.constructions import (
-    extend_pfa,
+    _complete_one,
     gpfa_star,
     gpfa_to_nqfa,
     pfa_to_nqfa,
     shift_cutpoint,
-    unitary_complete,
 )
 
 RUNS = 15
@@ -50,10 +49,8 @@ def calls(n: int) -> list:
     rng = Random(f"construction:{n}")
     p = random_pfa(rng, n)
     g = random_gpfa(rng, n, ("a", "b"))
-    extended = extend_pfa(p)
     return [
-        ("extend_pfa", lambda: extend_pfa(p)),
-        ("unitary_complete", lambda: unitary_complete(extended)),
+        ("_complete_one", lambda: [_complete_one(p.trans[sym]) for sym in p.sigma]),
         ("pfa_to_nqfa", lambda: pfa_to_nqfa(p)),
         ("shift_cutpoint", lambda: shift_cutpoint(p, Fraction(1, 3))),
         ("gpfa_star", lambda: gpfa_star(g)),

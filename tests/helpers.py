@@ -229,7 +229,8 @@ def dense_weighted_gram(rows, weights):
 
 
 def dense_complete_one(block: Matrix):
-    """The Halmos completion of one extended matrix with dense loops only."""
+    """The Halmos completion of one n x n matrix, followed by the fixed
+    accepting state, with dense loops only."""
     size = block.rows
     a = [[float(v) for v in row] for row in block.entries]
     lam, v = dense_symmetric_eigen(dense_weighted_gram(list(zip(*a)), [1.0] * size))
@@ -242,6 +243,7 @@ def dense_complete_one(block: Matrix):
     y_root = dense_weighted_gram(v, c)
     rows = [t[i] + [float(i == j) - x for j, x in enumerate(x_root[i])] for i in range(size)]
     rows += [y_root[i] + [-t[j][i] for j in range(size)] for i in range(size)]
+    rows = [row + [0.0] for row in rows] + [[0.0] * (2 * size) + [1.0]]
     unitary = Matrix.floats(zip(*rows))
     assert is_unitary_within(unitary, 1e-9)
     return unitary, scale

@@ -38,7 +38,6 @@ from qfalab import cli  # noqa: E402
 from qfalab.automata import Gpfa, enumerate_values  # noqa: E402
 from qfalab.constructions import (  # noqa: E402
     coin_pfa,
-    extend_pfa,
     gpfa_concat,
     gpfa_star,
     gpfa_union,
@@ -151,9 +150,8 @@ def reports(workdir: Path):
 # Spelled out rather than read from ``cli``, so that any two versions can be
 # compared; the last name is no operation.
 BUILD_OPERATIONS = (
-    "pfa2nqfa", "gpfa2nqfa", "extend", "complete", "concat", "star", "hom", "inv-hom", "reverse",
-    "quotient", "union", "intersect", "shift-cutpoint", "rot-mcqfa", "wp-gpfa", "add-eps",
-    "no-such-op",
+    "pfa2nqfa", "gpfa2nqfa", "concat", "star", "hom", "inv-hom", "reverse", "quotient", "union",
+    "intersect", "shift-cutpoint", "rot-mcqfa", "wp-gpfa", "add-eps", "no-such-op",
 )
 MAPS = {
     "map_ab": {"source": ["a", "b"], "target": ["x", "y"], "images": {"a": "xy", "b": ""}},
@@ -162,6 +160,9 @@ MAPS = {
     "map_erase": {"source": ["a", "b"], "target": ["x"], "images": {"a": "", "b": ""}},
     "map_unknown": {"source": ["a"], "target": ["x"], "images": {"z": "x"}},
 }
+# A document of a kind no command reads.
+EXTENDED = {"kind": "extended", "scalar": "rational", "alphabet": ["a"], "base_n": 1,
+            "matrices": {"a": [["1"]], "cent": [["1"]], "dollar": [["1"]]}}
 # ``--in`` choices by name; None leaves the flag out.
 BUILD_INPUTS = ("pfa", "gpfa", "float", "wp", "mcqfa", "extended", "missing", "bad_json", None)
 # Flag sets; the name of a document ``build_reports`` writes stands for its path.
@@ -193,7 +194,7 @@ def build_reports(workdir: Path):
                           ("gpfa2", random_gpfa(rng, 1, BINARY)), ("float", float_gpfa(rng, 2)),
                           ("wp", word_problem_gpfa(2)), ("mcqfa", rotation_mcqfa(3))):
         cli.save_machine(str(files[name]), machine)
-    files["extended"].write_text(json.dumps(cli.extended_to_doc(extend_pfa(coin_pfa()))))
+    files["extended"].write_text(json.dumps(EXTENDED))
     files["bad_json"].write_text("{not json")
     for name, doc in MAPS.items():
         files[name].write_text(json.dumps(doc))

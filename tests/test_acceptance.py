@@ -19,12 +19,12 @@ from helpers import (
     random_nonneg_gpfa,
     random_pfa,
 )
-from qfalab.automata import CENT, DOLLAR, acceptance_value, stepper
+from qfalab.automata import CENT, DOLLAR, Gpfa, acceptance_value, stepper
 from qfalab.cli import load_machine, main, parse_document, serialize_machine
 from qfalab.constructions import (
     Homomorphism,
+    _complete_one,
     coin_pfa,
-    extend_pfa,
     gpfa_concat,
     gpfa_erasing_hom,
     gpfa_hom,
@@ -37,12 +37,11 @@ from qfalab.constructions import (
     gpfa_union,
     pfa_to_nqfa,
     rotation_mcqfa,
-    unitary_complete,
     word_problem_gpfa,
 )
 from qfalab.cutpoint import GREATER, CutpointSpec, cell_test, one_sided_zero_check
 from qfalab.languages import LanguageOracle, complement, free_reduce, oracle
-from qfalab.numeric import is_unitary_within
+from qfalab.numeric import ColVec, RowVec, is_unitary_within
 from qfalab.verify import check_value_identity, enumerate_agreement, enumerate_values
 
 HALF = Fraction(1, 2)
@@ -54,33 +53,41 @@ def _report(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
+def _signed_form(p):
+    """The PFA's signed form, built here: ``v0`` the first row of ``P_CENT``,
+    the input matrices, and ``f = P_DOLLAR (2 * 1_acc - 1)``."""
+    sign = [2 * (q in p.accepting) - 1 for q in range(1, p.n + 1)]
+    f = [sum(x * y for x, y in zip(row, sign)) for row in p.trans[DOLLAR].entries]
+    trans = {sym: p.trans[sym] for sym in p.sigma}
+    return Gpfa(p.n, p.sigma, trans, RowVec(p.trans[CENT].entries[0]), ColVec(f))
+
+
 def _pipeline_family(count: int = 20):
     """Deterministic random family for the pipeline gate: 2-3 state machines
     over {a,b} with entries in {0, 1/2, 1}.
 
-    The accepting amplitude a word can keep is the product of the per-symbol
-    completion scales times the exact flag value |2f-1|/4, and the measured
-    probability is its square.  A machine whose values come arbitrarily
-    close to 1/2 therefore lands below any fixed threshold no matter how the
-    completion is done, so the family resamples until every word up to
-    length 8 predicts a squared amplitude at least 1e-8 (one order above the
-    gate threshold) or values exactly 1/2."""
+    ``pfa_to_nqfa`` accepts a word with probability ``prod(s_sym^2) *
+    (2p-1)^2 / (||v0||^2 ||f||^2)``, the product over the word's symbols of
+    their completion scales, for the signed form's ``v0`` and ``f``.  A
+    machine whose values come arbitrarily close to 1/2 therefore lands
+    below any fixed threshold no matter how the completion is done, so the
+    family resamples until every word up to length 8 predicts a probability
+    of at least 1e-8 (one order above the gate threshold) or values exactly
+    1/2."""
     rng = Random(20240817)
     family = []
     attempts = 0
     while len(family) < count and attempts < 600:
         attempts += 1
         p = random_pfa(rng, 2 + attempts % 2, den=2)
-        completed = unitary_complete(extend_pfa(p))
-        edge = completed.scale[CENT] * completed.scale[DOLLAR]
+        signed = _signed_form(p)
+        scale = {sym: _complete_one(p.trans[sym])[1] for sym in p.sigma}
+        norms = sum(x * x for x in signed.v0.entries) * sum(x * x for x in signed.f.entries)
         usable = True
         for word, f in enumerate_values(p, 8):
             if f == HALF:
                 continue
-            product = edge
-            for sym in word:
-                product *= completed.scale[sym]
-            predicted = (product * abs(float(2 * f - 1)) / 4) ** 2
+            predicted = math.prod(scale[sym] ** 2 for sym in word) * float((2 * f - 1) ** 2 / norms)
             if predicted < 1e-8:
                 usable = False
                 break
@@ -98,25 +105,14 @@ def test_criterion_1_pipeline_sign_fidelity():
     halves_seen = 0
     for p in machines:
         quantum = pfa_to_nqfa(p)
-        extended = extend_pfa(p)
         exact_values = dict(enumerate_values(p, 8))
-        flag_entries = {}
-        level = [((), extended.v0 @ extended.trans[CENT])]
-        for length in range(9):
-            for word, vec in level:
-                flag_entries[word] = (vec @ extended.trans[DOLLAR])[p.n]
-            if length < 8:
-                level = [
-                    (word + (sym,), vec @ extended.trans[sym])
-                    for word, vec in level
-                    for sym in p.sigma
-                ]
+        signed_values = dict(enumerate_values(_signed_form(p), 8))
         for word, accept in enumerate_values(quantum, 8):
             words_checked += 1
             f = exact_values[word]
-            flag = flag_entries[word]
-            assert flag == (2 * f - 1) / 4
-            assert (flag == 0) == (f == HALF)
+            signed = signed_values[word]
+            assert signed == 2 * f - 1
+            assert (signed == 0) == (f == HALF)
             if f == HALF:
                 halves_seen += 1
                 assert accept <= 1e-12, (word, accept)
@@ -139,27 +135,26 @@ def test_criterion_2_unitarity_of_completions():
     checked = 0
     worst_block = 0.0
     for p in machines:
-        extended = extend_pfa(p)
-        completed = unitary_complete(extended)
-        dim = completed.block_dim
-        for sym in p.sigma + (CENT, DOLLAR):
-            u = completed.unitaries[sym]
+        quantum = pfa_to_nqfa(p)
+        for sym, u in quantum.trans.items():
             assert is_unitary_within(u, 1e-9), sym
-            u_t = u.transpose()
-            block = extended.trans[sym].to_float()
-            c = completed.scale[sym]
+            checked += 1
+        for sym in p.sigma:
+            c = _complete_one(p.trans[sym])[1]
+            assert c >= 0.2, sym
+            u_t = quantum.trans[sym].transpose()
+            block = p.trans[sym].to_float()
             deviation = max(
                 abs(u_t[(i, j)] - c * block[(i, j)])
-                for i in range(dim)
-                for j in range(dim)
+                for i in range(p.n)
+                for j in range(p.n)
             )
             worst_block = max(worst_block, deviation)
             assert deviation <= 1e-9, sym
-            checked += 1
     _report(
         2,
         True,
-        f"{checked} completed matrices unitary within 1e-9, "
+        f"{checked} pipeline matrices unitary within 1e-9, "
         f"worst embedded-block deviation {worst_block:.2e}",
     )
 

@@ -13,7 +13,6 @@ from qfalab import cli
 from qfalab.cli import (
     DocumentError,
     _make_parser,
-    extended_to_doc,
     load_machine,
     machine_from_doc,
     machine_to_doc,
@@ -24,7 +23,6 @@ from qfalab.cli import (
 )
 from qfalab.constructions import (
     coin_pfa,
-    extend_pfa,
     gpfa_hom,
     gpfa_quotient,
     gpfa_union,
@@ -187,19 +185,6 @@ def test_round_trip_identity(machine):
     doc = machine_to_doc(machine)
     assert json.loads(text) == doc
     _assert_document_layout(text, doc)
-
-
-def test_pipeline_stage_documents_use_the_same_layout(tmp_path):
-    pfa, extended, completed = (tmp_path / f"{n}.json" for n in ("pfa", "ext", "done"))
-    pfa.write_text(serialize_machine(coin_pfa()))
-    assert main(["build", "extend", "--in", str(pfa), "--out", str(extended)]) == 0
-    assert main(["build", "complete", "--in", str(extended), "--out", str(completed)]) == 0
-    ext_text = extended.read_text()
-    assert json.loads(ext_text) == extended_to_doc(extend_pfa(coin_pfa()))
-    _assert_document_layout(ext_text, json.loads(ext_text))
-    done_text = completed.read_text()
-    assert json.loads(done_text)["kind"] == "completion"
-    _assert_document_layout(done_text, json.loads(done_text))
 
 
 def test_readme_example_is_what_save_machine_writes():
@@ -366,12 +351,6 @@ def test_build_pipeline_and_quotient(demo_dir, tmp_path):
     )
     assert code == 0
     assert load_machine(str(out)).n == 5
-
-    ext = tmp_path / "ext.json"
-    assert main(["build", "extend", "--in", str(demo_dir / "coin_pfa.json"), "--out", str(ext)]) == 0
-    comp = tmp_path / "comp.json"
-    assert main(["build", "complete", "--in", str(ext), "--out", str(comp)]) == 0
-    assert json.loads(comp.read_text())["block_dim"] == 5
 
     quot = tmp_path / "quot.json"
     code = main(
@@ -765,13 +744,9 @@ def test_malformed_document_fields_exit_two(tmp_path, capsys, field, value, mess
 
 
 SIDE_DOCUMENTS = {
-    "extended": extended_to_doc(extend_pfa(coin_pfa())),
     "hom": {"source": ["x"], "target": ["g1"], "images": {"x": ["g1"]}},
     "dfa": {"alphabet": ["a"], "n": 1, "accepting": [1], "transitions": {"1": {"a": 1}}},
 }
-
-EXTENDED = SIDE_DOCUMENTS["extended"]
-EXTENDED_MARKERS = {key: EXTENDED["matrices"][key] for key in ("cent", "dollar")}
 
 
 @pytest.mark.parametrize(
@@ -779,33 +754,35 @@ EXTENDED_MARKERS = {key: EXTENDED["matrices"][key] for key in ("cent", "dollar")
     [(10**154, False, 0), (0, True, 0), (10**155, False, 2), (10**309, False, 2)],
 )
 def test_complete_refuses_a_matrix_beyond_the_float_range(tmp_path, capsys, entry, zero_rest, code):
-    """10**155 overflows A^T A and 10**309 the conversion to float: both exit
-    2 with one message.  10**154 and an all-zero matrix still complete."""
-    doc = extended_to_doc(extend_pfa(coin_pfa()))
+    """``build gpfa2nqfa`` completes each input matrix in floats: 10**155
+    overflows A^T A and 10**309 the conversion to float, and both exit 2
+    with one message.  10**154 and an all-zero matrix still complete."""
+    doc = {"kind": "gpfa", "alphabet": ["a"], "n": 2, "v0": ["1", "0"], "f": ["0", "1"],
+           "matrices": {"a": [["1/2", "1/3"], ["0", "1"]]}}
     if zero_rest:
-        doc["matrices"]["a"] = [["0"] * 5 for _ in range(5)]
+        doc["matrices"]["a"] = [["0"] * 2 for _ in range(2)]
     doc["matrices"]["a"][1][1] = str(entry)
-    path = tmp_path / "ext.json"
+    path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
-    assert main(["build", "complete", "--in", str(path), "--out", str(tmp_path / "out.json")]) == code
-    message = ["error: extended matrix for 'a' is beyond the float range"]
+    out = tmp_path / "out.json"
+    assert main(["build", "gpfa2nqfa", "--in", str(path), "--out", str(out)]) == code
+    message = ["error: matrix for 'a' is beyond the float range"]
     assert capsys.readouterr().err.splitlines() == (message if code else [])
 
 
+# The ids keep the numbering of the cases' earlier, longer list.
 @pytest.mark.parametrize(
     "side, change, message",
     [
-        ("extended", None, "document must be an object"),
-        ("extended", {"matrices": [1, 2]}, "matrices must be an object"),
-        ("extended", {"base_n": True}, "base_n must be an integer"),
-        ("extended", {"alphabet": "a"}, "alphabet must be a list of strings"),
-        ("hom", {"images": [["g1"]]}, "images must be an object"),
-        ("hom", {"source": "x"}, "source must be a list of strings"),
-        ("dfa", {"transitions": [{"a": 1}]}, "transitions must be an object"),
-        ("dfa", {"transitions": {"1": [1]}}, "transitions row must be an object"),
-        ("extended", {"matrices": {}}, "extended matrix for 'a' must be rational 5x5"),
-        ("extended", {"matrices": {key: EXTENDED["matrices"][key] for key in ("a", "cent")}},
-         "extended matrix for '$' must be rational 5x5"),
+        pytest.param("hom", None, "homomorphism document must be an object", id="hom-None"),
+        pytest.param("hom", {"images": [["g1"]]}, "images must be an object",
+                     id="hom-change4-images must be an object"),
+        pytest.param("hom", {"source": "x"}, "source must be a list of strings",
+                     id="hom-change5-source must be a list of strings"),
+        pytest.param("dfa", {"transitions": [{"a": 1}]}, "transitions must be an object",
+                     id="dfa-change6-transitions must be an object"),
+        pytest.param("dfa", {"transitions": {"1": [1]}}, "transitions row must be an object",
+                     id="dfa-change7-transitions row must be an object"),
     ],
 )
 def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, change, message):
@@ -814,7 +791,6 @@ def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, cha
     path.write_text(json.dumps(doc))
     out = str(tmp_path / "out.json")
     argv = {
-        "extended": ["build", "complete", "--in", str(path), "--out", out],
         "hom": ["build", "inv-hom", "--in", str(demo_dir / "wp_gpfa_2.json"),
                 "--map", str(path), "--out", out],
         "dfa": ["verify", "--machine", str(demo_dir / "coin_pfa.json"), "--cutpoint", "1/2",
@@ -824,31 +800,25 @@ def test_malformed_side_documents_exit_two(demo_dir, tmp_path, capsys, side, cha
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "change, message",
-    [
-        ({"base_n": -2, "matrices": {key: [["1"]] for key in ("a", "cent", "dollar")}},
-         "base_n must be positive"),
-        ({"alphabet": [], "matrices": EXTENDED_MARKERS}, "alphabet must be nonempty"),
-        ({"alphabet": ["a", "a"]}, "alphabet symbols must be distinct"),
-        ({"alphabet": [""], "matrices": {"": EXTENDED["matrices"]["a"], **EXTENDED_MARKERS}},
-         "invalid alphabet symbol ''"),
-        ({"matrices": {**EXTENDED["matrices"], "b": EXTENDED["matrices"]["a"]}},
-         "unexpected matrices for ['b']"),
-    ],
-    ids=["base-n-negative", "alphabet-empty", "alphabet-repeated", "symbol-empty", "matrix-extra"],
-)
-def test_a_malformed_extended_document_is_refused(tmp_path, capsys, change, message):
-    """Each document has every matrix ``build complete`` reads, square and
-    rational, so it used to be completed and written with exit 0.  The rules
-    of machine documents refuse it: a positive state count, a nonempty
-    alphabet of distinct nonempty symbols, and no other matrix than one per
-    symbol, ``cent`` and ``dollar``."""
-    path, out = tmp_path / "ext.json", tmp_path / "out.json"
-    path.write_text(json.dumps({**EXTENDED, **change}))
-    assert main(["build", "complete", "--in", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+@pytest.mark.parametrize("operation", ["extend", "complete"])
+def test_the_removed_pipeline_stages_are_refused_cleanly(demo_dir, tmp_path, capsys, operation):
+    """``build extend`` and ``build complete`` are no operations: argparse
+    refuses them, and a document of the extended kind they once read and
+    wrote is no machine.  Each exits 2 with no traceback and writes nothing."""
+    out = tmp_path / "out.json"
+    coin = str(demo_dir / "coin_pfa.json")
+    capsys.readouterr()
+    assert main(["build", operation, "--in", coin, "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in stderr
+    assert f"argument operation: invalid choice: '{operation}'" in stderr
     assert not out.exists()
+    path = tmp_path / "extended.json"
+    matrices = {key: [["1"]] for key in ("a", "cent", "dollar")}
+    path.write_text(json.dumps({"kind": "extended", "scalar": "rational", "alphabet": ["a"],
+                                "base_n": 1, "matrices": matrices}))
+    assert main(["simulate", "--machine", str(path), "--word", "a"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown machine kind 'extended'\n")
 
 
 @pytest.mark.parametrize(
@@ -1123,13 +1093,13 @@ DFA = SIDE_DOCUMENTS["dfa"]
 
 # Each ``build`` operation's required options, in the order it reads them.
 REQUIRED = {
-    "pfa2nqfa": ["--in"], "gpfa2nqfa": ["--in"], "extend": ["--in"], "complete": ["--in"], "concat": ["--in", "--in2"],
+    "pfa2nqfa": ["--in"], "gpfa2nqfa": ["--in"], "concat": ["--in", "--in2"],
     "star": ["--in"], "hom": ["--in", "--map"], "inv-hom": ["--in", "--map"], "reverse": ["--in"],
     "quotient": ["--in"], "union": ["--in", "--in2"], "intersect": ["--in", "--in2"],
     "shift-cutpoint": ["--in", "--cutpoint"], "rot-mcqfa": ["--m"], "wp-gpfa": ["--k"],
     "add-eps": ["--in"],
 }
-PFA_INPUTS = {"pfa2nqfa", "extend", "shift-cutpoint"}
+PFA_INPUTS = {"pfa2nqfa", "shift-cutpoint"}
 
 
 def _missing_option_cases():
@@ -1174,8 +1144,6 @@ REFUSALS = [
                  id="gpfa-v0-empty"),
     pytest.param(SIMULATE, {**MINIMAL_PFA, "scalar": "complex"},
                  "unknown scalar kind 'complex'", id="scalar-complex"),
-    pytest.param(["build", "complete", "--in", "DOC", "--out", "OUT"], MINIMAL_PFA,
-                 "expected an extended-machine document", id="complete-not-extended"),
     pytest.param(["build", "gpfa2nqfa", "--in", "COIN", "--out", "OUT"], None,
                  "build gpfa2nqfa needs a gpfa document, got pfa", id="gpfa2nqfa-not-gpfa"),
     pytest.param(["build", "inv-hom", "--in", "WP", "--map", "DOC", "--out", "OUT"],
@@ -1234,32 +1202,24 @@ def test_build_refuses_an_input_symbol_named_after_an_end_marker(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "command, matrices",
+    "matrices",
     [
-        ("simulate", {"a": [[1]], "¢": [[1]]}),
-        ("simulate", {"a": [[1]], "$": [[1]]}),
-        ("simulate", {"a": [[1]], "cent": [[1]], "¢": [[1]]}),
-        ("complete", {"a": [[1]], "$": [[1]]}),
+        {"a": [[1]], "¢": [[1]]},
+        {"a": [[1]], "$": [[1]]},
+        {"a": [[1]], "cent": [[1]], "¢": [[1]]},
     ],
-    ids=["cent", "dollar", "cent-and-its-name", "extended"],
+    ids=["cent", "dollar", "cent-and-its-name"],
 )
-def test_a_raw_end_marker_matrix_key_is_refused(tmp_path, capsys, command, matrices):
+def test_a_raw_end_marker_matrix_key_is_refused(tmp_path, capsys, matrices):
     """A raw ``¢`` or ``$`` key was read as the marker's name, and beside
     ``cent`` the later key silently won; now it exits 2 with one message."""
-    path, out = tmp_path / "doc.json", tmp_path / "out.json"
-    if command == "simulate":
-        path.write_text(json.dumps({**MINIMAL_PFA, "matrices": matrices}))
-        argv = ["simulate", "--machine", str(path), "--word", "a"]
-    else:
-        doc = {"kind": "extended", "alphabet": ["a"], "base_n": 1, "matrices": matrices}
-        path.write_text(json.dumps(doc))
-        argv = ["build", "complete", "--in", str(path), "--out", str(out)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**MINIMAL_PFA, "matrices": matrices}))
     capsys.readouterr()
-    assert main(argv) == 2
+    assert main(["simulate", "--machine", str(path), "--word", "a"]) == 2
     marker = next(key for key in matrices if key in "¢$")
     message = f"error: matrix key {marker!r}: the end-markers are 'cent' and 'dollar'\n"
     assert capsys.readouterr() == ("", message)
-    assert not out.exists()
 
 
 def test_build_reverse_reads_each_word_backwards(tmp_path):

@@ -1,27 +1,22 @@
-"""What the closure constructions and the three-state extension build,
-pinned byte for byte.
+"""What the closure constructions build, pinned byte for byte.
 
 The closure tests check values only.  Here each construction runs on seeded
 random machines, rational and float copies of each, and the sha256 of all the
 output documents (``cli.serialize_machine``) must equal a recorded digest, so
 a change to any entry, its position or its scalar kind shows, even one that
-leaves every value the same.  The extension's exact entries are pinned the
-same way, through ``cli.extended_to_doc``; elsewhere only their float
-completions are.
+leaves every value the same.
 """
 
 import hashlib
-import json
 from fractions import Fraction
 from random import Random
 
 from helpers import random_gpfa, random_pfa
 from qfalab.automata import Gpfa
-from qfalab.cli import extended_to_doc, serialize_machine
+from qfalab.cli import serialize_machine
 from qfalab.constructions import (
     Homomorphism,
     add_epsilon,
-    extend_pfa,
     gpfa_concat,
     gpfa_erasing_hom,
     gpfa_hom,
@@ -91,16 +86,3 @@ def test_constructions_build_the_recorded_machines():
             count += 1
     assert (count, digest.hexdigest()) == (DOCUMENTS, DIGEST)
 
-
-EXTENSIONS = "4c217a36b3575cadb73eab5fb04347547ed3d84a21942c11562a944e5c4fb98b"
-
-
-def test_extensions_build_the_recorded_documents():
-    """``extend_pfa`` of a PFA with 1 to 6 states and denominator 2 to 5,
-    drawn from ``Random(seed)``: every document's JSON, in one sha256."""
-    digest = hashlib.sha256()
-    for seed in SEEDS:
-        rng = Random(seed)
-        p = random_pfa(rng, rng.randint(1, 6), den=rng.randint(2, 5))
-        digest.update(json.dumps(extended_to_doc(extend_pfa(p))).encode())
-    assert digest.hexdigest() == EXTENSIONS

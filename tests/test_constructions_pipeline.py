@@ -23,25 +23,22 @@ from qfalab import numeric
 from qfalab.automata import (
     CENT,
     DOLLAR,
-    MARKERS,
     Gpfa,
+    Pfa,
     acceptance_value,
     enumerate_values,
     kwqfa_run,
 )
 from qfalab.cli import machine_to_doc, parse_document, serialize_machine
 from qfalab.constructions import (
-    ExtendedMachine,
     _complete_one,
     _symmetric_eigen,
     coin_pfa,
-    extend_pfa,
     gpfa_concat,
     gpfa_to_nqfa,
     gpfa_union,
     pfa_to_nqfa,
     shift_cutpoint,
-    unitary_complete,
 )
 from qfalab.numeric import Matrix, RowVec, is_unitary_within
 
@@ -91,60 +88,7 @@ def test_shift_output_is_a_valid_pfa():
     assert shifted.n == p.n + 2  # validity enforced by the constructor
 
 
-# -- extension ---------------------------------------------------------------
-
-
-def test_extension_final_vector_formula_on_coin():
-    e = extend_pfa(coin_pfa())
-    quarter = Fraction(1, 4)
-    final = {
-        w: reduce(lambda v, sym: v @ e.trans[sym], (CENT, *w, DOLLAR), e.v0)
-        for w in ("", "a", "aa")
-    }
-    assert final[""].entries == (0, 0, -quarter, 3 * quarter, 0)
-    assert final["a"].entries == (0, 0, 0, HALF, 0)
-    assert final["aa"].entries == (0, 0, Fraction(1, 8), Fraction(3, 8), 0)
-
-
-def test_extension_flags_exactly_value_half():
-    rng = Random(23)
-    for p in [random_pfa(rng, 2) for _ in range(6)] + _larger_pfas()[:2]:
-        e = extend_pfa(p)
-        for w in words_up_to(p.sigma, 5):
-            f = acceptance_value(p, w)
-            final = reduce(lambda v, sym: v @ e.trans[sym], (CENT, *w, DOLLAR), e.v0)
-            assert final[p.n] == (2 * f - 1) / 4
-            assert final[p.n + 1] == (3 - 2 * f) / 4
-            assert (final[p.n] == 0) == (f == HALF)
-            assert all(x == 0 for x in final.entries[: p.n])
-            assert final[p.n + 2] == 0
-
-
-def test_extension_left_marker_top_row():
-    p = coin_pfa()
-    e = extend_pfa(p)
-    top = e.trans[CENT].entries[0]
-    assert top == (HALF, 0, 0, 0, HALF)
-
-
-def test_extension_symbol_matrices_are_block_diagonal():
-    p = coin_pfa()
-    e = extend_pfa(p)
-    m = e.trans["a"]
-    assert m.entries[0][:2] == p.trans["a"].entries[0]
-    for i in range(3):
-        row = m.entries[2 + i]
-        assert row[:2] == (0, 0)
-        assert row[2:] == tuple(Fraction(1) if j == i else Fraction(0) for j in range(3))
-
-
 # -- unitary completion ------------------------------------------------------
-
-
-def _identity_extended(n):
-    dim = n + 3
-    eye = Matrix.identity(dim)
-    return ExtendedMachine(n, ("a",), {CENT: eye, "a": eye, DOLLAR: eye})
 
 
 def _larger_pfas():
@@ -154,45 +98,39 @@ def _larger_pfas():
 
 
 def test_completion_of_identity_block():
-    # the dilation of I: scale 1, top-left I, both defect roots vanish, and
-    # the bottom-right block is -I
-    comp = unitary_complete(_identity_extended(2))
-    assert abs(comp.scale["a"] - 1) < 1e-12
-    u_t = comp.unitaries["a"].transpose()
-    dim = comp.block_dim
-    for i in range(2 * dim):
-        for j in range(2 * dim):
-            expected = (1.0 if i < dim else -1.0) if i == j else 0.0
+    # the dilation of I: scale 1, top-left I, both defect roots vanish, the
+    # bottom-right block is -I, and the accepting state stays where it is
+    eye = Matrix.identity(2)
+    p = Pfa(2, ("a",), {CENT: eye, "a": eye, DOLLAR: eye}, frozenset({2}))
+    assert _complete_one(p.trans["a"])[1] == 1.0
+    u_t = pfa_to_nqfa(p).trans["a"].transpose()
+    for i in range(5):
+        for j in range(5):
+            expected = (-1.0 if i in (2, 3) else 1.0) if i == j else 0.0
             assert abs(u_t[(i, j)] - expected) < 1e-12
 
 
 def test_completion_is_unitary_and_embeds_scaled_block():
+    """Every matrix of the built machine is orthogonal to 1e-9, and each
+    input symbol's live block is ``s_sym * P_sym``, its scale at least 0.2."""
     rng = Random(31)
     machines = [coin_pfa()] + [random_pfa(rng, n) for n in (2, 3)] + _larger_pfas()
     for p in machines:
-        e = extend_pfa(p)
-        comp = unitary_complete(e)
-        dim = comp.block_dim
-        for sym in p.sigma + (CENT, DOLLAR):
-            u = comp.unitaries[sym]
-            assert is_unitary_within(u, 1e-9)
-            assert 0 < comp.scale[sym] <= 1
-            assert comp.scale[sym] >= 0.2
-            u_t = u.transpose()
-            block = e.trans[sym].to_float()
-            c = comp.scale[sym]
-            for i in range(dim):
-                for j in range(dim):
+        q = pfa_to_nqfa(p)
+        assert all(is_unitary_within(u, 1e-9) for u in q.trans.values())
+        for sym in p.sigma:
+            c = _complete_one(p.trans[sym])[1]
+            assert 0.2 <= c <= 1
+            u_t = q.trans[sym].transpose()
+            block = p.trans[sym].to_float()
+            for i in range(p.n):
+                for j in range(p.n):
                     assert abs(u_t[(i, j)] - c * block[(i, j)]) < 1e-9
 
 
 def test_completion_is_deterministic():
-    e = extend_pfa(coin_pfa())
-    first = unitary_complete(e)
-    second = unitary_complete(e)
-    for sym in first.unitaries:
-        assert first.unitaries[sym] == second.unitaries[sym]
-        assert first.scale[sym] == second.scale[sym]
+    p = coin_pfa()
+    assert pfa_to_nqfa(p).trans == pfa_to_nqfa(p).trans
 
 
 # The digest of the coin machine's pipeline output, pinned on CPython 3.11:
@@ -229,11 +167,12 @@ def test_completion_of_a_pfa_family_is_bit_identical():
 @settings(max_examples=30, deadline=None)
 def test_completion_matches_the_dense_loops_bit_for_bit(n, den, rng):
     """Block-wise Jacobi and support-aware products give the unitary and
-    scale of whole-matrix loops, signed zeros included."""
-    e = extend_pfa(random_pfa(rng, n, den=den))
-    for sym in e.sigma + MARKERS:
-        unitary, scale = _complete_one(e.trans[sym])
-        dense_unitary, dense_scale = dense_complete_one(e.trans[sym])
+    scale of whole-matrix loops, signed zeros included, for each input
+    matrix of a random PFA."""
+    p = random_pfa(rng, n, den=den)
+    for sym in p.sigma:
+        unitary, scale = _complete_one(p.trans[sym])
+        dense_unitary, dense_scale = dense_complete_one(p.trans[sym])
         assert repr(unitary.entries) == repr(dense_unitary.entries), sym
         assert repr(scale) == repr(dense_scale), sym
 

@@ -35,11 +35,12 @@ from qfalab.automata import (
     stepper,
 )
 from qfalab.cli import main, save_machine
-from qfalab.constructions import pfa_to_nqfa
+from qfalab.constructions import neq_mcqfa, pfa_to_nqfa, rotation_mcqfa
 from qfalab.cutpoint import CutpointSpec, equivalent_under_separation_bounded
 from qfalab.languages import LanguageOracle
 from qfalab.numeric import FLOAT, RATIONAL, Matrix
 from qfalab.verify import check_value_identity, enumerate_agreement
+import sweep_time
 from test_stepper import measured_fold, reference_run, spiking_kwqfa
 
 SIGMA = ("a", "b")
@@ -428,6 +429,31 @@ def test_k_is_exact():
     huge = Matrix.floats([[1e300, 0.0], [0.0, 1.0]])
     assert automata._mass_factor(huge, 2, 2) == math.inf
     assert automata._run_bound((0.25, 0.25, 0.5), Fraction(10 ** 400), 1) == math.inf
+
+
+def certificate_machines():
+    """Pipeline Kwqfas, rotation Mcqfas, noisy Kwqfas whose matrices deviate
+    from orthogonality by different amounts, and float copies of the
+    quantum machines ``sweep_time.py`` sweeps."""
+    swept = [m for _, m, _ in sweep_time.machines() if isinstance(m, (Kwqfa, Mcqfa))]
+    return [
+        *(pfa_to_nqfa(random_pfa(Random(n), n)) for n in range(1, 9)),
+        *(rotation_mcqfa(k) for k in (2, 3, 5, 7)),
+        neq_mcqfa(),
+        *(random_kwqfa(Random(seed), 4 + seed % 3, FLOAT, noise=1e-12) for seed in range(6)),
+        *(replace(m, trans={sym: u.to_float() for sym, u in m.trans.items()}) for m in swept),
+    ]
+
+
+def test_k_is_computed_once_for_the_worst_matrix():
+    """A float quantum machine's ``K`` is the largest of its input symbols'
+    and right end-marker's ``_mass_factor``s, though it computes only one."""
+    for m in certificate_machines():
+        assert m.kind == FLOAT
+        live = len(automata._live_states(m))
+        factors = [automata._mass_factor(m.trans[sym], m.n, live) for sym in (*m.sigma, DOLLAR)]
+        growth = m._lowered[2][2]
+        assert type(growth) is Fraction and growth == max(factors)
 
 
 @pytest.mark.parametrize("m", certified_machines()[::4])
