@@ -57,7 +57,7 @@ from .constructions import (
     shift_cutpoint,
     word_problem_gpfa,
 )
-from .cutpoint import EQUAL, RELATION_CELLS, RELATIONS, CutpointSpec, cell_test, check_cutpoint_range
+from .cutpoint import EQUAL, RELATION_CELLS, RELATIONS, CutpointSpec, cell_test
 from .languages import DocumentError, LanguageOracle, complement, dfa_oracle, oracle
 from .languages import _field, _integer, _object, _states, _strings  # the document readers
 from .numeric import (
@@ -323,7 +323,13 @@ def _emit(report: Mapping, as_json: bool) -> None:
 def _machine_cut(machine: Machine, text: str) -> Scalar:
     if machine.kind == RATIONAL:
         return parse_rational(text)
-    return float(parse_rational(text)) if "/" in text else float(text)
+    if "/" not in text:
+        return float(text)
+    x = parse_rational(text)
+    try:
+        return float(x)
+    except OverflowError:  # past the float range, as float("1e400") is
+        return math.inf if x > 0 else -math.inf
 
 
 def _resolve_oracle(spec: str, complement_flag: bool) -> LanguageOracle:
@@ -348,18 +354,17 @@ def _cmd_simulate(args) -> tuple[int, dict]:
 def _cmd_classify(args) -> tuple[int, dict]:
     machine = load_machine(args.machine)
     word = parse_word(args.word, machine.sigma)
-    spec = CutpointSpec(_machine_cut(machine, args.cutpoint), args.relation)
-    check_cutpoint_range(machine, spec.lam)
+    test = cell_test(machine, _machine_cut(machine, args.cutpoint))
     value = acceptance_value(machine, word)
     # A float in the ``equal`` cell's band is undecided, as in ``verify``.
     floating = machine.kind == FLOAT
-    cell = cell_test(machine, spec.lam)(value if floating else value.as_integer_ratio())
+    cell = test(value if floating else value.as_integer_ratio())
     return 0, {
         "word": "".join(word),
         "value": _encode_scalar(value),
         "cutpoint": args.cutpoint,
         "relation": args.relation,
-        "member": cell in RELATION_CELLS[spec.relation],
+        "member": cell in RELATION_CELLS[args.relation],
         "cell": cell,
         "undecided": floating and cell == EQUAL,
     }

@@ -120,13 +120,14 @@ def shift_cutpoint(p: Pfa, lam: Fraction) -> Pfa:
 
 def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     """Eigenvalues and eigenvector columns ``v`` of a symmetric float matrix,
-    ``a = v diag(values) v^T``, by cyclic Jacobi rotations.
+    ``a = v diag(values) v^T``, by cyclic Jacobi rotations; overwrites ``a``.
 
     A rotation (p, q), made where ``a[p][q]`` is nonzero, mixes only rows and
     columns p and q, so entries between connected blocks of the off-diagonal
-    nonzero graph stay 0.0 (c * 0.0 - s * 0.0 is 0.0).  Rotating each block
-    as a dense submatrix in the global cyclic order, with the stopping test
-    summed in the global order, makes a dense sweep's rotations to the bit.
+    nonzero graph stay 0.0 (c * 0.0 - s * 0.0 is 0.0).  Each rotation updates
+    only the members of its block, and the stopping test's sum gains only
+    +0.0 terms from the other entries, so the rotations are a dense sweep's
+    to the bit.
     """
     size = len(a)
     block = [[i] for i in range(size)]  # index -> the sorted members of its block
@@ -135,30 +136,27 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
             if block[j] is not block[i]:
                 merged = sorted(block[i] + block[j])
                 block = [merged if b is block[i] or b is block[j] else b for b in block]
-    subs = {id(b): ([[a[i][j] for j in b] for i in b], [[float(i == j) for j in b] for i in b])
-            for i, b in enumerate(block) if b[0] == i}  # each block of a, and of v^T
-    place = [(*subs[id(b)], b.index(i)) for i, b in enumerate(block)]
-    upper = [(s, k, m) for s, _, k in place for m in range(k + 1, len(s))]  # i < j, row-major
+    v = [[float(i == j) for j in range(size)] for i in range(size)]
     for _ in range(100):
-        off = sum(s[k][m] * s[k][m] for s, k, m in upper)
-        if off <= 1e-32 * sum(s[k][k] * s[k][k] for s, _, k in place):
+        off = sum(a[i][j] * a[i][j] for i in range(size) for j in range(i + 1, size))
+        if off <= 1e-32 * sum(a[i][i] * a[i][i] for i in range(size)):
             break
-        for s, w in subs.values():
-            for p in range(len(s) - 1):
-                for q in range(p + 1, len(s)):
-                    if s[p][q] == 0.0:
-                        continue
-                    theta = (s[q][q] - s[p][p]) / (2.0 * s[p][q])
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    sn = t * c
-                    for row in s:  # columns p, q of the block: a <- a J
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                if a[p][q] == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * c
+                for x in a, v:  # columns p, q of the block's rows: x <- x J
+                    for i in block[p]:
+                        row = x[i]
                         row[p], row[q] = c * row[p] - sn * row[q], sn * row[p] + c * row[q]
-                    for xp, xq in (s[p], s[q]), (w[p], w[q]):  # rows p, q of it and v^T
-                        for k in range(len(s)):  # X <- J^T X
-                            xp[k], xq[k] = c * xp[k] - sn * xq[k], sn * xp[k] + c * xq[k]
-    v = [[w[m][k] if s is si else 0.0 for s, w, m in place] for si, _, k in place]
-    return [s[k][k] for s, _, k in place], v
+                ap, aq = a[p], a[q]  # then its part of rows p, q: a <- J^T a
+                for k in block[p]:
+                    ap[k], aq[k] = c * ap[k] - sn * aq[k], sn * ap[k] + c * aq[k]
+    return [a[i][i] for i in range(size)], v
 
 
 def _products(xs, weights, ys) -> list[list[float]]:

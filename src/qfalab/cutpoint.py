@@ -7,8 +7,10 @@ equal, and that band is where a float verdict cannot be trusted.  A float
 quantum machine's value is a sum of squared amplitudes, so at cutpoint 0 the
 tolerance applies to the amplitudes: the value lands in the ``equal`` cell
 iff it is at most EPSILON squared.  ``cell_test`` is the one rule for a
-machine's value: a sweep, and ``qfalab classify``, binds it to the machine
-once and then costs one call per word's ``stepper`` read-out, building no
+machine's value and the one threshold check: binding it refuses a non-finite
+threshold, one outside [0, 1] for a probability machine and one of the other
+scalar kind.  A sweep, and ``qfalab classify``, binds it to the machine once
+and then costs one call per word's ``stepper`` read-out, building no
 ``Fraction``.  The bare ``classify_value``, which cannot see the machine,
 keeps the plain band and checks both kinds on every call; it is kept for the
 benchmark.
@@ -99,16 +101,20 @@ def _kinds_match(kv: str, kl: str) -> None:
 
 def cell_test(machine: Machine, lam: Scalar) -> Callable[[object], str]:
     """The three-way comparison against ``lam``, bound once for a sweep over
-    ``machine``: the kinds are checked and the tolerance read here, and the
-    returned ``readout -> cell`` classifies a ``stepper`` read-out (a float,
-    or a rational value's integers ``(num, den)`` with ``den > 0``) without
-    checking it.
+    ``machine``.  Here ``lam`` is checked finite, then in [0, 1] unless the
+    machine is a ``Gpfa``, then of the machine's kind, and the tolerance is
+    read; the returned ``readout -> cell`` classifies a ``stepper`` read-out
+    (a float, or a rational value's integers ``(num, den)`` with ``den > 0``)
+    without checking it.
 
     A float value lands in ``equal`` within the zero tolerance EPSILON of
     ``lam``, except that a float ``Kwqfa`` or ``Mcqfa`` value at ``lam = 0``
     does iff it is at most EPSILON squared: the value is a sum of squared
     amplitudes, and that bound keeps every measured amplitude within
     EPSILON of 0."""
+    _check_finite(lam)
+    if not isinstance(machine, Gpfa) and not (0 <= lam <= 1):
+        raise ValueError(f"cutpoint {format_scalar(lam)} outside [0,1] for a probability machine")
     _kinds_match(machine.kind, scalar_kind(lam))
     if machine.kind == RATIONAL:
         return partial(_rational_cell, lam.numerator, lam.denominator)
@@ -134,14 +140,6 @@ def classify_value(v: Scalar, spec: CutpointSpec) -> bool:
     else:
         cell = _float_cell(lam, zero_tolerance(), v)
     return cell in RELATION_CELLS[spec.relation]
-
-
-def check_cutpoint_range(machine: Machine, lam: Scalar) -> None:
-    """Probability-valued machines only make sense with thresholds in [0,1];
-    generalized machines may use any finite real threshold."""
-    if not isinstance(machine, Gpfa) and not (0 <= lam <= 1):
-        raise ValueError(f"cutpoint {format_scalar(lam)} outside [0,1] for a probability machine")
-    _check_finite(lam)
 
 
 def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:
@@ -177,10 +175,9 @@ def equivalent_under_separation_bounded(
     """
     if tuple(a1.sigma) != tuple(a2.sigma):
         raise ValueError("machines must share one input alphabet")
-    check_cutpoint_range(a1, lam1)
-    check_cutpoint_range(a2, lam2)
-    steps1 = readout_then(stepper(a1, maxlen), cell_test(a1, lam1))
-    steps2 = readout_then(stepper(a2, maxlen), cell_test(a2, lam2))
+    test1, test2 = cell_test(a1, lam1), cell_test(a2, lam2)
+    steps1 = readout_then(stepper(a1, maxlen), test1)
+    steps2 = readout_then(stepper(a2, maxlen), test2)
     for words, cells1, cells2 in prefix_levels(a1.sigma, maxlen, steps1, steps2):
         found = first_difference(words, cells1, cells2)
         if found is not None:

@@ -5,16 +5,16 @@ Words are enumerated shortest first and lexicographically within one length
 counterexample is order-minimal and reproducible.  A sweep walks the words
 once (``automata.prefix_levels``) with the machine's stepper and the
 oracle's, a fold checked against its literal set definition in the tests.
-It binds its cutpoint comparison once (``cutpoint.cell_test``, with the zero
-tolerance in force when the sweep starts) and passes it in the machine's
-read-out, so per distinct state of a level it takes one step per symbol
-and at most one read-out and one cell test of each stepper, and per word it
-only looks the two verdicts up: on the free-group word problem the distinct
-states are the reduced forms of the level's words, 1,636 states for the
-5,461 rank-2 words shorter than 7.  On a 2-core host that is about
-4.8 * 10^5 words per second on that problem.
-A float sweep also counts the words whose value falls in the tolerance
-band, where its verdict cannot be trusted, and reports them as undecided.
+It binds its cutpoint comparison once (``cutpoint.cell_test``, the one
+threshold check, with the zero tolerance in force when the sweep starts) and
+passes it in the machine's read-out, so per distinct state of a level it
+takes one step per symbol and at most one read-out and one cell test of each
+stepper, and per word it only looks the two verdicts up: on the free-group
+word problem the distinct states are the reduced forms of the level's words,
+1,636 states for the 5,461 rank-2 words shorter than 7.  On a 2-core host
+that is about 4.8 * 10^5 words per second on that problem.  A float sweep
+also counts the words whose value falls in the tolerance band, where its
+verdict cannot be trusted, and reports them as undecided.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .automata import (
     readout_then,
     stepper,
 )
-from .cutpoint import EQUAL, RELATION_CELLS, CutpointSpec, cell_test, check_cutpoint_range
+from .cutpoint import EQUAL, RELATION_CELLS, CutpointSpec, cell_test
 from .languages import LanguageOracle
 from .numeric import RATIONAL, KindMismatchError, Record, Scalar
 
@@ -72,9 +72,8 @@ def enumerate_agreement(
         raise ValueError(
             f"alphabet mismatch: machine {machine.sigma} vs oracle {oracle.alphabet}"
         )
-    check_cutpoint_range(machine, spec.lam)
-    members = RELATION_CELLS[spec.relation]
-    steps = readout_then(stepper(machine, maxlen), cell_test(machine, spec.lam))
+    test, members = cell_test(machine, spec.lam), RELATION_CELLS[spec.relation]
+    steps = readout_then(stepper(machine, maxlen), test)
     levels = prefix_levels(machine.sigma, maxlen, steps, oracle.stepper)
     band = machine.kind != RATIONAL
     tested = undecided = 0
@@ -148,10 +147,7 @@ def dieu_violation(
     if m_max < n:
         raise ValueError("m_max must be at least n")
     uw, yw, vw = tuple(u), tuple(y), tuple(v)
-    for i in range(n):
-        if not oracle(uw + yw * i + vw):
-            return None
-    for m in range(n, m_max + 1):
+    for m in range(m_max + 1):
         if not oracle(uw + yw * m + vw):
-            return m
+            return m if m >= n else None
     return None

@@ -307,3 +307,9 @@ def test_reimport_releases_the_old_module_graph():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "True"
+
+
+def test_a_transition_must_be_a_matrix():
+    one = RowVec([1], RATIONAL), ColVec([1], RATIONAL)
+    with pytest.raises(TypeError, match="^transition for 'a' is not a Matrix$"):
+        Gpfa(1, ("a",), {"a": [[1]]}, *one)

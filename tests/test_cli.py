@@ -927,6 +927,38 @@ def test_classify_non_finite_cutpoint_exits_two(demo_dir, capsys, cut):
     assert "cutpoint must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("command", ["classify", "verify", "build"])
+def test_a_fraction_past_the_float_range_is_an_infinity(demo_dir, tmp_path, capsys, command, sign):
+    """On a float machine a ``p/q`` past the float range is the signed
+    infinity it rounds to, as ``1e400`` is, and is refused with exit 2; the
+    build writes nothing."""
+    big, inf = f"{sign}1{'0' * 400}/1", f"{sign}inf"
+    single = tmp_path / "single.json"
+    single.write_text(serialize_machine(Gpfa(
+        1, ("a",), {"a": Matrix.floats([[1.0]])}, RowVec([1.0], FLOAT), ColVec([1.0], FLOAT))))
+    out = tmp_path / "out.json"
+    argv, message = {
+        "classify": (["classify", "--machine", str(demo_dir / "rot_mcqfa_3.json"), "--word", "a",
+                      f"--cutpoint={big}", "--relation", "greater"],
+                     f"cutpoint must be finite, got {inf}"),
+        "verify": (["verify", "--machine", str(demo_dir / "rot_mcqfa_3.json"),
+                    f"--cutpoint={big}", "--relation", "greater", "--oracle", "mod-3"],
+                   f"cutpoint must be finite, got {inf}"),
+        "build": (["build", "add-eps", "--in", str(single), f"--delta={big}", "--out", str(out)],
+                  f"non-finite float entry {inf}"),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_machine_to_doc_refuses_a_non_machine():
+    with pytest.raises(TypeError, match="^not a machine: 'coin'$"):
+        machine_to_doc("coin")
+
+
 @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "0", "-1"])
 def test_invalid_epsilon_env_exits_two(tmp_path, monkeypatch, capsys, raw):
     import qfalab.numeric as numeric

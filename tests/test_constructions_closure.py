@@ -548,3 +548,16 @@ def test_every_construction_preserves_one_sidedness():
     }
     for name, machine in outputs.items():
         assert one_sided_zero_check(machine, 6) is None, name
+
+
+def test_homomorphisms_refuse_symbols_outside_their_source():
+    h = hom({"a": "bb"})
+    with pytest.raises(ValueError, match="^symbol 'c' outside the homomorphism source$"):
+        h("ac")
+    g = unit_machine("a", ("a",))
+    other = hom({"b": "a"})
+    message = "^homomorphism source must match the machine's alphabet$"
+    with pytest.raises(ValueError, match=message):
+        gpfa_nonerasing_hom(g, other)
+    with pytest.raises(ValueError, match=message):
+        gpfa_hom(g, other, [])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 from random import Random
@@ -233,10 +234,12 @@ def _reference_cell(v, lam, tol):
     return LESS if v < lam else GREATER
 
 
-# A machine of each scalar kind, for ``cell_test``, which reads its kind,
-# and a float quantum machine, whose values are sums of squared amplitudes.
+# A Gpfa of each scalar kind, for ``cell_test``, which reads its kind (and
+# lets a Gpfa take any finite threshold), and a float quantum machine, whose
+# values are sums of squared amplitudes and whose thresholds lie in [0, 1].
 MACHINES = {
-    RATIONAL: coin_pfa(),
+    RATIONAL: Gpfa(1, ("a",), {"a": Matrix([[1]], RATIONAL)}, RowVec([1], RATIONAL),
+                   ColVec([1], RATIONAL)),
     FLOAT: Gpfa(1, ("a",), {"a": Matrix.floats([[1.0]])}, RowVec([1.0], FLOAT),
                 ColVec([1.0], FLOAT)),
 }
@@ -255,7 +258,8 @@ def _readouts(v):
 def _assert_cells_match_the_reference(v, lam, kind, tol):
     """``cell_test`` and ``classify_value`` under ``numeric.EPSILON = tol``
     (the default 1e-9 for ``None``) agree with ``_reference_cell``; for the
-    float quantum machine at cutpoint 0 the tolerance is ``tol`` squared."""
+    float quantum machine at cutpoint 0 the tolerance is ``tol`` squared, and
+    a cutpoint outside [0, 1] is refused."""
     t = 1e-9 if tol is None else tol
     with pytest.MonkeyPatch.context() as mp:
         if tol is not None:
@@ -265,9 +269,13 @@ def _assert_cells_match_the_reference(v, lam, kind, tol):
             assert cell_test(MACHINES[kind], lam)(out) == want
         for rel in RELATIONS:
             assert classify_value(v, CutpointSpec(lam, rel)) == (want in MEMBER_CELLS[rel])
-        if kind == FLOAT:
+        if kind == FLOAT and 0 <= lam <= 1:
             band = _reference_cell(v, lam, t * t if lam == 0 else t)
             assert cell_test(QUANTUM, lam)(v) == band
+        elif kind == FLOAT:
+            message = f"cutpoint {lam!r} outside [0,1] for a probability machine"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cell_test(QUANTUM, lam)
 
 
 @given(rationals, rationals, tolerances)
@@ -309,6 +317,49 @@ def test_bound_cell_test_refuses_a_kind_mismatch(kind, lam):
     other = FLOAT if kind == RATIONAL else RATIONAL
     with pytest.raises(KindMismatchError, match=f"^comparing {kind} value against {other} cutpoint$"):
         cell_test(MACHINES[kind], lam)
+
+
+def _probability_machines():
+    """A machine of each probability class: a rational ``Pfa``, and a float
+    ``Kwqfa`` and ``Mcqfa``."""
+    return [coin_pfa(), tiny_turn_kwqfa(), QUANTUM]
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_cell_test_refuses_a_non_finite_cutpoint_for_every_machine(lam):
+    """Finiteness is checked before the kinds, so a rational machine refuses
+    a non-finite float with the same message."""
+    for machine in [*MACHINES.values(), *_probability_machines()]:
+        with pytest.raises(ValueError, match=f"^cutpoint must be finite, got {lam!r}$"):
+            cell_test(machine, lam)
+
+
+def test_cell_test_keeps_a_probability_machine_in_the_unit_interval():
+    """A ``Pfa``, ``Kwqfa`` or ``Mcqfa`` threshold lies in [0, 1], ends
+    included, before its kind is checked; a ``Gpfa`` takes any finite one."""
+    pfa, kwqfa, mcqfa = _probability_machines()
+    for machine, outside, inside in [
+        (pfa, [Fraction(-1, 3), Fraction(4, 3), -0.5], [Fraction(0), Fraction(1)]),
+        (kwqfa, [-0.5, 1.5, Fraction(2)], [0.0, -0.0, 1.0]),
+        (mcqfa, [math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)], [0.0, 1.0]),
+    ]:
+        for lam in outside:
+            message = f"cutpoint {numeric.format_scalar(lam)} outside [0,1] for a probability machine"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cell_test(machine, lam)
+        for lam in inside:
+            assert callable(cell_test(machine, lam))
+    assert cell_test(MACHINES[RATIONAL], Fraction(-7, 2))((-7, 2)) == EQUAL
+    assert cell_test(MACHINES[FLOAT], 1e300)(1e300) == EQUAL
+
+
+def test_audits_refuse_a_float_machine_and_two_alphabets():
+    with pytest.raises(KindMismatchError, match="^one-sided audit requires a rational machine$"):
+        one_sided_zero_check(MACHINES[FLOAT], 3)
+    other = Gpfa(1, ("b",), {"b": Matrix([[1]], RATIONAL)}, RowVec([1], RATIONAL),
+                 ColVec([1], RATIONAL))
+    with pytest.raises(ValueError, match="^machines must share one input alphabet$"):
+        equivalent_under_separation_bounded(MACHINES[RATIONAL], Fraction(0), other, Fraction(0), 3)
 
 
 def test_sweeps_still_refuse_a_kind_mismatch():

@@ -319,3 +319,8 @@ def test_each_oracle_fold_is_its_set_definition(name, negate):
             want = definition(word) != negate
             assert lang(word) == want, word
             assert mark == want, word
+
+
+def test_a_free_group_has_positive_rank():
+    with pytest.raises(ValueError, match="^rank must be positive$"):
+        generator_alphabet(0)

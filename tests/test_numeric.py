@@ -1,6 +1,7 @@
 """Scalar and dense linear algebra tests."""
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -17,13 +18,16 @@ from qfalab.numeric import (
     Matrix,
     RowVec,
     coerce_scalar,
+    dot,
     format_scalar,
     is_stochastic_row,
     is_unitary_within,
     kron,
     mat_add,
     mat_mul,
+    mat_times_col,
     parse_rational,
+    row_times_mat,
     scalar_kind,
 )
 
@@ -416,3 +420,37 @@ def test_whole_row_coercion_names_the_first_offending_entry():
     kept = (0.5, -0.0)
     assert Matrix.floats([kept, kept]).entries[0] is kept
     assert [type(v) for v in Matrix.floats([[Wide(0.5), 1, True]]).entries[0]] == [float] * 3
+
+
+@pytest.mark.parametrize("literal", [True, 1.5])
+def test_parse_rational_refuses_a_bool_and_a_float(literal):
+    with pytest.raises(ValueError, match=f"^not a rational literal: {literal!r}$"):
+        parse_rational(literal)
+
+
+def test_coerce_scalar_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown scalar kind 'complex'$"):
+        coerce_scalar(1, "complex")
+
+
+def test_an_empty_matrix_is_refused():
+    with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+        Matrix([[]])
+
+
+def test_products_and_sums_refuse_mismatched_dimensions():
+    one, two = Matrix.rational([[1]]), Matrix.rational([[1, 0], [0, 1]])
+    row, col = RowVec([1], RATIONAL), ColVec([1, 2], RATIONAL)
+    for call, message in [
+        (lambda: mat_add(one, two), "dimension mismatch in matrix sum"),
+        (lambda: row_times_mat(row, two), "dimension mismatch: 1x1 @ 2x2"),
+        (lambda: mat_times_col(one, col), "dimension mismatch: 1x1 @ 2x1"),
+        (lambda: dot(row, col), "dimension mismatch in dot product"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_a_row_vector_times_a_number_is_unsupported():
+    with pytest.raises(TypeError, match="^unsupported operand type\\(s\\) for @: 'RowVec' and 'int'$"):
+        RowVec([1], RATIONAL) @ 2

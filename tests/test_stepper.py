@@ -796,3 +796,8 @@ def test_quantum_values_are_pinned_bit_for_bit():
         if isinstance(m, Kwqfa):
             digest.update(repr([kwqfa_run(m, word) for word in words]).encode())
     assert (len(quantum) + 5, count, digest.hexdigest()) == QUANTUM_VALUES
+
+
+def test_stepper_refuses_a_non_machine():
+    with pytest.raises(TypeError, match="^not a machine: 'coin'$"):
+        stepper("coin", 3)

@@ -345,3 +345,10 @@ def test_every_demo_verify_report_matches_a_brute_force_loop(tmp_path, capsys):
     # Three one-letter machines with mod-2 and mod-3, neq_mcqfa with the six
     # {a, b} oracles, and wp_gpfa_2 with wp-2, each under four relations.
     assert checked == 4 * (3 * 2 + 6 + 1)
+
+
+def test_value_identities_refuse_a_float_machine():
+    g = Gpfa(1, ("a",), {"a": Matrix.floats([[1.0]])}, RowVec([1.0], numeric.FLOAT),
+             ColVec([1.0], numeric.FLOAT))
+    with pytest.raises(ValueError, match="^value identities are checked exactly; rational kind required$"):
+        check_value_identity(g, lambda w: 1, 3)
