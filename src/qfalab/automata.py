@@ -36,8 +36,10 @@ matrix to a generated kernel).  An exact state is integers over one
 denominator that every state of a level shares, so no step takes a gcd
 (``_lower``).  ``acceptance_value``, ``kwqfa_run`` and
 ``enumerate_values`` are folds over it, and every bounded check in the
-package walks the words once with ``prefix_levels`` (its docstring gives
-how a level's distinct states are stepped and read out once each).
+package walks the words once, stepping and reading out each distinct state
+of a level once: ``prefix_levels`` reads the walk word by word, and
+``first_failure`` per distinct state where it can (their docstrings give
+the cost of each).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, count, islice, product
 from math import inf, isfinite, lcm
-from operator import mul, ne
+from operator import mul
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .numeric import (
@@ -745,32 +747,117 @@ def prefix_levels(sigma: Sequence[str], maxlen: int, *steppers) -> Iterator[tupl
     repeat=length)`` and each stepper's ``outs`` lazily reads out its state
     after each of those words.
 
-    A level keeps each stepper's distinct states once, in the order the
-    words first reach them, and one index per word into them, so each
-    distinct state takes one step per symbol and is read out at most once,
-    on the first word that consumes its read-out; a later word with the same
-    state gets the same object.  A sweep that passes its per-word test in
-    the read-out (``readout_then``) thus computes each verdict once per
-    distinct state.  States must therefore be hashable, and equal states
-    must step and read out equally; every ``stepper`` and ``LanguageOracle``
-    state is.  A step to an unhashable state raises
-    ``UnhashableStateError``.  The first step or read-out that raises is
-    the first word's to raise in a word-by-word walk, and nothing is read
-    out past the last word consumed."""
-    if maxlen < 0:
-        raise ValueError(f"maxlen must be nonnegative, got {maxlen}")
-    levels = [([init], [0]) for init, _, _ in steppers]
-    for length in range(maxlen + 1):
+    The walk (``_levels``) keeps each stepper's distinct states of a level
+    once, in the order the words first reach them, with the children table
+    that reached them; this per-word view adds one index per word into the
+    states, built from the table.  So each distinct state takes one step
+    per symbol and is read out at most once, on the first word that
+    consumes its read-out; a later word with the same state gets the same
+    object.  A sweep that passes its per-word test in the read-out
+    (``readout_then``) thus computes each verdict once per distinct state.
+    Per level the cost is one step and one hash per distinct state and
+    symbol, one index entry per word and one look-up per word consumed;
+    a sweep that needs only the first word to fail compares per distinct
+    state and skips the per-word part (``first_failure``).
+
+    States must be hashable, and equal states must step and read out
+    equally; every ``stepper`` and ``LanguageOracle`` state is.  A step to
+    an unhashable state raises ``UnhashableStateError``.  The first step or
+    read-out that raises is the first word's to raise in a word-by-word
+    walk, and nothing is read out past the last word consumed."""
+    idxs = [[0]] * len(steppers)
+    for length, level in enumerate(_levels(sigma, maxlen, steppers)):
+        if length:
+            idxs = [_word_index(len(sigma), idx, flat) for idx, (_, flat) in zip(idxs, level)]
         yield (product(sigma, repeat=length),
-               *(_readouts(readout, *level) for level, (_, _, readout) in zip(levels, steppers)))
-        if length < maxlen:
-            levels = [_next_level(sigma, advance, *level)
-                      for level, (_, advance, _) in zip(levels, steppers)]
+               *(_readouts(readout, states, idx)
+                 for (states, _), idx, (_, _, readout) in zip(level, idxs, steppers)))
+
+
+def first_failure(sigma: Sequence[str], maxlen: int, fails,
+                  *steppers) -> tuple[int, Optional[Word]]:
+    """``(tested, word)``: the first word over ``sigma`` up to ``maxlen``,
+    shortest first, whose read-outs under ``steppers`` ``fails``, and its
+    rank from 1 among them; with no such word, the number of words and
+    ``None``.
+
+    While every stepper's children tables are equal, so are their
+    partitions of each level's words, and ``fails`` runs once per distinct
+    state, in index order, which is first-word order: the first state to
+    fail holds the first word to fail, which the kept tables give back
+    (``_first_word``), and no word costs anything on its own.  Once the
+    tables differ, each stepper's per-word index is rebuilt from the kept
+    tables and the words compared one by one, as ``prefix_levels`` reads
+    them.  Either way the states read out are those of the words up to the
+    first failing one, in the order a word-by-word walk reads them."""
+    k, tested, kept, idxs = len(sigma), 0, [], None
+    for length, level in enumerate(_levels(sigma, maxlen, steppers)):
+        flats = [flat for _, flat in level]
+        if idxs is None and any(flat != flats[0] for flat in flats):
+            idxs = [reduce(partial(_word_index, k), kept, [0])] * len(flats)
+        if idxs is None:
+            if length:
+                kept.append(flats[0])
+            outs = [map(readout, states) for (states, _), (_, _, readout) in zip(level, steppers)]
+        else:
+            idxs = [_word_index(k, idx, flat) for idx, flat in zip(idxs, flats)]
+            outs = [_readouts(readout, states, idx)
+                    for (states, _), idx, (_, _, readout) in zip(level, idxs, steppers)]
+        j = next(compress(count(), map(fails, *outs)), None)
+        if j is not None:
+            position, word = _first_word(sigma, kept, j) if idxs is None else (
+                j, next(islice(product(sigma, repeat=length), j, None)))
+            return tested + position + 1, word
+        tested += k ** length
+    return tested, None
 
 
 class UnhashableStateError(TypeError):
     """A ``prefix_levels`` stepper stepped to a state that cannot be hashed;
     the ``TypeError`` the hash raised is the ``__cause__``."""
+
+
+def _levels(sigma, maxlen, steppers):
+    """The prefix walk: per length, each stepper's ``(states, flat)``, the
+    level's distinct states in the order its words first reach them, and
+    its children table, ``flat[i * len(sigma) + s]`` the index of the
+    state that the last level's state ``i`` steps to on ``sigma[s]``
+    (``None`` at length 0)."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be nonnegative, got {maxlen}")
+    level = [([init], None) for init, _, _ in steppers]
+    for length in range(maxlen + 1):
+        yield level
+        if length < maxlen:
+            level = [_next_level(sigma, advance, states)
+                     for (states, _), (_, advance, _) in zip(level, steppers)]
+
+
+def _next_level(sigma, advance, states):
+    """The next ``(states, flat)`` of ``_levels``: each distinct state steps
+    once per symbol."""
+    seen, child = {}, None
+    try:
+        flat = [seen.setdefault(child := advance(state, sym), len(seen))
+                for state in states for sym in sigma]
+    except TypeError as exc:
+        # ``child`` is the last state ``advance`` returned: the one whose
+        # hash failed, or a hashable one when ``advance`` itself raised.
+        try:
+            hash(child)
+        except TypeError:
+            raise UnhashableStateError(f"stepper states must be hashable: {exc}") from exc
+        raise
+    return list(seen), flat
+
+
+def _word_index(k, idx, flat):
+    """The next level's index per word, from this level's ``idx`` and the
+    next one's children table: each word's children are its state's."""
+    if not k:  # over an empty alphabet, no word has children
+        return []
+    groups = list(zip(*[iter(flat)] * k))
+    return list(chain.from_iterable(map(groups.__getitem__, idx)))
 
 
 def _readouts(readout, states, idx):
@@ -782,39 +869,25 @@ def _readouts(readout, states, idx):
     return map(_Lazy(readout, states).__getitem__, idx)
 
 
-def _next_level(sigma, advance, states, idx):
-    """``prefix_levels``' next ``(states, idx)``: each distinct state steps
-    once per symbol, and each word's children are its state's children."""
-    seen, k, child = {}, len(sigma), None
-    try:
-        children = [seen.setdefault(child := advance(state, sym), len(seen))
-                    for state in states for sym in sigma]
-    except TypeError as exc:
-        # ``child`` is the last state ``advance`` returned: the one whose
-        # hash failed, or a hashable one when ``advance`` itself raised.
-        try:
-            hash(child)
-        except TypeError:
-            raise UnhashableStateError(f"stepper states must be hashable: {exc}") from exc
-        raise
-    # One group of k children per state; over an empty alphabet, no children.
-    groups = list(zip(*[iter(children)] * k)) if k else [()] * len(states)
-    return list(seen), list(chain.from_iterable(map(groups.__getitem__, idx)))
+def _first_word(sigma, flats, j):
+    """``(position, word)`` of the first word of a level to reach its state
+    ``j``, from the children tables ``flats`` that built the level: a
+    table's first ``j`` is the first word's, at ``parent * len(sigma) +
+    symbol``."""
+    k, position, word = len(sigma), 0, ()
+    for depth, flat in enumerate(reversed(flats)):
+        j, s = divmod(flat.index(j), k)
+        position += s * k ** depth
+        word = (sigma[s], *word)
+    return position, word
 
 
 def readout_then(steps, test):
     """``steps``, an ``(init, advance, readout)``, with ``test`` applied to
-    each read-out: passed to ``prefix_levels``, the test runs once per
-    distinct state of a level instead of once per word."""
+    each read-out: passed to a sweep, the test runs once per distinct
+    state of a level instead of once per word."""
     init, advance, readout = steps
     return init, advance, lambda state: test(readout(state))
-
-
-def first_difference(words: Iterator[Word], xs, ys) -> Optional[tuple[int, Word]]:
-    """``(index, word)`` of the first position where ``xs`` and ``ys``
-    differ, or ``None``; items past it are never computed."""
-    index = next(compress(count(), map(ne, xs, ys)), None)
-    return None if index is None else (index, next(islice(words, index, None)))
 
 
 def enumerate_values(machine: Machine, maxlen: int) -> Iterator[tuple[Word, Scalar]]:

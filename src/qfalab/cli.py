@@ -274,8 +274,17 @@ def _parse_json(text: str):
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
+def _path(path: str) -> Path:
+    """A document's path, refused when empty: ``Path('')`` is the current
+    directory."""
+    if not path:
+        raise DocumentError("empty document path ''")
+    return Path(path)
+
+
 def _read_json(path: str):
-    return _parse_json(Path(path).read_text())
+    """The one reader of every document file."""
+    return _parse_json(_path(path).read_text())
 
 
 def parse_document(text: str) -> Machine:
@@ -283,11 +292,11 @@ def parse_document(text: str) -> Machine:
 
 
 def load_machine(path: str) -> Machine:
-    return parse_document(Path(path).read_text())
+    return machine_from_doc(_read_json(path))
 
 
 def save_machine(path: str, machine: Machine) -> None:
-    Path(path).write_text(serialize_machine(machine))
+    _path(path).write_text(serialize_machine(machine))
 
 
 def hom_from_doc(doc: Mapping) -> Homomorphism:

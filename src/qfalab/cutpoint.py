@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import compress
+from operator import ne
 from typing import Callable, Optional
 
 from .automata import (
@@ -29,8 +29,7 @@ from .automata import (
     Machine,
     Mcqfa,
     Word,
-    first_difference,
-    prefix_levels,
+    first_failure,
     readout_then,
     stepper,
 )
@@ -152,12 +151,7 @@ def one_sided_zero_check(g: Gpfa, maxlen: int) -> Optional[Word]:
     if g.kind != RATIONAL:
         raise KindMismatchError("one-sided audit requires a rational machine")
     # A read-out is (num, den) with den > 0.
-    steps = readout_then(stepper(g, maxlen), lambda out: out[0] < 0)
-    for words, negative in prefix_levels(g.sigma, maxlen, steps):
-        found = next(compress(words, negative), None)
-        if found is not None:
-            return found
-    return None
+    return first_failure(g.sigma, maxlen, lambda out: out[0] < 0, stepper(g, maxlen))[1]
 
 
 def equivalent_under_separation_bounded(
@@ -178,8 +172,4 @@ def equivalent_under_separation_bounded(
     test1, test2 = cell_test(a1, lam1), cell_test(a2, lam2)
     steps1 = readout_then(stepper(a1, maxlen), test1)
     steps2 = readout_then(stepper(a2, maxlen), test2)
-    for words, cells1, cells2 in prefix_levels(a1.sigma, maxlen, steps1, steps2):
-        found = first_difference(words, cells1, cells2)
-        if found is not None:
-            return found[1]
-    return None
+    return first_failure(a1.sigma, maxlen, ne, steps1, steps2)[1]

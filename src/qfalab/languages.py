@@ -37,8 +37,9 @@ class LanguageOracle(Record):
     states must be hashable, and equal states must step and be accepted
     equally.  Only ``init`` is checked, here: an unhashable one raises
     ``TypeError``.  An unhashable state that ``advance`` returns is found
-    when the sweep hashes it, with no check per step: ``prefix_levels``
-    raises ``UnhashableStateError``, a ``TypeError`` that states the
+    when the sweep hashes it, with no check per step: the walk
+    (``automata.prefix_levels`` or ``automata.first_failure``) raises
+    ``UnhashableStateError``, a ``TypeError`` that states the
     requirement, and ``verify.enumerate_agreement`` re-raises it in the
     words used here, naming the oracle.  Nothing checks that equal states
     behave equally."""

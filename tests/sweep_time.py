@@ -1,12 +1,13 @@
-"""Sweep time of the stepper: the median and quartiles of repeated
-``enumerate_values`` sweeps over fixed machines.
+"""Sweep time of the stepper and the prefix walk: the median and quartiles
+of repeated sweeps over fixed machines.
 
 Run from the root of a source checkout:
 
     PYTHONPATH=src python3 tests/sweep_time.py
 
 or with ``PYTHONPATH`` naming any other directory that holds the package,
-such as another version's ``src``.  The machines are built from fixed seeds:
+such as another version's ``src``.  The machines are built from fixed seeds.
+The stepper rows time ``enumerate_values``:
 
 * ``word_problem_gpfa(2)``, swept to length 7 (21,845 words);
 * three 6-state rational ``Mcqfa``s, each symbol and the right end-marker
@@ -15,11 +16,25 @@ such as another version's ``src``.  The machines are built from fixed seeds:
   to length 9;
 * one float ``Kwqfa``, ``pfa_to_nqfa`` of a random 6-state PFA, to length 8.
 
-Each machine is swept once untimed, which lowers its matrices (the lowered
-tables stay on the machine), and then 15 times; the three ``Mcqfa`` rows are
-also summed, median by median, as one row.  It is the stepper-layer
-counterpart of ``import_time.py``, and like it the name does not match
-``test_*.py``, so pytest does not collect it.
+The walk rows time ``enumerate_agreement``, which compares per distinct
+state while the machine and the oracle split every level's words alike:
+
+* the benchmark's two sweeps, ``word_problem_gpfa(2)`` against ``wp-2`` to
+  length 7 and ``word_problem_gpfa(3)`` against ``wp-3`` to length 5, which
+  split every level alike, into the reduced words;
+* a 2-state rational counter (a's less b's) whose states merge, against an
+  oracle for the same language whose state is the word itself, as ``pal``'s
+  is, so it never merges: the splits differ from length 2 on and the sweep
+  compares word by word, to length 12 (8,191 words, all agreeing; no
+  merging machine agrees with ``pal`` itself that far).
+
+Each sweep is run once untimed, which lowers its machine's matrices (the
+lowered tables stay on the machine), and then 15 times; the three ``Mcqfa``
+rows are also summed, median by median, as one row.  The kernel-generation
+row times lowering every row's machine, each on a fresh copy: ``stepper``
+with the row's length and one step per input symbol, which generates each
+kernel that sweep uses.  It is the counterpart of ``import_time.py``, and
+like it the name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -28,14 +43,18 @@ import statistics
 import sys
 import time
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import qfalab
-from helpers import givens_product, random_kwqfa, random_pfa
-from qfalab.automata import DOLLAR, Mcqfa, enumerate_values
+from helpers import givens_product, random_kwqfa, random_pfa, replace
+from qfalab.automata import DOLLAR, Gpfa, Mcqfa, enumerate_values, stepper
 from qfalab.constructions import pfa_to_nqfa, word_problem_gpfa
-from qfalab.numeric import RATIONAL, Matrix
+from qfalab.cutpoint import CutpointSpec
+from qfalab.languages import LanguageOracle, oracle
+from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec
+from qfalab.verify import enumerate_agreement
 
 RUNS = 15
 
@@ -46,8 +65,16 @@ def rotation_mcqfa(seed: int) -> Mcqfa:
     return Mcqfa(6, ("a", "b"), trans, {2, 5})
 
 
+def counter_gpfa() -> Gpfa:
+    """State ``(1, d)``, ``d`` the a's less the b's read; the value is ``d``."""
+    one, zero = Fraction(1), Fraction(0)
+    trans = {sym: Matrix([[one, step], [zero, one]], RATIONAL)
+             for sym, step in (("a", one), ("b", -one))}
+    return Gpfa(2, ("a", "b"), trans, RowVec([one, zero], RATIONAL), ColVec([zero, one], RATIONAL))
+
+
 def machines() -> list:
-    """``(name, machine, maxlen)`` for every row."""
+    """``(name, machine, maxlen)`` for every stepper row."""
     return [
         ("wp-2", word_problem_gpfa(2), 7),
         *((f"rotation Mcqfa {seed}", rotation_mcqfa(seed), 9) for seed in (1, 2, 3)),
@@ -56,27 +83,67 @@ def machines() -> list:
     ]
 
 
-def sweep_times(machine, maxlen: int) -> list:
-    deque(enumerate_values(machine, maxlen), maxlen=0)
-    times = []
+def walks() -> list:
+    """``(name, machine, spec, oracle, maxlen)`` for every walk row."""
+    by_word = LanguageOracle("eq by word", ("a", "b"), lambda w: w.count("a") == w.count("b"))
+    one, zero = CutpointSpec(Fraction(1), "equal"), CutpointSpec(Fraction(0), "equal")
+    return [
+        ("wp-2 vs wp-2", word_problem_gpfa(2), one, oracle("wp-2"), 7),
+        ("wp-3 vs wp-3", word_problem_gpfa(3), one, oracle("wp-3"), 5),
+        ("counter vs by word", counter_gpfa(), zero, by_word, 12),
+    ]
+
+
+def times(sweep) -> list:
+    sweep()
+    out = []
     for _ in range(RUNS):
         start = time.perf_counter()
-        deque(enumerate_values(machine, maxlen), maxlen=0)
-        times.append(time.perf_counter() - start)
-    return times
+        sweep()
+        out.append(time.perf_counter() - start)
+    return out
+
+
+def lowering_times(rows) -> list:
+    """Per run, the time to lower every ``(machine, maxlen)`` of ``rows``,
+    each on a fresh copy built before the clock starts."""
+    out = []
+    for _ in range(RUNS):
+        copies = [(replace(machine), maxlen) for machine, maxlen in rows]
+        start = time.perf_counter()
+        for machine, maxlen in copies:
+            init, advance, _ = stepper(machine, maxlen)
+            for sym in machine.sigma:
+                advance(init, sym)
+        out.append(time.perf_counter() - start)
+    return out
+
+
+def report(label: str, samples: list) -> float:
+    low, median, high = (1000 * t for t in statistics.quantiles(samples, n=4))
+    print(f"{label:<28}: median {median:7.2f}, quartiles [{low:.2f}, {high:.2f}]")
+    return median
 
 
 def main() -> int:
     print(f"qfalab from {Path(qfalab.__file__).parent} (Python {sys.version.split()[0]}); "
-          f"{RUNS} sweeps per machine, ms")
-    rotations = 0.0
+          f"{RUNS} runs per row, ms")
+    rotations, lowered = 0.0, []
+    print("stepper layer, enumerate_values:")
     for name, machine, maxlen in machines():
-        times = sweep_times(machine, maxlen)
-        low, median, high = (1000 * t for t in statistics.quantiles(times, n=4))
+        median = report(f"{name} to {maxlen}",
+                        times(lambda: deque(enumerate_values(machine, maxlen), 0)))
         if name.startswith("rotation"):
             rotations += median
-        print(f"{name:<22} to {maxlen}: median {median:7.2f}, quartiles [{low:.2f}, {high:.2f}]")
-    print(f"{'rotation Mcqfas, summed':<27}: median {rotations:7.2f}")
+        lowered.append((machine, maxlen))
+    print(f"{'rotation Mcqfas, summed':<28}: median {rotations:7.2f}")
+    print("walk layer, enumerate_agreement:")
+    for name, machine, spec, lang, maxlen in walks():
+        report(f"{name} to {maxlen}",
+               times(lambda: enumerate_agreement(machine, spec, lang, maxlen)))
+        lowered.append((machine, maxlen))
+    print("kernel generation, every row's machine on a fresh copy:")
+    report(f"{len(lowered)} machines", lowering_times(lowered))
     return 0
 
 

@@ -496,6 +496,26 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--machine", "", "--word", "a"],
+    ["build", "star", "--in", "", "--out", "OUT"],
+    ["build", "star", "--in", "WP", "--out", ""],
+    ["verify", "--machine", "WP", "--cutpoint", "1", "--relation", "equal", "--oracle", "dfa:"],
+], ids=["simulate-machine", "build-in", "build-out", "verify-dfa"])
+def test_an_empty_document_path_is_refused_by_name(demo_dir, tmp_path, monkeypatch, capsys, argv):
+    """``Path('')`` is the current directory, which once surfaced as
+    ``[Errno 21] Is a directory: '.'``; an empty path exits 2 naming it and
+    writes nothing, in the working directory or elsewhere."""
+    monkeypatch.chdir(tmp_path)
+    out, wp = tmp_path / "out.json", demo_dir / "wp_gpfa_2.json"
+    argv = [str({"OUT": out, "WP": wp}.get(a, a)) for a in argv]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: empty document path ''\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_build_rot_machine(tmp_path):
     out = tmp_path / "rot.json"
     assert main(["build", "rot-mcqfa", "--m", "5", "--out", str(out)]) == 0
