@@ -15,10 +15,11 @@ Four automaton families share this module:
   measure-every-step run that measures nothing before the right end-marker.
 
 All four are immutable records (``numeric.Record``) over one base,
-``_Machine``, which holds the fields ``n``, ``sigma`` and ``trans``, checks
-them once for every kind (a positive state count, a valid alphabet, one
-n x n matrix per symbol) and gives every machine the scalar ``kind`` of its
-matrices.  Each kind's own ``__post_init__`` adds only its rules: stochastic
+``_Machine``, which holds the fields ``n``, ``sigma`` and ``trans`` (a
+read-only mapping), checks them once for every kind (a positive state
+count, a valid alphabet, one n x n matrix per symbol) and gives every
+machine the scalar ``kind`` of its matrices.  Words, and the check that a
+word is over a machine's alphabet, come from ``languages``.  Each kind's own ``__post_init__`` adds only its rules: stochastic
 rational rows for ``Pfa``, the initial and final vectors for ``Gpfa``,
 orthogonal matrices of one scalar kind, exactly orthogonal if rational and
 within the zero tolerance if float (a check the two quantum kinds share),
@@ -50,8 +51,10 @@ from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, count, islice, product
 from math import inf, isfinite, lcm
 from operator import mul
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
+from .languages import Word, WordLike, check_word
 from .numeric import (
     RATIONAL,
     ColVec,
@@ -70,9 +73,6 @@ CENT = "¢"
 DOLLAR = "$"
 MARKERS = (CENT, DOLLAR)
 
-Word = tuple[str, ...]
-WordLike = Union[str, Sequence[str]]
-
 
 def _check_alphabet(sigma: Sequence[str]) -> tuple[str, ...]:
     alphabet = tuple(sigma)
@@ -84,15 +84,6 @@ def _check_alphabet(sigma: Sequence[str]) -> tuple[str, ...]:
         if not s or s in MARKERS:
             raise ValueError(f"invalid alphabet symbol {s!r}")
     return alphabet
-
-
-def _check_word(sigma: Sequence[str], w: WordLike) -> Word:
-    word = tuple(w)
-    allowed = set(sigma)
-    for s in word:
-        if s not in allowed:
-            raise ValueError(f"symbol {s!r} not in alphabet {tuple(sigma)}")
-    return word
 
 
 def _check_states(label: str, states, n: int) -> frozenset[int]:
@@ -144,7 +135,8 @@ class _Machine(Record):
     n: int
     sigma: tuple[str, ...]
     trans: Mapping[str, Matrix]
-    # Compared, but left out of the hash: the checked table is a plain dict.
+    # Compared, but left out of the hash: the checked table is a read-only
+    # view of a dict, which has no hash.
     _unhashed = ("trans",)
 
     def _check_fields(self, markers: tuple[str, ...]) -> dict[str, Matrix]:
@@ -154,7 +146,7 @@ class _Machine(Record):
             raise ValueError("state count must be positive")
         object.__setattr__(self, "sigma", _check_alphabet(self.sigma))
         table = _check_trans(self.trans, self.sigma, markers, self.n)
-        object.__setattr__(self, "trans", table)
+        object.__setattr__(self, "trans", MappingProxyType(table))
         return table
 
     def _check_orthogonal(self) -> None:
@@ -716,7 +708,7 @@ def state_vector(machine: Machine, state) -> RowVec | ColVec:
 def acceptance_value(machine: Machine, w: WordLike) -> Scalar:
     """The value of ``w`` for every kind: a Pfa's, Kwqfa's or Mcqfa's
     acceptance probability on ``CENT w DOLLAR``, a Gpfa's ``v0 @ A_w @ f``."""
-    word = _check_word(machine.sigma, w)
+    word = check_word(machine.sigma, w)
     init, advance, readout = stepper(machine, len(word))
     out = readout(reduce(advance, word, init))
     return Fraction(*out) if machine.kind == RATIONAL else out
@@ -729,7 +721,7 @@ def kwqfa_run(m: Kwqfa, w: WordLike) -> RunTrace:
     if not isinstance(m, Kwqfa):
         raise TypeError(f"kwqfa_run needs a Kwqfa, got {type(m).__name__}")
     init, advance, _ = stepper(m)
-    tape = (*_check_word(m.sigma, w), DOLLAR)
+    tape = (*check_word(m.sigma, w), DOLLAR)
     states = list(accumulate(tape, advance, initial=init))
     vectors = tuple(state_vector(m, state) for state in states)
     if m.kind != RATIONAL:

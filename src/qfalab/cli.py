@@ -35,7 +35,6 @@ from .automata import (
     Machine,
     Mcqfa,
     Pfa,
-    Word,
     acceptance_value,
 )
 from .constructions import (
@@ -58,7 +57,7 @@ from .constructions import (
     word_problem_gpfa,
 )
 from .cutpoint import EQUAL, RELATION_CELLS, RELATIONS, CutpointSpec, cell_test
-from .languages import DocumentError, LanguageOracle, complement, dfa_oracle, oracle
+from .languages import DocumentError, LanguageOracle, Word, complement, dfa_oracle, oracle
 from .languages import _field, _integer, _object, _states, _strings  # the document readers
 from .numeric import (
     FLOAT,

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
 from operator import itemgetter, mul
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .automata import (
@@ -33,10 +34,8 @@ from .automata import (
     Kwqfa,
     Mcqfa,
     Pfa,
-    Word,
-    WordLike,
 )
-from .languages import generator_alphabet
+from .languages import Word, WordLike, check_word, generator_alphabet
 from .numeric import (
     RATIONAL,
     ColVec,
@@ -376,11 +375,13 @@ def word_problem_gpfa(k: int) -> Gpfa:
 
 
 class Homomorphism(Record):
-    """Alphabet map sending each source symbol to a word over the target."""
+    """Alphabet map sending each source symbol to a word over the target.
+    ``images`` is a read-only mapping, compared but left out of the hash."""
 
     source: tuple[str, ...]
     target: tuple[str, ...]
     images: Mapping[str, Word]
+    _unhashed = ("images",)
 
     def __post_init__(self):
         source = tuple(self.source)
@@ -390,24 +391,14 @@ class Homomorphism(Record):
             if sym not in images:
                 raise ValueError(f"source symbol {sym!r} has no image")
         for sym, image in images.items():
-            if sym not in source:
-                raise ValueError(f"image given for unknown symbol {sym!r}")
-            for t in image:
-                if t not in target:
-                    raise ValueError(
-                        f"image of {sym!r} uses symbol {t!r} outside the target alphabet"
-                    )
+            check_word(source, (sym,))
+            check_word(target, image)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", MappingProxyType(images))
 
     def __call__(self, w: WordLike) -> Word:
-        out: list[str] = []
-        for sym in w:
-            if sym not in self.images:
-                raise ValueError(f"symbol {sym!r} outside the homomorphism source")
-            out.extend(self.images[sym])
-        return tuple(out)
+        return tuple(chain.from_iterable(map(self.images.__getitem__, check_word(self.source, w))))
 
     def erased_symbols(self) -> tuple[str, ...]:
         return tuple(s for s in self.source if not self.images[s])
@@ -535,8 +526,7 @@ def gpfa_erasing_hom(g: Gpfa, kappa: str, n_L: int) -> Gpfa:
     nonnegative ones, so a larger bound adds no positive word beyond the
     unbounded image's.
     """
-    if kappa not in g.sigma:
-        raise ValueError(f"symbol {kappa!r} not in the machine's alphabet")
+    check_word(g.sigma, (kappa,))
     if n_L < 1:
         raise ValueError("padding bound must be at least 1")
     remaining = tuple(s for s in g.sigma if s != kappa)
@@ -632,9 +622,7 @@ def gpfa_inverse_hom(g: Gpfa, h: Homomorphism) -> Gpfa:
     each new symbol's matrix with the product over its image (identity for
     an erased symbol)."""
     for sym in h.source:
-        for t in h.images[sym]:
-            if t not in g.sigma:
-                raise ValueError(f"image symbol {t!r} not in the machine's alphabet")
+        check_word(g.sigma, h.images[sym])
     trans = {sym: _word_product(g, h.images[sym]) for sym in h.source}
     return Gpfa(g.n, h.source, trans, g.v0, g.f)
 
@@ -650,15 +638,12 @@ def gpfa_quotient(g: Gpfa, w: WordLike, side: str) -> Gpfa:
     """Fix a word on one side: the left quotient values ``y`` at ``f(wy)``,
     its initial vector the row product ``v0 A_w``; the right quotient values
     ``z`` at ``f(zw)``, its final vector the column product ``A_w f``."""
-    word = tuple(w)
-    for sym in word:
-        if sym not in g.sigma:
-            raise ValueError(f"symbol {sym!r} not in the machine's alphabet")
+    word = check_word(g.sigma, w)
     if side == "left":
         v0 = reduce(lambda v, sym: v @ g.trans[sym], word, g.v0)
-        return Gpfa(g.n, g.sigma, dict(g.trans), v0, g.f)
+        return Gpfa(g.n, g.sigma, g.trans, v0, g.f)
     if side == "right":
-        return Gpfa(g.n, g.sigma, dict(g.trans), g.v0, _word_product(g, word) @ g.f)
+        return Gpfa(g.n, g.sigma, g.trans, g.v0, _word_product(g, word) @ g.f)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

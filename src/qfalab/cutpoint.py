@@ -28,11 +28,11 @@ from .automata import (
     Kwqfa,
     Machine,
     Mcqfa,
-    Word,
     first_failure,
     readout_then,
     stepper,
 )
+from .languages import Word
 from .numeric import (
     FLOAT,
     RATIONAL,

@@ -9,18 +9,33 @@ serves as the independent side of a brute-force comparison against a machine.
 Free-group generators are spelled ``g1 ... gk`` with uppercase ``G1 ... Gk``
 for their inverses, so every symbol is a single token.
 
-The document field readers live here, the lowest module that reads a
-document; ``cli`` reads machine and homomorphism documents with them.
+This module sits just above ``numeric``, under every other.  Words live
+here: ``Word``, ``WordLike`` and ``check_word``, the one check that every
+symbol of a word given to an oracle, a machine, a homomorphism or a
+construction is in its alphabet.  So do the document field readers, with
+which ``cli`` reads machine and homomorphism documents.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence, Union
 
-from .automata import Word, WordLike
 from .numeric import Record
+
+Word = tuple[str, ...]
+WordLike = Union[str, Sequence[str]]
+
+
+def check_word(sigma: Sequence[str], w: WordLike) -> Word:
+    """``w`` as a tuple, once every symbol of it is in the alphabet ``sigma``;
+    else ``ValueError`` naming the first symbol that is not."""
+    word, allowed = tuple(w), set(sigma)
+    if not allowed.issuperset(word):
+        bad = next(s for s in word if s not in allowed)
+        raise ValueError(f"symbol {bad!r} not in alphabet {tuple(sigma)}")
+    return word
 
 
 def _extend(word: Word, sym: str) -> Word:
@@ -62,10 +77,7 @@ class LanguageOracle(Record):
         return self.init, self.advance, self.accepts
 
     def __call__(self, w: WordLike) -> bool:
-        word = tuple(w)
-        bad = next((s for s in word if s not in self.alphabet), None)
-        if bad is not None:
-            raise ValueError(f"symbol {bad!r} not in alphabet of {self.name}")
+        word = check_word(self.alphabet, w)
         return self.accepts(reduce(self.advance, word, self.init))
 
 
@@ -114,9 +126,19 @@ def free_reduce(w: WordLike) -> Word:
     return tuple(reversed(reduced))
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an integer, if it is one in canonical decimal, such as
+    ``"3"`` (not ``" 3"``, ``"+3"``, ``"03"``, ``"3_0"`` or ``"٢"``), the
+    one rule for the numbers in oracle ids and transitions keys."""
+    q = int(text)
+    if str(q) != text:
+        raise ValueError(f"{text!r} is not in canonical decimal")
+    return q
+
+
 def _parameter(name: str, prefix: str, what: str) -> int:
     try:
-        return int(name[len(prefix):])
+        return _decimal(name[len(prefix):])
     except ValueError as exc:
         raise ValueError(f"oracle id {name!r} needs an integer {what}: {exc}") from None
 
@@ -200,27 +222,15 @@ def _states(raw, what: str) -> frozenset[int]:
     return frozenset(_integer(q, f"each {what} state") for q in raw)
 
 
-def _state_key(key) -> int:
-    """A transitions key: a state number in canonical decimal, such as ``"3"``
-    (not ``" 3"``, ``"+3"`` or ``"03"``)."""
-    try:
-        q = int(key)
-    except (TypeError, ValueError):
-        q = None
-    if q is None or str(q) != key:
-        raise ValueError(f"transitions key {key!r} must be a state number in decimal")
-    return q
-
-
 def dfa_oracle(doc: Mapping) -> LanguageOracle:
     """Oracle from a deterministic automaton description.
 
     ``doc`` carries an ``alphabet`` (a list of strings), state count ``n``,
     ``start``, ``accepting`` (a list) and a total ``transitions`` table
     mapping each state, keyed by its number in canonical decimal, to a
-    symbol -> state map.  1-based state indices throughout, each a plain
-    integer; a row for a state outside 1..n or an entry for a symbol outside
-    the alphabet is an error.
+    symbol -> state map, and an optional ``name`` (a string).  1-based state
+    indices throughout, each a plain integer; a row for a state outside 1..n
+    or an entry for a symbol outside the alphabet is an error.
     """
     alphabet = _strings(_field(_object(doc, "dfa document"), "alphabet"), "alphabet")
     n = _integer(_field(doc, "n"), "n")
@@ -232,7 +242,12 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
         raise ValueError("accepting state out of range")
     table: dict[tuple[int, str], int] = {}
     for state_key, row in _object(_field(doc, "transitions"), "transitions").items():
-        q = _state_key(state_key)
+        try:
+            q = _decimal(state_key)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"transitions key {state_key!r} must be a state number in decimal"
+            ) from None
         if not (1 <= q <= n):
             raise ValueError(f"transitions row for state {q} out of range")
         for sym, target in _object(row, "each transitions row").items():
@@ -246,5 +261,7 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
             if not (1 <= table[(q, sym)] <= n):
                 raise ValueError(f"transition target out of range at state {q}, {sym!r}")
 
-    name = str(doc.get("name", "dfa"))
+    name = doc.get("name", "dfa")
+    if not isinstance(name, str):
+        raise DocumentError(f"name must be a string, got {name!r}")
     return LanguageOracle(name, alphabet, accepting.__contains__, start, lambda q, s: table[q, s])

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter, mul
+from types import MappingProxyType
 from typing import Union
 
 RATIONAL = "rational"
@@ -168,8 +169,9 @@ class Record:
     ``AttributeError``; a ``functools.cached_property`` still caches, since
     it writes to the instance ``__dict__`` (a matrix's Gram deviation, a
     machine's lowered tables).  A copy or a pickle is rebuilt from the
-    fields alone, so it passes its class's checks again and recomputes
-    what it caches.
+    fields alone (a read-only mapping field, a ``MappingProxyType``, as a
+    dict), so it passes its class's checks again and recomputes what it
+    caches.
     """
 
     _unhashed = ()
@@ -233,7 +235,10 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values(self._fields)
+        # A read-only view has no pickle; its dict has, and rebuilds it.
+        return type(self), tuple(
+            dict(v) if isinstance(v, MappingProxyType) else v for v in self._values(self._fields)
+        )
 
 
 class _Vec(Record):

@@ -31,8 +31,6 @@ from .automata import (
     Gpfa,
     Machine,
     UnhashableStateError,
-    Word,
-    WordLike,
     enumerate_values,
     first_failure,
     prefix_levels,
@@ -40,7 +38,7 @@ from .automata import (
     stepper,
 )
 from .cutpoint import EQUAL, RELATION_CELLS, CutpointSpec, cell_test
-from .languages import LanguageOracle
+from .languages import LanguageOracle, Word, WordLike
 from .numeric import RATIONAL, KindMismatchError, Record, Scalar
 
 

@@ -313,3 +313,28 @@ def test_a_transition_must_be_a_matrix():
     one = RowVec([1], RATIONAL), ColVec([1], RATIONAL)
     with pytest.raises(TypeError, match="^transition for 'a' is not a Matrix$"):
         Gpfa(1, ("a",), {"a": [[1]]}, *one)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [coin_pfa, lambda: word_problem_gpfa(2), lambda: pfa_to_nqfa(coin_pfa()),
+     lambda: rotation_mcqfa(3)],
+    ids=["pfa", "gpfa", "kwqfa", "mcqfa"],
+)
+def test_a_machines_table_is_read_only(make):
+    """A machine's ``trans`` was a plain dict: a matrix assigned into it went
+    unchecked, and an evaluated machine kept its old lowered tables.  Every
+    way into the table now raises ``TypeError``, and the machine, its
+    values and its hash stay as built."""
+    machine = make()
+    word = machine.sigma[:1] * 2
+    value, before = acceptance_value(machine, word), hash(machine)
+    other = Matrix.identity(machine.n, machine.kind)
+    with pytest.raises(TypeError):
+        machine.trans[machine.sigma[0]] = other
+    with pytest.raises(TypeError):
+        del machine.trans[machine.sigma[0]]
+    with pytest.raises(AttributeError):
+        machine.trans.update({machine.sigma[0]: other})
+    assert machine == make() and hash(machine) == before == hash(make())
+    assert acceptance_value(machine, word) == value == acceptance_value(make(), word)

@@ -1200,7 +1200,7 @@ REFUSALS = [
                  "build gpfa2nqfa needs a gpfa document, got pfa", id="gpfa2nqfa-not-gpfa"),
     pytest.param(["build", "inv-hom", "--in", "WP", "--map", "DOC", "--out", "OUT"],
                  {"source": ["x"], "target": ["g1"], "images": {"x": "g1", "z": "g1"}},
-                 "image given for unknown symbol 'z'", id="hom-unknown-symbol"),
+                 "symbol 'z' not in alphabet ('x',)", id="hom-unknown-symbol"),
     pytest.param(DFA_VERIFY, {**DFA, "start": 2}, "start state 2 out of range",
                  id="dfa-start-out-of-range"),
     pytest.param(DFA_VERIFY, {**DFA, "accepting": [2]}, "accepting state out of range",
@@ -1290,3 +1290,20 @@ def test_demo_json_prints_one_object_keyed_by_the_demo_names(tmp_path, capsys):
     assert list(report) == ["rot_mcqfa_3", "neq_mcqfa", "wp_gpfa_2", "coin_pfa", "coin_nqfa"]
     assert report["coin_pfa"] == {"file": str(tmp_path / "coin_pfa.json"), "states": 2,
                                   "value(a)": "1/2"}
+
+
+@pytest.mark.parametrize("name", [["x"], None, 3, {"n": "x"}], ids=["list", "null", "int", "object"])
+def test_a_dfa_name_that_is_not_a_string_is_refused(demo_dir, tmp_path, capsys, name):
+    """A ``dfa:`` oracle's ``name`` was turned into a string with ``str``,
+    so ``["x"]`` reported the oracle ``"['x']"`` and ``null`` ``"None"``; now
+    it exits 2 with one message, and a string name is reported as given."""
+    path = tmp_path / "dfa.json"
+    argv = ["verify", "--machine", str(demo_dir / "rot_mcqfa_3.json"), "--cutpoint", "0",
+            "--relation", "greater", "--oracle", f"dfa:{path}", "--maxlen", "2", "--json"]
+    path.write_text(json.dumps({**DFA, "name": name}))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: name must be a string, got {name!r}\n")
+    path.write_text(json.dumps({**DFA, "name": "mine"}))
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["oracle"] == "mine"

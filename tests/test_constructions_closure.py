@@ -290,12 +290,26 @@ def test_nonerasing_hom_rejects_erasing_map():
         gpfa_nonerasing_hom(unit_machine("a"), bad)
 
 
+def test_a_homomorphisms_images_are_read_only_and_it_hashes():
+    """``images`` was a plain dict: assignable after the checks, and the
+    reason ``hash`` raised ``TypeError`` for every homomorphism."""
+    h = hom({"a": "ab", "b": ""})
+    with pytest.raises(TypeError):
+        h.images["a"] = ("z",)
+    with pytest.raises(TypeError):
+        del h.images["b"]
+    assert h("ab") == ("a", "b") and h.images == {"a": ("a", "b"), "b": ()}
+    same, other = hom({"a": "ab", "b": ""}), hom({"a": "ba", "b": ""}, ("a", "b"))
+    assert hash(h) == hash(same) and h == same and {h: 1}[same] == 1
+    assert hash(other) == hash(h) and other != h  # ``images`` is left out of the hash
+
+
 def test_homomorphism_validation():
     with pytest.raises(ValueError, match="no image"):
         Homomorphism(SIGMA, SIGMA, {"a": ("a",)})
-    with pytest.raises(ValueError, match="outside the target"):
+    with pytest.raises(ValueError, match=r"^symbol 'z' not in alphabet \('a', 'b'\)$"):
         Homomorphism(SIGMA, SIGMA, {"a": ("z",), "b": ("b",)})
-    with pytest.raises(ValueError, match="unknown symbol"):
+    with pytest.raises(ValueError, match=r"^symbol 'b' not in alphabet \('a',\)$"):
         Homomorphism(("a",), ("a",), {"a": ("a",), "b": ("a",)})
 
 
@@ -395,7 +409,7 @@ def test_inverse_hom_is_composition_with_h():
 def test_inverse_hom_checks_image_alphabet():
     g = unit_machine("a")
     h = Homomorphism(("x",), ("a", "z"), {"x": ("z",)})
-    with pytest.raises(ValueError, match="not in the machine's alphabet"):
+    with pytest.raises(ValueError, match=r"^symbol 'z' not in alphabet \('a', 'b'\)$"):
         gpfa_inverse_hom(g, h)
 
 
@@ -552,7 +566,7 @@ def test_every_construction_preserves_one_sidedness():
 
 def test_homomorphisms_refuse_symbols_outside_their_source():
     h = hom({"a": "bb"})
-    with pytest.raises(ValueError, match="^symbol 'c' outside the homomorphism source$"):
+    with pytest.raises(ValueError, match=r"^symbol 'c' not in alphabet \('a',\)$"):
         h("ac")
     g = unit_machine("a", ("a",))
     other = hom({"b": "a"})

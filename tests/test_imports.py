@@ -1,5 +1,6 @@
 """Every name a ``qfalab`` module imports is used in that module,
-``constructions`` imports no evaluator from ``automata``, no module imports
+``constructions`` imports no evaluator from ``automata``, each module
+imports only modules of lower layers, no module imports
 ``dataclasses``, no function in a module is a pure pass-through of another,
 no class in it is a namespace of static methods, no class but
 ``numeric.Record`` defines assignment, deletion, equality or hashing, every
@@ -84,6 +85,45 @@ def test_the_scan_finds_names_imported_from_a_module():
 def test_constructions_import_no_evaluator():
     tree = ast.parse((PACKAGE / "constructions.py").read_text())
     assert _imports_from(tree, "automata") - MACHINE_NAMES == set()
+
+
+# The package's layers, lowest first: a module imports only modules of lower
+# layers, so words and oracles sit under machines, machines under the
+# constructions and cutpoint checks, and those under ``verify`` and ``cli``.
+# ``__init__`` gathers the public names from every layer.
+LAYERS = [{"numeric"}, {"languages"}, {"automata"}, {"constructions", "cutpoint"}, {"verify"},
+          {"cli"}]
+
+
+def _layering_faults(trees: dict[str, ast.Module]) -> list[str]:
+    """``"<module> imports <other>"`` for each package module ``other`` that
+    a module of ``trees`` imports although ``other``'s layer is not below
+    its own."""
+    layer = {module: i for i, modules in enumerate(LAYERS) for module in modules}
+    return [f"{name} imports {other}" for name, tree in trees.items() for other in sorted(layer)
+            if other != name and layer[other] >= layer[name] and _imports_from(tree, other)]
+
+
+def test_the_scan_finds_an_import_against_the_layers():
+    trees = {
+        "numeric": ast.parse("import math\n"),
+        "languages": ast.parse("from .numeric import Record\nfrom .automata import Word\n"),
+        "automata": ast.parse("from . import languages, numeric\n"),
+        "constructions": ast.parse("from qfalab.cutpoint import cell_test\n"),
+        "cutpoint": ast.parse("import qfalab.automata\nfrom .languages import Word\n"),
+        "verify": ast.parse("def f():\n    from .cli import main\n"),
+        "cli": ast.parse("from . import numeric\nfrom .verify import dieu_violation\n"),
+    }
+    assert _layering_faults(trees) == [
+        "languages imports automata", "constructions imports cutpoint", "verify imports cli",
+    ]
+
+
+def test_each_module_imports_only_lower_layers():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+             if p.stem != "__init__"}
+    assert set(trees) == set().union(*LAYERS)
+    assert _layering_faults(trees) == []
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

@@ -1,12 +1,24 @@
 """Witness-language oracle tests."""
 
+import re
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import words_up_to
-from qfalab.automata import prefix_levels
+from helpers import random_gpfa, words_up_to
+from qfalab.automata import acceptance_value, kwqfa_run, prefix_levels
+from qfalab.constructions import (
+    Homomorphism,
+    gpfa_erasing_hom,
+    gpfa_inverse_hom,
+    gpfa_quotient,
+    gpfa_to_nqfa,
+    hom,
+)
 from qfalab.languages import (
+    check_word,
     complement,
     dfa_oracle,
     free_reduce,
@@ -124,9 +136,10 @@ def test_wp_oracle_matches_free_reduce(k):
 
 
 def test_wp_oracle_refuses_symbols_outside_its_alphabet():
-    with pytest.raises(ValueError, match="^symbol 'g3' not in alphabet of wp-2$"):
+    message = r"^symbol 'g3' not in alphabet \('g1', 'g2', 'G1', 'G2'\)$"
+    with pytest.raises(ValueError, match=message):
         oracle("wp-2")(["g1", "g3"])
-    with pytest.raises(ValueError, match="^symbol 'g0' not in alphabet of co-wp-1$"):
+    with pytest.raises(ValueError, match=r"^symbol 'g0' not in alphabet \('g1', 'G1'\)$"):
         complement(oracle("wp-1"))(["g0"])
     with pytest.raises(ValueError, match="^malformed generator symbol 'g0'$"):
         free_reduce(["g1", "g0", "x1"])
@@ -324,3 +337,63 @@ def test_each_oracle_fold_is_its_set_definition(name, negate):
 def test_a_free_group_has_positive_rank():
     with pytest.raises(ValueError, match="^rank must be positive$"):
         generator_alphabet(0)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("mod-3_0", "3_0"), ("mod-03", "03"), ("mod-+3", "+3"), ("mod- 3", " 3"), ("mod-3 ", "3 "),
+    ("mod--0", "-0"), ("wp-02", "02"), ("wp-\u0662", "\u0662"),
+])
+def test_oracle_ids_read_their_parameter_in_canonical_decimal(name, text):
+    """``int`` read ``mod-3_0`` as ``mod-30`` and ``mod-03``, ``mod-+3``,
+    ``mod- 3`` and ``wp-`` with an Arabic-Indic two as ``mod-3`` and
+    ``wp-2``; a parameter is now read as a transitions key is."""
+    what = "m" if name.startswith("mod-") else "rank k"
+    message = f"oracle id {name!r} needs an integer {what}: {text!r} is not in canonical decimal"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle(name)
+    doc = {"alphabet": ["a"], "n": 1, "accepting": [1], "transitions": {text: {"a": 1}}}
+    with pytest.raises(ValueError, match="must be a state number in decimal$"):
+        dfa_oracle(doc)
+
+
+def test_canonical_parameters_still_name_their_oracle():
+    assert [oracle(name).name for name in ("mod-30", "mod-3", "wp-12")] == [
+        "mod-30", "mod-3", "wp-12"]
+
+
+G = random_gpfa(Random(5), 2, ("a", "b"))
+
+# Each entry point that checks a word or a symbol against an alphabet
+# ``('a', 'b')``, given one with the symbol ``'c'``.
+ALPHABET_CHECKS = {
+    "check_word": lambda: check_word(("a", "b"), "abc"),
+    "acceptance_value": lambda: acceptance_value(G, "acb"),
+    "kwqfa_run": lambda: kwqfa_run(gpfa_to_nqfa(G), ["a", "c"]),
+    "oracle": lambda: oracle("eq")("abca"),
+    "hom-image-key": lambda: Homomorphism(("a", "b"), ("a",), {"a": "a", "b": "", "c": "a"}),
+    "hom-image-symbol": lambda: Homomorphism(("x",), ("a", "b"), {"x": "bc"}),
+    "hom-call": lambda: hom({"a": "ab", "b": ""})("bc"),
+    "quotient": lambda: gpfa_quotient(G, "ac", "right"),
+    "inverse-hom": lambda: gpfa_inverse_hom(G, hom({"x": "a", "y": "cb"})),
+    "erasing-hom": lambda: gpfa_erasing_hom(G, "c", 2),
+}
+
+
+@pytest.mark.parametrize("refuse", ALPHABET_CHECKS.values(), ids=ALPHABET_CHECKS)
+def test_every_alphabet_check_is_check_word(refuse):
+    with pytest.raises(ValueError, match=r"^symbol 'c' not in alphabet \('a', 'b'\)$"):
+        refuse()
+
+
+def test_a_homomorphism_reports_its_first_fault_first():
+    """A missing image before an unknown key, and then each entry in order:
+    its key before its image's symbols."""
+    with pytest.raises(ValueError, match="^source symbol 'b' has no image$"):
+        Homomorphism(("a", "b"), ("a",), {"a": "q", "z": "a"})
+    with pytest.raises(ValueError, match=r"^symbol 'z' not in alphabet \('a',\)$"):
+        Homomorphism(("a",), ("a",), {"a": "a", "z": "q"})
+    with pytest.raises(ValueError, match=r"^symbol 'q' not in alphabet \('a',\)$"):
+        Homomorphism(("a",), ("a",), {"a": "q", "z": "a"})
+    h = Homomorphism(("x", "y"), ("a", "b", "c", "d"), {"y": "d", "x": "c"})
+    with pytest.raises(ValueError, match=r"^symbol 'c' not in alphabet \('a', 'b'\)$"):
+        gpfa_inverse_hom(G, h)
