@@ -18,12 +18,14 @@ All four are immutable records (``numeric.Record``) over one base,
 ``_Machine``, which holds the fields ``n``, ``sigma`` and ``trans`` (a
 read-only mapping), checks them once for every kind (a positive state
 count, a valid alphabet, one n x n matrix per symbol) and gives every
-machine the scalar ``kind`` of its matrices.  Words, and the check that a
-word is over a machine's alphabet, come from ``languages``.  Each kind's own ``__post_init__`` adds only its rules: stochastic
-rational rows for ``Pfa``, the initial and final vectors for ``Gpfa``,
-orthogonal matrices of one scalar kind, exactly orthogonal if rational and
-within the zero tolerance if float (a check the two quantum kinds share),
-and the accepting and rejecting sets.
+machine the scalar ``kind`` of its matrices.  Words, the end-markers and
+the rules for alphabets, words and state numbers (``check_alphabet``,
+``check_word``, ``check_states``) come from ``languages``, where oracles
+and homomorphisms share them.  Each kind's own ``__post_init__`` adds only
+its rules: stochastic rational rows for ``Pfa``, the initial and final
+vectors for ``Gpfa``, orthogonal matrices of one scalar kind, exactly
+orthogonal if rational and within the zero tolerance if float (a check the
+two quantum kinds share), and the accepting and rejecting sets.
 
 Quantum machines use the column convention (``U @ |u>``, so ``U[j][i]`` is
 the amplitude from state ``i+1`` to state ``j+1``); probabilistic machines
@@ -54,7 +56,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .languages import Word, WordLike, check_word
+from .languages import CENT, DOLLAR, MARKERS, Word, WordLike
+from .languages import check_alphabet, check_states, check_word
 from .numeric import (
     RATIONAL,
     ColVec,
@@ -68,31 +71,6 @@ from .numeric import (
     zero,
     zero_tolerance,
 )
-
-CENT = "¢"
-DOLLAR = "$"
-MARKERS = (CENT, DOLLAR)
-
-
-def _check_alphabet(sigma: Sequence[str]) -> tuple[str, ...]:
-    alphabet = tuple(sigma)
-    if not alphabet:
-        raise ValueError("alphabet must be nonempty")
-    if len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet symbols must be distinct")
-    for s in alphabet:
-        if not s or s in MARKERS:
-            raise ValueError(f"invalid alphabet symbol {s!r}")
-    return alphabet
-
-
-def _check_states(label: str, states, n: int) -> frozenset[int]:
-    out = frozenset(states)
-    for q in out:
-        if not isinstance(q, int) or isinstance(q, bool) or not (1 <= q <= n):
-            raise ValueError(f"{label} contains invalid state index {q!r} for n={n}")
-    return out
-
 
 def _check_trans(
     trans: Mapping[str, Matrix], sigma: tuple[str, ...], markers: tuple[str, ...], n: int
@@ -144,7 +122,7 @@ class _Machine(Record):
         gets identity matrices for the markers it omits."""
         if self.n < 1:
             raise ValueError("state count must be positive")
-        object.__setattr__(self, "sigma", _check_alphabet(self.sigma))
+        object.__setattr__(self, "sigma", check_alphabet(self.sigma))
         table = _check_trans(self.trans, self.sigma, markers, self.n)
         object.__setattr__(self, "trans", MappingProxyType(table))
         return table
@@ -188,7 +166,7 @@ class Pfa(_Machine):
             if bad is not None:
                 raise ValueError(f"matrix for {sym!r} is not stochastic (row {bad})")
         object.__setattr__(
-            self, "accepting", _check_states("accepting", self.accepting, self.n)
+            self, "accepting", check_states("accepting", self.accepting, self.n)
         )
 
 
@@ -215,8 +193,8 @@ class Kwqfa(_Machine):
     def __post_init__(self):
         self._check_fields(MARKERS)
         self._check_orthogonal()
-        acc = _check_states("q_acc", self.q_acc, self.n)
-        rej = _check_states("q_rej", self.q_rej, self.n)
+        acc = check_states("q_acc", self.q_acc, self.n)
+        rej = check_states("q_rej", self.q_rej, self.n)
         if acc & rej:
             raise ValueError("q_acc and q_rej must be disjoint")
         object.__setattr__(self, "q_acc", acc)
@@ -232,7 +210,7 @@ class Mcqfa(_Machine):
         self._check_fields(MARKERS)
         self._check_orthogonal()
         object.__setattr__(
-            self, "accepting", _check_states("accepting", self.accepting, self.n)
+            self, "accepting", check_states("accepting", self.accepting, self.n)
         )
 
 

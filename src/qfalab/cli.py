@@ -58,6 +58,7 @@ from .constructions import (
 )
 from .cutpoint import EQUAL, RELATION_CELLS, RELATIONS, CutpointSpec, cell_test
 from .languages import DocumentError, LanguageOracle, Word, complement, dfa_oracle, oracle
+from .languages import check_alphabet
 from .languages import _field, _integer, _object, _states, _strings  # the document readers
 from .numeric import (
     FLOAT,
@@ -300,7 +301,9 @@ def save_machine(path: str, machine: Machine) -> None:
 
 def hom_from_doc(doc: Mapping) -> Homomorphism:
     source = _strings(_field(_object(doc, "homomorphism document"), "source"), "source")
-    target = _strings(_field(doc, "target"), "target")
+    # Checked before the images are tokenized over it, where an empty
+    # symbol would match forever.
+    target = check_alphabet(_strings(_field(doc, "target"), "target"))
     images = {
         sym: parse_word(image, target) if isinstance(image, str)
         else _strings(image, f"image of {sym!r}")

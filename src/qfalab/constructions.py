@@ -35,7 +35,7 @@ from .automata import (
     Mcqfa,
     Pfa,
 )
-from .languages import Word, WordLike, check_word, generator_alphabet
+from .languages import Word, WordLike, check_alphabet, check_word, generator_alphabet
 from .numeric import (
     RATIONAL,
     ColVec,
@@ -376,7 +376,9 @@ def word_problem_gpfa(k: int) -> Gpfa:
 
 class Homomorphism(Record):
     """Alphabet map sending each source symbol to a word over the target.
-    ``images`` is a read-only mapping, compared but left out of the hash."""
+    ``source`` and ``target`` follow the machines' alphabet rule
+    (``languages.check_alphabet``).  ``images`` is a read-only mapping,
+    compared but left out of the hash."""
 
     source: tuple[str, ...]
     target: tuple[str, ...]
@@ -384,8 +386,8 @@ class Homomorphism(Record):
     _unhashed = ("images",)
 
     def __post_init__(self):
-        source = tuple(self.source)
-        target = tuple(self.target)
+        source = check_alphabet(self.source)
+        target = check_alphabet(self.target)
         images = {sym: tuple(w) for sym, w in self.images.items()}
         for sym in source:
             if sym not in images:

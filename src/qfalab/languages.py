@@ -9,11 +9,15 @@ serves as the independent side of a brute-force comparison against a machine.
 Free-group generators are spelled ``g1 ... gk`` with uppercase ``G1 ... Gk``
 for their inverses, so every symbol is a single token.
 
-This module sits just above ``numeric``, under every other.  Words live
-here: ``Word``, ``WordLike`` and ``check_word``, the one check that every
-symbol of a word given to an oracle, a machine, a homomorphism or a
-construction is in its alphabet.  So do the document field readers, with
-which ``cli`` reads machine and homomorphism documents.
+This module sits just above ``numeric``, under every other.  Words and
+alphabets live here, with the one rule for each that machines, oracles,
+``dfa:`` documents and homomorphisms share: ``check_alphabet``, what an
+alphabet is (nonempty, distinct, nonempty strings, neither end-marker, so
+``CENT``, ``DOLLAR`` and ``MARKERS`` are here too); ``check_word``, that
+every symbol of a word is in its alphabet; and ``check_states``, what a
+state number of an n-state machine or DFA is.  So do ``Word``,
+``WordLike`` and the document field readers, with which ``cli`` reads
+machine and homomorphism documents.
 """
 
 from __future__ import annotations
@@ -27,6 +31,26 @@ from .numeric import Record
 Word = tuple[str, ...]
 WordLike = Union[str, Sequence[str]]
 
+CENT = "¢"
+DOLLAR = "$"
+MARKERS = (CENT, DOLLAR)
+
+
+def check_alphabet(sigma: Sequence[str]) -> tuple[str, ...]:
+    """``sigma`` as a tuple, once it is nonempty and its symbols are
+    nonempty strings, neither end-marker, and distinct; else ``ValueError``."""
+    alphabet = tuple(sigma)
+    if not alphabet:
+        raise ValueError("alphabet must be nonempty")
+    # Each symbol first, so one that is not a string, and may not hash,
+    # is named before the symbols are put in a set.
+    for s in alphabet:
+        if not isinstance(s, str) or not s or s in MARKERS:
+            raise ValueError(f"invalid alphabet symbol {s!r}")
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet symbols must be distinct")
+    return alphabet
+
 
 def check_word(sigma: Sequence[str], w: WordLike) -> Word:
     """``w`` as a tuple, once every symbol of it is in the alphabet ``sigma``;
@@ -38,6 +62,17 @@ def check_word(sigma: Sequence[str], w: WordLike) -> Word:
     return word
 
 
+def check_states(label: str, states, n: int) -> frozenset[int]:
+    """``states`` as a frozenset, once each is a state number of an
+    ``n``-state machine, an ``int`` (not a ``bool``) in 1..n; else
+    ``ValueError`` naming ``label``."""
+    out = frozenset(states)
+    for q in out:
+        if not isinstance(q, int) or isinstance(q, bool) or not (1 <= q <= n):
+            raise ValueError(f"{label} contains invalid state index {q!r} for n={n}")
+    return out
+
+
 def _extend(word: Word, sym: str) -> Word:
     return word + (sym,)
 
@@ -46,7 +81,9 @@ class LanguageOracle(Record):
     """A named total membership predicate over an alphabet, as a fold:
     ``advance(state, sym)`` reads one symbol from ``init``, the empty word's
     state, and ``accepts(state)`` tells membership.  By default the state is
-    the word read so far, and ``accepts`` a predicate on words.
+    the word read so far, and ``accepts`` a predicate on words.  The
+    alphabet is checked by ``check_alphabet`` and kept as a tuple, so an
+    oracle's alphabet follows the machines' rule.
 
     A sweep merges a level's equal states (``automata.prefix_levels``), so
     states must be hashable, and equal states must step and be accepted
@@ -66,6 +103,7 @@ class LanguageOracle(Record):
     advance: Callable[[object, str], object] = _extend
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
         try:
             hash(self.init)
         except TypeError as exc:
@@ -228,18 +266,20 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
     ``doc`` carries an ``alphabet`` (a list of strings), state count ``n``,
     ``start``, ``accepting`` (a list) and a total ``transitions`` table
     mapping each state, keyed by its number in canonical decimal, to a
-    symbol -> state map, and an optional ``name`` (a string).  1-based state
-    indices throughout, each a plain integer; a row for a state outside 1..n
-    or an entry for a symbol outside the alphabet is an error.
+    symbol -> state map, and an optional ``name`` (a string).  The alphabet
+    follows the machines' rule (``check_alphabet``), and every state, 1-based
+    and a plain integer, theirs (``check_states``): a start, accepting
+    state, row or target outside 1..n is an error, as is an entry for a
+    symbol outside the alphabet.
     """
-    alphabet = _strings(_field(_object(doc, "dfa document"), "alphabet"), "alphabet")
+    # Checked first, as ``LanguageOracle`` checks it last, so that a bad
+    # alphabet is not reported as a bad transitions entry.
+    alphabet = check_alphabet(
+        _strings(_field(_object(doc, "dfa document"), "alphabet"), "alphabet"))
     n = _integer(_field(doc, "n"), "n")
     start = _integer(doc.get("start", 1), "start")
-    accepting = _states(_field(doc, "accepting"), "accepting")
-    if not (1 <= start <= n):
-        raise ValueError(f"start state {start} out of range")
-    if not all(1 <= q <= n for q in accepting):
-        raise ValueError("accepting state out of range")
+    check_states("start", (start,), n)
+    accepting = check_states("accepting", _states(_field(doc, "accepting"), "accepting"), n)
     table: dict[tuple[int, str], int] = {}
     for state_key, row in _object(_field(doc, "transitions"), "transitions").items():
         try:
@@ -248,18 +288,16 @@ def dfa_oracle(doc: Mapping) -> LanguageOracle:
             raise ValueError(
                 f"transitions key {state_key!r} must be a state number in decimal"
             ) from None
-        if not (1 <= q <= n):
-            raise ValueError(f"transitions row for state {q} out of range")
+        check_states("transitions", (q,), n)
         for sym, target in _object(row, "each transitions row").items():
             if sym not in alphabet:
                 raise ValueError(f"transition on {sym!r} at state {q}: not in the alphabet")
             table[(q, sym)] = _integer(target, "each transition target")
+    check_states("transitions", table.values(), n)
     for q in range(1, n + 1):
         for sym in alphabet:
             if (q, sym) not in table:
                 raise ValueError(f"incomplete transition table: state {q}, symbol {sym!r}")
-            if not (1 <= table[(q, sym)] <= n):
-                raise ValueError(f"transition target out of range at state {q}, {sym!r}")
 
     name = doc.get("name", "dfa")
     if not isinstance(name, str):

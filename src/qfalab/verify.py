@@ -23,7 +23,6 @@ where its verdict cannot be trusted, and reports them as undecided.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, islice, product, tee
 from operator import ne
 from typing import Callable, Optional
 
@@ -84,29 +83,21 @@ def enumerate_agreement(
             tested, found = first_failure(sigma, maxlen, ne, steps, oracle.stepper)
             return AgreementReport(tested, found, maxlen, undecided, first_undecided)
         steps, tested = readout_then(stepper(machine, maxlen), test), 0
-        levels = prefix_levels(sigma, maxlen, steps, oracle.stepper)
-        for length, (_, cells, marks) in enumerate(levels):
-            # ``seen`` keeps the cells the comparison reads, and no more: a
-            # read-out past the first disagreement may raise.
-            cells, seen = tee(cells)
-            found = next(compress(count(), map(ne, map(members.__contains__, cells), marks)), None)
-            seen = list(islice(seen, len(sigma) ** length if found is None else found + 1))
-            undecided += seen.count(EQUAL)
-            if first_undecided is None and EQUAL in seen:
-                first_undecided = _word(sigma, length, seen.index(EQUAL))
-            tested += len(seen)
-            if found is not None:
-                return AgreementReport(tested, _word(sigma, length, found), maxlen, undecided,
-                                       first_undecided)
+        for words, cells, marks in prefix_levels(sigma, maxlen, steps, oracle.stepper):
+            # One word at a time, so nothing is read out past the first
+            # disagreement, where a read-out may raise.
+            for word, cell, mark in zip(words, cells, marks):
+                tested += 1
+                if cell == EQUAL:
+                    undecided += 1
+                    if first_undecided is None:  # not ``or``: the empty word is falsy
+                        first_undecided = word
+                if (cell in members) != mark:
+                    return AgreementReport(tested, word, maxlen, undecided, first_undecided)
     except UnhashableStateError as exc:
         # A machine's stepper states are hashable, so the oracle's are not.
         raise TypeError(f"oracle {oracle.name!r} needs hashable states: {exc.__cause__}") from None
     return AgreementReport(tested, None, maxlen, undecided, first_undecided)
-
-
-def _word(sigma, length: int, index: int) -> Word:
-    """Word ``index`` of the words of ``length`` in sweep order."""
-    return next(islice(product(sigma, repeat=length), index, None))
 
 
 def check_value_identity(

@@ -26,7 +26,11 @@ state while the machine and the oracle split every level's words alike:
   oracle for the same language whose state is the word itself, as ``pal``'s
   is, so it never merges: the splits differ from length 2 on and the sweep
   compares word by word, to length 12 (8,191 words, all agreeing; no
-  merging machine agrees with ``pal`` itself that far).
+  merging machine agrees with ``pal`` itself that far);
+* the float ``neq_mcqfa()`` against ``neq`` at cutpoint 0.0, relation
+  ``greater``, to length 12 (8,191 words, all agreeing): a float sweep
+  compares word by word, and its 1,275 balanced words fall in the
+  tolerance band and count as undecided.
 
 Each sweep is run once untimed, which lowers its machine's matrices (the
 lowered tables stay on the machine), and then 15 times; the three ``Mcqfa``
@@ -50,7 +54,7 @@ from random import Random
 import qfalab
 from helpers import givens_product, random_kwqfa, random_pfa, replace
 from qfalab.automata import DOLLAR, Gpfa, Mcqfa, enumerate_values, stepper
-from qfalab.constructions import pfa_to_nqfa, word_problem_gpfa
+from qfalab.constructions import neq_mcqfa, pfa_to_nqfa, word_problem_gpfa
 from qfalab.cutpoint import CutpointSpec
 from qfalab.languages import LanguageOracle, oracle
 from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec
@@ -91,6 +95,7 @@ def walks() -> list:
         ("wp-2 vs wp-2", word_problem_gpfa(2), one, oracle("wp-2"), 7),
         ("wp-3 vs wp-3", word_problem_gpfa(3), one, oracle("wp-3"), 5),
         ("counter vs by word", counter_gpfa(), zero, by_word, 12),
+        ("float neq vs neq", neq_mcqfa(), CutpointSpec(0.0, "greater"), oracle("neq"), 12),
     ]
 
 

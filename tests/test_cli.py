@@ -1169,6 +1169,27 @@ DFA_VERIFY = ["verify", "--machine", "ROT", "--cutpoint", "0", "--relation", "gr
               "--oracle", "dfa:DOC"]
 WP_HOM = {"source": ["g1", "G1", "g2", "G2"], "target": ["x"]}
 
+
+def _document_alphabet_cases():
+    """Each bad alphabet as a ``dfa:`` oracle's, a ``--map`` source and a
+    ``--map`` target: the image ``x``, tokenized over a target holding
+    ``''``, never ended."""
+    inv_hom = ["build", "inv-hom", "--in", "WP", "--map", "DOC", "--out", "OUT"]
+    for case, alphabet, message in [
+        ("empty", [], "alphabet must be nonempty"),
+        ("repeated", ["a", "a"], "alphabet symbols must be distinct"),
+        ("empty-symbol", ["a", ""], "invalid alphabet symbol ''"),
+        ("cent", ["a", "¢"], "invalid alphabet symbol '¢'"),
+        ("dollar", ["$"], "invalid alphabet symbol '$'"),
+    ]:
+        yield pytest.param(DFA_VERIFY, {**DFA, "alphabet": alphabet}, message,
+                           id=f"dfa-alphabet-{case}")
+        yield pytest.param(inv_hom, {"source": alphabet, "target": ["g1"], "images": {}},
+                           message, id=f"map-source-{case}")
+        yield pytest.param(inv_hom, {"source": ["x"], "target": alphabet, "images": {"x": "x"}},
+                           message, id=f"map-target-{case}")
+
+
 REFUSALS = [
     pytest.param(SIMULATE, {**MINIMAL_PFA, "alphabet": []}, "alphabet must be nonempty",
                  id="alphabet-empty"),
@@ -1201,13 +1222,14 @@ REFUSALS = [
     pytest.param(["build", "inv-hom", "--in", "WP", "--map", "DOC", "--out", "OUT"],
                  {"source": ["x"], "target": ["g1"], "images": {"x": "g1", "z": "g1"}},
                  "symbol 'z' not in alphabet ('x',)", id="hom-unknown-symbol"),
-    pytest.param(DFA_VERIFY, {**DFA, "start": 2}, "start state 2 out of range",
+    pytest.param(DFA_VERIFY, {**DFA, "start": 2}, "start contains invalid state index 2 for n=1",
                  id="dfa-start-out-of-range"),
-    pytest.param(DFA_VERIFY, {**DFA, "accepting": [2]}, "accepting state out of range",
-                 id="dfa-accepting-out-of-range"),
+    pytest.param(DFA_VERIFY, {**DFA, "accepting": [2]},
+                 "accepting contains invalid state index 2 for n=1", id="dfa-accepting-out-of-range"),
     pytest.param(DFA_VERIFY, {**DFA, "transitions": {"1": {"a": 2}}},
-                 "transition target out of range at state 1, 'a'", id="dfa-target-out-of-range"),
+                 "transitions contains invalid state index 2 for n=1", id="dfa-target-out-of-range"),
     *_missing_option_cases(),
+    *_document_alphabet_cases(),
     pytest.param(["build", "hom", "--in", "WP", "--map", "DOC", "--nl", "0", "--out", "OUT"],
                  {**WP_HOM, "images": {"g1": "x", "G1": "x", "g2": "", "G2": "x"}},
                  "padding bound must be at least 1", id="hom-bound-zero"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_gpfa, words_up_to
-from qfalab.automata import acceptance_value, kwqfa_run, prefix_levels
+from qfalab.automata import Gpfa, Kwqfa, Mcqfa, Pfa, acceptance_value, kwqfa_run, prefix_levels
 from qfalab.constructions import (
     Homomorphism,
     gpfa_erasing_hom,
@@ -18,6 +18,7 @@ from qfalab.constructions import (
     hom,
 )
 from qfalab.languages import (
+    LanguageOracle,
     check_word,
     complement,
     dfa_oracle,
@@ -26,6 +27,7 @@ from qfalab.languages import (
     inverse_generator,
     oracle,
 )
+from qfalab.numeric import ColVec, RowVec
 
 generator_symbols = st.sampled_from(generator_alphabet(3))
 generator_words = st.lists(generator_symbols, max_size=14).map(tuple)
@@ -245,8 +247,10 @@ DFA_DOC = {
         ({"transitions": {"1": [1]}}, "each transitions row must be an object"),
         (None, "dfa document must be an object"),
         ({"accepting": DROP}, "missing field 'accepting'"),
-        ({"transitions": {"1": {"a": 1, "b": 1}, "9": {"a": 1}}}, "state 9 out of range"),
-        ({"transitions": {"1": {"a": 1, "b": 1}, "0": {"a": 1, "b": 1}}}, "state 0 out of range"),
+        ({"transitions": {"1": {"a": 1, "b": 1}, "9": {"a": 1}}},
+         "transitions contains invalid state index 9 for n=1"),
+        ({"transitions": {"1": {"a": 1, "b": 1}, "0": {"a": 1, "b": 1}}},
+         "transitions contains invalid state index 0 for n=1"),
         ({"transitions": {"1": {"a": 1, "b": 1, "c": 1}}}, "'c' at state 1: not in the alphabet"),
         ({"alphabet": ["a"], "transitions": {"1": {"a": 1, "c": 5}, "9": {"a": 1}}},
          "'c' at state 1: not in the alphabet"),
@@ -254,6 +258,11 @@ DFA_DOC = {
         ({"transitions": {"x": {"a": 1, "b": 1}}}, "transitions key 'x' must be a state number"),
         ({"transitions": {" +1 ": {"a": 1, "b": 1}}},
          "transitions key ' \\+1 ' must be a state number"),
+        ({"start": 2}, "start contains invalid state index 2 for n=1"),
+        ({"start": 0}, "start contains invalid state index 0 for n=1"),
+        ({"accepting": [1, 3]}, "accepting contains invalid state index 3 for n=1"),
+        ({"transitions": {"1": {"a": 1, "b": 2}}},
+         "transitions contains invalid state index 2 for n=1"),
     ],
 )
 def test_dfa_oracle_checks_its_document(change, message):
@@ -383,6 +392,48 @@ ALPHABET_CHECKS = {
 def test_every_alphabet_check_is_check_word(refuse):
     with pytest.raises(ValueError, match=r"^symbol 'c' not in alphabet \('a', 'b'\)$"):
         refuse()
+
+
+# Each constructor that takes an alphabet, given ``sigma`` as its alphabet.
+ALPHABET_TAKERS = {
+    "Pfa": lambda sigma: Pfa(1, sigma, {}, {1}),
+    "Gpfa": lambda sigma: Gpfa(1, sigma, {}, RowVec([1]), ColVec([1])),
+    "Kwqfa": lambda sigma: Kwqfa(1, sigma, {}, {1}, set()),
+    "Mcqfa": lambda sigma: Mcqfa(1, sigma, {}, {1}),
+    "LanguageOracle": lambda sigma: LanguageOracle("x", sigma, bool),
+    "dfa_oracle": lambda sigma: dfa_oracle({**DFA_DOC, "alphabet": list(sigma)}),
+    "hom-source": lambda sigma: Homomorphism(sigma, ("a",), {}),
+    "hom-target": lambda sigma: Homomorphism(("x",), sigma, {"x": ()}),
+}
+BAD_ALPHABETS = {
+    "empty": ((), "alphabet must be nonempty"),
+    "repeated": (("a", "a"), "alphabet symbols must be distinct"),
+    "empty-symbol": (("a", ""), "invalid alphabet symbol ''"),
+    "cent": (("a", "¢"), "invalid alphabet symbol '¢'"),
+    "dollar": (("$",), "invalid alphabet symbol '$'"),
+    "not-a-string": (("a", 1), "invalid alphabet symbol 1"),
+    "unhashable": (("a", ["b"]), "invalid alphabet symbol ['b']"),
+}
+
+
+def _bad_alphabet_cases():
+    """Every constructor with every bad alphabet, but a DFA document's with
+    a symbol that is not a string: a document's alphabet must first be a
+    list of strings (``test_dfa_oracle_checks_its_document``)."""
+    for taker, take in ALPHABET_TAKERS.items():
+        for case, (sigma, message) in BAD_ALPHABETS.items():
+            if taker != "dfa_oracle" or all(isinstance(s, str) for s in sigma):
+                yield pytest.param(take, sigma, message, id=f"{taker}-{case}")
+
+
+@pytest.mark.parametrize("take, sigma, message", _bad_alphabet_cases())
+def test_every_alphabet_follows_the_machines_rule(take, sigma, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        take(sigma)
+
+
+def test_an_oracle_keeps_its_alphabet_as_a_tuple():
+    assert LanguageOracle("x", "ab", bool).alphabet == ("a", "b")
 
 
 def test_a_homomorphism_reports_its_first_fault_first():
