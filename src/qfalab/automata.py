@@ -237,23 +237,26 @@ _CHUNK = 200
 def _kernel(lines, nil, masses=()):
     """Generate ``kernel(vec)`` for a lowered matrix: it returns the tuple of
     the line products, each a straight-line sum of the line's nonzero
-    entries, added left to right (``v3 * c[17] + ...``), and an all-zero
-    line gives the literal ``nil`` (``0`` on integer lines, ``0.0`` on float
-    ones).  The source holds only indices and names; the entries come in as
-    the tuple ``c``.
+    entries, added left to right (``v3 * 0x2f + v5 * -0x3 + ...``), and an
+    all-zero line gives the literal ``nil`` (``0`` on integer lines, ``0.0``
+    on float ones).  Each entry is a literal in the source, so a term is one
+    multiplication by a constant: a float in its ``repr``, which reads back
+    as the same float, and an int in ``hex``, which writes in linear time
+    and, unlike decimal, is exempt from the int-string digit limit
+    (``sys.get_int_max_str_digits``).  The compiler folds a negative
+    literal to the same constant.
 
     With ``masses``, a sequence of line ranges ``(lo, hi)``, the kernel also
     measures: it returns ``(out, *sums)``, the line products and, per range,
     the squared mass of ``out[lo:hi]``, a ``sum`` of squares from ``nil``
     (``nil`` itself where the range has no nonzero line)."""
-    consts, body, rows, used = [], [], [], set()
+    body, rows, used = [], [], set()
     lines = [tuple(line) for line in lines]
     for i, line in enumerate(lines):
         terms = []
         for j, x in enumerate(line):
             if x:
-                terms.append(f"v{j} * c[{len(consts)}]")
-                consts.append(x)
+                terms.append(f"v{j} * {hex(x) if type(x) is int else repr(x)}")
                 used.add(j)
         expr = nil
         for k in range(0, len(terms), _CHUNK):
@@ -275,9 +278,9 @@ def _kernel(lines, nil, masses=()):
         for lo, hi in masses:
             terms = "".join(f"r{i} * r{i}, " for i in named if lo <= i < hi)
             sums += f", sum(({terms}), {nil})" if terms else f", {nil}"
-    source = (f"def kernel(v, c=c):\n    {names or '_'} = v\n{''.join(body)}"
+    source = (f"def kernel(v):\n    {names or '_'} = v\n{''.join(body)}"
               f"    return ({''.join(row + ', ' for row in rows)}){sums}\n")
-    namespace = {"c": tuple(consts)}
+    namespace = {}
     exec(source, namespace)
     # Popped: left in its own globals, the kernel would be in a cycle
     # and outlive its machine until the cycle collector ran.
@@ -521,17 +524,18 @@ def stepper(machine: Machine, maxlen: Optional[int] = None):
     machine's first evaluation); the lowered tables stay on the machine
     (``_Machine._lowered``), so a later call reuses them.  Each matrix
     becomes one generated function that sums only the nonzero entries of
-    each line (``_kernel``), and a step is one function around one call of
-    it.  A rational vector is ``(numerators, denominator)``, integers: a
-    step runs the kernel of the matrix's integer lines and multiplies the
-    denominator by the one all input symbols share (``_lower``), with no
-    gcd, so after ``L`` symbols every vector, a zero one too, is over
-    ``den0 * D ** L``.  A float vector is a tuple of floats, and every
-    step checks its output finite.  A value is the same scalar as
-    ``numeric``'s ``RowVec``/``ColVec`` products would, a ``Fraction`` or a
-    float (bit for bit on CPython 3.11 and earlier; from 3.12 ``sum``
-    compensates float rounding and the generated sums add plainly, so values
-    agree to rounding); ``state_vector`` turns a state back into a vector.
+    each line, each entry a literal in its source (``_kernel``), and a step
+    is one function around one call of it.  A rational vector is
+    ``(numerators, denominator)``, integers: a step runs the kernel of the
+    matrix's integer lines and multiplies the denominator by the one all
+    input symbols share (``_lower``), with no gcd, so after ``L`` symbols
+    every vector, a zero one too, is over ``den0 * D ** L``.  A float
+    vector is a tuple of floats, and every step checks its output finite.
+    A value is the same scalar as ``numeric``'s ``RowVec``/``ColVec``
+    products would, a ``Fraction`` or a float (bit for bit on CPython 3.11
+    and earlier; from 3.12 ``sum`` compensates float rounding and the
+    generated sums add plainly, so values agree to rounding);
+    ``state_vector`` turns a state back into a vector.
 
     A quantum run measures after each unitary step: the squared amplitudes
     of the halting coordinates (``_measured``; none for a measure-once

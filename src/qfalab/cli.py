@@ -123,8 +123,10 @@ def _decode_entries(raw: list, kind: str, where: str, literals: dict) -> list:
 
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """Words on the command line: empty string for the empty word, comma or
-    space separated symbols, or plain concatenation when unambiguous
-    (single-character symbols, else greedy longest-match tokenization)."""
+    space separated symbols, or plain concatenation when unambiguous: with
+    single-character symbols, one symbol per character, else the one way to
+    split the text into symbols.  A text with no such split or with several
+    is refused."""
     if text == "":
         return ()
     if "," in text or " " in text:
@@ -133,17 +135,23 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     symbols = tuple(alphabet)
     if all(len(s) == 1 for s in symbols):
         return tuple(text)
-    by_length = sorted(symbols, key=len, reverse=True)
-    out: list[str] = []
-    rest = text
-    while rest:
-        for s in by_length:
-            if rest.startswith(s):
-                out.append(s)
-                rest = rest[len(s):]
-                break
-        else:
-            raise DocumentError(f"cannot tokenize word {text!r} over {symbols}")
+    # splits[i]: how many splits text[i:] has, counted up to two, and the
+    # first symbol of one of them.
+    splits = [(0, "")] * len(text) + [(1, "")]
+    for i in reversed(range(len(text))):
+        count, first = 0, ""
+        for s in symbols:
+            if text.startswith(s, i) and splits[i + len(s)][0]:
+                count, first = count + splits[i + len(s)][0], s
+        splits[i] = min(count, 2), first
+    if splits[0][0] == 0:
+        raise DocumentError(f"cannot tokenize word {text!r} over {symbols}")
+    if splits[0][0] > 1:
+        raise DocumentError(f"ambiguous word {text!r} over {symbols}")
+    out, i = [], 0
+    while i < len(text):
+        out.append(splits[i][1])
+        i += len(out[-1])
     return tuple(out)
 
 

@@ -117,11 +117,14 @@ def check_value_identity(
     for words, outs in prefix_levels(lhs.sigma, maxlen, stepper(lhs, maxlen)):
         for word, (num, den) in zip(words, outs):
             ref = reference(word)
-            if type(ref) is bool or not isinstance(ref, (int, Fraction)):
+            # A Fraction, the usual reference value, skips the slower test.
+            if type(ref) is not Fraction and (
+                    type(ref) is bool or not isinstance(ref, (int, Fraction))):
                 raise KindMismatchError(
                     f"reference value {ref!r} for word {word!r} is not an int or a Fraction"
                 )
-            if num * ref.denominator != ref.numerator * den:
+            ref_num, ref_den = ref.as_integer_ratio()
+            if num * ref_den != ref_num * den:
                 return word
     return None
 

@@ -35,10 +35,15 @@ state while the machine and the oracle split every level's words alike:
 Each sweep is run once untimed, which lowers its machine's matrices (the
 lowered tables stay on the machine), and then 15 times; the three ``Mcqfa``
 rows are also summed, median by median, as one row.  The kernel-generation
-row times lowering every row's machine, each on a fresh copy: ``stepper``
-with the row's length and one step per input symbol, which generates each
-kernel that sweep uses.  It is the counterpart of ``import_time.py``, and
-like it the name does not match ``test_*.py``, so pytest does not collect it.
+rows time lowering machines, each on a fresh copy: ``stepper`` with the
+row's length and one step per input symbol, which generates each kernel
+that sweep uses.  The first lowers every row's machine above; the second
+the small machines of the ``closure-audit`` benchmark, where generation is
+a large share of a pass: the outputs of concat, union, intersection,
+reverse, both quotients by ``ab`` and inverse hom, on two random rational
+Gpfas of 3 and 2 states (``helpers.random_gpfa``), to length 6.  The script
+is the counterpart of ``import_time.py``, and like it the name does not
+match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -52,9 +57,20 @@ from pathlib import Path
 from random import Random
 
 import qfalab
-from helpers import givens_product, random_kwqfa, random_pfa, replace
+from helpers import givens_product, random_gpfa, random_kwqfa, random_pfa, replace
 from qfalab.automata import DOLLAR, Gpfa, Mcqfa, enumerate_values, stepper
-from qfalab.constructions import neq_mcqfa, pfa_to_nqfa, word_problem_gpfa
+from qfalab.constructions import (
+    gpfa_concat,
+    gpfa_intersection,
+    gpfa_inverse_hom,
+    gpfa_quotient,
+    gpfa_reverse,
+    gpfa_union,
+    hom,
+    neq_mcqfa,
+    pfa_to_nqfa,
+    word_problem_gpfa,
+)
 from qfalab.cutpoint import CutpointSpec
 from qfalab.languages import LanguageOracle, oracle
 from qfalab.numeric import RATIONAL, ColVec, Matrix, RowVec
@@ -97,6 +113,16 @@ def walks() -> list:
         ("counter vs by word", counter_gpfa(), zero, by_word, 12),
         ("float neq vs neq", neq_mcqfa(), CutpointSpec(0.0, "greater"), oracle("neq"), 12),
     ]
+
+
+def closure_outputs() -> list:
+    """``(machine, 6)`` for each closure output the second kernel row lowers."""
+    rng = Random("sweep:closure")
+    g1, g2 = random_gpfa(rng, 3, ("a", "b")), random_gpfa(rng, 2, ("a", "b"))
+    outputs = [gpfa_concat(g1, g2), gpfa_union(g1, g2), gpfa_intersection(g1, g2),
+               gpfa_reverse(g1), gpfa_quotient(g1, "ab", "left"),
+               gpfa_quotient(g1, "ab", "right"), gpfa_inverse_hom(g1, hom({"a": "aa", "b": "ab"}))]
+    return [(m, 6) for m in outputs]
 
 
 def times(sweep) -> list:
@@ -147,8 +173,10 @@ def main() -> int:
         report(f"{name} to {maxlen}",
                times(lambda: enumerate_agreement(machine, spec, lang, maxlen)))
         lowered.append((machine, maxlen))
-    print("kernel generation, every row's machine on a fresh copy:")
-    report(f"{len(lowered)} machines", lowering_times(lowered))
+    print("kernel generation, each machine on a fresh copy:")
+    report(f"{len(lowered)} row machines", lowering_times(lowered))
+    outputs = closure_outputs()
+    report(f"{len(outputs)} closure outputs", lowering_times(outputs))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: documents, subcommands, exit codes."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -206,6 +207,27 @@ def test_parse_word_forms():
     assert parse_word("g1G1", ("g1", "G1")) == ("g1", "G1")
     with pytest.raises(DocumentError):
         parse_word("g1x", ("g1", "G1"))
+
+
+@pytest.mark.parametrize("text, alphabet, word", [
+    ("abc", ("a", "ab", "bc"), ("a", "bc")),
+    ("aab", ("a", "aa", "ab"), ("a", "ab")),
+])
+def test_parse_word_finds_the_one_split_longest_first_misses(text, alphabet, word):
+    """Taking the longest symbol first reads ``ab`` and ``aa`` and is stuck."""
+    assert parse_word(text, alphabet) == word
+
+
+def test_a_word_with_several_splits_is_refused(tmp_path, capsys):
+    message = "ambiguous word 'abab' over ('a', 'b', 'ab')"
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        parse_word("abab", ("a", "b", "ab"))
+    assert parse_word("a,b,ab", ("a", "b", "ab")) == ("a", "b", "ab")
+    machine = tmp_path / "g.json"
+    machine.write_text(serialize_machine(random_gpfa(Random(7), 2, ("a", "b", "ab"))))
+    capsys.readouterr()
+    assert main(["simulate", "--machine", str(machine), "--word", "abab"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.fixture()

@@ -628,6 +628,67 @@ def test_a_dropped_rational_machine_frees_its_kernels_at_once():
         gc.enable()
 
 
+# -- literal entries ----------------------------------------------------------
+# A generated kernel holds its entries as literals in its source, so every
+# entry must read back as the same number.
+
+HUGE = Fraction(10 ** 5000 + 1, 3)
+
+
+def huge_gpfa() -> Gpfa:
+    """A rational Gpfa whose lowered lines hold integers of more decimal
+    digits than ``int`` converts to a string by default."""
+    q = Fraction
+    trans = {"a": Matrix.rational([[HUGE, q(1, 2)], [q(-1, 3), q(1)]]),
+             "b": Matrix.rational([[q(0), -HUGE], [q(2, 7), q(1, 5)]])}
+    return Gpfa(2, SIGMA, trans, RowVec([q(1), q(-1, 2)], RATIONAL),
+                ColVec([q(1, 3), -HUGE], RATIONAL))
+
+
+MAX = sys.float_info.max  # 1.7976931348623157e308
+
+
+def extreme_float_gpfas() -> list:
+    """Float Gpfas whose lowered lines hold the smallest subnormal, both
+    largest finite floats, entries with no short binary form and tiny ones.
+    The first keeps every vector's absolute sum below 0.5, and the second
+    feeds each huge entry a vector entry below 4e-284, so no
+    value overflows to length 4."""
+    first = Gpfa(3, SIGMA, {
+        "a": Matrix.floats([[0.1, 5e-324, -2.5e-8], [1e-300, 0.5, 0.0], [0.0, -2.5e-8, 0.25]]),
+        "b": Matrix.floats([[0.0, 0.1, 1e-300], [-2.5e-8, 0.0, 0.5], [0.5, 5e-324, 0.1]]),
+    }, RowVec([0.25, -0.125, 0.1], FLOAT), ColVec([MAX, -MAX, 5e-324], FLOAT))
+    second = Gpfa(2, SIGMA, {
+        "a": Matrix.floats([[0.0, MAX], [1e-300, 0.0]]),
+        "b": Matrix.floats([[-0.5, 0.0], [5e-324, 0.5]]),
+    }, RowVec([1e-300, 0.0], FLOAT), ColVec([-MAX, 0.1], FLOAT))
+    return [first, second]
+
+
+def test_a_huge_rational_entry_lowers_exactly():
+    m = huge_gpfa()
+    grid, _ = automata._scaled(zip(*m.trans["a"].entries))
+    # The limit came with CPython 3.11 (and 3.10.7), at 4,300 digits by default.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    assert max(abs(x) for line in grid for x in line) > 10 ** limit
+    for word, value in enumerate_values(m, 3):
+        want = reference_run(m, word)[0]
+        assert type(value) is Fraction and value == want
+        assert acceptance_value(m, word) == want
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from 3.12 numeric's sum compensates float rounding")
+@pytest.mark.parametrize("m", extreme_float_gpfas(), ids=["subnormal-and-max", "huge-steps"])
+def test_extreme_float_entries_lower_bit_for_bit(m):
+    values = list(enumerate_values(m, 4))
+    assert len(values) == 31
+    for word, value in values:
+        want = reference_run(m, word)[0]
+        assert repr(value) == repr(want) and math.isfinite(want)
+        assert repr(acceptance_value(m, word)) == repr(want)
+
+
 # -- fused steps --------------------------------------------------------------
 
 
